@@ -24,6 +24,7 @@ from .errors import (
     DDGError,
     IncompatibleRates,
     IntegrationDefect,
+    InvalidInput,
     NotHarmonic,
     NotHolomorphic,
     NotMinimal,
@@ -79,7 +80,7 @@ def _load_json(path):
     try:
         return fileio.load_json(path)
     except json.JSONDecodeError as exc:
-        raise DDGError(f"{path}: invalid JSON ({exc})") from exc
+        raise InvalidInput(f"{path}: invalid JSON ({exc})") from exc
 
 
 def _complex_list(values):

@@ -8,6 +8,7 @@ import numpy as np
 
 from . import laplace
 from .errors import IncompatibleRates, IntegrationDefect
+from .mesh import integrate
 from .realization import Realization
 
 
@@ -136,28 +137,6 @@ def require_triangle_compat(r: Realization, rates: EdgeRates, tol=1e-10):
     return report
 
 
-def _integrate_edge_form(r: Realization, dz_form, anchor_vertex, tol=1e-10):
-    """Integrate a complex-valued primal 1-form (given on canonical edge
-    orientations) over a vertex spanning tree; verify closure on every
-    co-tree edge."""
-    mesh = r.mesh
-    steps, cotree = mesh.vertex_spanning_tree(anchor_vertex)
-    zdot = np.zeros(mesh.vertex_count, dtype=complex)
-    for v, parent, e, sign in steps:
-        zdot[v] = zdot[parent] + sign * dz_form[e]
-    scale = max(float(np.abs(dz_form).max()), 1e-300)
-    for e in cotree:
-        i, j = mesh.edges[e]
-        gap = zdot[j] - zdot[i] - dz_form[e]
-        if abs(gap) > tol * scale:
-            raise IntegrationDefect(
-                f"closure failure {abs(gap):.3e} on co-tree edge {mesh.edges[e]}",
-                edge=mesh.edges[e],
-                defect=abs(gap),
-            )
-    return zdot
-
-
 def conformal_deformation(r: Realization, u, anchor_vertex=0, anchor_face=0):
     """Infinitesimal conformal deformation with scale factors ``u``.
 
@@ -171,7 +150,9 @@ def conformal_deformation(r: Realization, u, anchor_vertex=0, anchor_face=0):
     form = np.empty(len(mesh.edges), dtype=complex)
     for e, (i, j) in enumerate(mesh.edges):
         form[e] = ((u[i] + u[j]) / 2.0 + 1j * conj.edge_rotation[e]) * (r.z[j] - r.z[i])
-    return _integrate_edge_form(r, form, anchor_vertex)
+    zdot = integrate(mesh, form, anchor_vertex)
+    zdot.require(1e-10, IntegrationDefect, "closure failure {gap:.3e} on co-tree edge {edge}")
+    return zdot.potential
 
 
 def pattern_deformation(r: Realization, alpha, anchor_vertex=0, anchor_face=0):

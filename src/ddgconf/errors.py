@@ -13,6 +13,11 @@ class DDGError(Exception):
         self.details = details
 
 
+# input
+class InvalidInput(DDGError):
+    code = "invalid_input"
+
+
 # mesh construction
 class NonManifold(DDGError):
     code = "non_manifold"

@@ -5,11 +5,12 @@ edge-indexed data as JSON maps keyed ``"i-j"`` with ``i < j``.  All floats are
 written with 17 significant digits so reports are byte-reproducible.
 """
 
+import cmath
 import json
 
 import numpy as np
 
-from .errors import DDGError
+from .errors import InvalidInput
 from .mesh import TriMesh, build
 
 PLANAR_Z_TOL = 1e-12
@@ -21,25 +22,10 @@ def _fmt(x):
 
 def read_obj(path):
     """Read a triangle OBJ; returns ``(TriMesh, vertices (n, 3))``."""
-    verts = []
-    faces = []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if parts[0] == "v":
-                if len(parts) < 4:
-                    raise DDGError(f"malformed vertex line: {line.strip()}")
-                verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
-            elif parts[0] == "f":
-                idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
-                faces.append(tuple(idx))
-    verts = np.array(verts, dtype=float)
-    tri = [f for f in faces]
-    if any(len(f) != 3 for f in tri):
-        raise DDGError("OBJ contains non-triangular faces")
-    return build(tri, vertex_count=len(verts)), verts
+    verts, faces = read_obj_polygons(path)
+    if any(len(f) != 3 for f in faces):
+        raise InvalidInput("OBJ contains non-triangular faces")
+    return build(faces, vertex_count=len(verts)), verts
 
 
 def read_obj_planar(path):
@@ -48,24 +34,35 @@ def read_obj_planar(path):
     mesh, verts = read_obj(path)
     scale = max(1.0, float(np.abs(verts).max()))
     if np.any(np.abs(verts[:, 2]) > PLANAR_Z_TOL * scale):
-        raise DDGError("OBJ is not planar: third coordinate is nonzero")
+        raise InvalidInput("OBJ is not planar: third coordinate is nonzero")
     return mesh, verts[:, 0] + 1j * verts[:, 1]
 
 
 def read_obj_polygons(path):
-    """Read an OBJ with arbitrary polygonal faces; returns ``(vertices, faces)``."""
+    """Read an OBJ with arbitrary polygonal faces; returns ``(vertices (n, 3),
+    faces)`` with 0-based vertex ids."""
     verts = []
     faces = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             parts = line.split()
-            if not parts or parts[0].startswith("#"):
+            if not parts or parts[0] not in ("v", "f"):
                 continue
-            if parts[0] == "v":
-                verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
-            elif parts[0] == "f":
-                faces.append([int(p.split("/")[0]) - 1 for p in parts[1:]])
-    return np.array(verts, dtype=float), faces
+            try:
+                if parts[0] == "v":
+                    verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
+                else:
+                    faces.append([int(p.split("/")[0]) - 1 for p in parts[1:]])
+            except (IndexError, ValueError):
+                raise InvalidInput(f"{path}:{number}: malformed line: {line.strip()}") from None
+    for f in faces:
+        if not all(0 <= v < len(verts) for v in f):
+            raise InvalidInput(f"{path}: face {[v + 1 for v in f]} indexes past [1, {len(verts)}]")
+    verts = np.array(verts, dtype=float).reshape(-1, 3)
+    bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
+    if len(bad):
+        raise InvalidInput(f"{path}: vertex {bad[0] + 1} has a non-finite coordinate")
+    return verts, faces
 
 
 def write_obj(path, vertices, faces):
@@ -119,46 +116,67 @@ def load_json(path):
         return json.load(fh)
 
 
+def _number(v, real=False, bare=float):
+    """A finite number from JSON: an ``[re, im]`` pair is complex (unless
+    ``real``), a lone number ``x`` becomes ``bare(x)``."""
+    kind = "real number" if real else "number or [re, im] pair"
+    try:
+        if isinstance(v, (list, tuple)) and not real:
+            re, im = v
+            x = complex(float(re), float(im))
+        else:
+            x = bare(float(v))
+    except (TypeError, ValueError):
+        raise InvalidInput(f"{v!r} is not a {kind}") from None
+    if not cmath.isfinite(x):
+        raise InvalidInput(f"{v!r} is not a finite {kind}")
+    return x
+
+
+def _vertex_values(data, vertex_count, real):
+    """``{vertex: value}`` from a full-length JSON array or an index-keyed map."""
+    if not isinstance(data, dict):
+        if not isinstance(data, (list, tuple, np.ndarray)) or len(data) != vertex_count:
+            raise InvalidInput(f"vertex data must be a map or an array of length {vertex_count}")
+        data = dict(enumerate(data))
+    out = {}
+    for key, v in data.items():
+        vertex = int(key) if str(key).isdecimal() else -1
+        if not 0 <= vertex < vertex_count:
+            raise InvalidInput(f"vertex key {key!r} is not an integer in [0, {vertex_count})")
+        out[vertex] = _number(v, real)
+    return out
+
+
 def vertex_field_from_json(data, vertex_count, real=True):
-    """Vertex data from a JSON array or ``{"index": value}`` map; complex
-    values travel as ``[re, im]`` pairs."""
-    if isinstance(data, dict) and "z" in data:
-        data = data["z"]
-    if isinstance(data, dict) and "values" in data:
-        data = data["values"]
-
-    def scalar(v):
-        if isinstance(v, (list, tuple)):
-            return complex(v[0], v[1])
-        return float(v)
-
-    if isinstance(data, dict):
-        out = np.zeros(vertex_count, dtype=float if real else complex)
-        for key, v in data.items():
-            out[int(key)] = scalar(v)
-        return out
-    arr = [scalar(v) for v in data]
-    if len(arr) != vertex_count:
-        raise DDGError(f"vertex data has length {len(arr)}, expected {vertex_count}")
-    return np.array(arr, dtype=float if real else complex)
+    """Vertex data from a JSON array or ``{"index": value}`` map, possibly
+    wrapped as ``{"z": ...}``, ``{"zdot": ...}`` (the report of
+    ``ddg deform build``) or ``{"values": ...}``; complex values travel as
+    ``[re, im]`` pairs."""
+    for key in ("z", "zdot", "values"):
+        if isinstance(data, dict) and key in data:
+            data = data[key]
+    values = _vertex_values(data, vertex_count, real)
+    out = np.zeros(vertex_count, dtype=float if real else complex)
+    out[list(values)] = list(values.values())
+    return out
 
 
 def boundary_data_from_json(data, mesh: TriMesh):
-    """Boundary values as a dict keyed by boundary vertex."""
+    """Boundary values as a dict keyed by vertex, from an index-keyed map or
+    a full-length array (of which the boundary entries are kept)."""
     if isinstance(data, dict) and "boundary" in data:
         data = data["boundary"]
+    values = _vertex_values(data, mesh.vertex_count, real=True)
     if isinstance(data, dict):
-        return {int(k): float(v) for k, v in data.items()}
-    arr = np.asarray(data, dtype=float)
-    return {v: float(arr[v]) for v in mesh.boundary_vertices}
+        return values
+    return {v: values[v] for v in mesh.boundary_vertices}
 
 
 def edge_map_to_json(mesh: TriMesh, values, scalar="auto"):
     """Interior-edge data as an ``"i-j"`` keyed map."""
     out = {}
-    for idx, e in enumerate(mesh.interior_edges):
-        i, j = mesh.edges[e]
-        v = values[idx]
+    for (i, j), v in zip(mesh.interior_ends.tolist(), values):
         if scalar == "real" or (scalar == "auto" and not isinstance(v, (complex, np.complexfloating))):
             out[edge_key(i, j)] = float(v)
         else:
@@ -166,40 +184,29 @@ def edge_map_to_json(mesh: TriMesh, values, scalar="auto"):
     return out
 
 
+def _edge_values(data, mesh: TriMesh, wrapper, bare):
+    """Complex per-interior-edge array from an ``"i-j"`` keyed map, possibly
+    wrapped as ``{wrapper: {...}}``.  A value is an ``[re, im]`` pair or a
+    lone number ``x``, read as ``bare(x)``; absent edges are 0."""
+    if isinstance(data, dict) and wrapper in data:
+        data = data[wrapper]
+    if not isinstance(data, dict):
+        raise InvalidInput('interior-edge data must be an "i-j" keyed map')
+    pos = {edge_key(i, j): idx for idx, (i, j) in enumerate(mesh.interior_ends.tolist())}
+    out = np.zeros(len(pos), dtype=complex)
+    for key, v in data.items():
+        if key not in pos:
+            raise InvalidInput(f"'{key}' is not an interior edge")
+        out[pos[key]] = _number(v, bare=bare)
+    return out
+
+
 def qdiff_from_json(data, mesh: TriMesh):
     """Quadratic differential from a ``"i-j" -> imaginary part`` map (or a
     ``{"q": {...}}`` wrapper); returns a complex per-interior-edge array."""
-    if isinstance(data, dict) and "q" in data:
-        data = data["q"]
-    out = np.zeros(len(mesh.interior_edges), dtype=complex)
-    pos = {}
-    for idx, e in enumerate(mesh.interior_edges):
-        i, j = mesh.edges[e]
-        pos[edge_key(i, j)] = idx
-    for key, v in data.items():
-        if key not in pos:
-            raise DDGError(f"'{key}' is not an interior edge")
-        if isinstance(v, (list, tuple)):
-            out[pos[key]] = complex(v[0], v[1])
-        else:
-            out[pos[key]] = 1j * float(v)
-    return out
+    return _edge_values(data, mesh, "q", lambda x: 1j * x)
 
 
 def mu_from_json(data, mesh: TriMesh):
     """Complex per-interior-edge rates from an ``"i-j" -> [re, im]`` map."""
-    if isinstance(data, dict) and "mu" in data:
-        data = data["mu"]
-    out = np.zeros(len(mesh.interior_edges), dtype=complex)
-    pos = {}
-    for idx, e in enumerate(mesh.interior_edges):
-        i, j = mesh.edges[e]
-        pos[edge_key(i, j)] = idx
-    for key, v in data.items():
-        if key not in pos:
-            raise DDGError(f"'{key}' is not an interior edge")
-        if isinstance(v, (list, tuple)):
-            out[pos[key]] = complex(v[0], v[1])
-        else:
-            out[pos[key]] = float(v)
-    return out
+    return _edge_values(data, mesh, "mu", float)

@@ -15,6 +15,7 @@ import numpy as np
 from . import laplace
 from .deform import edge_rates
 from .errors import ClosureDefect, DegenerateFace, NotRealizable
+from .mesh import integrate, magnitude
 from .realization import Realization, cross_ratios, intersection_angles
 
 
@@ -50,7 +51,7 @@ def gradient(r: Realization, u) -> GradField:
     """Gradient of the piecewise-linear interpolant of ``u``, constant per
     face: ``i (u_i dz(e_jk) + u_j dz(e_ki) + u_k dz(e_ij)) / (2 A)``."""
     u = np.asarray(u)
-    tri = np.array(r.mesh.faces)
+    tri = r.tri
     z = r.z
     zi, zj, zk = z[tri[:, 0]], z[tri[:, 1]], z[tri[:, 2]]
     ui, uj, uk = u[tri[:, 0]], u[tri[:, 1]], u[tri[:, 2]]
@@ -64,9 +65,7 @@ def gradient(r: Realization, u) -> GradField:
 def _duz(r: Realization, u):
     """Dual 1-form ``uz(left face) - uz(right face)`` per interior edge."""
     uz = gradient(r, u).uz
-    mesh = r.mesh
-    left = np.array([mesh.edge_left[e] for e in mesh.interior_edges], dtype=int)
-    right = np.array([mesh.edge_right[e] for e in mesh.interior_edges], dtype=int)
+    left, right = r.mesh.interior_faces.T
     return uz[left] - uz[right]
 
 
@@ -75,9 +74,7 @@ def qdiff_from_function(r: Realization, u):
 
     Purely imaginary for every ``u``; holomorphic precisely when ``u`` is
     harmonic."""
-    i, j, _, _ = r.flap_points()
-    dz = r.z[j] - r.z[i]
-    q = _duz(r, u) * dz
+    q = _duz(r, u) * r.interior_dz()
     return QuadDiff(q.imag)
 
 
@@ -90,19 +87,15 @@ def qdiff_from_harmonic(r: Realization, u, rtol=laplace.HARMONIC_RTOL):
 def qdiff_cotan(r: Realization, u):
     """Independent cotangent-formula evaluation of the quadratic differential
     (used to cross-check :func:`qdiff_from_function`)."""
-    mesh = r.mesh
     u = np.asarray(u, dtype=float)
-    out = np.empty(len(mesh.interior_edges), dtype=complex)
-    for idx, e in enumerate(mesh.interior_edges):
-        i, j, k, l = mesh.edge_flap(e)
-        fl, fr = mesh.edge_left[e], mesh.edge_right[e]
-        out[idx] = (-0.5j) * (
-            r.cot_at(fl, i) * (u[k] - u[j])
-            + r.cot_at(fl, j) * (u[k] - u[i])
-            + r.cot_at(fr, j) * (u[l] - u[i])
-            + r.cot_at(fr, i) * (u[l] - u[j])
-        )
-    return out
+    i, j, k, l = r.flap_points()
+    fl, fr = r.mesh.interior_faces.T
+    return (-0.5j) * (
+        r.cot_at(fl, i) * (u[k] - u[j])
+        + r.cot_at(fl, j) * (u[k] - u[i])
+        + r.cot_at(fr, j) * (u[l] - u[i])
+        + r.cot_at(fr, i) * (u[l] - u[j])
+    )
 
 
 @dataclass
@@ -121,31 +114,20 @@ def verify_qdiff(r: Realization, q, tol=1e-9) -> QDiffReport:
     """
     q = _as_complex(q)
     mesh = r.mesh
-    pos = {e: idx for idx, e in enumerate(mesh.interior_edges)}
     q_scale = max(float(np.abs(q).max()) if len(q) else 0.0, 1e-300)
-
-    tau = np.empty_like(q)
-    for idx, e in enumerate(mesh.interior_edges):
-        i, j = mesh.edges[e]
-        tau[idx] = q[idx] / (r.z[j] - r.z[i])
+    # tau is stored for the canonical orientation (i < j); around v the term
+    # is q_vj / (z_j - z_v)
+    tau = q / r.interior_dz()
     tau_scale = max(float(np.abs(tau).max()) if len(tau) else 0.0, 1e-300)
 
-    vertex_sum = {}
-    weighted_sum = {}
-    max_defect = float(np.abs(q.real).max() / q_scale) if len(q) else 0.0
-    for v, cycle in mesh.dual_cycles().items():
-        s0 = 0.0 + 0.0j
-        s1 = 0.0 + 0.0j
-        for de in cycle:
-            idx = pos[de.edge]
-            s0 += q[idx]
-            # tau is stored for the canonical orientation (i < j); around v the
-            # term is q_vj / (z_j - z_v)
-            s1 += tau[idx] if de.tail == min(de.tail, de.head) else -tau[idx]
-        vertex_sum[v] = s0
-        weighted_sum[v] = s1
-        max_defect = max(max_defect, abs(s0) / q_scale, abs(s1) / tau_scale)
-    return QDiffReport(max_defect <= tol, float(np.abs(q.real).max() / q_scale) if len(q) else 0.0, vertex_sum, weighted_sum, max_defect)
+    max_real = float(np.abs(q.real).max() / q_scale) if len(q) else 0.0
+    s0 = mesh.cycle_sum(q)
+    s1 = mesh.cycle_sum(tau, signed=True)
+    sums = magnitude(s0) / q_scale, magnitude(s1) / tau_scale
+    max_defect = float(np.concatenate([[max_real], *sums]).max())
+    vertex_sum = dict(zip(mesh.interior_vertices, s0))
+    weighted_sum = dict(zip(mesh.interior_vertices, s1))
+    return QDiffReport(max_defect <= tol, max_real, vertex_sum, weighted_sum, max_defect)
 
 
 def harmonic_from_qdiff(r: Realization, q, anchor_vertex=0, anchor_face=0, tol=1e-9):
@@ -158,67 +140,37 @@ def harmonic_from_qdiff(r: Realization, q, anchor_vertex=0, anchor_face=0, tol=1
     q = _as_complex(q)
     mesh = r.mesh
     mesh.require_disk()
-    pos = {e: idx for idx, e in enumerate(mesh.interior_edges)}
 
-    tau = np.zeros(len(mesh.edges), dtype=complex)  # on canonical dual edges
-    for idx, e in enumerate(mesh.interior_edges):
-        i, j = mesh.edges[e]
-        tau[e] = q[idx] / (r.z[j] - r.z[i])
-    tau_scale = max(float(np.abs(tau).max()), 1e-300)
-
-    steps, cotree = mesh.dual_spanning_tree(anchor_face)
-    h = np.zeros(len(mesh.faces), dtype=complex)
-    for face, parent, e, sign in steps:
-        h[face] = h[parent] + sign * tau[e]
-    for e in cotree:
-        fl, fr = mesh.edge_left[e], mesh.edge_right[e]
-        gap = h[fl] - h[fr] - tau[e]
-        if abs(gap) > tol * tau_scale:
-            raise ClosureDefect(
-                f"dual form q/dz fails to close across edge {mesh.edges[e]} "
-                f"(defect {abs(gap):.3e}); the weighted vertex sums do not vanish",
-                edge=mesh.edges[e],
-                defect=abs(gap),
-            )
+    dual = integrate(mesh, q / r.interior_dz(), anchor_face, dual=True)
+    dual.require(
+        tol,
+        ClosureDefect,
+        "dual form q/dz fails to close across edge {edge} (defect {gap:.3e}); "
+        "the weighted vertex sums do not vanish",
+    )
+    h = dual.potential
 
     # omega(e_ij) = <2 conj(h_face), dz(e_ij)> = Re(2 h_face dz(e_ij)), the same
     # from either side iff Re q = 0
-    omega = np.empty(len(mesh.edges))
-    dz_scale = 0.0
-    for e, (i, j) in enumerate(mesh.edges):
-        dz = r.z[j] - r.z[i]
-        dz_scale = max(dz_scale, abs(dz))
-        fl, fr = mesh.edge_left[e], mesh.edge_right[e]
-        vals = []
-        if fl is not None:
-            vals.append((2.0 * h[fl] * dz).real)
-        if fr is not None:
-            vals.append((2.0 * h[fr] * dz).real)
-        if len(vals) == 2 and abs(vals[0] - vals[1]) > tol * max(
-            1.0, abs(vals[0]), abs(vals[1])
-        ):
-            raise NotRealizable(
-                f"edge {mesh.edges[e]}: the two face-side evaluations disagree "
-                f"({vals[0]:.6e} vs {vals[1]:.6e}); q has a real part",
-                edge=mesh.edges[e],
-            )
-        omega[e] = vals[0]
+    i, j = mesh.edge_ends.T
+    dz = r.z[j] - r.z[i]
+    side = 2.0 * h[mesh.edge_faces]  # a missing face (-1) is never read
+    left, right = (side.real * dz.real[:, None] - side.imag * dz.imag[:, None]).T
+    has_left, has_right = (mesh.edge_faces >= 0).T
+    bound = tol * np.maximum(np.maximum(np.abs(left), np.abs(right)), 1.0)
+    bad = np.flatnonzero(has_left & has_right & (np.abs(left - right) > bound))
+    if len(bad):
+        e = bad[0]
+        raise NotRealizable(
+            f"edge {mesh.edges[e]}: the two face-side evaluations disagree "
+            f"({left[e]:.6e} vs {right[e]:.6e}); q has a real part",
+            edge=mesh.edges[e],
+        )
+    omega = np.where(has_left, left, right)
 
-    steps_v, cotree_v = mesh.vertex_spanning_tree(anchor_vertex)
-    u = np.zeros(mesh.vertex_count)
-    for v, parent, e, sign in steps_v:
-        u[v] = u[parent] + sign * omega[e]
-    omega_scale = max(float(np.abs(omega).max()), 1e-300)
-    for e in cotree_v:
-        i, j = mesh.edges[e]
-        gap = u[j] - u[i] - omega[e]
-        if abs(gap) > tol * omega_scale:
-            raise ClosureDefect(
-                f"primal form fails to close on edge {mesh.edges[e]}",
-                edge=mesh.edges[e],
-                defect=abs(gap),
-            )
-    return u
+    u = integrate(mesh, omega, anchor_vertex)
+    u.require(tol, ClosureDefect, "primal form fails to close on edge {edge}")
+    return u.potential
 
 
 def project_out_linear(r: Realization, u):

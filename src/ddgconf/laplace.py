@@ -8,6 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import MissingBoundaryData, NotHarmonic, SingularSystem
+from .mesh import integrate, magnitude
 from .realization import Realization
 
 # downstream operations accept h as harmonic when |Lh|_inf <= HARMONIC_RTOL * |dh|_inf
@@ -18,12 +19,9 @@ def cotan_weights(r: Realization):
     """``w_ij = cot(angle at left apex) + cot(angle at right apex)`` per
     interior edge, with signed angles (negatively oriented faces contribute
     negated cotangents)."""
-    mesh = r.mesh
-    w = np.empty(len(mesh.interior_edges))
-    for idx, e in enumerate(mesh.interior_edges):
-        i, j, k, l = mesh.edge_flap(e)
-        w[idx] = r.cot_at(mesh.edge_left[e], k) + r.cot_at(mesh.edge_right[e], l)
-    return w
+    _, _, k, l = r.flap_points()
+    left, right = r.mesh.interior_faces.T
+    return r.cot_at(left, k) + r.cot_at(right, l)
 
 
 def laplacian(r: Realization, h):
@@ -35,18 +33,18 @@ def laplacian(r: Realization, h):
     h = np.asarray(h)
     w = cotan_weights(r)
     acc = np.zeros(mesh.vertex_count, dtype=h.dtype if h.dtype.kind == "c" else float)
-    for idx, e in enumerate(mesh.interior_edges):
-        i, j = mesh.edges[e]
-        acc[i] += w[idx] * (h[j] - h[i])
-        acc[j] += w[idx] * (h[i] - h[j])
+    # added at i and at j edge by edge, in the order of a loop over the edges
+    i, j = mesh.interior_ends.T
+    terms = np.stack([w * (h[j] - h[i]), w * (h[i] - h[j])], axis=1)
+    np.add.at(acc, mesh.interior_ends.ravel(), terms.ravel())
     return acc[mesh.interior_vertices]
 
 
 def gradient_scale(r: Realization, h):
     """``max |h_j - h_i|`` over edges; the natural scale of dh."""
     h = np.asarray(h)
-    d = [abs(h[j] - h[i]) for i, j in r.mesh.edges]
-    return float(max(d)) if d else 0.0
+    i, j = r.mesh.edge_ends.T
+    return float(magnitude(h[j] - h[i]).max())
 
 
 def require_harmonic(r: Realization, h, rtol=HARMONIC_RTOL):
@@ -157,32 +155,15 @@ def conjugate_harmonic(r: Realization, h, anchor_face=0, rtol=HARMONIC_RTOL):
     h = np.asarray(h, dtype=float)
     require_harmonic(r, h, rtol)
 
-    w = cotan_weights(r)
-    dual_form = np.zeros(len(mesh.edges))
-    for idx, e in enumerate(mesh.interior_edges):
-        i, j = mesh.edges[e]
-        dual_form[e] = 0.5 * w[idx] * (h[j] - h[i])
+    i, j = mesh.interior_ends.T
+    dual = integrate(mesh, 0.5 * cotan_weights(r) * (h[j] - h[i]), anchor_face, dual=True)
+    wt = dual.potential
 
-    steps, cotree = mesh.dual_spanning_tree(anchor_face)
-    wt = np.zeros(len(mesh.faces))
-    for face, parent, e, sign in steps:
-        wt[face] = wt[parent] + sign * dual_form[e]
-
-    scale = max(float(np.abs(dual_form).max()), 1e-300)
-    defect = 0.0
-    for e in cotree:
-        fl, fr = mesh.edge_left[e], mesh.edge_right[e]
-        defect = max(defect, abs(wt[fl] - wt[fr] - dual_form[e]) / scale)
-
-    omega = np.empty(len(mesh.edges))
-    for e in range(len(mesh.edges)):
-        i, j = mesh.edges[e]
-        fl = mesh.edge_left[e]
-        if fl is not None:
-            k = mesh.opposite_vertex(fl, i, j)
-            omega[e] = wt[fl] - 0.5 * r.cot_at(fl, k) * (h[j] - h[i])
-        else:
-            fr = mesh.edge_right[e]
-            l = mesh.opposite_vertex(fr, i, j)
-            omega[e] = wt[fr] + 0.5 * r.cot_at(fr, l) * (h[j] - h[i])
-    return ConjugateHarmonic(wt, omega, defect)
+    # evaluated on the left face of each edge, or on the right face on the
+    # boundary, with the cotangent at that face's apex (vertex sum less i, j)
+    i, j = mesh.edge_ends.T
+    left, right = mesh.edge_faces.T
+    face = np.where(left >= 0, left, right)
+    half = 0.5 * r.cot_at(face, r.tri[face].sum(axis=1) - i - j) * (h[j] - h[i])
+    omega = np.where(left >= 0, wt[face] - half, wt[face] + half)
+    return ConjugateHarmonic(wt, omega, dual.defect)

@@ -6,12 +6,17 @@ vertex pair ``(i, j)`` with ``i < j``; the face containing the oriented edge
 face.  The dual edge of ``i -> j`` runs from the right face to the left face.
 """
 
-from collections import deque
+from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .errors import Disconnected, InconsistentOrientation, NonManifold, NotSimplyConnected
+from .errors import (
+    Disconnected, InconsistentOrientation, InvalidInput, NonManifold, NotSimplyConnected
+)
 
 
 class DualEdge(NamedTuple):
@@ -67,45 +72,33 @@ class TriMesh:
         for i, j in pairs:
             self.edge_left.append(oriented.get((i, j)))
             self.edge_right.append(oriented.get((j, i)))
+        # the same tables as (E, 2) arrays; -1 marks a missing face
+        self.edge_ends = np.array(pairs, dtype=np.int64)
+        sides = np.array([self.edge_left, self.edge_right], dtype=float).T  # None -> nan
+        self.edge_faces = np.where(np.isnan(sides), -1, sides).astype(np.int64)
 
-        self.interior_edges = [
-            e
-            for e in range(len(pairs))
-            if self.edge_left[e] is not None and self.edge_right[e] is not None
-        ]
-        interior_set = set(self.interior_edges)
-        self.boundary_edges = [e for e in range(len(pairs)) if e not in interior_set]
+        interior = (self.edge_faces >= 0).all(axis=1)
+        self.interior_edges = np.flatnonzero(interior).tolist()
+        self.boundary_edges = np.flatnonzero(~interior).tolist()
+        self.interior_ends = self.edge_ends[interior]
+        self.interior_faces = self.edge_faces[interior]
 
         self._check_connected()
         self._build_vertex_stars()
 
         self.is_boundary_vertex = np.zeros(vertex_count, dtype=bool)
-        for e in self.boundary_edges:
-            i, j = self.edges[e]
-            self.is_boundary_vertex[i] = True
-            self.is_boundary_vertex[j] = True
+        self.is_boundary_vertex[self.edge_ends[self.boundary_edges]] = True
         self.boundary_vertices = [v for v in range(vertex_count) if self.is_boundary_vertex[v]]
         self.interior_vertices = [v for v in range(vertex_count) if not self.is_boundary_vertex[v]]
 
     # -- construction checks -------------------------------------------------
 
     def _check_connected(self):
-        adj = [[] for _ in range(self.vertex_count)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen = [False] * self.vertex_count
-        stack = [self.edges[0][0]]
-        seen[stack[0]] = True
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        if not all(seen):
-            missing = [v for v, s in enumerate(seen) if not s]
-            raise Disconnected(f"vertices {missing[:8]}... not connected to vertex {self.edges[0][0]}")
+        _, label = connected_components(self._primal_graph.adjacency)
+        missing = np.flatnonzero(label != label[self.edges[0][0]])
+        if len(missing):
+            root = self.edges[0][0]
+            raise Disconnected(f"vertices {missing[:8].tolist()}... not connected to vertex {root}")
 
     def _build_vertex_stars(self):
         """Order each vertex star counterclockwise and reject non-fan stars."""
@@ -183,23 +176,63 @@ class TriMesh:
         fl, fr = self.edge_left[e], self.edge_right[e]
         return i, j, self.opposite_vertex(fl, i, j), self.opposite_vertex(fr, i, j)
 
+    # -- shared operators ------------------------------------------------------
+
+    @cached_property
+    def _primal_graph(self):
+        i, j = self.edge_ends.T
+        return _Graph(i, j, self.vertex_count, np.arange(len(i)), "vertex")
+
+    @cached_property
+    def _dual_graph(self):
+        e = np.array(self.interior_edges, dtype=np.int64)
+        left, right = self.edge_faces[e].T
+        return _Graph(right, left, len(self.faces), e, "face")
+
+    @cached_property
+    def vertex_cycles(self):
+        """The cycles of :meth:`dual_cycles` as :class:`VertexCycles` arrays."""
+        ring = [self._star[v][0] for v in self.interior_vertices]
+        valence = np.array([len(r) for r in ring], dtype=np.int64)
+        tail = np.repeat(np.array(self.interior_vertices, dtype=np.int64), valence)
+        head = np.fromiter(chain.from_iterable(ring), np.int64, len(tail))
+        edge = self._primal_graph.adjacency[tail, head] - 1
+        pos = np.searchsorted(self._dual_graph.edge_ids, edge)
+        fwd = tail < head
+        to_face = self.interior_faces[pos, np.where(fwd, 0, 1)]
+        padded = np.zeros((len(ring), valence.max(initial=0), 3), dtype=np.int32)
+        row = np.repeat(np.arange(len(ring)), valence)
+        col = np.arange(len(tail)) - np.repeat(np.cumsum(valence) - valence, valence)
+        padded[row, col] = np.stack([pos, np.where(fwd, 1, -1), to_face], axis=1)
+        return VertexCycles(valence, *np.moveaxis(padded, 2, 0))
+
+    def cycle_sum(self, values, signed=False):
+        """Sum of per-interior-edge ``values`` (trailing axes allowed) around
+        each interior vertex, in ``interior_vertices`` order and slot by slot
+        in the order of :meth:`dual_cycles`.  ``signed`` negates a value where
+        its dual edge runs against the canonical orientation (``v > ring[m]``)."""
+        c = self.vertex_cycles
+        values = np.asarray(values)
+        total = np.zeros((len(c.valence),) + values.shape[1:], dtype=values.dtype)
+        for m in range(c.sign.shape[1]):
+            rows = np.flatnonzero(c.sign[:, m])
+            terms = values[c.edges[rows, m]]
+            if signed:
+                flip = c.sign[rows, m].reshape((-1,) + (1,) * (values.ndim - 1)) < 0
+                terms = np.where(flip, -terms, terms)
+            total[rows] += terms
+        return total
+
     def dual_cycles(self):
         """Counterclockwise cycle of dual edges around each interior vertex."""
+        c = self.vertex_cycles
         cycles = {}
-        for v in self.interior_vertices:
-            ring, closed = self._star[v]
-            assert closed
-            d = len(ring)
-            cyc = []
-            for m, j in enumerate(ring):
-                fr = self._face_of_oriented[(j, v)]  # face (v, ring[m-1], j)
-                to = self._face_of_oriented[(v, j)]  # face (v, j, ring[m+1])
-                cyc.append(DualEdge(v, j, fr, to, self.edge_index[(min(v, j), max(v, j))]))
-            assert len(cyc) == d
-            cycles[v] = cyc
+        for v, d, pos, to in zip(self.interior_vertices, c.valence, c.edges, c.to_faces):
+            edges, to = self._dual_graph.edge_ids[pos[:d]].tolist(), to[:d].tolist()
+            heads = (self.interior_ends[pos[:d]].sum(axis=1) - v).tolist()
+            # the face before slot m is the face after slot m - 1
+            cycles[v] = [DualEdge(v, heads[m], to[m - 1], to[m], edges[m]) for m in range(d)]
         return cycles
-
-    # -- spanning trees --------------------------------------------------------
 
     def dual_spanning_tree(self, root=0):
         """BFS tree of the dual graph over interior edges.
@@ -210,28 +243,7 @@ class TriMesh:
         orientation when ``sign == +1`` (parent is the right face).
         ``cotree`` lists the interior edges not used by the tree.
         """
-        adj = [[] for _ in range(len(self.faces))]
-        for e in self.interior_edges:
-            fl, fr = self.edge_left[e], self.edge_right[e]
-            adj[fr].append((fl, e, 1))
-            adj[fl].append((fr, e, -1))
-        seen = [False] * len(self.faces)
-        seen[root] = True
-        steps = []
-        tree_edges = set()
-        q = deque([root])
-        while q:
-            f = q.popleft()
-            for g, e, sign in sorted(adj[f]):
-                if not seen[g]:
-                    seen[g] = True
-                    tree_edges.add(e)
-                    steps.append((g, f, e, sign))
-                    q.append(g)
-        if not all(seen):
-            raise NotSimplyConnected("dual graph over interior edges is not connected")
-        cotree = [e for e in self.interior_edges if e not in tree_edges]
-        return steps, cotree
+        return self._dual_graph.steps(root)
 
     def vertex_spanning_tree(self, root=0):
         """BFS tree over all primal edges.
@@ -239,25 +251,119 @@ class TriMesh:
         Each step is ``(vertex, parent, edge, sign)`` with ``sign == +1`` when
         the step traverses the edge from its smaller to its larger vertex.
         """
-        adj = [[] for _ in range(self.vertex_count)]
-        for e, (i, j) in enumerate(self.edges):
-            adj[i].append((j, e, 1))
-            adj[j].append((i, e, -1))
-        seen = [False] * self.vertex_count
-        seen[root] = True
-        steps = []
-        tree_edges = set()
-        q = deque([root])
-        while q:
-            v = q.popleft()
-            for w, e, sign in sorted(adj[v]):
-                if not seen[w]:
-                    seen[w] = True
-                    tree_edges.add(e)
-                    steps.append((w, v, e, sign))
-                    q.append(w)
-        cotree = [e for e in range(len(self.edges)) if e not in tree_edges]
-        return steps, cotree
+        return self._primal_graph.steps(root)
+
+
+class VertexCycles(NamedTuple):
+    """Dual cycles around the interior vertices (rows in ``interior_vertices``
+    order), padded with zeros to the largest valence.  Slot ``m`` of vertex
+    ``v`` holds the dual edge of ``v -> ring[m]``, ``ring`` its
+    counterclockwise star."""
+
+    valence: np.ndarray  # (n,)
+    edges: np.ndarray  # (n, k) position of edge {v, ring[m]} in interior_edges
+    sign: np.ndarray  # (n, k) +1 if v < ring[m], -1 if v > ring[m], 0 in padding
+    to_faces: np.ndarray  # (n, k) left face of v -> ring[m]
+
+
+class _Graph:
+    """Graph of a 1-form: entry ``k`` runs from node ``tail[k]`` to node
+    ``head[k]`` (vertices or faces) and lies on mesh edge ``edge_ids[k]``."""
+
+    def __init__(self, tail, head, n, edge_ids, node):
+        self.tail, self.n, self.edge_ids, self.node = tail, n, edge_ids, node
+        k = np.arange(len(tail))
+        # incidence: (d @ potential)[k] = potential[head[k]] - potential[tail[k]]
+        ones = np.ones(len(k))
+        self.d = sp.csr_array((np.r_[ones, -ones], (np.r_[k, k], np.r_[head, tail])), (len(k), n))
+        # k + 1 at (tail, head) and (head, tail); its rows list neighbours in id order
+        ends = (np.r_[tail, head], np.r_[head, tail])
+        self.adjacency = sp.csr_array((np.r_[k, k] + 1, ends), (n, n))
+
+    def tree(self, root):
+        """``(nodes, parents, entries, signs, cotree)``: the nodes after the
+        root in BFS order, each reached from its parent across a form entry
+        (along it when the sign is +1), and the other entries, ascending.
+        A TriMesh is connected and its vertex stars are fans, so the BFS
+        reaches every vertex and every face."""
+        if not 0 <= root < self.n:
+            raise InvalidInput(f"anchor {self.node} {root} is outside [0, {self.n})")
+        order, pred = breadth_first_order(self.adjacency, root, return_predecessors=True)
+        nodes = order[1:].astype(np.int64)
+        parents = pred[nodes].astype(np.int64)
+        entries = self.adjacency[parents, nodes] - 1
+        cotree = np.ones(len(self.tail), dtype=bool)
+        cotree[entries] = False
+        signs = np.where(self.tail[entries] == parents, 1, -1)
+        return nodes, parents, entries, signs, np.flatnonzero(cotree)
+
+    def steps(self, root):
+        """``(steps, cotree)`` as :meth:`TriMesh.dual_spanning_tree` lists them."""
+        nodes, parents, entries, signs, cotree = self.tree(root)
+        edges = self.edge_ids[entries].tolist()
+        steps = list(zip(nodes.tolist(), parents.tolist(), edges, signs.tolist()))
+        return steps, self.edge_ids[cotree].tolist()
+
+
+class Integral(NamedTuple):
+    """Potential of a 1-form integrated over a spanning tree, with the
+    closure gaps ``|d @ potential - form|`` on the co-tree edges."""
+
+    potential: np.ndarray
+    cotree: np.ndarray  # mesh edge ids, ascending
+    gap: np.ndarray  # per co-tree edge
+    scale: float  # max|form|, floored at 1e-300
+    edges: list  # the mesh's vertex pairs
+
+    @property
+    def defect(self):
+        """Worst co-tree gap relative to ``scale`` (0 without a co-tree)."""
+        return float((self.gap / self.scale).max()) if len(self.gap) else 0.0
+
+    def require(self, tol, error, message):
+        """Raise ``error`` for the first co-tree edge whose gap exceeds
+        ``tol * scale``; ``message`` may name ``{edge}`` and ``{gap}``."""
+        bad = np.flatnonzero(self.gap > tol * self.scale)
+        if len(bad):
+            edge, gap = self.edges[self.cotree[bad[0]]], self.gap[bad[0]]
+            raise error(message.format(edge=edge, gap=gap), edge=edge, defect=gap)
+
+
+def magnitude(x):
+    """``|x|`` elementwise, rounded as ``abs`` rounds one complex number
+    (``np.abs`` of a complex array can differ from it in the last bit)."""
+    x = np.asarray(x)
+    return np.hypot(x.real, x.imag)
+
+
+def integrate(mesh, form, root=0, dual=False):
+    """Integrate a 1-form over a BFS spanning tree rooted at ``root``.
+
+    Primal: one entry per edge ``i -> j`` (``i < j``), potential on vertices.
+    Dual: one entry per interior edge, on its dual edge from the right to the
+    left face, potential on faces.  Trailing axes are integrated
+    componentwise.  The potential is 0 at ``root``; each node gets
+    ``potential[parent] + sign * form``, one BFS level at a time.  A co-tree
+    gap is the :func:`magnitude` of ``d @ potential - form``, or the largest
+    ``np.abs`` of its components.
+    """
+    g = mesh._dual_graph if dual else mesh._primal_graph
+    form = np.asarray(form)
+    nodes, parents, entries, signs, cotree = g.tree(root)
+    step = signs.reshape((-1,) + (1,) * (form.ndim - 1)) * form[entries]
+    pot = np.zeros((g.n,) + form.shape[1:], dtype=form.dtype)
+    # BFS appends children in the order of their parents, so the nodes whose
+    # parent already has its potential are a prefix of the rest
+    parent_position = np.argsort(np.r_[root, nodes])[parents]
+    lo = 0
+    while lo < len(nodes):
+        hi = int(np.searchsorted(parent_position, lo, side="right"))
+        pot[nodes[lo:hi]] = pot[parents[lo:hi]] + step[lo:hi]
+        lo = hi
+    gap = (g.d @ pot - form)[cotree]
+    gap = np.abs(gap).max(axis=tuple(range(1, gap.ndim))) if gap.ndim > 1 else magnitude(gap)
+    scale = max(float(np.abs(form).max()) if form.size else 0.0, 1e-300)
+    return Integral(pot, g.edge_ids[cotree], gap, scale, mesh.edges)
 
 
 def build(faces, vertex_count=None):

@@ -8,6 +8,7 @@ import numpy as np
 
 from .deform import edge_rates
 from .errors import CoincidentVertices, DegenerateFace, MeshMismatch, VertexAtInfinity
+from .mesh import magnitude
 from .realization import Realization, cross_ratios
 
 PAULI = (
@@ -130,46 +131,31 @@ def check_sl2_form_closed(r: Realization, form: SlForm, tol=1e-10) -> Closedness
     """Closedness of the matrix form at interior vertices, cross-checked
     against the two scalar rate sums it is equivalent to."""
     mesh = r.mesh
-    pos = {e: idx for idx, e in enumerate(mesh.interior_edges)}
     mat_scale = max(float(np.abs(form.matrices).max()) if len(form.matrices) else 0.0, 1e-300)
     mu = form.rates
     mu_scale = max(float(np.abs(mu).max()) if len(mu) else 0.0, 1e-300)
 
-    # global scale of the weighted terms, so vertices where mu happens to be
-    # locally tiny do not register rounding noise as a defect
-    w_scale = 1e-300
-    sums = {}
-    for v, cycle in mesh.dual_cycles().items():
-        msum = np.zeros((2, 2), dtype=complex)
-        s0 = 0.0 + 0.0j
-        s1 = 0.0 + 0.0j
-        for de in cycle:
-            idx = pos[de.edge]
-            sign = 1.0 if de.tail == min(de.tail, de.head) else -1.0
-            msum += sign * form.matrices[idx]
-            s0 += mu[idx]
-            other = de.head if de.tail == v else de.tail
-            term = mu[idx] / (r.z[other] - r.z[v])
-            s1 += term
-            w_scale = max(w_scale, abs(term))
-        sums[v] = (msum, s0, s1)
+    # around v the weighted term is mu / (z_j - z_v), the canonical value
+    # negated where v > j; its global scale keeps vertices where mu happens
+    # to be locally tiny from registering rounding noise as a defect
+    tau = mu / r.interior_dz()
+    c = mesh.vertex_cycles
+    w_scale = max(float(magnitude(tau)[c.edges].max(where=c.sign != 0, initial=0.0)), 1e-300)
+    msum = mesh.cycle_sum(form.matrices, signed=True)
+    mnorm = np.abs(msum).max(axis=(1, 2), initial=0.0) / mat_scale
+    rate = magnitude(mesh.cycle_sum(mu)) / mu_scale
+    weighted = magnitude(mesh.cycle_sum(tau, signed=True)) / w_scale
 
-    matrix_defect = {}
-    rate_defect = {}
-    weighted_defect = {}
-    max_defect = 0.0
-    equivalence_ok = True
-    for v, (msum, s0, s1) in sums.items():
-        mnorm = float(np.abs(msum).max()) / mat_scale
-        matrix_defect[v] = mnorm
-        rate_defect[v] = abs(s0) / mu_scale
-        weighted_defect[v] = abs(s1) / w_scale
-        max_defect = max(max_defect, mnorm, rate_defect[v], weighted_defect[v])
-        scalar_ok = rate_defect[v] <= tol and weighted_defect[v] <= tol
-        if (mnorm <= tol) != scalar_ok:
-            equivalence_ok = False
+    max_defect = float(np.concatenate([[0.0], mnorm, rate, weighted]).max())
+    equivalence_ok = bool(np.all((mnorm <= tol) == ((rate <= tol) & (weighted <= tol))))
+    vertices = mesh.interior_vertices
     return ClosednessReport(
-        max_defect <= tol, matrix_defect, rate_defect, weighted_defect, max_defect, equivalence_ok
+        max_defect <= tol,
+        dict(zip(vertices, mnorm)),
+        dict(zip(vertices, rate)),
+        dict(zip(vertices, weighted)),
+        max_defect,
+        equivalence_ok,
     )
 
 
@@ -268,16 +254,16 @@ def transition_matrices(a: Realization, b: Realization) -> TransitionReport:
     else:
         cr_res = 0.0
 
-    pos = {e: idx for idx, e in enumerate(mesh.interior_edges)}
-    cyc_res = 0.0
-    for v, cycle in mesh.dual_cycles().items():
-        p = np.eye(2, dtype=complex)
-        for de in cycle:
-            idx = pos[de.edge]
-            g = G[idx]
-            if de.tail != min(de.tail, de.head):
-                g = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
-            p = p @ g
-        cyc_res = max(cyc_res, float(np.abs(p - np.eye(2)).max()))
+    # product of G around each interior vertex, G^{-1} where the dual edge
+    # runs against the canonical orientation; one column of slots at a time
+    c = mesh.vertex_cycles
+    G_inv = np.stack([G[:, 1, 1], -G[:, 0, 1], -G[:, 1, 0], G[:, 0, 0]], axis=1).reshape(-1, 2, 2)
+    p = np.tile(np.eye(2, dtype=complex), (len(c.valence), 1, 1))
+    for m in range(c.sign.shape[1]):
+        rows = np.flatnonzero(c.sign[:, m])
+        k = c.edges[rows, m]
+        g = np.where((c.sign[rows, m] > 0)[:, None, None], G[k], G_inv[k])
+        p[rows] = p[rows] @ g
+    cyc_res = float(np.abs(p - np.eye(2)).max(initial=0.0))
 
     return TransitionReport(face_maps, G, lam, eig_res, cr_res, cyc_res, cra, crb)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFace, MeshMismatch
+from .errors import DegenerateFace, InvalidInput, MeshMismatch
 from .mesh import TriMesh
 
 TAU = 2.0 * np.pi
@@ -31,10 +31,13 @@ class Realization:
             raise MeshMismatch(
                 f"expected {mesh.vertex_count} vertex positions, got {z.shape}"
             )
+        bad = np.flatnonzero(~np.isfinite(z))
+        if len(bad):
+            raise InvalidInput(f"vertex {bad[0]} has a non-finite position", vertex=int(bad[0]))
         self.mesh = mesh
         self.z = z
 
-        tri = np.array(mesh.faces)
+        self.tri = tri = np.array(mesh.faces)
         zi, zj, zk = z[tri[:, 0]], z[tri[:, 1]], z[tri[:, 2]]
         # signed doubled area = Im(conj(z_j - z_i) (z_k - z_i))
         self.area2 = (np.conj(zj - zi) * (zk - zi)).imag
@@ -61,18 +64,19 @@ class Realization:
         self.circumradius = (
             lengths[0] * lengths[1] * lengths[2] / (2.0 * np.abs(self.area2))
         )
-        self._corner_cot_lookup = {
-            (f, v): self.cot[f, m]
-            for f, face in enumerate(mesh.faces)
-            for m, v in enumerate(face)
-        }
 
     def cot_at(self, face, vertex):
-        """Signed cotangent of the corner angle of ``face`` at ``vertex``."""
-        return self._corner_cot_lookup[(face, vertex)]
+        """Signed cotangent of the corner angle of ``face`` at its vertex
+        ``vertex``; elementwise for arrays."""
+        return self.cot[face, (self.tri[face] == np.expand_dims(vertex, -1)).argmax(axis=-1)]
 
     def edge_vector(self, e):
         i, j = self.mesh.edges[e]
+        return self.z[j] - self.z[i]
+
+    def interior_dz(self):
+        """``z_j - z_i`` per interior edge ``i < j``."""
+        i, j = self.mesh.interior_ends.T
         return self.z[j] - self.z[i]
 
     def edge_scale(self):
@@ -80,10 +84,10 @@ class Realization:
 
     def flap_points(self):
         """Vertex indices ``(i, j, k, l)`` per interior edge, as arrays."""
-        flaps = np.array([self.mesh.edge_flap(e) for e in self.mesh.interior_edges])
-        if flaps.size == 0:
-            flaps = flaps.reshape(0, 4)
-        return flaps[:, 0], flaps[:, 1], flaps[:, 2], flaps[:, 3]
+        i, j = self.mesh.interior_ends.T
+        # the apex of a face is its vertex sum less the edge's endpoints
+        k, l = (self.tri[self.mesh.interior_faces].sum(axis=2) - i[:, None] - j[:, None]).T
+        return i, j, k, l
 
 
 def cross_ratios(r: Realization):
@@ -169,9 +173,8 @@ def check_conformal_equiv(a: Realization, b: Realization, tol=1e-9):
     if max_dev > tol:
         return EquivalenceReport(False, max_dev, None, np.inf)
 
-    sigma = np.empty(len(a.mesh.edges))
-    for e in range(len(a.mesh.edges)):
-        sigma[e] = np.log(np.abs(b.edge_vector(e)) / np.abs(a.edge_vector(e)))
+    i, j = a.mesh.edge_ends.T
+    sigma = np.log(np.abs(b.z[j] - b.z[i]) / np.abs(a.z[j] - a.z[i]))
     u, spread = _per_vertex_from_edges(a.mesh, sigma)
     return EquivalenceReport(True, max_dev, u, spread)
 
@@ -193,8 +196,7 @@ def check_pattern(a: Realization, b: Realization, tol=1e-9):
     if max_dev > tol:
         return EquivalenceReport(False, max_dev, None, np.inf)
 
-    omega = np.empty(len(a.mesh.edges))
-    for e in range(len(a.mesh.edges)):
-        omega[e] = np.angle(b.edge_vector(e) / a.edge_vector(e))
+    i, j = a.mesh.edge_ends.T
+    omega = np.angle((b.z[j] - b.z[i]) / (a.z[j] - a.z[i]))
     alpha, spread = _per_vertex_from_edges(a.mesh, omega, reduce_mod_tau=True)
     return EquivalenceReport(True, max_dev, alpha, spread)

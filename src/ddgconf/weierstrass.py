@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import IntegrationDefect, MeshMismatch, NotHolomorphic, NotMinimal
 from .hqd import QuadDiff, _as_complex, verify_qdiff
+from .mesh import integrate
 from .realization import Realization
 
 
@@ -87,27 +88,9 @@ def weierstrass_integrate(r: Realization, q, alpha=0.0, anchor_face=0, tol=1e-8)
         )
     q = _as_complex(q)
 
-    eta = integrand(r, q)
-    form = np.zeros((len(mesh.edges), 3), dtype=complex)
-    for idx, e in enumerate(mesh.interior_edges):
-        form[e] = eta[idx]
-    scale = max(float(np.abs(eta).max()) if len(eta) else 0.0, 1e-300)
-
-    steps, cotree = mesh.dual_spanning_tree(anchor_face)
-    pot = np.zeros((len(mesh.faces), 3), dtype=complex)
-    for face, parent, e, sign in steps:
-        pot[face] = pot[parent] + sign * form[e]
-    defect = 0.0
-    for e in cotree:
-        fl, fr = mesh.edge_left[e], mesh.edge_right[e]
-        gap = float(np.abs(pot[fl] - pot[fr] - form[e]).max())
-        defect = max(defect, gap / scale)
-        if gap > 1e-9 * scale:
-            raise IntegrationDefect(
-                f"Weierstrass form fails to close across edge {mesh.edges[e]}",
-                edge=mesh.edges[e],
-                defect=gap,
-            )
+    dual = integrate(mesh, integrand(r, q), anchor_face, dual=True)
+    dual.require(1e-9, IntegrationDefect, "Weierstrass form fails to close across edge {edge}")
+    pot = dual.potential
 
     k = np.empty(len(mesh.interior_edges))
     for idx, e in enumerate(mesh.interior_edges):
@@ -116,7 +99,7 @@ def weierstrass_integrate(r: Realization, q, alpha=0.0, anchor_face=0, tol=1e-8)
 
     phase = np.exp(1j * reduce_phase(alpha))
     f = (phase * pot).real
-    return MinimalSurface(mesh, pot, f, k, float(alpha), defect)
+    return MinimalSurface(mesh, pot, f, k, float(alpha), dual.defect)
 
 
 @dataclass
@@ -146,12 +129,8 @@ def verify_minimal(mesh, n, f, tol=1e-9) -> MinimalityReport:
     residual = np.zeros(m)
     k = np.zeros(m)
     ortho = np.zeros(m)
-    dfs = np.array(
-        [
-            f[mesh.edge_left[e]] - f[mesh.edge_right[e]]
-            for e in mesh.interior_edges
-        ]
-    ).reshape(m, 3)
+    left, right = mesh.interior_faces.T
+    dfs = f[left] - f[right]
     df_scale = float(np.linalg.norm(dfs, axis=1).max()) if m else 0.0
     for idx, e in enumerate(mesh.interior_edges):
         i, j = mesh.edges[e]
@@ -193,7 +172,6 @@ def qdiff_from_minimal(r: Realization, f, tol=1e-9) -> QuadDiff:
 def dual_mesh(r: Realization, face_points):
     """Polygonal dual mesh: one vertex per face of the primal mesh, one face
     per interior primal vertex (ordered along the counterclockwise star)."""
-    mesh = r.mesh
-    cycles = mesh.dual_cycles()
-    polys = [[de.to_face for de in cycles[v]] for v in mesh.interior_vertices]
+    c = r.mesh.vertex_cycles
+    polys = [faces[:d] for faces, d in zip(c.to_faces.tolist(), c.valence.tolist())]
     return np.asarray(face_points, dtype=float), polys

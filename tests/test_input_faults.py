@@ -1,0 +1,113 @@
+"""Malformed input files end with exit code 1 and a coded error line on
+stderr, never with a traceback."""
+
+import json
+
+import numpy as np
+import pytest
+
+from ddgconf import Realization, build, fileio, laplace
+from ddgconf.cli import main
+from ddgconf.errors import InvalidInput
+
+from conftest import WHEEL6_FACES
+
+TRIANGLE = ["v 0 0 0", "v 1 0 0", "v 0 1 0", "f 1 2 3"]
+
+
+@pytest.fixture
+def wheel(tmp_path):
+    """A wheel realization with harmonic vertex data, as files."""
+    mesh = build(WHEEL6_FACES)
+    z = np.concatenate([[0.05 + 0.02j], np.exp(2j * np.pi * np.arange(6) / 6.0)])
+    fileio.write_obj_planar(tmp_path / "wheel.obj", mesh, z)
+    u = laplace.solve_dirichlet(Realization(mesh, z), {v: float(v) for v in mesh.boundary_vertices})
+    (tmp_path / "u.json").write_text(fileio.dump_json({"values": list(u)}))
+    return tmp_path
+
+
+def run(capsys, *argv):
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assert_input_error(capsys, *argv, code="invalid_input"):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"error [{code}]: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize(
+    "line, replaced",
+    [
+        ("v 1 x 0", 1),  # non-numeric coordinate
+        ("v 1 0", 1),  # short vertex line
+        ("v 0 nan 0", 2),  # non-finite coordinate
+        ("v 0 1 inf", 2),  # non-finite third coordinate
+        ("f 1 2 x", 3),  # non-numeric face index
+        ("f 1 2 9", 3),  # face index past the last vertex
+        ("f 0 1 2", 3),  # OBJ indices start at 1
+    ],
+)
+def test_malformed_obj(tmp_path, capsys, line, replaced):
+    lines = list(TRIANGLE)
+    lines[replaced] = line
+    path = tmp_path / "bad.obj"
+    path.write_text("\n".join(lines) + "\n")
+    assert_input_error(capsys, "mesh", "info", path)
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        (("hqd", "check"), {"q": {"0-1": "x"}}),
+        (("hqd", "check"), {"q": {"0-1": float("inf")}}),
+        (("moebius", "eta"), {"mu": {"0-1": [1.0]}}),
+        (("moebius", "eta"), {"mu": {"0-1": None}}),
+        (("harmonic", "check"), {"values": {"99": 1.0}}),
+        (("harmonic", "check"), {"values": {"-1": 1.0}}),
+        (("harmonic", "check"), {"values": {"a": 1.0}}),
+        (("harmonic", "check"), {"values": {"0": "x"}}),
+        (("harmonic", "check"), {"values": 3.0}),
+        (("harmonic", "solve"), {"boundary": {"99": 1.0}}),
+        (("harmonic", "solve"), {"boundary": {"1": "x"}}),
+        (("deform", "check"), {"zdot": [[0.0, 0.0]] * 6 + [[0.0]]}),
+        (("hqd", "check"), "{not json"),
+    ],
+)
+def test_malformed_json(wheel, capsys, command, data):
+    path = wheel / "data.json"
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    assert_input_error(capsys, *command, wheel / "wheel.obj", path)
+
+
+def test_non_finite_gauss_map(tmp_path, capsys):
+    gauss, dual = tmp_path / "gauss.obj", tmp_path / "dual.obj"
+    gauss.write_text("\n".join(["v nan 0 1"] + TRIANGLE[1:]) + "\n")
+    dual.write_text("v 0 0 0\n")
+    assert_input_error(capsys, "minimal", "verify", gauss, dual)
+
+
+@pytest.mark.parametrize("anchor", ["--anchor-vertex=7", "--anchor-face=-1"])
+def test_anchor_outside_the_mesh(wheel, capsys, anchor):
+    assert_input_error(capsys, "deform", "build", wheel / "wheel.obj", wheel / "u.json", anchor)
+
+
+def test_deform_build_report_feeds_deform_check(wheel, capsys):
+    obj, zdot = wheel / "wheel.obj", wheel / "zdot.json"
+    rc, _, _ = run(capsys, "deform", "build", obj, wheel / "u.json", "-o", zdot)
+    assert rc == 0
+    rc, out, err = run(capsys, "deform", "check", obj, zdot)
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["compatible"] is True
+
+
+def test_readers_unwrap_and_reject():
+    zdot = {"schema": 1, "command": "deform build", "zdot": [[1.0, 2.0], [3.0, -4.0]]}
+    assert fileio.vertex_field_from_json(zdot, 2, real=False).tolist() == [1 + 2j, 3 - 4j]
+    with pytest.raises(InvalidInput):
+        fileio.vertex_field_from_json({"values": [[1.0, 2.0]]}, 1)  # complex where real is due
+    with pytest.raises(InvalidInput):
+        Realization(build([(0, 1, 2)]), [0, 1, complex(0, np.inf)])
