@@ -30,7 +30,7 @@ from .errors import (
     NotMinimal,
     NotRealizable,
 )
-from .realization import Realization, check_conformal_equiv, check_pattern, cross_ratios, intersection_angles
+from .realization import Realization, check_conformal_equiv, check_pattern
 
 SCHEMA = 1
 
@@ -179,10 +179,8 @@ def cmd_deform(args):
         u = fileio.vertex_field_from_json(_load_json(args.data), r.mesh.vertex_count)
         zdot = deform.conformal_deformation(r, u, args.anchor_vertex, args.anchor_face)
         rates = deform.edge_rates(r, zdot)
-        sig_err = max(
-            abs(rates.sigma[e] - (u[i] + u[j]) / 2.0)
-            for e, (i, j) in enumerate(r.mesh.edges)
-        )
+        i, j = r.mesh.edge_ends.T
+        sig_err = np.abs(rates.sigma - (u[i] + u[j]) / 2.0).max()
         report = {
             "schema": SCHEMA,
             "command": "deform build",
@@ -338,14 +336,10 @@ def cmd_moebius(args):
     mu = fileio.mu_from_json(_load_json(args.data), mesh)
     form = moebius.sl2_form_from_rates(r, mu)
     closed = moebius.check_sl2_form_closed(r, form, args.tol)
-    entries = {}
-    for idx, e in enumerate(mesh.interior_edges):
-        i, j = mesh.edges[e]
-        m = form.matrices[idx]
-        entries[fileio.edge_key(i, j)] = {
-            "matrix": [[m[0, 0], m[0, 1]], [m[1, 0], m[1, 1]]],
-            "vector": list(form.vectors[idx]),
-        }
+    entries = {
+        fileio.edge_key(i, j): {"matrix": m, "vector": v}
+        for (i, j), m, v in zip(mesh.interior_ends.tolist(), form.matrices, form.vectors)
+    }
     report = {
         "schema": SCHEMA,
         "command": "moebius eta",
@@ -526,11 +520,21 @@ def build_parser():
     return p
 
 
+def _check_flags(args):
+    """``--tol`` must be finite and positive, every ``--alpha`` finite."""
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise InvalidInput(f"--tol must be a finite number > 0, got {args.tol!r}")
+    for alpha in getattr(args, "alpha", None) or ():
+        if not math.isfinite(alpha):
+            raise InvalidInput(f"--alpha must be finite, got {alpha!r}")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         _threads()
+        _check_flags(args)
         return args.func(args)
     except VERIFY_ERRORS as exc:
         report = {
@@ -549,10 +553,6 @@ def main(argv=None):
     except OSError as exc:
         sys.stderr.write(f"error [io]: {exc}\n")
         return 1
-
-
-def entry():
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import laplace
 from .errors import IncompatibleRates, IntegrationDefect
-from .mesh import integrate
+from .mesh import integrate, magnitude, product
 from .realization import Realization
 
 
@@ -28,11 +28,16 @@ class EdgeRates:
 
 def edge_rates(r: Realization, zdot) -> EdgeRates:
     zdot = np.asarray(zdot, dtype=complex)
-    mesh = r.mesh
-    rate = np.empty(len(mesh.edges), dtype=complex)
-    for e, (i, j) in enumerate(mesh.edges):
-        rate[e] = (zdot[j] - zdot[i]) / (r.z[j] - r.z[i])
+    i, j = r.mesh.edge_ends.T
+    rate = (zdot[j] - zdot[i]) / (r.z[j] - r.z[i])
     return EdgeRates(rate.real, rate.imag)
+
+
+def cross_ratio_rate(r: Realization, zdot):
+    """``d/dt log cr = c_jk - c_ki + c_il - c_lj`` per interior edge, from
+    the complex edge rates ``c`` of ``zdot`` on the flap ``(i, j, k, l)``."""
+    c = edge_rates(r, zdot).complex_rate[r.mesh.flap_edges]
+    return c[:, 0] - c[:, 1] + c[:, 2] - c[:, 3]
 
 
 @dataclass
@@ -55,70 +60,40 @@ def check_triangle_compat(r: Realization, rates: EdgeRates, tol=1e-10, fd_step=1
     average scaling is validated against a central finite difference of the
     circumradius under the reconstructed per-face deformation.
     """
-    mesh = r.mesh
-    nf = len(mesh.faces)
-    c = rates.complex_rate
-    eidx = mesh.edge_index
+    nf = len(r.mesh.faces)
+    c = rates.complex_rate[r.mesh.face_edges]  # c12, c23, c31
+    z = r.z[r.tri]
+    dz = np.roll(z, -1, axis=1) - z  # z2 - z1, z3 - z2, z1 - z3
+    step = product(c, dz)
+    closure = step[:, 0] + step[:, 1] + step[:, 2]
+    scale = magnitude(dz).max(axis=1)
+    defect = closure / scale
+    ok = magnitude(closure) <= tol * scale
 
-    ok = np.zeros(nf, dtype=bool)
-    defect = np.zeros(nf, dtype=complex)
-    omega_face = np.full(nf, np.nan)
-    omega_spread = np.full(nf, np.nan)
-    sigma_face = np.full(nf, np.nan)
-    sigma_spread = np.full(nf, np.nan)
-    rr_err = np.full(nf, np.nan)
+    omega_face, omega_spread, sigma_face, sigma_spread, rr_err = np.full((5, nf), np.nan)
+    cot, s, w = r.cot[ok], c[ok].real, c[ok].imag
+    # expression m pairs the corner cotangent m with the opposite edge m + 1
+    omegas = np.roll(w, -1, axis=1) + cot * (np.roll(s, -2, axis=1) - s)
+    sigmas = np.roll(s, -1, axis=1) - cot * (np.roll(w, -2, axis=1) - w)
+    omega_face[ok] = omegas[:, 0]
+    omega_spread[ok] = omegas.max(axis=1) - omegas.min(axis=1)
+    sigma_face[ok] = sigmas[:, 0]
+    sigma_spread[ok] = sigmas.max(axis=1) - sigmas.min(axis=1)
 
-    for f, (v1, v2, v3) in enumerate(mesh.faces):
-        z1, z2, z3 = r.z[v1], r.z[v2], r.z[v3]
-        c12 = c[eidx[(min(v1, v2), max(v1, v2))]]
-        c23 = c[eidx[(min(v2, v3), max(v2, v3))]]
-        c31 = c[eidx[(min(v3, v1), max(v3, v1))]]
-        closure = c12 * (z2 - z1) + c23 * (z3 - z2) + c31 * (z1 - z3)
-        scale = max(abs(z2 - z1), abs(z3 - z2), abs(z1 - z3))
-        defect[f] = closure / scale
-        ok[f] = abs(closure) <= tol * scale
-        if not ok[f]:
-            continue
+    # circumradius log-rate by central differences of the per-face
+    # deformation reconstructed from the rates (translation gauge: zd1 = 0)
+    zd = np.cumsum(np.c_[np.zeros(len(cot)), step[ok, :2]], axis=1)
 
-        cot1, cot2, cot3 = r.cot[f]
-        s12, s23, s31 = c12.real, c23.real, c31.real
-        w12, w23, w31 = c12.imag, c23.imag, c31.imag
-        omegas = np.array(
-            [
-                w23 + cot1 * (s31 - s12),
-                w31 + cot2 * (s12 - s23),
-                w12 + cot3 * (s23 - s31),
-            ]
-        )
-        sigmas = np.array(
-            [
-                s23 - cot1 * (w31 - w12),
-                s31 - cot2 * (w12 - w23),
-                s12 - cot3 * (w23 - w31),
-            ]
-        )
-        omega_face[f] = omegas[0]
-        omega_spread[f] = float(omegas.max() - omegas.min())
-        sigma_face[f] = sigmas[0]
-        sigma_spread[f] = float(sigmas.max() - sigmas.min())
+    def circumradius(p):
+        side = magnitude(np.roll(p, -1, axis=1) - p)
+        area2 = np.abs(product(np.conj(p[:, 1] - p[:, 0]), p[:, 2] - p[:, 0]).imag)
+        return side[:, 0] * side[:, 1] * side[:, 2] / (2.0 * area2)
 
-        # circumradius log-rate by central differences of the per-face
-        # deformation reconstructed from the rates (translation gauge: zd1 = 0)
-        zd1 = 0.0
-        zd2 = c12 * (z2 - z1)
-        zd3 = zd2 + c23 * (z3 - z2)
-        t = fd_step
-
-        def circumradius(a, b, cc):
-            ar2 = abs((np.conj(b - a) * (cc - a)).imag)
-            return abs(b - a) * abs(cc - b) * abs(a - cc) / (2.0 * ar2)
-
-        rp = circumradius(z1 + t * zd1, z2 + t * zd2, z3 + t * zd3)
-        rm = circumradius(z1 - t * zd1, z2 - t * zd2, z3 - t * zd3)
-        r0 = r.circumradius[f]
-        rr = (rp - rm) / (2.0 * t * r0)
-        denom = max(abs(sigma_face[f]), abs(rr), 1e-12)
-        rr_err[f] = abs(sigma_face[f] - rr) / denom
+    t = fd_step
+    rp, rm = circumradius(z[ok] + t * zd), circumradius(z[ok] - t * zd)
+    rr = (rp - rm) / (2.0 * t * r.circumradius[ok])
+    denom = np.maximum(np.maximum(np.abs(sigma_face[ok]), np.abs(rr)), 1e-12)
+    rr_err[ok] = np.abs(sigma_face[ok] - rr) / denom
 
     return TriangleCompatReport(
         ok, defect, omega_face, omega_spread, sigma_face, sigma_spread, rr_err
@@ -147,9 +122,8 @@ def conformal_deformation(r: Realization, u, anchor_vertex=0, anchor_face=0):
     u = np.asarray(u, dtype=float)
     mesh = r.mesh
     conj = laplace.conjugate_harmonic(r, u, anchor_face)
-    form = np.empty(len(mesh.edges), dtype=complex)
-    for e, (i, j) in enumerate(mesh.edges):
-        form[e] = ((u[i] + u[j]) / 2.0 + 1j * conj.edge_rotation[e]) * (r.z[j] - r.z[i])
+    i, j = mesh.edge_ends.T
+    form = product((u[i] + u[j]) / 2.0 + 1j * conj.edge_rotation, r.z[j] - r.z[i])
     zdot = integrate(mesh, form, anchor_vertex)
     zdot.require(1e-10, IntegrationDefect, "closure failure {gap:.3e} on co-tree edge {edge}")
     return zdot.potential

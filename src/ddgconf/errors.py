@@ -13,9 +13,13 @@ class DDGError(Exception):
         self.details = details
 
 
-# input
+# input and output
 class InvalidInput(DDGError):
     code = "invalid_input"
+
+
+class NonFinite(DDGError):
+    code = "non_finite"
 
 
 # mesh construction

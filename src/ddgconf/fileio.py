@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, NonFinite
 from .mesh import TriMesh, build
 
 PLANAR_Z_TOL = 1e-12
@@ -89,7 +89,8 @@ def edge_key(i, j):
 
 
 def dump_json(obj):
-    """Deterministic JSON with floats at 17 significant digits."""
+    """Deterministic JSON with floats at 17 significant digits; a NaN or
+    infinity raises :class:`~ddgconf.errors.NonFinite`, since JSON has none."""
 
     def convert(x):
         if isinstance(x, dict):
@@ -108,7 +109,10 @@ def dump_json(obj):
             return [convert(v) for v in x.tolist()]
         return x
 
-    return json.dumps(convert(obj), indent=2, sort_keys=False) + "\n"
+    try:
+        return json.dumps(convert(obj), indent=2, sort_keys=False, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NonFinite(f"report holds a non-finite number ({exc})") from None
 
 
 def load_json(path):

@@ -89,27 +89,24 @@ def solve_dirichlet(r: Realization, boundary):
         return g
 
     w = cotan_weights(r)
-    int_pos = {v: p for p, v in enumerate(mesh.interior_vertices)}
+    pos = np.full(mesh.vertex_count, -1)
+    pos[mesh.interior_vertices] = np.arange(ni)
 
-    rows, cols, vals = [], [], []
+    # row a of edge {i, j} is a = i with neighbour c = j, then a = j with
+    # c = i; entries go in that order, edge by edge
+    ends = mesh.interior_ends.ravel()
+    other = mesh.interior_ends[:, ::-1].ravel()
+    a, c, wa = pos[ends], pos[other], np.repeat(w, 2)
+    row = a >= 0
     diag = np.zeros(ni)
+    np.subtract.at(diag, a[row], wa[row])
+    outer = row & (c < 0)
     b = np.zeros(ni)
-    for idx, e in enumerate(mesh.interior_edges):
-        i, j = mesh.edges[e]
-        for a, c in ((i, j), (j, i)):
-            if a in int_pos:
-                pa = int_pos[a]
-                diag[pa] -= w[idx]
-                if c in int_pos:
-                    rows.append(pa)
-                    cols.append(int_pos[c])
-                    vals.append(w[idx])
-                else:
-                    b[pa] -= w[idx] * g[c]
-    rows.extend(range(ni))
-    cols.extend(range(ni))
-    vals.extend(diag)
-    A = sp.csc_matrix((vals, (rows, cols)), shape=(ni, ni))
+    np.subtract.at(b, a[outer], wa[outer] * g[other[outer]])
+    inner = row & (c >= 0)
+    rows = np.r_[a[inner], np.arange(ni)]
+    cols = np.r_[c[inner], np.arange(ni)]
+    A = sp.csc_matrix((np.r_[wa[inner], diag], (rows, cols)), shape=(ni, ni))
 
     try:
         lu = spla.splu(A)

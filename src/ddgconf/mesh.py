@@ -176,7 +176,31 @@ class TriMesh:
         fl, fr = self.edge_left[e], self.edge_right[e]
         return i, j, self.opposite_vertex(fl, i, j), self.opposite_vertex(fr, i, j)
 
-    # -- shared operators ------------------------------------------------------
+    # -- index arrays and shared operators --------------------------------------
+
+    @cached_property
+    def face_edges(self):
+        """``(F, 3)`` id of the edge ``faces[f][m] -> faces[f][m + 1]``."""
+        tri = np.array(self.faces, dtype=np.int64)
+        tail, head = tri, np.roll(tri, -1, axis=1)
+        # edge keys i * V + j (i < j) ascend with the sorted edge list
+        n = self.vertex_count
+        keys = self.edge_ends[:, 0] * n + self.edge_ends[:, 1]
+        return np.searchsorted(keys, np.minimum(tail, head) * n + np.maximum(tail, head))
+
+    @cached_property
+    def flap_edges(self):
+        """``(E_int, 4)`` ids of the edges ``jk, ki, il, lj`` of each interior
+        edge's flap ``(i, j, k, l)`` (see :meth:`edge_flap`)."""
+        e = np.array(self.interior_edges, dtype=np.int64)
+        rows = np.arange(len(e))
+        sides = []
+        # i -> j is slot m of the left face, whose next slots are j -> k and
+        # k -> i; j -> i leads on to i -> l and l -> j in the right face
+        for face_edges in self.face_edges[self.interior_faces.T]:
+            m = (face_edges == e[:, None]).argmax(axis=1)
+            sides += [face_edges[rows, (m + 1) % 3], face_edges[rows, (m + 2) % 3]]
+        return np.stack(sides, axis=1)
 
     @cached_property
     def _primal_graph(self):
@@ -334,6 +358,16 @@ def magnitude(x):
     (``np.abs`` of a complex array can differ from it in the last bit)."""
     x = np.asarray(x)
     return np.hypot(x.real, x.imag)
+
+
+def product(a, b):
+    """``a * b`` elementwise, rounded as the product of two complex numbers
+    (numpy's complex multiply of arrays can differ from it in the last bit)."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def integrate(mesh, form, root=0, dual=False):

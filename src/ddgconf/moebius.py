@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .deform import edge_rates
+from .deform import cross_ratio_rate
 from .errors import CoincidentVertices, DegenerateFace, MeshMismatch, VertexAtInfinity
 from .mesh import magnitude
 from .realization import Realization, cross_ratios
@@ -54,7 +54,10 @@ def lift(z):
 
 
 def sl2_from_pauli(vec):
-    return vec[0] * PAULI[0] + vec[1] * PAULI[1] + vec[2] * PAULI[2]
+    """Traceless matrix with Pauli coordinates ``vec``; batched over leading
+    axes."""
+    v = np.asarray(vec)[..., None, None]
+    return v[..., 0, :, :] * PAULI[0] + v[..., 1, :, :] * PAULI[1] + v[..., 2, :, :] * PAULI[2]
 
 
 def pauli_from_sl2(m):
@@ -87,34 +90,19 @@ def sl2_form_from_rates(r: Realization, mu) -> SlForm:
     n = len(mesh.interior_edges)
     if mu.shape != (n,):
         raise MeshMismatch(f"expected {n} edge rates, got {mu.shape}")
-    mats = np.empty((n, 2, 2), dtype=complex)
-    vecs = np.empty((n, 3), dtype=complex)
-    for idx, e in enumerate(mesh.interior_edges):
-        i, j = mesh.edges[e]
-        zi, zj = r.z[i], r.z[j]
-        if zi == zj:
-            raise CoincidentVertices(f"edge {mesh.edges[e]} has coincident endpoints")
-        f = mu[idx] / (zj - zi)
-        mats[idx] = f * np.array([[zi + zj, -2.0 * zi * zj], [2.0, -zi - zj]])
-        vecs[idx] = f * np.array([1.0 - zi * zj, 1j * (1.0 + zi * zj), zi + zj])
-    return SlForm(mu, mats, vecs)
+    dz = r.interior_dz()
+    bad = np.flatnonzero(dz == 0)
+    if len(bad):
+        edge = mesh.edges[mesh.interior_edges[bad[0]]]
+        raise CoincidentVertices(f"edge {edge} has coincident endpoints", edge=edge)
+    vecs = (mu / dz)[:, None] * r.null_vectors()
+    return SlForm(mu, sl2_from_pauli(vecs), vecs)
 
 
 def rates_from_deformation(r: Realization, zdot):
     """Per-edge rate ``mu = -1/2 d/dt log cr`` of a vertex deformation,
     evaluated analytically from the edge rates."""
-    c = edge_rates(r, zdot).complex_rate
-    mesh = r.mesh
-    eidx = mesh.edge_index
-
-    def ce(a, b):
-        return c[eidx[(min(a, b), max(a, b))]]
-
-    mu = np.empty(len(mesh.interior_edges), dtype=complex)
-    for idx, e in enumerate(mesh.interior_edges):
-        i, j, k, l = mesh.edge_flap(e)
-        mu[idx] = -0.5 * (ce(j, k) - ce(k, i) + ce(i, l) - ce(l, j))
-    return mu
+    return -0.5 * cross_ratio_rate(r, zdot)
 
 
 @dataclass
@@ -159,44 +147,49 @@ def check_sl2_form_closed(r: Realization, form: SlForm, tol=1e-10) -> Closedness
     )
 
 
-def _normal_form(p1, p2, p3):
-    """Matrix of the fractional linear map sending (p1, p2, p3) -> (0, 1, inf)."""
-    return np.array(
-        [[p2 - p3, -p1 * (p2 - p3)], [p2 - p1, -p3 * (p2 - p1)]], dtype=complex
-    )
+def _adjugate(m):
+    """``[[d, -b], [-c, a]]`` of each 2x2 matrix ``[[a, b], [c, d]]``."""
+    return np.stack([m[:, 1, 1], -m[:, 0, 1], -m[:, 1, 0], m[:, 0, 0]], axis=1).reshape(-1, 2, 2)
+
+
+def _face_maps(a, b):
+    """SL(2,C) matrices (up to sign) of the Moebius maps taking each point
+    triple ``a[f]`` to ``b[f]``; ``a`` and ``b`` have shape (F, 3)."""
+
+    def normal_form(p):
+        """Matrix of the map sending ``(p1, p2, p3) -> (0, 1, inf)``."""
+        p1, p2, p3 = p.T
+        entries = [p2 - p3, -p1 * (p2 - p3), p2 - p1, -p3 * (p2 - p1)]
+        return np.stack(entries, axis=1).reshape(-1, 2, 2)
+
+    na, nb = normal_form(a), normal_form(b)
+    det_nb = np.linalg.det(nb)
+    if np.any(det_nb == 0):
+        raise DegenerateFace("coincident points in face triple")
+    m = (_adjugate(nb) / det_nb[:, None, None]) @ na
+    det = np.linalg.det(m)
+    if np.any(det == 0):
+        raise DegenerateFace("coincident points in face triple")
+    return m / np.sqrt(det)[:, None, None]
 
 
 def face_moebius(a_triple, b_triple):
     """SL(2,C) matrix (up to sign) of the unique Moebius map taking the three
     points of ``a_triple`` to those of ``b_triple``."""
-    na = _normal_form(*a_triple)
-    nb = _normal_form(*b_triple)
-    det_nb = np.linalg.det(nb)
-    if det_nb == 0:
-        raise DegenerateFace("coincident points in face triple")
-    nb_inv = np.array([[nb[1, 1], -nb[0, 1]], [-nb[1, 0], nb[0, 0]]]) / det_nb
-    m = nb_inv @ na
-    det = np.linalg.det(m)
-    if det == 0:
-        raise DegenerateFace("coincident points in face triple")
-    return m / np.sqrt(det)
+    return _face_maps(np.array([a_triple], dtype=complex), np.array([b_triple], dtype=complex))[0]
 
 
-def _fix_sign(m):
-    """Deterministic sign for an SL(2,C) matrix: nonnegative real trace,
-    tie-broken by the imaginary trace and the first entry."""
-    t = np.trace(m)
-    if abs(t.real) > 1e-12:
-        return m if t.real > 0 else -m
-    if abs(t.imag) > 1e-12:
-        return m if t.imag > 0 else -m
-    flat = m.reshape(-1)
-    for x in flat:
-        if abs(x.real) > 1e-12:
-            return m if x.real > 0 else -m
-        if abs(x.imag) > 1e-12:
-            return m if x.imag > 0 else -m
-    return m
+def _fix_signs(m):
+    """Deterministic sign for each SL(2,C) matrix: nonnegative real trace,
+    tie-broken by the imaginary trace and then by the first entry with a
+    component above 1e-12 (its real part before its imaginary part)."""
+    trace = m[:, 0, 0] + m[:, 1, 1]
+    entries = m.reshape(-1, 4)
+    parts = np.stack([entries.real, entries.imag], axis=2).reshape(-1, 8)  # re, im of each entry
+    keys = np.column_stack([trace.real, trace.imag, parts])
+    decisive = np.abs(keys) > 1e-12
+    key = keys[np.arange(len(keys)), decisive.argmax(axis=1)]
+    return np.where((decisive.any(axis=1) & (key < 0))[:, None, None], -m, m)
 
 
 @dataclass
@@ -218,34 +211,23 @@ def transition_matrices(a: Realization, b: Realization) -> TransitionReport:
         raise MeshMismatch("realizations live on different meshes")
     mesh = a.mesh
 
-    face_maps = np.empty((len(mesh.faces), 2, 2), dtype=complex)
-    for f, (i, j, k) in enumerate(mesh.faces):
-        m = face_moebius(
-            (a.z[i], a.z[j], a.z[k]), (b.z[i], b.z[j], b.z[k])
-        )
-        face_maps[f] = _fix_sign(m)
-
-    n = len(mesh.interior_edges)
-    G = np.empty((n, 2, 2), dtype=complex)
-    lam = np.empty(n, dtype=complex)
-    eig_res = 0.0
+    face_maps = _fix_signs(_face_maps(a.z[a.tri], b.z[a.tri]))
+    left, right = mesh.interior_faces.T
+    G = _adjugate(face_maps[right]) @ face_maps[left]
+    n = len(G)
+    # G psi_j = lam psi_j and G psi_i = psi_i / lam on the lifts psi = (z, 1)
+    i, j = mesh.interior_ends.T
     psi = lift(a.z)
-    for idx, e in enumerate(mesh.interior_edges):
-        i, j = mesh.edges[e]
-        al = face_maps[mesh.edge_left[e]]
-        ar = face_maps[mesh.edge_right[e]]
-        ar_inv = np.array([[ar[1, 1], -ar[0, 1]], [-ar[1, 0], ar[0, 0]]])
-        g = ar_inv @ al
-        G[idx] = g
-        wj = g @ psi[j]
-        lam[idx] = wj[1]  # second lift component is 1
-        wi = g @ psi[i]
-        scale = max(float(np.abs(g).max()), 1e-300) * max(abs(a.z[i]), abs(a.z[j]), 1.0)
-        eig_res = max(
-            eig_res,
-            float(np.abs(wj - lam[idx] * psi[j]).max()) / scale,
-            float(np.abs(wi - psi[i] / lam[idx]).max()) / scale,
-        )
+    wi, wj = (G @ psi[i][:, :, None])[:, :, 0], (G @ psi[j][:, :, None])[:, :, 0]
+    lam = wj[:, 1]  # second lift component is 1
+    scale = np.maximum(np.abs(G).max(axis=(1, 2)), 1e-300) * np.maximum(
+        np.maximum(magnitude(a.z[i]), magnitude(a.z[j])), 1.0
+    )
+    res = np.maximum(
+        np.abs(wj - lam[:, None] * psi[j]).max(axis=1),
+        np.abs(wi - psi[i] / lam[:, None]).max(axis=1),
+    )
+    eig_res = float((res / scale).max(initial=0.0))
 
     cra = cross_ratios(a)
     crb = cross_ratios(b)
@@ -257,7 +239,7 @@ def transition_matrices(a: Realization, b: Realization) -> TransitionReport:
     # product of G around each interior vertex, G^{-1} where the dual edge
     # runs against the canonical orientation; one column of slots at a time
     c = mesh.vertex_cycles
-    G_inv = np.stack([G[:, 1, 1], -G[:, 0, 1], -G[:, 1, 0], G[:, 0, 0]], axis=1).reshape(-1, 2, 2)
+    G_inv = _adjugate(G)
     p = np.tile(np.eye(2, dtype=complex), (len(c.valence), 1, 1))
     for m in range(c.sign.shape[1]):
         rows = np.flatnonzero(c.sign[:, m])

@@ -70,17 +70,23 @@ class Realization:
         ``vertex``; elementwise for arrays."""
         return self.cot[face, (self.tri[face] == np.expand_dims(vertex, -1)).argmax(axis=-1)]
 
-    def edge_vector(self, e):
-        i, j = self.mesh.edges[e]
-        return self.z[j] - self.z[i]
-
     def interior_dz(self):
         """``z_j - z_i`` per interior edge ``i < j``."""
         i, j = self.mesh.interior_ends.T
         return self.z[j] - self.z[i]
 
+    def null_vectors(self):
+        """``(1 - z_i z_j, i (1 + z_i z_j), z_i + z_j)`` per interior edge
+        ``i < j``: up to a factor per edge, the Pauli coordinates of the
+        sl(2,C) form and the Weierstrass integrand."""
+        i, j = self.mesh.interior_ends.T
+        zi, zj = self.z[i], self.z[j]
+        return np.stack([1.0 - zi * zj, 1j * (1.0 + zi * zj), zi + zj], axis=1)
+
     def edge_scale(self):
-        return float(np.abs([self.edge_vector(e) for e in range(len(self.mesh.edges))]).max())
+        """Length of the longest edge."""
+        i, j = self.mesh.edge_ends.T
+        return float(np.abs(self.z[j] - self.z[i]).max())
 
     def flap_points(self):
         """Vertex indices ``(i, j, k, l)`` per interior edge, as arrays."""
@@ -128,29 +134,20 @@ def _per_vertex_from_edges(mesh: TriMesh, edge_value, reduce_mod_tau=False):
     Returns the value from the first incident triangle and the max pairwise
     spread across triangles (modulo 2*pi when requested).
     """
-    values = np.zeros(mesh.vertex_count)
-    spread = 0.0
-    eidx = mesh.edge_index
-
-    def s(a, b):
-        return edge_value[eidx[(min(a, b), max(a, b))]]
-
-    per_vertex = [[] for _ in range(mesh.vertex_count)]
-    for (i, j, k) in mesh.faces:
-        for v, a, b in ((i, j, k), (j, k, i), (k, i, j)):
-            # triangle {v, a, b}: u_v = s_bv + s_va - s_ab
-            per_vertex[v].append(s(b, v) + s(v, a) - s(a, b))
-    for v, vals in enumerate(per_vertex):
-        vals = np.array(vals)
-        if reduce_mod_tau:
-            base = vals[0]
-            diff = np.angle(np.exp(1j * (vals - base)))
-            spread = max(spread, float(np.abs(diff).max()))
-            values[v] = base % TAU
-        else:
-            spread = max(spread, float(vals.max() - vals.min()))
-            values[v] = vals[0]
-    return values, spread
+    # corner m of face f lies between face edges m - 1 and m, opposite m + 1
+    s = np.asarray(edge_value)[mesh.face_edges]
+    vals = (s[:, [2, 0, 1]] + s - s[:, [1, 2, 0]]).ravel()
+    # each vertex's corners in face order, the first at ``start``
+    corner_vertex = np.array(mesh.faces).ravel()
+    vals = vals[np.argsort(corner_vertex, kind="stable")]
+    count = np.bincount(corner_vertex, minlength=mesh.vertex_count)
+    start = np.cumsum(count) - count
+    base = vals[start]
+    if reduce_mod_tau:
+        diff = np.angle(np.exp(1j * (vals - np.repeat(base, count))))
+        return base % TAU, float(np.abs(diff).max())
+    spread = np.maximum.reduceat(vals, start) - np.minimum.reduceat(vals, start)
+    return base, float(spread.max())
 
 
 def _check_same_mesh(a: Realization, b: Realization):

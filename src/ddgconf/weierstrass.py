@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationDefect, MeshMismatch, NotHolomorphic, NotMinimal
+from .errors import CoincidentVertices, IntegrationDefect, MeshMismatch, NotHolomorphic, NotMinimal
 from .hqd import QuadDiff, _as_complex, verify_qdiff
-from .mesh import integrate
+from .mesh import integrate, magnitude
 from .realization import Realization
 
 
@@ -43,14 +43,7 @@ def integrand(r: Realization, q):
     """C^3-valued dual 1-form ``(q / (i dz)) (1 - z_i z_j, i(1 + z_i z_j),
     z_i + z_j)`` on canonical interior dual edges."""
     q = _as_complex(q)
-    mesh = r.mesh
-    out = np.empty((len(mesh.interior_edges), 3), dtype=complex)
-    for idx, e in enumerate(mesh.interior_edges):
-        i, j = mesh.edges[e]
-        zi, zj = r.z[i], r.z[j]
-        f = q[idx] / (1j * (zj - zi))
-        out[idx] = f * np.array([1.0 - zi * zj, 1j * (1.0 + zi * zj), zi + zj])
-    return out
+    return (q / (1j * r.interior_dz()))[:, None] * r.null_vectors()
 
 
 @dataclass
@@ -92,10 +85,7 @@ def weierstrass_integrate(r: Realization, q, alpha=0.0, anchor_face=0, tol=1e-8)
     dual.require(1e-9, IntegrationDefect, "Weierstrass form fails to close across edge {edge}")
     pot = dual.potential
 
-    k = np.empty(len(mesh.interior_edges))
-    for idx, e in enumerate(mesh.interior_edges):
-        i, j = mesh.edges[e]
-        k[idx] = (-1j * q[idx] / abs(r.z[j] - r.z[i]) ** 2).real
+    k = (-1j * q / magnitude(r.interior_dz()) ** 2).real
 
     phase = np.exp(1j * reduce_phase(alpha))
     f = (phase * pot).real
@@ -117,7 +107,8 @@ def verify_minimal(mesh, n, f, tol=1e-9) -> MinimalityReport:
 
     Residuals are normalized against the largest dual edge so that edges whose
     position difference sits at rounding level (vanishing curvature factor) do
-    not register as spurious failures."""
+    not register as spurious failures.  Two Gauss points that coincide on an
+    interior edge raise ``CoincidentVertices``."""
     n = np.asarray(n, dtype=float)
     f = np.asarray(f, dtype=float)
     if n.shape != (mesh.vertex_count, 3):
@@ -125,27 +116,22 @@ def verify_minimal(mesh, n, f, tol=1e-9) -> MinimalityReport:
     if f.shape != (len(mesh.faces), 3):
         raise MeshMismatch(f"face positions must have shape ({len(mesh.faces)}, 3)")
 
-    m = len(mesh.interior_edges)
-    residual = np.zeros(m)
-    k = np.zeros(m)
-    ortho = np.zeros(m)
+    i, j = mesh.interior_ends.T
+    dn = n[j] - n[i]
+    dn_norm = np.linalg.norm(dn, axis=1)
+    bad = np.flatnonzero(dn_norm == 0)
+    if len(bad):
+        edge = mesh.edges[mesh.interior_edges[bad[0]]]
+        raise CoincidentVertices(f"Gauss points coincide on edge {edge}", edge=edge)
     left, right = mesh.interior_faces.T
-    dfs = f[left] - f[right]
-    df_scale = float(np.linalg.norm(dfs, axis=1).max()) if m else 0.0
-    for idx, e in enumerate(mesh.interior_edges):
-        i, j = mesh.edges[e]
-        dn = n[j] - n[i]
-        df = dfs[idx]
-        dn_norm = np.linalg.norm(dn)
-        if df_scale == 0.0:
-            continue
-        cross = np.cross(dn, df)
-        residual[idx] = np.linalg.norm(cross) / (dn_norm * df_scale)
-        # df = k * (1 + |z_i|^2)(1 + |z_j|^2)/2 * dn; the raw projection onto dn
-        proj = float(dn @ df) / dn_norm**2
-        k[idx] = proj
-        ortho[idx] = np.linalg.norm(df - proj * dn)
-    max_res = float(residual.max()) if m else 0.0
+    df = f[left] - f[right]
+    # when every df vanishes so does every residual; 1.0 keeps them defined
+    df_scale = float(np.linalg.norm(df, axis=1).max(initial=0.0)) or 1.0
+    residual = np.linalg.norm(np.cross(dn, df), axis=1) / (dn_norm * df_scale)
+    # df = k * (1 + |z_i|^2)(1 + |z_j|^2)/2 * dn; the raw projection onto dn
+    k = np.einsum("ij,ij->i", dn, df) / dn_norm**2
+    ortho = np.linalg.norm(df - k[:, None] * dn, axis=1)
+    max_res = float(residual.max(initial=0.0))
     return MinimalityReport(max_res <= tol, max_res, residual, k, ortho)
 
 
@@ -160,13 +146,9 @@ def qdiff_from_minimal(r: Realization, f, tol=1e-9) -> QuadDiff:
         raise NotMinimal(
             f"surface fails the edge-parallelism test (residual {report.max_residual:.3e})"
         )
-    q_imag = np.empty(len(mesh.interior_edges))
-    for idx, e in enumerate(mesh.interior_edges):
-        i, j = mesh.edges[e]
-        scale = (1.0 + abs(r.z[i]) ** 2) * (1.0 + abs(r.z[j]) ** 2) / 2.0
-        k = report.k[idx] / scale
-        q_imag[idx] = k * abs(r.z[j] - r.z[i]) ** 2
-    return QuadDiff(q_imag)
+    i, j = mesh.interior_ends.T
+    scale = (1.0 + magnitude(r.z[i]) ** 2) * (1.0 + magnitude(r.z[j]) ** 2) / 2.0
+    return QuadDiff(report.k / scale * magnitude(r.interior_dz()) ** 2)
 
 
 def dual_mesh(r: Realization, face_points):

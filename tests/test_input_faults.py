@@ -6,9 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from ddgconf import Realization, build, fileio, laplace
+from ddgconf import Realization, build, fileio, hqd, laplace
 from ddgconf.cli import main
-from ddgconf.errors import InvalidInput
+from ddgconf.errors import InvalidInput, NonFinite
 
 from conftest import WHEEL6_FACES
 
@@ -21,8 +21,11 @@ def wheel(tmp_path):
     mesh = build(WHEEL6_FACES)
     z = np.concatenate([[0.05 + 0.02j], np.exp(2j * np.pi * np.arange(6) / 6.0)])
     fileio.write_obj_planar(tmp_path / "wheel.obj", mesh, z)
-    u = laplace.solve_dirichlet(Realization(mesh, z), {v: float(v) for v in mesh.boundary_vertices})
+    r = Realization(mesh, z)
+    u = laplace.solve_dirichlet(r, {v: float(v) for v in mesh.boundary_vertices})
     (tmp_path / "u.json").write_text(fileio.dump_json({"values": list(u)}))
+    q = fileio.edge_map_to_json(mesh, hqd.qdiff_from_harmonic(r, u).imag)
+    (tmp_path / "q.json").write_text(fileio.dump_json({"q": q}))
     return tmp_path
 
 
@@ -88,6 +91,43 @@ def test_non_finite_gauss_map(tmp_path, capsys):
     gauss.write_text("\n".join(["v nan 0 1"] + TRIANGLE[1:]) + "\n")
     dual.write_text("v 0 0 0\n")
     assert_input_error(capsys, "minimal", "verify", gauss, dual)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hqd", "check", "wheel.obj", "q.json", "--tol", "nan"),
+        ("hqd", "check", "wheel.obj", "q.json", "--tol", "-1"),
+        ("hqd", "check", "wheel.obj", "q.json", "--tol", "0"),
+        ("harmonic", "check", "wheel.obj", "u.json", "--tol", "inf"),
+        ("minimal", "build", "wheel.obj", "q.json", "-o", "surf", "--tol", "nan"),
+        ("minimal", "build", "wheel.obj", "q.json", "-o", "surf", "--alpha", "nan"),
+        ("minimal", "build", "wheel.obj", "q.json", "-o", "surf", "--alpha", "0,-inf"),
+    ],
+)
+def test_bad_flag(wheel, capsys, argv):
+    before = sorted(wheel.iterdir())
+    assert_input_error(capsys, *(wheel / a if a.endswith((".obj", ".json")) else a for a in argv))
+    assert sorted(wheel.iterdir()) == before  # nothing written
+
+
+def test_coincident_gauss_points(wheel, capsys):
+    """Gauss points 0 and 1 coincide on the interior edge 0-1."""
+    n = np.zeros((7, 3))
+    n[:, 2] = 1.0
+    n[2:, :2] = 0.6 * np.exp(2j * np.pi * np.arange(5) / 5.0).view(float).reshape(-1, 2)
+    n[2:, 2] = 0.8
+    fileio.write_obj(wheel / "gauss.obj", n, WHEEL6_FACES)
+    fileio.write_obj(wheel / "dual.obj", np.arange(18.0).reshape(6, 3), [])
+    err = assert_input_error(capsys, "minimal", "verify", wheel / "gauss.obj", wheel / "dual.obj",
+                             code="coincident_vertices")
+    assert "(0, 1)" in err
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf"), complex(1.0, float("nan"))])
+def test_dump_json_refuses_non_finite(x):
+    with pytest.raises(NonFinite):
+        fileio.dump_json({"values": [1.0, x]})
 
 
 @pytest.mark.parametrize("anchor", ["--anchor-vertex=7", "--anchor-face=-1"])

@@ -1,15 +1,22 @@
-"""The shared spanning-tree integrator and vertex-cycle sum of ``TriMesh``
-against the per-element loops they replaced.  The loops stay here as the
-reference, and the results must agree bit for bit."""
+"""The shared operators and index arrays of ``TriMesh`` against the
+per-element loops they replaced.  The loops stay here as the reference.
+The integrator, the cycle sum, the index arrays, the per-vertex
+reconstruction, the Dirichlet solve, the conformal deformation and the
+triangle compatibility check must agree bit for bit; the rest, whose
+arithmetic is now batched, to 1e-12 of the reference scale (see
+:func:`assert_close`)."""
 
 from collections import deque
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from ddgconf import Realization, build, laplace
+from ddgconf import Realization, build, deform, hqd, laplace, moebius, realization, weierstrass
 from ddgconf.errors import InvalidInput
 from ddgconf.mesh import integrate
+from ddgconf.realization import cross_ratios
 
 from conftest import delaunay_disk
 
@@ -28,13 +35,30 @@ def jittered_grid(n, jitter, seed):
     return Realization(build(faces), (x + 1j * y).ravel() + jitter * shift)
 
 
-@pytest.fixture(scope="module", params=["delaunay", "jittered"])
-def mesh(request):
-    if request.param == "delaunay":
-        return delaunay_disk(300, seed=5).mesh
+def fixture_realization(kind):
+    if kind == "delaunay":
+        return delaunay_disk(300, seed=5)
     r = jittered_grid(14, 0.45, seed=3)
     assert (laplace.cotan_weights(r) < 0).any()  # negative cotan weights
-    return r.mesh
+    return r
+
+
+@pytest.fixture(scope="module", params=["delaunay", "jittered"])
+def mesh(request):
+    return fixture_realization(request.param).mesh
+
+
+@pytest.fixture(scope="module", params=["delaunay", "jittered"])
+def fields(request):
+    """A realization with a harmonic ``u``, its conformal deformation
+    ``zdot``, its quadratic differential ``q`` and a Weierstrass surface."""
+    r = fixture_realization(request.param)
+    rng = np.random.default_rng(4)
+    boundary = {v: rng.standard_normal() for v in r.mesh.boundary_vertices}
+    u = laplace.solve_dirichlet(r, boundary)
+    q = hqd.qdiff_from_harmonic(r, u).values
+    surface = weierstrass.weierstrass_integrate(r, q)
+    return r, boundary, u, deform.conformal_deformation(r, u), q, surface
 
 
 # -- the reference: today's loops ----------------------------------------------
@@ -103,6 +127,257 @@ def reference_cycle_sum(mesh, values, signed):
             s += -values[pos[e]] if signed and tail > head else values[pos[e]]
         sums.append(s)
     return np.array(sums).reshape((len(sums),) + values.shape[1:])
+
+
+def reference_key(mesh, a, b):
+    return mesh.edge_index[(min(a, b), max(a, b))]
+
+
+def reference_face_edges(mesh):
+    return [[reference_key(mesh, a, b) for a, b in zip(f, f[1:] + f[:1])] for f in mesh.faces]
+
+
+def reference_flap_edges(mesh):
+    flaps = [mesh.edge_flap(e) for e in mesh.interior_edges]
+    return [[reference_key(mesh, *pair) for pair in ((j, k), (k, i), (i, l), (l, j))] for i, j, k, l in flaps]
+
+
+def reference_per_vertex_from_edges(mesh, edge_value, reduce_mod_tau=False):
+    values = np.zeros(mesh.vertex_count)
+    spread = 0.0
+
+    def s(a, b):
+        return edge_value[reference_key(mesh, a, b)]
+
+    per_vertex = [[] for _ in range(mesh.vertex_count)]
+    for (i, j, k) in mesh.faces:
+        for v, a, b in ((i, j, k), (j, k, i), (k, i, j)):
+            per_vertex[v].append(s(b, v) + s(v, a) - s(a, b))
+    for v, vals in enumerate(per_vertex):
+        vals = np.array(vals)
+        if reduce_mod_tau:
+            base = vals[0]
+            diff = np.angle(np.exp(1j * (vals - base)))
+            spread = max(spread, float(np.abs(diff).max()))
+            values[v] = base % realization.TAU
+        else:
+            spread = max(spread, float(vals.max() - vals.min()))
+            values[v] = vals[0]
+    return values, spread
+
+
+def reference_solve_dirichlet(r, boundary):
+    mesh = r.mesh
+    ni = len(mesh.interior_vertices)
+    g = np.zeros(mesh.vertex_count)
+    for v in mesh.boundary_vertices:
+        g[v] = boundary[v]
+    w = laplace.cotan_weights(r)
+    int_pos = {v: p for p, v in enumerate(mesh.interior_vertices)}
+    rows, cols, vals = [], [], []
+    diag = np.zeros(ni)
+    b = np.zeros(ni)
+    for idx, e in enumerate(mesh.interior_edges):
+        i, j = mesh.edges[e]
+        for a, c in ((i, j), (j, i)):
+            if a in int_pos:
+                pa = int_pos[a]
+                diag[pa] -= w[idx]
+                if c in int_pos:
+                    rows.append(pa)
+                    cols.append(int_pos[c])
+                    vals.append(w[idx])
+                else:
+                    b[pa] -= w[idx] * g[c]
+    rows.extend(range(ni))
+    cols.extend(range(ni))
+    vals.extend(diag)
+    A = sp.csc_matrix((vals, (rows, cols)), shape=(ni, ni))
+    lu = spla.splu(A)
+    x = lu.solve(b)
+    h_scale = max(float(np.abs(g).max()), float(np.abs(x).max()), 1e-300)
+    for _ in range(3):
+        res = A @ x - b
+        if float(np.abs(res).max()) <= 1e-12 * h_scale:
+            break
+        x = x - lu.solve(res)
+    h = g.copy()
+    h[mesh.interior_vertices] = x
+    return h
+
+
+def reference_conformal_deformation(r, u):
+    mesh = r.mesh
+    conj = laplace.conjugate_harmonic(r, u)
+    form = np.empty(len(mesh.edges), dtype=complex)
+    for e, (i, j) in enumerate(mesh.edges):
+        form[e] = ((u[i] + u[j]) / 2.0 + 1j * conj.edge_rotation[e]) * (r.z[j] - r.z[i])
+    return integrate(mesh, form).potential
+
+
+def reference_edge_rates(r, zdot):
+    rate = np.empty(len(r.mesh.edges), dtype=complex)
+    for e, (i, j) in enumerate(r.mesh.edges):
+        rate[e] = (zdot[j] - zdot[i]) / (r.z[j] - r.z[i])
+    return rate
+
+
+def reference_cross_ratio_rate(r, zdot):
+    c = reference_edge_rates(r, zdot)
+
+    def ce(a, b):
+        return c[reference_key(r.mesh, a, b)]
+
+    flaps = [r.mesh.edge_flap(e) for e in r.mesh.interior_edges]
+    return np.array([ce(j, k) - ce(k, i) + ce(i, l) - ce(l, j) for i, j, k, l in flaps])
+
+
+def reference_triangle_compat(r, c, tol=1e-10, t=1e-6):
+    """Per face: closure defect, verdict, average rates and their spreads,
+    and the circumradius rate error (nan on failed faces)."""
+    out = np.full((len(r.mesh.faces), 7), complex(np.nan, 0.0))
+    for f, (v1, v2, v3) in enumerate(r.mesh.faces):
+        z1, z2, z3 = r.z[v1], r.z[v2], r.z[v3]
+        c12, c23, c31 = (c[reference_key(r.mesh, a, b)] for a, b in ((v1, v2), (v2, v3), (v3, v1)))
+        closure = c12 * (z2 - z1) + c23 * (z3 - z2) + c31 * (z1 - z3)
+        scale = max(abs(z2 - z1), abs(z3 - z2), abs(z1 - z3))
+        out[f, :2] = closure / scale, abs(closure) <= tol * scale
+        if not out[f, 1]:
+            continue
+        cot1, cot2, cot3 = r.cot[f]
+        s12, s23, s31 = c12.real, c23.real, c31.real
+        w12, w23, w31 = c12.imag, c23.imag, c31.imag
+        omegas = np.array([w23 + cot1 * (s31 - s12), w31 + cot2 * (s12 - s23), w12 + cot3 * (s23 - s31)])
+        sigmas = np.array([s23 - cot1 * (w31 - w12), s31 - cot2 * (w12 - w23), s12 - cot3 * (w23 - w31)])
+        zd2 = c12 * (z2 - z1)
+        zd3 = zd2 + c23 * (z3 - z2)
+
+        def circumradius(a, b, cc):
+            ar2 = abs((np.conj(b - a) * (cc - a)).imag)
+            return abs(b - a) * abs(cc - b) * abs(a - cc) / (2.0 * ar2)
+
+        rp = circumradius(z1, z2 + t * zd2, z3 + t * zd3)
+        rm = circumradius(z1, z2 - t * zd2, z3 - t * zd3)
+        rr = (rp - rm) / (2.0 * t * r.circumradius[f])
+        rr_err = abs(sigmas[0] - rr) / max(abs(sigmas[0]), abs(rr), 1e-12)
+        out[f, 2:] = (omegas[0], np.ptp(omegas), sigmas[0], np.ptp(sigmas), rr_err)
+    return out
+
+
+def reference_null_vector_forms(r, rates, weierstrass_form):
+    """The sl(2,C) matrices and Pauli vectors of rates ``mu``, or the
+    Weierstrass integrand of ``q``, one interior edge at a time."""
+    n = len(r.mesh.interior_edges)
+    mats = np.empty((n, 2, 2), dtype=complex)
+    vecs = np.empty((n, 3), dtype=complex)
+    for idx, e in enumerate(r.mesh.interior_edges):
+        i, j = r.mesh.edges[e]
+        zi, zj = r.z[i], r.z[j]
+        f = rates[idx] / (1j * (zj - zi)) if weierstrass_form else rates[idx] / (zj - zi)
+        mats[idx] = f * np.array([[zi + zj, -2.0 * zi * zj], [2.0, -zi - zj]])
+        vecs[idx] = f * np.array([1.0 - zi * zj, 1j * (1.0 + zi * zj), zi + zj])
+    return mats, vecs
+
+
+def reference_face_moebius(a_triple, b_triple):
+    def normal_form(p1, p2, p3):
+        return np.array([[p2 - p3, -p1 * (p2 - p3)], [p2 - p1, -p3 * (p2 - p1)]], dtype=complex)
+
+    na, nb = normal_form(*a_triple), normal_form(*b_triple)
+    nb_inv = np.array([[nb[1, 1], -nb[0, 1]], [-nb[1, 0], nb[0, 0]]]) / np.linalg.det(nb)
+    m = nb_inv @ na
+    return m / np.sqrt(np.linalg.det(m))
+
+
+def reference_fix_sign(m):
+    t = np.trace(m)
+    if abs(t.real) > 1e-12:
+        return m if t.real > 0 else -m
+    if abs(t.imag) > 1e-12:
+        return m if t.imag > 0 else -m
+    for x in m.reshape(-1):
+        if abs(x.real) > 1e-12:
+            return m if x.real > 0 else -m
+        if abs(x.imag) > 1e-12:
+            return m if x.imag > 0 else -m
+    return m
+
+
+def reference_transitions(a, b):
+    """Face maps, transitions, eigenvalues and the eigen and cross-ratio
+    residuals (the cycle product was already batched)."""
+    mesh = a.mesh
+    face_maps = np.array([
+        reference_fix_sign(reference_face_moebius(tuple(a.z[list(f)]), tuple(b.z[list(f)])))
+        for f in mesh.faces
+    ])
+    n = len(mesh.interior_edges)
+    G = np.empty((n, 2, 2), dtype=complex)
+    lam = np.empty(n, dtype=complex)
+    eig_res = 0.0
+    psi = moebius.lift(a.z)
+    for idx, e in enumerate(mesh.interior_edges):
+        i, j = mesh.edges[e]
+        al, ar = face_maps[mesh.edge_left[e]], face_maps[mesh.edge_right[e]]
+        g = np.array([[ar[1, 1], -ar[0, 1]], [-ar[1, 0], ar[0, 0]]]) @ al
+        G[idx] = g
+        wj, wi = g @ psi[j], g @ psi[i]
+        lam[idx] = wj[1]
+        scale = max(float(np.abs(g).max()), 1e-300) * max(abs(a.z[i]), abs(a.z[j]), 1.0)
+        eig_res = max(
+            eig_res,
+            float(np.abs(wj - lam[idx] * psi[j]).max()) / scale,
+            float(np.abs(wi - psi[i] / lam[idx]).max()) / scale,
+        )
+    cra = cross_ratios(a)
+    cr_res = float(np.abs(cross_ratios(b) - cra / lam**2).max() / np.abs(cra).max())
+    return face_maps, G, lam, eig_res, cr_res
+
+
+def reference_verify_minimal(mesh, n, f):
+    """Per interior edge: residual, least-squares factor and orthogonal part."""
+    left, right = mesh.interior_faces.T
+    dfs = f[left] - f[right]
+    df_scale = float(np.linalg.norm(dfs, axis=1).max())
+    out = np.zeros((len(mesh.interior_edges), 3))
+    for idx, e in enumerate(mesh.interior_edges):
+        i, j = mesh.edges[e]
+        dn, df = n[j] - n[i], dfs[idx]
+        dn_norm = np.linalg.norm(dn)
+        proj = float(dn @ df) / dn_norm**2
+        out[idx] = np.linalg.norm(np.cross(dn, df)) / (dn_norm * df_scale), proj, np.linalg.norm(df - proj * dn)
+    return out
+
+
+def reference_qdiff_from_minimal(r, k):
+    q_imag = np.empty(len(r.mesh.interior_edges))
+    for idx, e in enumerate(r.mesh.interior_edges):
+        i, j = r.mesh.edges[e]
+        scale = (1.0 + abs(r.z[i]) ** 2) * (1.0 + abs(r.z[j]) ** 2) / 2.0
+        q_imag[idx] = k[idx] / scale * abs(r.z[j] - r.z[i]) ** 2
+    return q_imag
+
+
+def reference_curvature_factor(r, q):
+    k = np.empty(len(r.mesh.interior_edges))
+    for idx, e in enumerate(r.mesh.interior_edges):
+        i, j = r.mesh.edges[e]
+        k[idx] = (-1j * q[idx] / abs(r.z[j] - r.z[i]) ** 2).real
+    return k
+
+
+def assert_close(got, ref, scale=None):
+    """Equal shapes, nan where the reference has nan, and elsewhere
+    ``|got - ref| <= 1e-12 scale``, ``scale`` being ``max|ref|`` unless
+    given.  A defect or residual measures a cancellation, so it is compared
+    on the scale of the terms that cancel."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    nan = np.isnan(ref)
+    assert (np.isnan(got) == nan).all()
+    if scale is None:
+        scale = np.abs(ref[~nan]).max(initial=0.0)
+    assert np.abs(got[~nan] - ref[~nan]).max(initial=0.0) <= 1e-12 * scale
 
 
 # -- tests -----------------------------------------------------------------------
@@ -175,3 +450,109 @@ def test_anchor_outside_the_mesh_rejected(mesh):
             integrate(mesh, np.zeros(len(mesh.edges)), root)
     with pytest.raises(InvalidInput):
         mesh.dual_spanning_tree(len(mesh.faces))
+
+
+def test_index_arrays_match_reference(mesh):
+    assert mesh.face_edges.tolist() == reference_face_edges(mesh)
+    assert mesh.flap_edges.tolist() == reference_flap_edges(mesh)
+
+
+def test_per_vertex_from_edges_matches_reference(fields):
+    r, *_ = fields
+    value = np.random.default_rng(10).uniform(-4, 4, len(r.mesh.edges))
+    for mod_tau in (False, True):
+        got = realization._per_vertex_from_edges(r.mesh, value, mod_tau)
+        ref = reference_per_vertex_from_edges(r.mesh, value, mod_tau)
+        assert got[0].tobytes() == ref[0].tobytes() and got[1] == ref[1]
+
+
+def test_solve_dirichlet_and_deformation_match_reference(fields):
+    r, boundary, u, zdot, *_ = fields
+    assert u.tobytes() == reference_solve_dirichlet(r, boundary).tobytes()
+    assert zdot.tobytes() == reference_conformal_deformation(r, u).tobytes()
+
+
+def test_edge_rates_and_flap_rates_match_reference(fields):
+    r, _, _, zdot, *_ = fields
+    rng = np.random.default_rng(11)
+    for v in (zdot, rng.standard_normal(len(r.z)) + 1j * rng.standard_normal(len(r.z))):
+        assert_close(deform.edge_rates(r, v).complex_rate, reference_edge_rates(r, v))
+        assert_close(deform.cross_ratio_rate(r, v), reference_cross_ratio_rate(r, v))
+        assert_close(moebius.rates_from_deformation(r, v), -0.5 * reference_cross_ratio_rate(r, v))
+
+
+def test_triangle_compat_matches_reference(fields):
+    r, _, _, zdot, *_ = fields
+    # the rates of a vertex field close on every face; noise on every
+    # seventh edge breaks the faces beside those edges
+    rates = deform.edge_rates(r, zdot)
+    noise = np.where(np.arange(len(rates.sigma)) % 7 == 0, 1e-3, 0.0)
+    for c in (rates, deform.EdgeRates(rates.sigma + noise, rates.omega)):
+        rep = deform.check_triangle_compat(r, c)
+        ref = reference_triangle_compat(r, c.complex_rate)
+        assert rep.ok.tolist() == ref[:, 1].real.astype(bool).tolist()
+        assert rep.defect.tobytes() == ref[:, 0].tobytes()
+        for k, got in enumerate(
+            (rep.omega_face, rep.omega_spread, rep.sigma_face, rep.sigma_spread, rep.radius_rate_error), 2
+        ):
+            assert got.tobytes() == ref[:, k].real.tobytes()
+    assert 0 < rep.ok.sum() < len(rep.ok)
+
+
+def test_null_vector_forms_match_reference(fields):
+    r, _, _, zdot, q, surface = fields
+    mu = moebius.rates_from_deformation(r, zdot)
+    form = moebius.sl2_form_from_rates(r, mu)
+    mats, vecs = reference_null_vector_forms(r, mu, weierstrass_form=False)
+    assert_close(form.matrices, mats)
+    assert_close(form.vectors, vecs)
+    assert_close(weierstrass.integrand(r, q), reference_null_vector_forms(r, q, weierstrass_form=True)[1])
+    assert_close(surface.k, reference_curvature_factor(r, q))
+
+
+def test_transitions_match_reference(fields):
+    r, _, _, zdot, *_ = fields
+    b = Realization(r.mesh, r.z + 1e-3 * zdot / np.abs(zdot).max())
+    rep = moebius.transition_matrices(r, b)
+    face_maps, G, lam, eig_res, cr_res = reference_transitions(r, b)
+    assert_close(rep.face_maps, face_maps)
+    assert_close(rep.transitions, G)
+    assert_close(rep.eigenvalues, lam)
+    assert_close(rep.max_eigen_residual, eig_res, scale=1.0)  # relative by construction
+    assert_close(rep.max_cr_residual, cr_res, scale=1.0)
+
+
+@pytest.mark.parametrize(
+    "m, flip",
+    [
+        ([[2, 1], [0, 1]], False),  # real trace > 0
+        ([[-2, 1], [0, -1]], True),  # real trace < 0
+        ([[1 + 2j, 0], [0, -1 + 1e-13 - 1j]], False),  # real trace below 1e-12: imaginary trace > 0
+        ([[1 - 2j, 0], [0, -1 + 1j]], True),  # imaginary trace < 0
+        ([[1e-13, -3], [0.5, 0]], True),  # traceless: first real part above 1e-12 < 0
+        ([[0, 2e-13 - 3j], [0.5, 0]], True),  # first entry decided by its imaginary part
+        ([[0, 2j], [-0.5j, 0]], False),  # the same, > 0
+        ([[1e-13, 0], [0, 0]], False),  # nothing above 1e-12: kept
+    ],
+)
+def test_sign_tie_breaks_match_reference(m, flip):
+    m = np.array(m, dtype=complex)
+    got = moebius._fix_signs(m[None])[0]
+    assert got.tobytes() == reference_fix_sign(m).tobytes()
+    assert got.tobytes() == (-m if flip else m).tobytes()
+
+
+def test_verify_minimal_and_qdiff_from_minimal_match_reference(fields):
+    r, _, _, _, _, surface = fields
+    n = weierstrass.gauss_map(r)
+    rng = np.random.default_rng(12)
+    for f in (surface.f, surface.f + 1e-3 * rng.standard_normal(surface.f.shape)):
+        rep = weierstrass.verify_minimal(r.mesh, n, f, tol=np.inf)
+        ref = reference_verify_minimal(r.mesh, n, f)
+        # |dn x df| <= |dn| max|df|: the residual is at most 1
+        assert_close(rep.residual, ref[:, 0], scale=1.0)
+        assert_close(rep.k, ref[:, 1])
+        assert_close(rep.orthogonal_part, ref[:, 2], scale=np.linalg.norm(f, axis=1).max())
+        assert rep.max_residual == rep.residual.max()
+        q = weierstrass.qdiff_from_minimal(r, f, tol=np.inf)
+        assert_close(q.imag, reference_qdiff_from_minimal(r, rep.k))
