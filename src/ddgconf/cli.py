@@ -57,9 +57,9 @@ def _threads():
     try:
         n = int(raw)
     except ValueError:
-        raise DDGError(f"DDG_THREADS must be a positive integer, got {raw!r}")
+        raise InvalidInput(f"DDG_THREADS must be a positive integer, got {raw!r}")
     if n < 1:
-        raise DDGError(f"DDG_THREADS must be a positive integer, got {raw!r}")
+        raise InvalidInput(f"DDG_THREADS must be a positive integer, got {raw!r}")
     return n
 
 
@@ -367,7 +367,7 @@ def cmd_minimal(args):
         written = []
 
         gauss_path = f"{prefix}_gauss.obj"
-        fileio.write_obj(gauss_path, n, r.mesh.faces)
+        fileio.write_obj(gauss_path, n, r.mesh.faces.tolist())
         written.append(gauss_path)
 
         per_alpha = []
@@ -397,10 +397,10 @@ def cmd_minimal(args):
     n = gverts
     norms = np.linalg.norm(n, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-9):
-        raise DDGError(f"{args.gauss}: vertices are not on the unit sphere")
+        raise InvalidInput(f"{args.gauss}: vertices are not on the unit sphere")
     fverts, polys = fileio.read_obj_polygons(args.dual)
     if len(fverts) != len(gmesh.faces):
-        raise DDGError(
+        raise InvalidInput(
             f"{args.dual}: {len(fverts)} dual vertices but the Gauss mesh has "
             f"{len(gmesh.faces)} faces"
         )

@@ -78,7 +78,7 @@ def write_obj(path, vertices, faces):
 def write_obj_planar(path, mesh: TriMesh, z):
     z = np.asarray(z, dtype=complex)
     verts = np.stack([z.real, z.imag, np.zeros_like(z.real)], axis=1)
-    write_obj(path, verts, mesh.faces)
+    write_obj(path, verts, mesh.faces.tolist())
 
 
 # -- JSON ----------------------------------------------------------------------

@@ -30,52 +30,41 @@ class DualEdge(NamedTuple):
 
 
 class TriMesh:
-    def __init__(self, faces, vertex_count=None):
-        faces = [tuple(int(v) for v in f) for f in faces]
-        if not faces:
-            raise Disconnected("mesh has no faces")
-        for f in faces:
-            if len(f) != 3:
-                raise NonManifold(f"face {f} is not a triangle")
-            if len(set(f)) != 3:
-                raise NonManifold(f"face {f} repeats a vertex")
-            if min(f) < 0:
-                raise NonManifold(f"face {f} has a negative vertex id")
+    """An oriented triangle mesh as index arrays.
 
-        n = max(max(f) for f in faces) + 1
+    Corner ``c = 3 f + m`` of face ``f`` carries the oriented edge
+    ``faces[f][m] -> faces[f][m + 1]``.  ``edge_ends`` lists the edges
+    ``(i, j)``, ``i < j``, in ascending order; ``face_edges[f, m]`` is the
+    edge of corner ``3 f + m``; ``edge_faces[e]`` holds the left and right
+    face of ``e`` (-1 where it has none).
+    """
+
+    def __init__(self, faces, vertex_count=None):
+        tri = _face_array(faces)
+        n = int(tri.max()) + 1
         if vertex_count is None:
             vertex_count = n
         elif vertex_count < n:
             raise NonManifold(f"face references vertex >= vertex_count={vertex_count}")
 
-        self.faces = faces
+        self.faces = tri
         self.vertex_count = vertex_count
 
-        # Oriented edge -> face.  A duplicate oriented edge means either a
-        # non-manifold edge or two faces traversing it the same way.
-        oriented = {}
-        for fi, (a, b, c) in enumerate(faces):
-            for i, j in ((a, b), (b, c), (c, a)):
-                if (i, j) in oriented:
-                    raise InconsistentOrientation(
-                        f"oriented edge ({i},{j}) appears in faces "
-                        f"{oriented[(i, j)]} and {fi}"
-                    )
-                oriented[(i, j)] = fi
-        self._face_of_oriented = oriented
+        tail = tri.ravel()
+        head = np.roll(tri, -1, axis=1).ravel()
+        _check_oriented_edges(tail, head, vertex_count)
 
-        pairs = sorted({(min(i, j), max(i, j)) for (i, j) in oriented})
-        self.edges = pairs
-        self.edge_index = {e: idx for idx, e in enumerate(pairs)}
-        self.edge_left = []
-        self.edge_right = []
-        for i, j in pairs:
-            self.edge_left.append(oriented.get((i, j)))
-            self.edge_right.append(oriented.get((j, i)))
-        # the same tables as (E, 2) arrays; -1 marks a missing face
-        self.edge_ends = np.array(pairs, dtype=np.int64)
-        sides = np.array([self.edge_left, self.edge_right], dtype=float).T  # None -> nan
-        self.edge_faces = np.where(np.isnan(sides), -1, sides).astype(np.int64)
+        keys, corner_edge = np.unique(
+            np.minimum(tail, head) * vertex_count + np.maximum(tail, head), return_inverse=True
+        )
+        self.edge_ends = np.stack([keys // vertex_count, keys % vertex_count], axis=1)
+        self.edges = list(zip(*self.edge_ends.T.tolist()))
+        self.face_edges = corner_edge.reshape(-1, 3)
+        # the corners of each edge: i -> j in column 0, j -> i in column 1
+        side = (tail > head).astype(np.int64)
+        self._edge_corners = np.full((len(keys), 2), -1, dtype=np.int64)
+        self._edge_corners[corner_edge, side] = np.arange(len(tail))
+        self.edge_faces = self._edge_corners // 3  # -1 // 3 == -1
 
         interior = (self.edge_faces >= 0).all(axis=1)
         self.interior_edges = np.flatnonzero(interior).tolist()
@@ -84,60 +73,23 @@ class TriMesh:
         self.interior_faces = self.edge_faces[interior]
 
         self._check_connected()
-        self._build_vertex_stars()
+        twin = self._edge_corners[corner_edge, 1 - side]
+        self._star_rank = _rank_stars(tail, head, twin, vertex_count)
 
         self.is_boundary_vertex = np.zeros(vertex_count, dtype=bool)
         self.is_boundary_vertex[self.edge_ends[self.boundary_edges]] = True
-        self.boundary_vertices = [v for v in range(vertex_count) if self.is_boundary_vertex[v]]
-        self.interior_vertices = [v for v in range(vertex_count) if not self.is_boundary_vertex[v]]
-
-    # -- construction checks -------------------------------------------------
+        self.boundary_vertices = np.flatnonzero(self.is_boundary_vertex).tolist()
+        self.interior_vertices = np.flatnonzero(~self.is_boundary_vertex).tolist()
 
     def _check_connected(self):
-        _, label = connected_components(self._primal_graph.adjacency)
-        missing = np.flatnonzero(label != label[self.edges[0][0]])
+        # a bare adjacency: the spanning trees' graph is built only when needed
+        i, j = self.edge_ends.T
+        graph = sp.csr_array((np.ones(len(i)), (i, j)), (self.vertex_count, self.vertex_count))
+        _, label = connected_components(graph, directed=False)
+        root = self.edges[0][0]
+        missing = np.flatnonzero(label != label[root])
         if len(missing):
-            root = self.edges[0][0]
             raise Disconnected(f"vertices {missing[:8].tolist()}... not connected to vertex {root}")
-
-    def _build_vertex_stars(self):
-        """Order each vertex star counterclockwise and reject non-fan stars."""
-        succ = [dict() for _ in range(self.vertex_count)]
-        neighbors = [set() for _ in range(self.vertex_count)]
-        for a, b, c in self.faces:
-            for v, j, k in ((a, b, c), (b, c, a), (c, a, b)):
-                if j in succ[v]:
-                    raise NonManifold(f"vertex {v} has two faces with the same corner edge")
-                succ[v][j] = k
-                neighbors[v].update((j, k))
-
-        self._star = []
-        for v in range(self.vertex_count):
-            nxt = succ[v]
-            nbrs = neighbors[v]
-            if not nbrs:
-                raise Disconnected(f"vertex {v} belongs to no face")
-            heads = set(nxt.values())
-            starts = [j for j in nxt if j not in heads]
-            if len(starts) == 0:
-                # closed fan: interior vertex
-                start = min(nxt)
-                closed = True
-            elif len(starts) == 1:
-                start = starts[0]
-                closed = False
-            else:
-                raise NonManifold(f"vertex star of {v} is not a single fan")
-            ring = [start]
-            cur = start
-            while cur in nxt:
-                cur = nxt[cur]
-                if cur == start:
-                    break
-                ring.append(cur)
-            if set(ring) != nbrs:
-                raise NonManifold(f"vertex star of {v} is not a single fan")
-            self._star.append((ring, closed))
 
     # -- queries --------------------------------------------------------------
 
@@ -161,46 +113,24 @@ class TriMesh:
                 f"mesh is not a disk (Euler characteristic {self.euler_characteristic()})"
             )
 
-    def vertex_star(self, v):
-        """Counterclockwise neighbor ring of ``v`` (closed iff interior)."""
-        return self._star[v]
-
-    def opposite_vertex(self, face, i, j):
-        (k,) = [v for v in self.faces[face] if v != i and v != j]
-        return k
-
     def edge_flap(self, e):
         """``(i, j, k, l)`` with ``i < j``, ``k`` apex of the left face of
         ``i -> j`` and ``l`` apex of the right face.  Interior edges only."""
         i, j = self.edges[e]
-        fl, fr = self.edge_left[e], self.edge_right[e]
-        return i, j, self.opposite_vertex(fl, i, j), self.opposite_vertex(fr, i, j)
+        k, l = (self.faces[self.edge_faces[e]].sum(axis=1) - i - j).tolist()
+        return i, j, k, l
 
     # -- index arrays and shared operators --------------------------------------
-
-    @cached_property
-    def face_edges(self):
-        """``(F, 3)`` id of the edge ``faces[f][m] -> faces[f][m + 1]``."""
-        tri = np.array(self.faces, dtype=np.int64)
-        tail, head = tri, np.roll(tri, -1, axis=1)
-        # edge keys i * V + j (i < j) ascend with the sorted edge list
-        n = self.vertex_count
-        keys = self.edge_ends[:, 0] * n + self.edge_ends[:, 1]
-        return np.searchsorted(keys, np.minimum(tail, head) * n + np.maximum(tail, head))
 
     @cached_property
     def flap_edges(self):
         """``(E_int, 4)`` ids of the edges ``jk, ki, il, lj`` of each interior
         edge's flap ``(i, j, k, l)`` (see :meth:`edge_flap`)."""
-        e = np.array(self.interior_edges, dtype=np.int64)
-        rows = np.arange(len(e))
-        sides = []
-        # i -> j is slot m of the left face, whose next slots are j -> k and
-        # k -> i; j -> i leads on to i -> l and l -> j in the right face
-        for face_edges in self.face_edges[self.interior_faces.T]:
-            m = (face_edges == e[:, None]).argmax(axis=1)
-            sides += [face_edges[rows, (m + 1) % 3], face_edges[rows, (m + 2) % 3]]
-        return np.stack(sides, axis=1)
+        # corner i -> j is followed by j -> k and k -> i, j -> i by i -> l and l -> j
+        c = self._edge_corners[self.interior_edges]
+        start = c - c % 3
+        after = np.stack([start + (c + 1) % 3, start + (c + 2) % 3], axis=2)
+        return self.face_edges.ravel()[after.reshape(-1, 4)]
 
     @cached_property
     def _primal_graph(self):
@@ -216,18 +146,15 @@ class TriMesh:
     @cached_property
     def vertex_cycles(self):
         """The cycles of :meth:`dual_cycles` as :class:`VertexCycles` arrays."""
-        ring = [self._star[v][0] for v in self.interior_vertices]
-        valence = np.array([len(r) for r in ring], dtype=np.int64)
-        tail = np.repeat(np.array(self.interior_vertices, dtype=np.int64), valence)
-        head = np.fromiter(chain.from_iterable(ring), np.int64, len(tail))
-        edge = self._primal_graph.adjacency[tail, head] - 1
-        pos = np.searchsorted(self._dual_graph.edge_ids, edge)
-        fwd = tail < head
-        to_face = self.interior_faces[pos, np.where(fwd, 0, 1)]
-        padded = np.zeros((len(ring), valence.max(initial=0), 3), dtype=np.int32)
-        row = np.repeat(np.arange(len(ring)), valence)
-        col = np.arange(len(tail)) - np.repeat(np.cumsum(valence) - valence, valence)
-        padded[row, col] = np.stack([pos, np.where(fwd, 1, -1), to_face], axis=1)
+        v = self.faces.ravel()
+        corners = np.flatnonzero(~self.is_boundary_vertex[v])
+        v, j = v[corners], np.roll(self.faces, -1, axis=1).ravel()[corners]
+        pos = np.searchsorted(self.interior_edges, self.face_edges.ravel()[corners])
+        valence = np.bincount(v, minlength=self.vertex_count)[self.interior_vertices]
+        row = (np.cumsum(~self.is_boundary_vertex) - 1)[v]
+        padded = np.zeros((len(valence), valence.max(initial=0), 3), dtype=np.int32)
+        # corner (v, j, k) holds v -> j, whose left face is the corner's face
+        padded[row, self._star_rank[corners]] = np.stack([pos, np.where(v < j, 1, -1), corners // 3], axis=1)
         return VertexCycles(valence, *np.moveaxis(padded, 2, 0))
 
     def cycle_sum(self, values, signed=False):
@@ -398,6 +325,76 @@ def integrate(mesh, form, root=0, dual=False):
     gap = np.abs(gap).max(axis=tuple(range(1, gap.ndim))) if gap.ndim > 1 else magnitude(gap)
     scale = max(float(np.abs(form).max()) if form.size else 0.0, 1e-300)
     return Integral(pot, g.edge_ids[cotree], gap, scale, mesh.edges)
+
+
+def _face_array(faces):
+    """``faces`` as an ``(F, 3)`` int64 array.  Raises for the first face
+    that is not a triangle, repeats a vertex or has a negative vertex id."""
+    faces = list(faces)
+    if not faces:
+        raise Disconnected("mesh has no faces")
+    sizes = np.fromiter(map(len, faces), np.int64, len(faces))
+    n = int(np.argmax(sizes != 3)) if (sizes != 3).any() else len(faces)
+    tri = np.fromiter(chain.from_iterable(faces[:n]), np.int64, 3 * n).reshape(n, 3)
+    s = np.sort(tri, axis=1)
+    bad = np.flatnonzero((s[:, 0] == s[:, 1]) | (s[:, 1] == s[:, 2]) | (s[:, 0] < 0))
+    first = int(bad[0]) if len(bad) else n  # or the first non-triangle
+    if first < len(faces):
+        f = tuple(int(v) for v in faces[first])
+        if len(f) != 3:
+            raise NonManifold(f"face {f} is not a triangle")
+        if len(set(f)) != 3:
+            raise NonManifold(f"face {f} repeats a vertex")
+        raise NonManifold(f"face {f} has a negative vertex id")
+    return tri
+
+
+def _check_oriented_edges(tail, head, n):
+    """Reject an oriented edge that two corners share: a non-manifold edge
+    or two faces traversing it the same way."""
+    key = tail * n + head
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    dup = np.flatnonzero(key[1:] == key[:-1])
+    if len(dup):
+        # the repeat that comes first in face order, and the corner it repeats
+        m = dup[np.argmin(order[dup + 1])]
+        first, again = order[m], order[m + 1]
+        raise InconsistentOrientation(
+            f"oriented edge ({tail[again]},{head[again]}) appears in faces "
+            f"{first // 3} and {again // 3}"
+        )
+
+
+def _rank_stars(tail, head, twin, n):
+    """Position of each corner in the counterclockwise star of its vertex.
+
+    Corner ``(v, j, k)`` is followed by corner ``(v, k, .)``, which holds the
+    twin of the corner's ``k -> v``.  An open fan starts at its one corner
+    without a predecessor (``v -> j`` on the boundary), a closed ring at its
+    smallest neighbour ``j``.  Raises for the first vertex whose star is not
+    a single fan."""
+    corner = np.arange(len(tail))
+    succ = twin[corner - corner % 3 + (corner + 2) % 3]  # -1 past an open fan's end
+    key = np.where(twin < 0, 0, n) + head
+    least = np.full(n, 2 * n)
+    np.minimum.at(least, tail, key)
+    is_first = key == least[tail]
+    first = np.empty(n, dtype=np.int64)
+    first[tail[is_first]] = corner[is_first]
+    # cut each ring before its first corner, so that every single fan is a
+    # path; then jump along the paths by pointer doubling, counting the steps
+    succ[(succ >= 0) & is_first[succ]] = -1
+    jump = np.where(succ < 0, corner, succ)
+    steps = (succ >= 0).astype(np.int64)
+    for _ in range(int(np.bincount(tail).max() - 2).bit_length()):
+        steps += steps[jump]
+        jump = jump[jump]
+    # a single fan is one path: its corners end where its first corner ends
+    bad = jump != jump[first[tail]]
+    if bad.any():
+        raise NonManifold(f"vertex star of {tail[bad].min()} is not a single fan")
+    return steps[first[tail]] - steps
 
 
 def build(faces, vertex_count=None):

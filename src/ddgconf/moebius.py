@@ -9,7 +9,7 @@ import numpy as np
 from .deform import cross_ratio_rate
 from .errors import CoincidentVertices, DegenerateFace, MeshMismatch, VertexAtInfinity
 from .mesh import magnitude
-from .realization import Realization, cross_ratios
+from .realization import Realization, _check_same_mesh, cross_ratios
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -207,8 +207,7 @@ class TransitionReport:
 def transition_matrices(a: Realization, b: Realization) -> TransitionReport:
     """Per-face Moebius maps from ``a`` to ``b`` and the multiplicative dual
     1-form ``G(e*_ij) = A_right^{-1} A_left`` with its eigenvalues."""
-    if a.mesh is not b.mesh and a.mesh.faces != b.mesh.faces:
-        raise MeshMismatch("realizations live on different meshes")
+    _check_same_mesh(a, b)
     mesh = a.mesh
 
     face_maps = _fix_signs(_face_maps(a.z[a.tri], b.z[a.tri]))

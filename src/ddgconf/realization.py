@@ -37,7 +37,7 @@ class Realization:
         self.mesh = mesh
         self.z = z
 
-        self.tri = tri = np.array(mesh.faces)
+        self.tri = tri = mesh.faces
         zi, zj, zk = z[tri[:, 0]], z[tri[:, 1]], z[tri[:, 2]]
         # signed doubled area = Im(conj(z_j - z_i) (z_k - z_i))
         self.area2 = (np.conj(zj - zi) * (zk - zi)).imag
@@ -48,7 +48,7 @@ class Realization:
         bad = np.abs(self.area2) <= COLLINEAR_TOL * scale**2
         if bad.any():
             f = int(np.flatnonzero(bad)[0])
-            raise DegenerateFace(f"face {f} {mesh.faces[f]} is (nearly) collinear", face=f)
+            raise DegenerateFace(f"face {f} {tuple(tri[f].tolist())} is (nearly) collinear", face=f)
 
         # cot of the (signed) corner angle at each face vertex
         def corner_cot(a, b, c):
@@ -138,7 +138,7 @@ def _per_vertex_from_edges(mesh: TriMesh, edge_value, reduce_mod_tau=False):
     s = np.asarray(edge_value)[mesh.face_edges]
     vals = (s[:, [2, 0, 1]] + s - s[:, [1, 2, 0]]).ravel()
     # each vertex's corners in face order, the first at ``start``
-    corner_vertex = np.array(mesh.faces).ravel()
+    corner_vertex = mesh.faces.ravel()
     vals = vals[np.argsort(corner_vertex, kind="stable")]
     count = np.bincount(corner_vertex, minlength=mesh.vertex_count)
     start = np.cumsum(count) - count
@@ -151,7 +151,7 @@ def _per_vertex_from_edges(mesh: TriMesh, edge_value, reduce_mod_tau=False):
 
 
 def _check_same_mesh(a: Realization, b: Realization):
-    if a.mesh is not b.mesh and a.mesh.faces != b.mesh.faces:
+    if not np.array_equal(a.mesh.faces, b.mesh.faces):
         raise MeshMismatch("realizations live on different meshes")
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.spatial import Delaunay
@@ -64,6 +66,20 @@ def grid20():
     return grid_disk(19)
 
 
+def jittered_grid(n, jitter, seed):
+    """(n+1) x (n+1) grid of unit squares split into triangles, vertices
+    moved by up to ``jitter`` in each coordinate."""
+    faces = []
+    for i in range(n):
+        for j in range(n):
+            a, b = i * (n + 1) + j, (i + 1) * (n + 1) + j
+            faces += [(a, b, b + 1), (a, b + 1, a + 1)]
+    x, y = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+    rng = np.random.default_rng(seed)
+    shift = rng.uniform(-1, 1, x.size) + 1j * rng.uniform(-1, 1, x.size)
+    return Realization(build(faces), (x + 1j * y).ravel() + jitter * shift)
+
+
 def delaunay_disk(n_points, seed):
     """Delaunay triangulation of random points in the unit disk (CCW faces)."""
     rng = np.random.default_rng(seed)
@@ -105,3 +121,55 @@ def random_moebius(r, rng, margin=1e-2):
         if np.abs(den).min() < margin * max(abs(phi.c), abs(phi.d)):
             continue
         return phi
+
+
+def reference_tables(mesh):
+    """The per-element tables that ``TriMesh`` was once built from, built
+    here with the same dict and set loops from ``mesh.faces``: the face of
+    each oriented edge, the sorted vertex pairs, each edge's left (``i -> j``)
+    and right (``j -> i``) face, the counterclockwise star of each vertex
+    (a closed ring starts at its smallest neighbour, an open fan at its
+    corner without a predecessor), and the flap and opposite-vertex lookups."""
+    faces = [tuple(f) for f in mesh.faces.tolist()]
+    oriented = {}
+    for fi, (a, b, c) in enumerate(faces):
+        for i, j in ((a, b), (b, c), (c, a)):
+            oriented[(i, j)] = fi
+    edges = sorted({(min(i, j), max(i, j)) for (i, j) in oriented})
+    edge_index = {e: idx for idx, e in enumerate(edges)}
+    left = [oriented.get((i, j)) for i, j in edges]
+    right = [oriented.get((j, i)) for i, j in edges]
+
+    succ = [dict() for _ in range(mesh.vertex_count)]
+    for a, b, c in faces:
+        for v, j, k in ((a, b, c), (b, c, a), (c, a, b)):
+            succ[v][j] = k
+    star = []
+    for nxt in succ:
+        heads = set(nxt.values())
+        starts = [j for j in nxt if j not in heads]
+        start, closed = (starts[0], False) if starts else (min(nxt), True)
+        ring = [start]
+        cur = start
+        while cur in nxt:
+            cur = nxt[cur]
+            if cur == start:
+                break
+            ring.append(cur)
+        star.append((ring, closed))
+
+    def key(a, b):
+        return edge_index[(min(a, b), max(a, b))]
+
+    def opposite(face, i, j):
+        (k,) = [v for v in faces[face] if v != i and v != j]
+        return k
+
+    def flap(e):
+        i, j = edges[e]
+        return i, j, opposite(left[e], i, j), opposite(right[e], i, j)
+
+    return SimpleNamespace(
+        faces=faces, oriented=oriented, edges=edges, edge_index=edge_index, left=left,
+        right=right, star=star, key=key, opposite=opposite, flap=flap,
+    )

@@ -14,7 +14,7 @@ def test_obj_roundtrip(tmp_path):
     path = tmp_path / "disk.obj"
     fileio.write_obj_planar(path, r.mesh, r.z)
     mesh, z = fileio.read_obj_planar(path)
-    assert mesh.faces == r.mesh.faces
+    assert np.array_equal(mesh.faces, r.mesh.faces)
     assert np.abs(z - r.z).max() == 0.0  # 17 digits reproduce doubles exactly
 
 
@@ -49,7 +49,7 @@ def test_obj_comments_and_slashes(tmp_path):
     path = tmp_path / "annotated.obj"
     path.write_text("# header\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1/1 2/2 3/3\n")
     mesh, verts = fileio.read_obj(path)
-    assert mesh.faces == [(0, 1, 2)]
+    assert mesh.faces.tolist() == [[0, 1, 2]]
     assert verts.shape == (3, 3)
 
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from ddgconf import Realization
+from ddgconf import Realization, build
 from ddgconf import deform, hqd, laplace
 from ddgconf.errors import ClosureDefect, NotHarmonic
 
-from conftest import delaunay_disk, random_harmonic, random_moebius
+from conftest import delaunay_disk, jittered_grid, random_harmonic, random_moebius
 
 
 def wheel6_root_q(scale=1.0):
@@ -156,3 +156,23 @@ def test_cross_ratio_rate_random_disk():
     zdot = deform.conformal_deformation(r, u)
     rep = hqd.cross_ratio_rate_check(r, u, zdot)
     assert rep.ok
+
+
+@pytest.mark.parametrize("kind", ["delaunay", "jittered"])
+def test_relabelling_permutes_harmonic_and_qdiff(kind):
+    r = delaunay_disk(300, seed=5) if kind == "delaunay" else jittered_grid(14, 0.45, seed=3)
+    rng = np.random.default_rng(14)
+    new = rng.permutation(r.mesh.vertex_count)  # vertex v becomes new[v]
+    z = np.empty_like(r.z)
+    z[new] = r.z
+    s = Realization(build(new[r.mesh.faces].tolist()), z)
+    boundary = {v: rng.standard_normal() for v in r.mesh.boundary_vertices}
+    u = laplace.solve_dirichlet(r, boundary)
+    u2 = laplace.solve_dirichlet(s, {int(new[v]): x for v, x in boundary.items()})
+    assert np.abs(u2[new] - u).max() <= 1e-12 * np.abs(u).max()
+
+    q = hqd.qdiff_from_harmonic(r, u).values
+    q2 = hqd.qdiff_from_harmonic(s, u2).values
+    pos = {s.mesh.edges[e]: p for p, e in enumerate(s.mesh.interior_edges)}
+    moved = [pos[tuple(sorted(pair))] for pair in new[r.mesh.interior_ends].tolist()]
+    assert np.abs(q2[moved] - q).max() <= 1e-12 * np.abs(q).max()

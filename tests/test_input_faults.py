@@ -94,6 +94,25 @@ def test_non_finite_gauss_map(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "gauss, dual",
+    [
+        (TRIANGLE, ["v 0 0 0"]),  # a Gauss point off the unit sphere
+        (["v 1 0 0", "v 0 1 0", "v 0 0 1", "f 1 2 3"], ["v 0 0 0", "v 1 0 0"]),  # 2 dual vertices, 1 face
+    ],
+)
+def test_bad_minimal_verify_input(tmp_path, capsys, gauss, dual):
+    (tmp_path / "gauss.obj").write_text("\n".join(gauss) + "\n")
+    (tmp_path / "dual.obj").write_text("\n".join(dual) + "\n")
+    assert_input_error(capsys, "minimal", "verify", tmp_path / "gauss.obj", tmp_path / "dual.obj")
+
+
+@pytest.mark.parametrize("threads", ["x", "0", "-2"])
+def test_bad_thread_count(wheel, capsys, monkeypatch, threads):
+    monkeypatch.setenv("DDG_THREADS", threads)
+    assert_input_error(capsys, "mesh", "info", wheel / "wheel.obj")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("hqd", "check", "wheel.obj", "q.json", "--tol", "nan"),

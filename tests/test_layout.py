@@ -1,10 +1,14 @@
-"""One mesh format: outside ``mesh.py`` the package reads edges, flaps and
-corners through the index arrays of ``TriMesh`` (``edge_ends``,
-``face_edges``, ``flap_edges``, ...), never through the per-element lookups
-that ``TriMesh`` keeps for the tests."""
+"""One mesh format: the package reads edges, flaps and corners through the
+index arrays of ``TriMesh`` (``edge_ends``, ``face_edges``, ``flap_edges``,
+...).  ``TriMesh`` builds no per-element tables, and outside ``mesh.py``
+nothing calls its one per-element view, ``edge_flap``."""
 
 import ast
 from pathlib import Path
+
+from ddgconf import build
+
+from conftest import WHEEL6_FACES
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ddgconf"
 
@@ -21,3 +25,9 @@ def test_modules_read_the_mesh_through_index_arrays():
             if isinstance(node, (ast.Attribute, ast.Constant)) and name in LOOKUPS:
                 reads.append(f"{path.name}:{node.lineno}: {name}")
     assert reads == []
+
+
+def test_trimesh_keeps_no_per_element_tables():
+    mesh = build(WHEEL6_FACES)
+    deleted = LOOKUPS - {"edge_flap"} | {"_star", "_build_vertex_stars", "vertex_star"}
+    assert sorted(name for name in deleted if hasattr(mesh, name)) == []

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ddgconf import build
@@ -8,7 +9,9 @@ from ddgconf.errors import (
     NotSimplyConnected,
 )
 
-from conftest import SQUARE2_FACES, WHEEL6_FACES, delaunay_disk, grid_disk
+from conftest import (
+    SQUARE2_FACES, WHEEL6_FACES, delaunay_disk, grid_disk, jittered_grid, reference_tables
+)
 
 
 def test_square2_tables():
@@ -25,19 +28,21 @@ def test_square2_tables():
 
 def test_square2_flap():
     mesh = build(SQUARE2_FACES)
+    ref = reference_tables(mesh)
     e = mesh.interior_edges[0]
     i, j, k, l = mesh.edge_flap(e)
     # left face of 0 -> 2 is (0, 1, 2) wrapped as containing the oriented pair
     assert (i, j) == (0, 2)
     assert {k, l} == {1, 3}
-    assert mesh.edge_left[e] == mesh._face_of_oriented[(0, 2)]
-    assert k == mesh.opposite_vertex(mesh.edge_left[e], 0, 2)
+    assert mesh.edge_faces[e, 0] == ref.oriented[(0, 2)]
+    assert k == ref.opposite(mesh.edge_faces[e, 0], 0, 2)
 
 
 def test_wheel6_star():
     mesh = build(WHEEL6_FACES)
     assert mesh.interior_vertices == [0]
-    ring, closed = mesh.vertex_star(0)
+    ring = [de.head for de in mesh.dual_cycles()[0]]
+    closed = 0 in mesh.interior_vertices
     assert closed
     assert sorted(ring) == [1, 2, 3, 4, 5, 6]
     # counterclockwise successor order follows the face orientation
@@ -49,6 +54,7 @@ def test_wheel6_star():
 def test_grid3_interior_cycle():
     r = grid_disk(2)
     mesh = r.mesh
+    ref = reference_tables(mesh)
     assert len(mesh.faces) == 8
     assert len(mesh.interior_vertices) == 1
     cycles = mesh.dual_cycles()
@@ -59,9 +65,9 @@ def test_grid3_interior_cycle():
     for de in cyc:
         e = de.edge
         if de.tail < de.head:
-            assert (de.from_face, de.to_face) == (mesh.edge_right[e], mesh.edge_left[e])
+            assert (de.from_face, de.to_face) == (ref.right[e], ref.left[e])
         else:
-            assert (de.from_face, de.to_face) == (mesh.edge_left[e], mesh.edge_right[e])
+            assert (de.from_face, de.to_face) == (ref.left[e], ref.right[e])
     # consecutive dual edges share a face (a cycle around the vertex)
     for m in range(6):
         assert cyc[m].to_face == cyc[(m + 1) % 6].from_face
@@ -116,9 +122,126 @@ def test_spanning_trees_cover():
 
 def test_dual_tree_sign_semantics():
     mesh = build(WHEEL6_FACES)
+    ref = reference_tables(mesh)
     steps, _ = mesh.dual_spanning_tree(0)
     for face, parent, e, sign in steps:
         if sign == 1:
-            assert mesh.edge_right[e] == parent and mesh.edge_left[e] == face
+            assert ref.right[e] == parent and ref.left[e] == face
         else:
-            assert mesh.edge_left[e] == parent and mesh.edge_right[e] == face
+            assert ref.left[e] == parent and ref.right[e] == face
+
+
+# -- construction against the reference tables -----------------------------------
+
+
+def wheel(n):
+    return build([(0, m, m % n + 1) for m in range(1, n + 1)])
+
+
+def strip(n):
+    """Two rows of ``n`` vertices joined by triangles: every vertex lies on
+    the boundary, so every star is an open fan."""
+    faces = []
+    for i in range(n - 1):
+        faces += [(i, i + 1, n + i + 1), (i, n + i + 1, n + i)]
+    return build(faces)
+
+
+TABLE_MESHES = {
+    "square2": lambda: build(SQUARE2_FACES),
+    "wheel6": lambda: build(WHEEL6_FACES),
+    "delaunay": lambda: delaunay_disk(300, seed=5).mesh,
+    "jittered": lambda: jittered_grid(14, 0.45, seed=3).mesh,
+    "wheel500": lambda: wheel(500),
+    "strip": lambda: strip(12),
+}
+
+
+def assert_bitwise(got, want):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", TABLE_MESHES)
+def test_tables_match_reference(kind):
+    mesh = TABLE_MESHES[kind]()
+    ref = reference_tables(mesh)
+    assert mesh.edges == ref.edges
+    sides = [[-1 if f is None else f for f in pair] for pair in zip(ref.left, ref.right)]
+    assert_bitwise(mesh.edge_faces, np.array(sides, dtype=np.int64))
+    face_edges = [[ref.key(a, b) for a, b in zip(f, f[1:] + f[:1])] for f in ref.faces]
+    assert_bitwise(mesh.face_edges, np.array(face_edges, dtype=np.int64))
+    flaps = [ref.flap(e) for e in mesh.interior_edges]
+    assert [mesh.edge_flap(e) for e in mesh.interior_edges] == flaps
+    flap_edges = [[ref.key(*p) for p in ((j, k), (k, i), (i, l), (l, j))] for i, j, k, l in flaps]
+    assert_bitwise(mesh.flap_edges, np.array(flap_edges, dtype=np.int64).reshape(-1, 4))
+    closed = [v for v, (_, c) in enumerate(ref.star) if c]
+    assert mesh.interior_vertices == closed
+    assert mesh.boundary_vertices == [v for v, (_, c) in enumerate(ref.star) if not c]
+
+    valence = np.array([len(ref.star[v][0]) for v in closed], dtype=np.int64)
+    pos = {e: p for p, e in enumerate(mesh.interior_edges)}
+    slots = np.zeros((3, len(closed), valence.max(initial=0)), dtype=np.int32)
+    for row, v in enumerate(closed):
+        for m, j in enumerate(ref.star[v][0]):
+            slots[:, row, m] = pos[ref.key(v, j)], 1 if v < j else -1, ref.oriented[(v, j)]
+    cycles = mesh.vertex_cycles
+    assert_bitwise(cycles.valence, valence)
+    for got, want in zip((cycles.edges, cycles.sign, cycles.to_faces), slots):
+        assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("kind", ["wheel6", "delaunay", "jittered", "strip"])
+def test_face_order_and_rotation_leave_the_tables(kind):
+    """Shuffling the faces and rotating each face's vertex order keep the
+    edges, the vertex lists and the vertex rings; face ids follow the shuffle."""
+    mesh = TABLE_MESHES[kind]()
+    rng = np.random.default_rng(12)
+    order = rng.permutation(len(mesh.faces))  # new face m is old face order[m]
+    turns = rng.integers(0, 3, len(order))
+    other = build([tuple(np.roll(mesh.faces[f], -t).tolist()) for f, t in zip(order, turns)])
+    assert other.edges == mesh.edges
+    assert other.interior_vertices == mesh.interior_vertices
+    assert other.boundary_vertices == mesh.boundary_vertices
+    new_id = np.argsort(order)
+    assert np.array_equal(other.edge_faces, np.where(mesh.edge_faces >= 0, new_id[mesh.edge_faces], -1))
+    a, b = mesh.vertex_cycles, other.vertex_cycles
+    for got, want in zip(b[:3], a[:3]):
+        assert np.array_equal(got, want)
+    assert np.array_equal(b.to_faces, np.where(a.sign != 0, new_id[a.to_faces], 0))
+
+
+# -- rejected input: the class and the exact message ---------------------------
+
+
+@pytest.mark.parametrize(
+    "faces, vertex_count, error, message",
+    [
+        ([], None, Disconnected, "mesh has no faces"),
+        ([(0, 1, 2), (0, 2, 3, 4)], None, NonManifold, "face (0, 2, 3, 4) is not a triangle"),
+        ([(0, 1, 2), (2, 3, 2), (0, 1, 2, 3)], None, NonManifold, "face (2, 3, 2) repeats a vertex"),
+        ([(0, 1, 2), (0, 2, -3)], None, NonManifold, "face (0, 2, -3) has a negative vertex id"),
+        ([(0, 1, 2), (0, 2, 3)], 3, NonManifold, "face references vertex >= vertex_count=3"),
+        (
+            [(0, 1, 2), (3, 4, 5), (4, 3, 6), (3, 4, 7), (1, 2, 8)], None,
+            InconsistentOrientation, "oriented edge (3,4) appears in faces 1 and 3",
+        ),
+        ([(0, 1, 2), (1, 2, 3)], None, InconsistentOrientation, "oriented edge (1,2) appears in faces 0 and 1"),
+        ([(0, 1, 2), (0, 3, 4)], None, NonManifold, "vertex star of 0 is not a single fan"),  # bowtie
+        # vertices 1, 3 and 4 each have two open fans
+        ([(3, 0, 1), (3, 4, 5), (1, 2, 4)], None, NonManifold, "vertex star of 1 is not a single fan"),
+        # two closed rings around vertex 6
+        (
+            [(6, 0, 1), (6, 1, 2), (6, 2, 0), (6, 3, 4), (6, 4, 5), (6, 5, 3)], None,
+            NonManifold, "vertex star of 6 is not a single fan",
+        ),
+        ([(0, 1, 2), (3, 4, 5)], None, Disconnected, "vertices [3, 4, 5]... not connected to vertex 0"),
+        ([(0, 1, 2)], 4, Disconnected, "vertices [3]... not connected to vertex 0"),
+        ([(0, 1, 3)], None, Disconnected, "vertices [2]... not connected to vertex 0"),
+    ],
+)
+def test_rejected_build_message(faces, vertex_count, error, message):
+    with pytest.raises(error) as info:
+        build(faces, vertex_count)
+    assert type(info.value) is error
+    assert str(info.value) == message

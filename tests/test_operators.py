@@ -13,26 +13,12 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ddgconf import Realization, build, deform, hqd, laplace, moebius, realization, weierstrass
+from ddgconf import Realization, deform, hqd, laplace, moebius, realization, weierstrass
 from ddgconf.errors import InvalidInput
 from ddgconf.mesh import integrate
 from ddgconf.realization import cross_ratios
 
-from conftest import delaunay_disk
-
-
-def jittered_grid(n, jitter, seed):
-    """(n+1) x (n+1) grid of unit squares split into triangles, vertices
-    moved by up to ``jitter`` in each coordinate."""
-    faces = []
-    for i in range(n):
-        for j in range(n):
-            a, b = i * (n + 1) + j, (i + 1) * (n + 1) + j
-            faces += [(a, b, b + 1), (a, b + 1, a + 1)]
-    x, y = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-    rng = np.random.default_rng(seed)
-    shift = rng.uniform(-1, 1, x.size) + 1j * rng.uniform(-1, 1, x.size)
-    return Realization(build(faces), (x + 1j * y).ravel() + jitter * shift)
+from conftest import delaunay_disk, jittered_grid, reference_tables
 
 
 def fixture_realization(kind):
@@ -66,10 +52,11 @@ def fields(request):
 
 def reference_tree(mesh, root, dual):
     """BFS tree over sorted adjacency lists: ``(steps, cotree)``."""
+    ref = reference_tables(mesh)
     edges = mesh.interior_edges if dual else range(len(mesh.edges))
     adj = [[] for _ in range(len(mesh.faces) if dual else mesh.vertex_count)]
     for e in edges:
-        tail, head = (mesh.edge_right[e], mesh.edge_left[e]) if dual else mesh.edges[e]
+        tail, head = (ref.right[e], ref.left[e]) if dual else mesh.edges[e]
         adj[tail].append((head, e, 1))
         adj[head].append((tail, e, -1))
     seen = [False] * len(adj)
@@ -91,13 +78,14 @@ def reference_integrate(mesh, form, root, dual):
     """Potential and co-tree gaps, one tree step at a time; ``form`` is
     indexed by mesh edge."""
     steps, cotree = reference_tree(mesh, root, dual)
+    ref = reference_tables(mesh)
     n = len(mesh.faces) if dual else mesh.vertex_count
     pot = np.zeros((n,) + form.shape[1:], dtype=form.dtype)
     for node, parent, e, sign in steps:
         pot[node] = pot[parent] + sign * form[e]
     gaps = []
     for e in cotree:
-        tail, head = (mesh.edge_right[e], mesh.edge_left[e]) if dual else mesh.edges[e]
+        tail, head = (ref.right[e], ref.left[e]) if dual else mesh.edges[e]
         gap = pot[head] - pot[tail] - form[e]
         gaps.append(float(np.abs(gap).max()) if form.ndim > 1 else abs(gap))
     return pot, cotree, np.array(gaps)
@@ -106,15 +94,12 @@ def reference_integrate(mesh, form, root, dual):
 def reference_cycles(mesh):
     """Dual edges ``(tail, head, from_face, to_face, edge)`` around each
     interior vertex, walked along its counterclockwise star."""
+    ref = reference_tables(mesh)
     cycles = {}
     for v in mesh.interior_vertices:
-        ring, closed = mesh.vertex_star(v)
+        ring, closed = ref.star[v]
         assert closed
-        cycles[v] = [
-            (v, j, mesh._face_of_oriented[(j, v)], mesh._face_of_oriented[(v, j)],
-             mesh.edge_index[(min(v, j), max(v, j))])
-            for j in ring
-        ]
+        cycles[v] = [(v, j, ref.oriented[(j, v)], ref.oriented[(v, j)], ref.key(v, j)) for j in ring]
     return cycles
 
 
@@ -129,28 +114,27 @@ def reference_cycle_sum(mesh, values, signed):
     return np.array(sums).reshape((len(sums),) + values.shape[1:])
 
 
-def reference_key(mesh, a, b):
-    return mesh.edge_index[(min(a, b), max(a, b))]
-
-
 def reference_face_edges(mesh):
-    return [[reference_key(mesh, a, b) for a, b in zip(f, f[1:] + f[:1])] for f in mesh.faces]
+    ref = reference_tables(mesh)
+    return [[ref.key(a, b) for a, b in zip(f, f[1:] + f[:1])] for f in ref.faces]
 
 
 def reference_flap_edges(mesh):
-    flaps = [mesh.edge_flap(e) for e in mesh.interior_edges]
-    return [[reference_key(mesh, *pair) for pair in ((j, k), (k, i), (i, l), (l, j))] for i, j, k, l in flaps]
+    ref = reference_tables(mesh)
+    flaps = [ref.flap(e) for e in mesh.interior_edges]
+    return [[ref.key(*pair) for pair in ((j, k), (k, i), (i, l), (l, j))] for i, j, k, l in flaps]
 
 
 def reference_per_vertex_from_edges(mesh, edge_value, reduce_mod_tau=False):
+    ref = reference_tables(mesh)
     values = np.zeros(mesh.vertex_count)
     spread = 0.0
 
     def s(a, b):
-        return edge_value[reference_key(mesh, a, b)]
+        return edge_value[ref.key(a, b)]
 
     per_vertex = [[] for _ in range(mesh.vertex_count)]
-    for (i, j, k) in mesh.faces:
+    for (i, j, k) in ref.faces:
         for v, a, b in ((i, j, k), (j, k, i), (k, i, j)):
             per_vertex[v].append(s(b, v) + s(v, a) - s(a, b))
     for v, vals in enumerate(per_vertex):
@@ -224,21 +208,23 @@ def reference_edge_rates(r, zdot):
 
 def reference_cross_ratio_rate(r, zdot):
     c = reference_edge_rates(r, zdot)
+    ref = reference_tables(r.mesh)
 
     def ce(a, b):
-        return c[reference_key(r.mesh, a, b)]
+        return c[ref.key(a, b)]
 
-    flaps = [r.mesh.edge_flap(e) for e in r.mesh.interior_edges]
+    flaps = [ref.flap(e) for e in r.mesh.interior_edges]
     return np.array([ce(j, k) - ce(k, i) + ce(i, l) - ce(l, j) for i, j, k, l in flaps])
 
 
 def reference_triangle_compat(r, c, tol=1e-10, t=1e-6):
     """Per face: closure defect, verdict, average rates and their spreads,
     and the circumradius rate error (nan on failed faces)."""
+    ref = reference_tables(r.mesh)
     out = np.full((len(r.mesh.faces), 7), complex(np.nan, 0.0))
-    for f, (v1, v2, v3) in enumerate(r.mesh.faces):
+    for f, (v1, v2, v3) in enumerate(ref.faces):
         z1, z2, z3 = r.z[v1], r.z[v2], r.z[v3]
-        c12, c23, c31 = (c[reference_key(r.mesh, a, b)] for a, b in ((v1, v2), (v2, v3), (v3, v1)))
+        c12, c23, c31 = (c[ref.key(a, b)] for a, b in ((v1, v2), (v2, v3), (v3, v1)))
         closure = c12 * (z2 - z1) + c23 * (z3 - z2) + c31 * (z1 - z3)
         scale = max(abs(z2 - z1), abs(z3 - z2), abs(z1 - z3))
         out[f, :2] = closure / scale, abs(closure) <= tol * scale
@@ -307,9 +293,10 @@ def reference_transitions(a, b):
     """Face maps, transitions, eigenvalues and the eigen and cross-ratio
     residuals (the cycle product was already batched)."""
     mesh = a.mesh
+    ref = reference_tables(mesh)
     face_maps = np.array([
         reference_fix_sign(reference_face_moebius(tuple(a.z[list(f)]), tuple(b.z[list(f)])))
-        for f in mesh.faces
+        for f in ref.faces
     ])
     n = len(mesh.interior_edges)
     G = np.empty((n, 2, 2), dtype=complex)
@@ -318,7 +305,7 @@ def reference_transitions(a, b):
     psi = moebius.lift(a.z)
     for idx, e in enumerate(mesh.interior_edges):
         i, j = mesh.edges[e]
-        al, ar = face_maps[mesh.edge_left[e]], face_maps[mesh.edge_right[e]]
+        al, ar = face_maps[ref.left[e]], face_maps[ref.right[e]]
         g = np.array([[ar[1, 1], -ar[0, 1]], [-ar[1, 0], ar[0, 0]]]) @ al
         G[idx] = g
         wj, wi = g @ psi[j], g @ psi[i]

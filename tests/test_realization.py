@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddgconf import Realization, build
+from ddgconf import Realization, build, moebius
 from ddgconf.errors import DegenerateFace, MeshMismatch
 from ddgconf.realization import (
     check_conformal_equiv,
@@ -10,7 +10,7 @@ from ddgconf.realization import (
     intersection_angles,
 )
 
-from conftest import SQUARE2_FACES, delaunay_disk, random_moebius
+from conftest import SQUARE2_FACES, WHEEL6_FACES, delaunay_disk, random_moebius
 
 
 def test_square2_cross_ratio(square2):
@@ -63,8 +63,9 @@ def test_cross_ratio_moebius_invariance():
 def test_collinear_face_rejected():
     mesh = build(SQUARE2_FACES)
     z = np.array([0, 1, 2, 1j], dtype=complex)  # face (0,1,2) collinear
-    with pytest.raises(DegenerateFace):
+    with pytest.raises(DegenerateFace) as info:
         Realization(mesh, z)
+    assert str(info.value) == "face 0 (0, 1, 2) is (nearly) collinear"
 
 
 def test_shape_mismatch():
@@ -146,3 +147,12 @@ def test_round_trip_verdict(wheel6_irregular):
         lhs = abs(w.z[j] - w.z[i])
         rhs = np.exp((u[i] + u[j]) / 2.0) * abs(r.z[j] - r.z[i])
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+@pytest.mark.parametrize("check", [check_conformal_equiv, check_pattern, moebius.transition_matrices])
+def test_same_mesh_check(wheel6_irregular, check):
+    r = wheel6_irregular
+    check(r, Realization(build(WHEEL6_FACES), r.z))  # an equal but distinct TriMesh
+    rotated = [(1, 2, 0)] + WHEEL6_FACES[1:]  # the same triangles, other faces
+    with pytest.raises(MeshMismatch):
+        check(r, Realization(build(rotated), r.z))
