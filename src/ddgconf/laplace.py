@@ -18,10 +18,9 @@ HARMONIC_RTOL = 1e-8
 def cotan_weights(r: Realization):
     """``w_ij = cot(angle at left apex) + cot(angle at right apex)`` per
     interior edge, with signed angles (negatively oriented faces contribute
-    negated cotangents)."""
-    _, _, k, l = r.flap_points()
-    left, right = r.mesh.interior_faces.T
-    return r.cot_at(left, k) + r.cot_at(right, l)
+    negated cotangents).  Computed once per realization; the array is
+    read-only."""
+    return r.cotan_weights
 
 
 def laplacian(r: Realization, h):
@@ -64,8 +63,9 @@ def solve_dirichlet(r: Realization, boundary):
 
     ``boundary`` maps boundary vertex -> value (a dict, or a full-length array
     whose boundary entries are used).  The interior system is solved by sparse
-    LU with one step of iterative refinement; the result satisfies
-    ``|Lh|_inf <= 1e-10 * |h|_inf``.
+    LU (a symmetric minimum-degree ordering) with up to three steps of
+    iterative refinement; the result satisfies ``|Lh|_inf <= 1e-10 * |h|_inf``
+    or ``SingularSystem`` is raised.
     """
     mesh = r.mesh
     mesh.require_disk()
@@ -108,8 +108,13 @@ def solve_dirichlet(r: Realization, boundary):
     cols = np.r_[c[inner], np.arange(ni)]
     A = sp.csc_matrix((np.r_[wa[inner], diag], (rows, cols)), shape=(ni, ni))
 
+    # A is symmetric: a minimum-degree ordering of A + A^T with diagonal
+    # pivots roughly halves the fill of the default COLAMD ordering; the
+    # threshold still pivots where a diagonal nearly vanishes
     try:
-        lu = spla.splu(A)
+        lu = spla.splu(
+            A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options={"SymmetricMode": True}
+        )
     except RuntimeError as exc:
         raise SingularSystem(f"interior cotan system is singular: {exc}") from exc
     x = lu.solve(b)
@@ -123,6 +128,13 @@ def solve_dirichlet(r: Realization, boundary):
         if float(np.abs(res).max()) <= 1e-12 * h_scale:
             break
         x = x - lu.solve(res)
+    else:
+        res = float(np.abs(A @ x - b).max())
+        if not res <= 1e-10 * h_scale:
+            raise SingularSystem(
+                f"interior cotan residual {res:.3e} exceeds 1e-10 * |h| = {1e-10 * h_scale:.3e} "
+                "after 3 refinement steps"
+            )
 
     h = g.copy()
     h[mesh.interior_vertices] = x
@@ -157,10 +169,13 @@ def conjugate_harmonic(r: Realization, h, anchor_face=0, rtol=HARMONIC_RTOL):
     wt = dual.potential
 
     # evaluated on the left face of each edge, or on the right face on the
-    # boundary, with the cotangent at that face's apex (vertex sum less i, j)
+    # boundary, with the cotangent at that face's apex: corner c's edge lies
+    # opposite corner c + 2 of its face
     i, j = mesh.edge_ends.T
-    left, right = mesh.edge_faces.T
-    face = np.where(left >= 0, left, right)
-    half = 0.5 * r.cot_at(face, r.tri[face].sum(axis=1) - i - j) * (h[j] - h[i])
-    omega = np.where(left >= 0, wt[face] - half, wt[face] + half)
+    c = mesh._edge_corners
+    on_left = c[:, 0] >= 0
+    corner = np.where(on_left, c[:, 0], c[:, 1])
+    face = corner // 3
+    half = 0.5 * r.cot.ravel()[corner - corner % 3 + (corner + 2) % 3] * (h[j] - h[i])
+    omega = np.where(on_left, wt[face] - half, wt[face] + half)
     return ConjugateHarmonic(wt, omega, dual.defect)

@@ -230,15 +230,22 @@ class _Graph:
         # k + 1 at (tail, head) and (head, tail); its rows list neighbours in id order
         ends = (np.r_[tail, head], np.r_[head, tail])
         self.adjacency = sp.csr_array((np.r_[k, k] + 1, ends), (n, n))
+        self._trees = {}
 
     def tree(self, root):
         """``(nodes, parents, entries, signs, cotree)``: the nodes after the
         root in BFS order, each reached from its parent across a form entry
         (along it when the sign is +1), and the other entries, ascending.
         A TriMesh is connected and its vertex stars are fans, so the BFS
-        reaches every vertex and every face."""
+        reaches every vertex and every face.  Built once per root; the
+        arrays are read-only."""
         if not 0 <= root < self.n:
             raise InvalidInput(f"anchor {self.node} {root} is outside [0, {self.n})")
+        if root not in self._trees:
+            self._trees[root] = self._build_tree(root)
+        return self._trees[root]
+
+    def _build_tree(self, root):
         order, pred = breadth_first_order(self.adjacency, root, return_predecessors=True)
         nodes = order[1:].astype(np.int64)
         parents = pred[nodes].astype(np.int64)
@@ -246,7 +253,10 @@ class _Graph:
         cotree = np.ones(len(self.tail), dtype=bool)
         cotree[entries] = False
         signs = np.where(self.tail[entries] == parents, 1, -1)
-        return nodes, parents, entries, signs, np.flatnonzero(cotree)
+        tree = (nodes, parents, entries, signs, np.flatnonzero(cotree))
+        for a in tree:
+            a.flags.writeable = False
+        return tree
 
     def steps(self, root):
         """``(steps, cotree)`` as :meth:`TriMesh.dual_spanning_tree` lists them."""

@@ -6,6 +6,7 @@ All per-interior-edge arrays are aligned with ``mesh.interior_edges``.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,13 +21,14 @@ COLLINEAR_TOL = 1e-14
 class Realization:
     """A triangular mesh with one complex position per vertex.
 
-    Caches signed face areas, per-corner cotangents and circumradii.  Faces
-    may be negatively oriented; areas and corner angles then carry a negative
-    sign.
+    Caches signed face areas, per-corner cotangents, circumradii and, once
+    asked for, the cotan weights.  Faces may be negatively oriented; areas
+    and corner angles then carry a negative sign.  ``z`` is a read-only copy
+    of the positions, so that no cached value can go stale.
     """
 
     def __init__(self, mesh: TriMesh, z):
-        z = np.asarray(z, dtype=complex)
+        z = np.array(z, dtype=complex)
         if z.shape != (mesh.vertex_count,):
             raise MeshMismatch(
                 f"expected {mesh.vertex_count} vertex positions, got {z.shape}"
@@ -34,6 +36,7 @@ class Realization:
         bad = np.flatnonzero(~np.isfinite(z))
         if len(bad):
             raise InvalidInput(f"vertex {bad[0]} has a non-finite position", vertex=int(bad[0]))
+        z.flags.writeable = False
         self.mesh = mesh
         self.z = z
 
@@ -64,6 +67,17 @@ class Realization:
         self.circumradius = (
             lengths[0] * lengths[1] * lengths[2] / (2.0 * np.abs(self.area2))
         )
+
+    @cached_property
+    def cotan_weights(self):
+        """``w_ij = cot(angle at left apex) + cot(angle at right apex)`` per
+        interior edge, read-only; see :func:`ddgconf.laplace.cotan_weights`."""
+        # edge m of a face lies opposite corner m + 2
+        w = np.bincount(
+            self.mesh.face_edges.ravel(), self.cot[:, [2, 0, 1]].ravel(), self.mesh.edge_count
+        )[self.mesh.interior_edges]
+        w.flags.writeable = False
+        return w
 
     def cot_at(self, face, vertex):
         """Signed cotangent of the corner angle of ``face`` at its vertex

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from scipy.linalg import subspace_angles
 
 from ddgconf import Realization
 from ddgconf import deform, laplace
 from ddgconf.errors import IncompatibleRates, NotHarmonic
 
-from conftest import delaunay_disk, random_harmonic
+from conftest import delaunay_disk, jittered_grid, random_harmonic
 
 
 def test_edge_rates_identity(wheel6_irregular):
@@ -107,3 +108,29 @@ def test_nonharmonic_rejected(wheel6):
     u[0] = 1.0
     with pytest.raises(NotHarmonic):
         deform.conformal_deformation(wheel6, u)
+
+
+@pytest.mark.parametrize(
+    "disk", [(delaunay_disk, 60, 3), (delaunay_disk, 150, 4), (jittered_grid, 8, 0.3, 5)]
+)
+def test_holomorphic_fields_come_from_harmonic_functions(disk):
+    """The paper's first theorem: the vertex fields that keep every length
+    cross ratio to first order (the null space of ``Y -> Re d/dt log cr``
+    over R^{2V}) are the conformal deformations of the harmonic functions,
+    one per boundary value, and the Euclidean motions ``1``, ``i``, ``i z``."""
+    make, *args = disk
+    r = make(*args)
+    nv = r.mesh.vertex_count
+    unit = np.eye(nv)
+    rate = np.stack([deform.cross_ratio_rate(r, unit[v]) for v in range(nv)], axis=1)
+    a = np.hstack([rate.real, -rate.imag])  # Y = x + i y as (x, y)
+    _, sv, vt = np.linalg.svd(a)
+    null = vt[int(np.sum(sv > 1e-10 * sv[0])):].T
+    fields = [
+        deform.conformal_deformation(r, laplace.solve_dirichlet(r, unit[b]))
+        for b in r.mesh.boundary_vertices
+    ] + [np.ones(nv), 1j * np.ones(nv), 1j * r.z]
+    span = np.array([np.r_[f.real, f.imag] for f in fields]).T
+    assert null.shape[1] == len(r.mesh.boundary_vertices) + 3
+    assert np.linalg.matrix_rank(span) == null.shape[1]
+    assert subspace_angles(null, span).max() < 1e-8

@@ -176,3 +176,31 @@ def test_relabelling_permutes_harmonic_and_qdiff(kind):
     pos = {s.mesh.edges[e]: p for p, e in enumerate(s.mesh.interior_edges)}
     moved = [pos[tuple(sorted(pair))] for pair in new[r.mesh.interior_ends].tolist()]
     assert np.abs(q2[moved] - q).max() <= 1e-12 * np.abs(q).max()
+
+
+def similar_and_reversed(r):
+    """``(label, realization)``: ``s (z + c)`` for scales from 1e-6 to 1e6,
+    rotated or not, with the translation proportional to ``s``, and the
+    mirror image (faces reversed, ``z`` conjugated) on the same edges."""
+    c = 0.3 - 0.7j
+    for s in (1e-6, 1e6, 1e-6 * np.exp(1j), 1e6 * np.exp(2j)):
+        yield f"s={s:.3g}", Realization(r.mesh, s * (r.z + c))
+    yield "reversed", Realization(build(r.mesh.faces[:, ::-1].tolist()), np.conj(r.z))
+
+
+@pytest.mark.parametrize("kind", ["delaunay", "jittered"])
+def test_similarity_and_reversal_leave_harmonic_and_qdiff(kind):
+    """The Dirichlet solve and ``q`` do not see the coordinates' scale,
+    rotation, translation or orientation: the tolerances are relative."""
+    r = delaunay_disk(300, seed=5) if kind == "delaunay" else jittered_grid(14, 0.45, seed=3)
+    rng = np.random.default_rng(4)
+    boundary = {v: rng.standard_normal() for v in r.mesh.boundary_vertices}
+    u = laplace.solve_dirichlet(r, boundary)
+    q = hqd.qdiff_from_harmonic(r, u).values
+    for label, s in similar_and_reversed(r):
+        assert np.array_equal(s.mesh.edge_ends, r.mesh.edge_ends), label
+        u2 = laplace.solve_dirichlet(s, boundary)
+        assert np.abs(u2 - u).max() <= 1e-12 * np.abs(u).max(), label
+        q2 = hqd.qdiff_from_harmonic(s, u2).values
+        assert np.abs(q2 - q).max() <= 1e-12 * np.abs(q).max(), label
+        assert hqd.verify_qdiff(s, q2).holomorphic, label

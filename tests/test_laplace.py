@@ -3,9 +3,11 @@ import pytest
 
 from ddgconf import Realization, build
 from ddgconf import deform, laplace
-from ddgconf.errors import MissingBoundaryData, NotHarmonic
+from ddgconf.errors import MissingBoundaryData, NotHarmonic, SingularSystem
 
-from conftest import SQUARE2_FACES, delaunay_disk, grid_disk, random_harmonic, reference_tables
+from conftest import (
+    SQUARE2_FACES, delaunay_disk, grid_disk, jittered_grid, random_harmonic, reference_tables
+)
 
 
 def test_square2_diagonal_weight(square2):
@@ -113,3 +115,40 @@ def test_conjugate_harmonic_gives_compatible_rates():
     rates = deform.EdgeRates(sigma, conj.edge_rotation)
     rep = deform.check_triangle_compat(r, rates)
     assert rep.ok.all()
+
+
+@pytest.mark.parametrize("kind", ["delaunay", "jittered", "sliver"])
+def test_cached_cotan_weights_match_fresh(kind):
+    """The weights are summed once per realization from the corner
+    cotangents; they equal the per-edge sum of the two apex cotangents bit
+    for bit, also with negative weights and on a boundary sliver."""
+    r = {
+        "delaunay": lambda: delaunay_disk(300, seed=5),
+        "jittered": lambda: jittered_grid(14, 0.45, seed=3),
+        # three nearly collinear points on the convex hull
+        "sliver": lambda: delaunay_disk(1000, seed=1055),
+    }[kind]()
+    w = laplace.cotan_weights(r)
+    assert laplace.cotan_weights(r) is w and not w.flags.writeable
+    _, _, k, l = r.flap_points()
+    left, right = r.mesh.interior_faces.T
+    assert w.tobytes() == (r.cot_at(left, k) + r.cot_at(right, l)).tobytes()
+
+
+def test_refinement_that_misses_the_contract_raises(monkeypatch):
+    """A factor whose solves are off by a factor of 2 leaves a residual of
+    1/16 after three refinement steps: ``SingularSystem``, not a result."""
+    r = delaunay_disk(200, seed=1)
+    splu = laplace.spla.splu
+
+    class Halved:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            return 0.5 * self.lu.solve(b)
+
+    monkeypatch.setattr(laplace.spla, "splu", lambda *a, **k: Halved(splu(*a, **k)))
+    bnd = {v: 1.0 + r.z[v].real for v in r.mesh.boundary_vertices}
+    with pytest.raises(SingularSystem, match="after 3 refinement steps"):
+        laplace.solve_dirichlet(r, bnd)

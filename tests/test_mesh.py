@@ -8,6 +8,7 @@ from ddgconf.errors import (
     NonManifold,
     NotSimplyConnected,
 )
+from ddgconf.mesh import integrate
 
 from conftest import (
     SQUARE2_FACES, WHEEL6_FACES, delaunay_disk, grid_disk, jittered_grid, reference_tables
@@ -245,3 +246,21 @@ def test_rejected_build_message(faces, vertex_count, error, message):
         build(faces, vertex_count)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_cached_trees_match_fresh(dual):
+    """A tree is built once per root and mesh, read-only, and equal bit for
+    bit to one built on a fresh copy of the mesh."""
+    mesh = delaunay_disk(300, seed=5).mesh
+    graph = mesh._dual_graph if dual else mesh._primal_graph
+    for root in (0, 7, 0):
+        integrate(mesh, np.ones(len(mesh.interior_edges) if dual else mesh.edge_count), root, dual)
+    tree = graph.tree(7)
+    assert graph.tree(np.int64(7)) is tree
+    assert sorted(graph._trees) == [0, 7]
+    fresh = build(mesh.faces.tolist())
+    fresh = (fresh._dual_graph if dual else fresh._primal_graph).tree(7)
+    for a, b in zip(tree, fresh):
+        assert not a.flags.writeable
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -156,3 +156,20 @@ def test_same_mesh_check(wheel6_irregular, check):
     rotated = [(1, 2, 0)] + WHEEL6_FACES[1:]  # the same triangles, other faces
     with pytest.raises(MeshMismatch):
         check(r, Realization(build(rotated), r.z))
+
+
+def test_positions_are_a_read_only_copy(wheel6_irregular):
+    z = wheel6_irregular.z.copy()
+    r = Realization(wheel6_irregular.mesh, z)
+    w = r.cotan_weights
+    assert r.z is not z
+    with pytest.raises(ValueError):
+        r.z[0] = 5.0
+    with pytest.raises(ValueError):
+        w[0] = 5.0
+    # moving the caller's array leaves the realization and its caches as built
+    before = r.z.copy()
+    z[0] = 5.0
+    assert np.array_equal(r.z, before)
+    assert r.cotan_weights is w
+    assert np.array_equal(w, Realization(r.mesh, before).cotan_weights)
