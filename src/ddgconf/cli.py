@@ -3,15 +3,21 @@
 Subcommands cover the whole pipeline: mesh inspection, the two finite
 conformality checks, harmonic solves, infinitesimal deformations, quadratic
 differentials, the sl(2,C) layer and the minimal-surface builder.  All
-reports are JSON with ``"schema": 1`` and floats at 17 significant digits, so
-outputs are byte-reproducible.
+reports are JSON with ``"schema": 1``, written by :func:`fileio.dump_json`
+(each float as its shortest repr, which reads back bit for bit), so outputs
+are byte-reproducible.
 
-Exit codes: 0 success / verification passed; 1 input error; 2 verification
-failure (a JSON defect report goes to stdout).
+The table :data:`COMMANDS` gives each subcommand its handler, positionals,
+default ``--tol`` and the flags its handler reads.  A handler returns
+``(report, passed)``; :func:`main` adds ``schema`` and ``command``, prints the
+report, writes it to ``-o`` and maps ``passed`` to the exit code.
+
+Exit codes: 0 success / verification passed; 1 input or usage error (one
+``error [code]: ...`` line on stderr); 2 verification failure (a JSON defect
+report goes to stdout).
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -49,26 +55,15 @@ DEFAULT_ALPHAS = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi)
 
 
 def _threads():
-    """Validate DDG_THREADS.  Computation is deterministic regardless of the
-    setting; the value only caps worker counts."""
+    """Validate DDG_THREADS, a positive integer.  All computation is single
+    threaded, so the value changes no result."""
     raw = os.environ.get("DDG_THREADS")
-    if raw is None:
-        return None
     try:
-        n = int(raw)
+        ok = raw is None or int(raw) >= 1
     except ValueError:
+        ok = False
+    if not ok:
         raise InvalidInput(f"DDG_THREADS must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise InvalidInput(f"DDG_THREADS must be a positive integer, got {raw!r}")
-    return n
-
-
-def _emit(report, out=None):
-    text = fileio.dump_json(report)
-    sys.stdout.write(text)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
 
 
 def _load_realization(path):
@@ -76,26 +71,17 @@ def _load_realization(path):
     return Realization(mesh, z)
 
 
-def _load_json(path):
-    try:
-        return fileio.load_json(path)
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"{path}: invalid JSON ({exc})") from exc
+def _max_abs(values):
+    return float(np.abs(values).max()) if len(values) else 0.0
 
 
-def _complex_list(values):
-    return [[v.real, v.imag] for v in np.asarray(values, dtype=complex)]
+# -- handlers: each returns (report, passed) --------------------------------------
 
 
-# -- handlers -------------------------------------------------------------------
-
-
-def cmd_mesh_info(args):
+def mesh_info(args):
     mesh, z = fileio.read_obj_planar(args.mesh)
     Realization(mesh, z)  # validates non-degeneracy
     report = {
-        "schema": SCHEMA,
-        "command": "mesh info",
         "vertices": mesh.vertex_count,
         "faces": len(mesh.faces),
         "edges": len(mesh.edges),
@@ -106,165 +92,108 @@ def cmd_mesh_info(args):
         "euler_characteristic": mesh.euler_characteristic(),
         "disk": mesh.is_disk(),
     }
-    _emit(report, args.output)
-    return 0
+    return report, True
 
 
-def cmd_check(args):
+def check_equivalence(args):
     a = _load_realization(args.a)
     b = _load_realization(args.b)
-    if args.which == "conformal":
-        rep = check_conformal_equiv(a, b, args.tol)
-        key = "u"
-    else:
-        rep = check_pattern(a, b, args.tol)
-        key = "alpha"
+    conformal = args.which == "conformal"
+    rep = (check_conformal_equiv if conformal else check_pattern)(a, b, args.tol)
     report = {
-        "schema": SCHEMA,
-        "command": f"check {args.which}",
         "equivalent": rep.equivalent,
         "max_deviation": rep.max_deviation,
         "tol": args.tol,
-        key: list(rep.factors) if rep.factors is not None else None,
+        "u" if conformal else "alpha": rep.factors,
         "factor_spread": rep.factor_spread if rep.equivalent else None,
     }
-    _emit(report, args.output)
-    return 0 if rep.equivalent else 2
+    return report, rep.equivalent
 
 
-def cmd_harmonic(args):
+def harmonic_solve(args):
     r = _load_realization(args.mesh)
-    if args.which == "solve":
-        data = _load_json(args.data)
-        bnd = fileio.boundary_data_from_json(data, r.mesh)
-        h = laplace.solve_dirichlet(r, bnd)
-        res = laplace.laplacian(r, h)
-        residual = float(np.abs(res).max()) if len(res) else 0.0
-        report = {
-            "schema": SCHEMA,
-            "command": "harmonic solve",
-            "residual": residual,
-            "values": list(h),
-        }
-        if args.report:
-            report["h_scale"] = float(np.abs(h).max()) if len(h) else 0.0
-        _emit(report, args.output)
-        return 0
-    data = _load_json(args.data)
-    h = fileio.vertex_field_from_json(data, r.mesh.vertex_count)
+    bnd = fileio.boundary_data_from_json(fileio.load_json(args.data), r.mesh)
+    h = laplace.solve_dirichlet(r, bnd)
+    report = {"residual": _max_abs(laplace.laplacian(r, h)), "values": h}
+    if args.report:
+        report["h_scale"] = _max_abs(h)
+    return report, True
+
+
+def harmonic_check(args):
+    r = _load_realization(args.mesh)
+    h = fileio.vertex_field_from_json(fileio.load_json(args.data), r.mesh.vertex_count)
     res = laplace.laplacian(r, h)
-    residual = float(np.abs(res).max()) if len(res) else 0.0
+    residual = _max_abs(res)
     scale = laplace.gradient_scale(r, h)
     ok = scale == 0.0 or residual <= args.tol * scale
-    report = {
-        "schema": SCHEMA,
-        "command": "harmonic check",
-        "harmonic": ok,
-        "residual": residual,
-        "gradient_scale": scale,
-        "tol": args.tol,
-    }
+    report = {"harmonic": ok, "residual": residual, "gradient_scale": scale, "tol": args.tol}
     if args.report or not ok:
-        worst = {}
-        for pos, v in enumerate(r.mesh.interior_vertices):
-            worst[str(v)] = float(res[pos])
-        report["laplacian"] = worst
-    _emit(report, args.output)
-    return 0 if ok else 2
+        report["laplacian"] = dict(zip(r.mesh.interior_vertices, res.tolist()))
+    return report, ok
 
 
-def cmd_deform(args):
+def deform_build(args):
     r = _load_realization(args.mesh)
-    if args.which == "build":
-        u = fileio.vertex_field_from_json(_load_json(args.data), r.mesh.vertex_count)
-        zdot = deform.conformal_deformation(r, u, args.anchor_vertex, args.anchor_face)
-        rates = deform.edge_rates(r, zdot)
-        i, j = r.mesh.edge_ends.T
-        sig_err = np.abs(rates.sigma - (u[i] + u[j]) / 2.0).max()
-        report = {
-            "schema": SCHEMA,
-            "command": "deform build",
-            "zdot": _complex_list(zdot),
-            "scale_rate_residual": float(sig_err),
-        }
-        _emit(report, args.output)
-        return 0
-    zdot = fileio.vertex_field_from_json(
-        _load_json(args.data), r.mesh.vertex_count, real=False
-    )
+    u = fileio.vertex_field_from_json(fileio.load_json(args.data), r.mesh.vertex_count)
+    zdot = deform.conformal_deformation(r, u, args.anchor_vertex, args.anchor_face)
     rates = deform.edge_rates(r, zdot)
-    rep = deform.check_triangle_compat(r, rates, args.tol)
-    faces = []
-    for f in range(len(r.mesh.faces)):
-        entry = {
-            "face": f,
-            "ok": bool(rep.ok[f]),
-            "defect": [rep.defect[f].real, rep.defect[f].imag],
-        }
-        if rep.ok[f]:
-            entry["omega"] = rep.omega_face[f]
-            entry["sigma"] = rep.sigma_face[f]
-        faces.append(entry)
+    i, j = r.mesh.edge_ends.T
+    sig_err = np.abs(rates.sigma - (u[i] + u[j]) / 2.0).max()
+    return {"zdot": zdot, "scale_rate_residual": float(sig_err)}, True
+
+
+def deform_check(args):
+    r = _load_realization(args.mesh)
+    zdot = fileio.vertex_field_from_json(
+        fileio.load_json(args.data), r.mesh.vertex_count, real=False
+    )
+    rep = deform.check_triangle_compat(r, deform.edge_rates(r, zdot), args.tol)
     ok = bool(rep.ok.all())
+    faces = len(rep.ok)
+    if args.report or not ok:
+        faces = []
+        for f, good in enumerate(rep.ok.tolist()):
+            entry = {"face": f, "ok": good, "defect": rep.defect[f]}
+            if good:
+                entry.update(omega=rep.omega_face[f], sigma=rep.sigma_face[f])
+            faces.append(entry)
+    return {"compatible": ok, "tol": args.tol, "faces": faces}, ok
+
+
+def hqd_check(args):
+    r = _load_realization(args.mesh)
+    q = fileio.qdiff_from_json(fileio.load_json(args.data), r.mesh)
+    rep = hqd.verify_qdiff(r, q, args.tol)
     report = {
-        "schema": SCHEMA,
-        "command": "deform check",
-        "compatible": ok,
         "tol": args.tol,
-        "faces": faces if (args.report or not ok) else len(faces),
-    }
-    _emit(report, args.output)
-    return 0 if ok else 2
-
-
-def _qdiff_report(rep):
-    return {
         "holomorphic": rep.holomorphic,
         "max_defect": rep.max_defect,
         "max_real_part": rep.max_real_part,
-        "vertex_sum": {
-            str(v): [s.real, s.imag] for v, s in sorted(rep.vertex_sum.items())
-        },
-        "weighted_sum": {
-            str(v): [s.real, s.imag] for v, s in sorted(rep.weighted_sum.items())
-        },
+        "vertex_sum": rep.vertex_sum,
+        "weighted_sum": rep.weighted_sum,
     }
+    return report, rep.holomorphic
 
 
-def cmd_hqd(args):
+def hqd_from_harmonic(args):
     r = _load_realization(args.mesh)
-    mesh = r.mesh
-    if args.which == "check":
-        q = fileio.qdiff_from_json(_load_json(args.data), mesh)
-        rep = hqd.verify_qdiff(r, q, args.tol)
-        report = {"schema": SCHEMA, "command": "hqd check", "tol": args.tol}
-        report.update(_qdiff_report(rep))
-        _emit(report, args.output)
-        return 0 if rep.holomorphic else 2
-    if args.which == "from-harmonic":
-        u = fileio.vertex_field_from_json(_load_json(args.data), mesh.vertex_count)
-        q = hqd.qdiff_from_harmonic(r, u)
-        report = {
-            "schema": SCHEMA,
-            "command": "hqd from-harmonic",
-            "q": fileio.edge_map_to_json(mesh, q.imag),
-        }
-        _emit(report, args.output)
-        return 0
-    if args.which == "to-harmonic":
-        q = fileio.qdiff_from_json(_load_json(args.data), mesh)
-        u = hqd.harmonic_from_qdiff(r, q, args.anchor_vertex, args.anchor_face, args.tol)
-        res = laplace.laplacian(r, u)
-        report = {
-            "schema": SCHEMA,
-            "command": "hqd to-harmonic",
-            "values": list(u),
-            "residual": float(np.abs(res).max()) if len(res) else 0.0,
-        }
-        _emit(report, args.output)
-        return 0
-    # moebius-test: verify invariance under a deterministic battery of maps
-    q = fileio.qdiff_from_json(_load_json(args.data), mesh)
+    u = fileio.vertex_field_from_json(fileio.load_json(args.data), r.mesh.vertex_count)
+    q = hqd.qdiff_from_harmonic(r, u)
+    return {"q": fileio.edge_map_to_json(r.mesh, q.imag)}, True
+
+
+def hqd_to_harmonic(args):
+    r = _load_realization(args.mesh)
+    q = fileio.qdiff_from_json(fileio.load_json(args.data), r.mesh)
+    u = hqd.harmonic_from_qdiff(r, q, args.anchor_vertex, args.anchor_face, args.tol)
+    return {"values": u, "residual": _max_abs(laplace.laplacian(r, u))}, True
+
+
+def hqd_moebius_test(args):
+    """Verify invariance under a deterministic battery of maps."""
+    r = _load_realization(args.mesh)
+    q = fileio.qdiff_from_json(fileio.load_json(args.data), r.mesh)
     base = hqd.verify_qdiff(r, q, args.tol)
     rng = np.random.default_rng(20240816)
     worst = base.max_defect
@@ -288,52 +217,38 @@ def cmd_hqd(args):
         worst = max(worst, rep.max_defect)
         done += 1
     ok = worst <= args.tol
+    return {"holomorphic": ok, "maps": n_maps, "max_defect": worst, "tol": args.tol}, ok
+
+
+def moebius_transitions(args):
+    a = _load_realization(args.a)
+    b = _load_realization(args.b)
+    rep = moebius.transition_matrices(a, b)
+    ok = rep.max_cr_residual <= args.tol and rep.max_cycle_residual <= 10 * args.tol
     report = {
-        "schema": SCHEMA,
-        "command": "hqd moebius-test",
-        "holomorphic": ok,
-        "maps": n_maps,
-        "max_defect": worst,
+        "consistent": ok,
         "tol": args.tol,
+        "max_eigen_residual": rep.max_eigen_residual,
+        "max_cross_ratio_residual": rep.max_cr_residual,
+        "max_cycle_residual": rep.max_cycle_residual,
+        "eigenvalues": fileio.edge_map_to_json(a.mesh, rep.eigenvalues),
     }
-    _emit(report, args.output)
-    return 0 if ok else 2
+    return report, ok
 
 
-def cmd_moebius(args):
-    if args.which == "transitions":
-        a = _load_realization(args.a)
-        b = _load_realization(args.b)
-        rep = moebius.transition_matrices(a, b)
-        ok = rep.max_cr_residual <= args.tol and rep.max_cycle_residual <= 10 * args.tol
-        report = {
-            "schema": SCHEMA,
-            "command": "moebius transitions",
-            "consistent": ok,
-            "tol": args.tol,
-            "max_eigen_residual": rep.max_eigen_residual,
-            "max_cross_ratio_residual": rep.max_cr_residual,
-            "max_cycle_residual": rep.max_cycle_residual,
-            "eigenvalues": fileio.edge_map_to_json(a.mesh, rep.eigenvalues),
-        }
-        _emit(report, args.output)
-        return 0 if ok else 2
+def moebius_mu(args):
+    r = _load_realization(args.mesh)
+    zdot = fileio.vertex_field_from_json(
+        fileio.load_json(args.data), r.mesh.vertex_count, real=False
+    )
+    mu = moebius.rates_from_deformation(r, zdot)
+    return {"mu": fileio.edge_map_to_json(r.mesh, mu)}, True
+
+
+def moebius_eta(args):
     r = _load_realization(args.mesh)
     mesh = r.mesh
-    if args.which == "mu":
-        zdot = fileio.vertex_field_from_json(
-            _load_json(args.data), mesh.vertex_count, real=False
-        )
-        mu = moebius.rates_from_deformation(r, zdot)
-        report = {
-            "schema": SCHEMA,
-            "command": "moebius mu",
-            "mu": fileio.edge_map_to_json(mesh, mu),
-        }
-        _emit(report, args.output)
-        return 0
-    # eta
-    mu = fileio.mu_from_json(_load_json(args.data), mesh)
+    mu = fileio.mu_from_json(fileio.load_json(args.data), mesh)
     form = moebius.sl2_form_from_rates(r, mu)
     closed = moebius.check_sl2_form_closed(r, form, args.tol)
     entries = {
@@ -341,60 +256,45 @@ def cmd_moebius(args):
         for (i, j), m, v in zip(mesh.interior_ends.tolist(), form.matrices, form.vectors)
     }
     report = {
-        "schema": SCHEMA,
-        "command": "moebius eta",
         "closed": closed.closed,
         "max_defect": closed.max_defect,
         "tol": args.tol,
         "eta": entries,
     }
-    _emit(report, args.output)
-    return 0 if closed.closed else 2
+    return report, closed.closed
 
 
 def _alpha_tag(alpha):
     return ("%g" % alpha).replace("-", "m")
 
 
-def cmd_minimal(args):
-    if args.which == "build":
-        r = _load_realization(args.mesh)
-        q = fileio.qdiff_from_json(_load_json(args.data), r.mesh)
-        alphas = args.alpha if args.alpha is not None else list(DEFAULT_ALPHAS)
-        ms = weierstrass.weierstrass_integrate(r, q, 0.0, args.anchor_face, args.tol)
-        n = weierstrass.gauss_map(r)
-        prefix = args.out_prefix
-        written = []
+def minimal_build(args):
+    r = _load_realization(args.mesh)
+    q = fileio.qdiff_from_json(fileio.load_json(args.data), r.mesh)
+    ms = weierstrass.weierstrass_integrate(r, q, 0.0, args.anchor_face, args.tol)
+    n = weierstrass.gauss_map(r)
+    written = [f"{args.out_prefix}_gauss.obj"]
+    fileio.write_obj(written[0], n, r.mesh.faces.tolist())
+    per_alpha = []
+    for alpha in args.alpha:
+        surf = ms.at_phase(alpha)
+        verts, polys = weierstrass.dual_mesh(r, surf.f)
+        path = f"{args.out_prefix}_a{_alpha_tag(alpha)}.obj"
+        fileio.write_obj(path, verts, polys)
+        written.append(path)
+        rep = weierstrass.verify_minimal(r.mesh, n, surf.f, args.tol)
+        per_alpha.append({"alpha": alpha, "file": path, "minimality_residual": rep.max_residual})
+    report = {
+        "closure_defect": ms.closure_defect,
+        "k": fileio.edge_map_to_json(r.mesh, ms.k),
+        "surfaces": per_alpha,
+        "files": written,
+    }
+    return report, True
 
-        gauss_path = f"{prefix}_gauss.obj"
-        fileio.write_obj(gauss_path, n, r.mesh.faces.tolist())
-        written.append(gauss_path)
 
-        per_alpha = []
-        for alpha in alphas:
-            surf = ms.at_phase(alpha)
-            verts, polys = weierstrass.dual_mesh(r, surf.f)
-            path = f"{prefix}_a{_alpha_tag(alpha)}.obj"
-            fileio.write_obj(path, verts, polys)
-            written.append(path)
-            rep = weierstrass.verify_minimal(r.mesh, n, surf.f, args.tol)
-            per_alpha.append(
-                {"alpha": alpha, "file": path, "minimality_residual": rep.max_residual}
-            )
-        report = {
-            "schema": SCHEMA,
-            "command": "minimal build",
-            "closure_defect": ms.closure_defect,
-            "k": fileio.edge_map_to_json(r.mesh, ms.k),
-            "surfaces": per_alpha,
-            "files": written,
-        }
-        report_path = f"{prefix}_report.json"
-        _emit(report, report_path)
-        return 0
-    # verify
-    gmesh, gverts = fileio.read_obj(args.gauss)
-    n = gverts
+def minimal_verify(args):
+    gmesh, n = fileio.read_obj(args.gauss)
     norms = np.linalg.norm(n, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise InvalidInput(f"{args.gauss}: vertices are not on the unit sphere")
@@ -406,15 +306,12 @@ def cmd_minimal(args):
         )
     rep = weierstrass.verify_minimal(gmesh, n, fverts, args.tol)
     report = {
-        "schema": SCHEMA,
-        "command": "minimal verify",
         "minimal": rep.minimal,
         "max_residual": rep.max_residual,
         "tol": args.tol,
         "k": fileio.edge_map_to_json(gmesh, rep.k),
     }
-    _emit(report, args.output)
-    return 0 if rep.minimal else 2
+    return report, rep.minimal
 
 
 # -- parser ---------------------------------------------------------------------
@@ -427,124 +324,99 @@ def _alpha_list(text):
         raise argparse.ArgumentTypeError(f"bad alpha list: {text!r}")
 
 
+# dest -> (option strings, add_argument keywords)
+FLAGS = {
+    "report": (("--report",), dict(action="store_true", help="verbose report")),
+    "anchor_vertex": (("--anchor-vertex",), dict(type=int, default=0)),
+    "anchor_face": (("--anchor-face",), dict(type=int, default=0)),
+    "alpha": (("--alpha",), dict(type=_alpha_list, default=DEFAULT_ALPHAS)),
+    "output": (("-o", "--output"), dict(default=None, help="also write the report here")),
+    "out_prefix": (("-o", "--out-prefix"), dict(required=True, help="prefix of the files written")),
+}
+
+# "command subcommand" -> (handler, positionals, default --tol or None, the flags it reads)
+COMMANDS = {
+    "mesh info": (mesh_info, "mesh", None, "output"),
+    "check conformal": (check_equivalence, "a b", 1e-9, "output"),
+    "check pattern": (check_equivalence, "a b", 1e-9, "output"),
+    "harmonic solve": (harmonic_solve, "mesh data", None, "report output"),
+    "harmonic check": (harmonic_check, "mesh data", laplace.HARMONIC_RTOL, "report output"),
+    "deform build": (deform_build, "mesh data", None, "anchor_vertex anchor_face output"),
+    "deform check": (deform_check, "mesh data", 1e-10, "report output"),
+    "hqd check": (hqd_check, "mesh data", 1e-9, "output"),
+    "hqd from-harmonic": (hqd_from_harmonic, "mesh data", None, "output"),
+    "hqd to-harmonic": (hqd_to_harmonic, "mesh data", 1e-9, "anchor_vertex anchor_face output"),
+    "hqd moebius-test": (hqd_moebius_test, "mesh data", 1e-9, "output"),
+    "moebius mu": (moebius_mu, "mesh data", None, "output"),
+    "moebius eta": (moebius_eta, "mesh data", 1e-10, "output"),
+    "moebius transitions": (moebius_transitions, "a b", 1e-10, "output"),
+    "minimal build": (minimal_build, "mesh data", 1e-9, "alpha anchor_face out_prefix"),
+    "minimal verify": (minimal_verify, "gauss dual", 1e-9, "output"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as ``InvalidInput`` (exit code 1), not exit 2."""
+
+    def error(self, message):
+        raise InvalidInput(f"{self.prog}: {message}")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="ddg",
         description="Discrete conformal machinery on planar triangular meshes.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, tol):
-        sp.add_argument("--tol", type=float, default=tol)
-        sp.add_argument("--report", action="store_true", help="verbose report")
-        sp.add_argument("-o", "--output", default=None, help="also write the report here")
-
-    mesh_p = sub.add_parser("mesh")
-    mesh_sub = mesh_p.add_subparsers(dest="which", required=True)
-    sp = mesh_sub.add_parser("info")
-    sp.add_argument("mesh")
-    common(sp, 1e-9)
-    sp.set_defaults(func=cmd_mesh_info)
-
-    check_p = sub.add_parser("check")
-    check_sub = check_p.add_subparsers(dest="which", required=True)
-    for which in ("conformal", "pattern"):
-        sp = check_sub.add_parser(which)
-        sp.add_argument("a")
-        sp.add_argument("b")
-        common(sp, 1e-9)
-        sp.set_defaults(func=cmd_check)
-
-    harm_p = sub.add_parser("harmonic")
-    harm_sub = harm_p.add_subparsers(dest="which", required=True)
-    for which in ("solve", "check"):
-        sp = harm_sub.add_parser(which)
-        sp.add_argument("mesh")
-        sp.add_argument("data")
-        common(sp, laplace.HARMONIC_RTOL)
-        sp.set_defaults(func=cmd_harmonic)
-
-    def_p = sub.add_parser("deform")
-    def_sub = def_p.add_subparsers(dest="which", required=True)
-    for which in ("build", "check"):
-        sp = def_sub.add_parser(which)
-        sp.add_argument("mesh")
-        sp.add_argument("data")
-        sp.add_argument("--anchor-vertex", type=int, default=0)
-        sp.add_argument("--anchor-face", type=int, default=0)
-        common(sp, 1e-10)
-        sp.set_defaults(func=cmd_deform)
-
-    hqd_p = sub.add_parser("hqd")
-    hqd_sub = hqd_p.add_subparsers(dest="which", required=True)
-    for which in ("check", "from-harmonic", "to-harmonic", "moebius-test"):
-        sp = hqd_sub.add_parser(which)
-        sp.add_argument("mesh")
-        sp.add_argument("data")
-        sp.add_argument("--anchor-vertex", type=int, default=0)
-        sp.add_argument("--anchor-face", type=int, default=0)
-        common(sp, 1e-9)
-        sp.set_defaults(func=cmd_hqd)
-
-    moe_p = sub.add_parser("moebius")
-    moe_sub = moe_p.add_subparsers(dest="which", required=True)
-    for which in ("mu", "eta"):
-        sp = moe_sub.add_parser(which)
-        sp.add_argument("mesh")
-        sp.add_argument("data")
-        common(sp, 1e-10)
-        sp.set_defaults(func=cmd_moebius)
-    sp = moe_sub.add_parser("transitions")
-    sp.add_argument("a")
-    sp.add_argument("b")
-    common(sp, 1e-10)
-    sp.set_defaults(func=cmd_moebius)
-
-    min_p = sub.add_parser("minimal")
-    min_sub = min_p.add_subparsers(dest="which", required=True)
-    sp = min_sub.add_parser("build")
-    sp.add_argument("mesh")
-    sp.add_argument("data")
-    sp.add_argument("--alpha", type=_alpha_list, default=None)
-    sp.add_argument("--anchor-face", type=int, default=0)
-    sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--report", action="store_true")
-    sp.add_argument("-o", "--out-prefix", required=True)
-    sp.set_defaults(func=cmd_minimal)
-    sp = min_sub.add_parser("verify")
-    sp.add_argument("gauss")
-    sp.add_argument("dual")
-    common(sp, 1e-9)
-    sp.set_defaults(func=cmd_minimal)
-
+    groups = {}
+    for name, (handler, positionals, tol, flags) in COMMANDS.items():
+        command, which = name.split()
+        if command not in groups:
+            groups[command] = sub.add_parser(command).add_subparsers(dest="which", required=True)
+        sp = groups[command].add_parser(which)
+        for positional in positionals.split():
+            sp.add_argument(positional)
+        if tol is not None:
+            sp.add_argument("--tol", type=float, default=tol)
+        for dest in flags.split():
+            names, kwargs = FLAGS[dest]
+            sp.add_argument(*names, **kwargs)
+        sp.set_defaults(func=handler)
     return p
 
 
 def _check_flags(args):
     """``--tol`` must be finite and positive, every ``--alpha`` finite."""
-    if not (math.isfinite(args.tol) and args.tol > 0):
+    if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):
         raise InvalidInput(f"--tol must be a finite number > 0, got {args.tol!r}")
-    for alpha in getattr(args, "alpha", None) or ():
+    for alpha in getattr(args, "alpha", ()):
         if not math.isfinite(alpha):
             raise InvalidInput(f"--alpha must be finite, got {alpha!r}")
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _threads()
         _check_flags(args)
-        return args.func(args)
+        report, passed = args.func(args)
+        text = fileio.dump_json(
+            {"schema": SCHEMA, "command": f"{args.command} {args.which}", **report}
+        )
+        sys.stdout.write(text)
+        out = f"{args.out_prefix}_report.json" if "out_prefix" in args else args.output
+        if out:
+            with open(out, "w") as fh:
+                fh.write(text)
+        return 0 if passed else 2
     except VERIFY_ERRORS as exc:
         report = {
             "schema": SCHEMA,
             "verdict": "fail",
             "error": exc.code,
             "message": str(exc),
+            **exc.details,
         }
-        for key, value in exc.details.items():
-            report[key] = value
         sys.stdout.write(fileio.dump_json(report))
         return 2
     except DDGError as exc:

@@ -1,11 +1,14 @@
 """OBJ and JSON interchange.
 
 Planar realizations travel as OBJ with ``v x y 0`` lines (x, y = Re z, Im z);
-edge-indexed data as JSON maps keyed ``"i-j"`` with ``i < j``.  All floats are
-written with 17 significant digits so reports are byte-reproducible.
+edge-indexed data as JSON maps keyed ``"i-j"`` with ``i < j``.  This module
+alone fixes the number format: JSON writes each float as its shortest repr
+and OBJ as ``%.17g``, both of which read back bit for bit, so reports and
+meshes are byte-reproducible.
 """
 
 import cmath
+import itertools
 import json
 
 import numpy as np
@@ -14,10 +17,6 @@ from .errors import InvalidInput, NonFinite
 from .mesh import TriMesh, build
 
 PLANAR_Z_TOL = 1e-12
-
-
-def _fmt(x):
-    return f"{float(x):.17g}"
 
 
 def read_obj(path):
@@ -40,9 +39,11 @@ def read_obj_planar(path):
 
 def read_obj_polygons(path):
     """Read an OBJ with arbitrary polygonal faces; returns ``(vertices (n, 3),
-    faces)`` with 0-based vertex ids."""
+    faces)`` with 0-based vertex ids.  A negative (relative) face index ``-k``
+    names the ``k``-th last vertex read before its face line."""
     verts = []
     faces = []
+    seen = []  # vertices read before each face line
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
             parts = line.split()
@@ -53,11 +54,20 @@ def read_obj_polygons(path):
                     verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
                 else:
                     faces.append([int(p.split("/")[0]) - 1 for p in parts[1:]])
+                    seen.append(len(verts))
             except (IndexError, ValueError):
                 raise InvalidInput(f"{path}:{number}: malformed line: {line.strip()}") from None
-    for f in faces:
-        if not all(0 <= v < len(verts) for v in f):
-            raise InvalidInput(f"{path}: face {[v + 1 for v in f]} indexes past [1, {len(verts)}]")
+    sizes = np.fromiter(map(len, faces), dtype=np.int64, count=len(faces))
+    ids = np.fromiter(itertools.chain.from_iterable(faces), dtype=np.int64, count=sizes.sum())
+    relative = ids < -1  # OBJ index -k, stored as -k - 1; index 0 is stored as -1
+    ids[relative] += np.repeat(np.array(seen, dtype=np.int64), sizes)[relative] + 1
+    ends = np.cumsum(sizes)
+    bad = np.flatnonzero((ids < 0) | (ids >= len(verts)))
+    if len(bad):
+        f = faces[np.searchsorted(ends, bad[0], side="right")]
+        raise InvalidInput(f"{path}: face {[v + 1 for v in f]} indexes past [1, {len(verts)}]")
+    if relative.any():
+        faces = [f.tolist() for f in np.split(ids, ends[:-1])]
     verts = np.array(verts, dtype=float).reshape(-1, 3)
     bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
     if len(bad):
@@ -69,8 +79,7 @@ def write_obj(path, vertices, faces):
     """Write an OBJ; ``vertices`` is (n, 3), ``faces`` a list of polygons."""
     vertices = np.asarray(vertices, dtype=float)
     with open(path, "w") as fh:
-        for v in vertices:
-            fh.write(f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}\n")
+        fh.write("v %.17g %.17g %.17g\n" * len(vertices) % tuple(vertices.ravel().tolist()))
         for f in faces:
             fh.write("f " + " ".join(str(i + 1) for i in f) + "\n")
 
@@ -88,36 +97,34 @@ def edge_key(i, j):
     return f"{min(i, j)}-{max(i, j)}"
 
 
+def _plain(x):
+    """The JSON value of an array, a complex number or a numpy scalar."""
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    if isinstance(x, np.generic):
+        return x.item()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
 def dump_json(obj):
-    """Deterministic JSON with floats at 17 significant digits; a NaN or
-    infinity raises :class:`~ddgconf.errors.NonFinite`, since JSON has none."""
-
-    def convert(x):
-        if isinstance(x, dict):
-            return {k: convert(v) for k, v in x.items()}
-        if isinstance(x, (list, tuple)):
-            return [convert(v) for v in x]
-        if isinstance(x, (np.bool_, bool)):
-            return bool(x)
-        if isinstance(x, (np.floating, float)):
-            return float(f"{float(x):.17g}")
-        if isinstance(x, (np.integer, int)):
-            return int(x)
-        if isinstance(x, (np.complexfloating, complex)):
-            return [convert(float(x.real)), convert(float(x.imag))]
-        if isinstance(x, np.ndarray):
-            return [convert(v) for v in x.tolist()]
-        return x
-
+    """Deterministic JSON: each float is written as its shortest repr, which
+    reads back bit for bit; arrays become lists and complex numbers
+    ``[re, im]`` pairs.  A NaN or infinity raises
+    :class:`~ddgconf.errors.NonFinite`, since JSON has none."""
     try:
-        return json.dumps(convert(obj), indent=2, sort_keys=False, allow_nan=False) + "\n"
+        return json.dumps(obj, indent=2, allow_nan=False, default=_plain) + "\n"
     except ValueError as exc:
         raise NonFinite(f"report holds a non-finite number ({exc})") from None
 
 
 def load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidInput(f"{path}: invalid JSON ({exc})") from exc
 
 
 def _number(v, real=False, bare=float):
@@ -177,15 +184,10 @@ def boundary_data_from_json(data, mesh: TriMesh):
     return {v: values[v] for v in mesh.boundary_vertices}
 
 
-def edge_map_to_json(mesh: TriMesh, values, scalar="auto"):
+def edge_map_to_json(mesh: TriMesh, values):
     """Interior-edge data as an ``"i-j"`` keyed map."""
-    out = {}
-    for (i, j), v in zip(mesh.interior_ends.tolist(), values):
-        if scalar == "real" or (scalar == "auto" and not isinstance(v, (complex, np.complexfloating))):
-            out[edge_key(i, j)] = float(v)
-        else:
-            out[edge_key(i, j)] = v
-    return out
+    i, j = mesh.interior_ends.T.tolist()
+    return dict(zip(map(edge_key, i, j), np.asarray(values).tolist()))
 
 
 def _edge_values(data, mesh: TriMesh, wrapper, bare):

@@ -1,10 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from ddgconf import build, fileio
-from ddgconf.errors import DDGError
+from ddgconf.errors import DDGError, InvalidInput
 
 from conftest import WHEEL6_FACES, delaunay_disk
 
@@ -51,6 +52,92 @@ def test_obj_comments_and_slashes(tmp_path):
     mesh, verts = fileio.read_obj(path)
     assert mesh.faces.tolist() == [[0, 1, 2]]
     assert verts.shape == (3, 3)
+
+
+def test_obj_relative_indices(tmp_path):
+    """A negative face index counts back from the last vertex read so far."""
+    path = tmp_path / "relative.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\nv 1 1 0\nf 2 -1 3\n")
+    verts, faces = fileio.read_obj_polygons(path)
+    assert verts.shape == (4, 3)
+    assert faces == [[0, 1, 2], [1, 3, 2]]
+
+
+@pytest.mark.parametrize(
+    "text, face",
+    [
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf -4 -2 -1\nf 1 2 9\n", "[-4, -2, -1]"),
+        ("v 0 0 0\nv 1 0 0\nf -3 -2 -1\nv 0 1 0\n", "[-3, -2, -1]"),  # 3rd vertex comes later
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2 9\nf 0 1 2\n", "[1, 2, 9]"),
+    ],
+)
+def test_obj_bad_index_names_first_bad_face(tmp_path, text, face):
+    path = tmp_path / "bad.obj"
+    path.write_text(text)
+    with pytest.raises(InvalidInput, match=f"face {re.escape(face)} indexes past"):
+        fileio.read_obj_polygons(path)
+
+
+def test_write_obj_bytes(tmp_path):
+    """OBJ coordinates are written as ``%.17g``."""
+    path = tmp_path / "pinned.obj"
+    verts = [[0.1, 0.0, -1.5], [1e-20, 2.0, 3.0], [1 / 3, -0.0, 1e300], [5.0, 6.0, 7.0]]
+    fileio.write_obj(path, verts, [(0, 1, 2, 3), (2, 1, 0)])
+    assert path.read_text() == (
+        "v 0.10000000000000001 0 -1.5\n"
+        "v 9.9999999999999995e-21 2 3\n"
+        "v 0.33333333333333331 -0 1.0000000000000001e+300\n"
+        "v 5 6 7\n"
+        "f 1 2 3 4\n"
+        "f 3 2 1\n"
+    )
+
+
+def test_dump_json_bytes():
+    """JSON floats are written as their shortest repr, numpy scalars as
+    Python values, complex numbers as ``[re, im]``."""
+    report = {
+        "float": 0.1,
+        "f64": np.float64(1 / 3),
+        "int": np.int64(-7),
+        "flag": np.bool_(True),
+        "none": None,
+        "c": 1.5 - 2.5j,
+        "carr": np.array([1j, -0.25]),
+        "nested": {"x": [np.float64(2.0), 1e-300], "y": {"z": False}},
+    }
+    assert fileio.dump_json(report) == """\
+{
+  "float": 0.1,
+  "f64": 0.3333333333333333,
+  "int": -7,
+  "flag": true,
+  "none": null,
+  "c": [
+    1.5,
+    -2.5
+  ],
+  "carr": [
+    [
+      0.0,
+      1.0
+    ],
+    [
+      -0.25,
+      0.0
+    ]
+  ],
+  "nested": {
+    "x": [
+      2.0,
+      1e-300
+    ],
+    "y": {
+      "z": false
+    }
+  }
+}
+"""
 
 
 def test_dump_json_types():

@@ -52,6 +52,7 @@ def assert_input_error(capsys, *argv, code="invalid_input"):
         ("f 1 2 x", 3),  # non-numeric face index
         ("f 1 2 9", 3),  # face index past the last vertex
         ("f 0 1 2", 3),  # OBJ indices start at 1
+        ("f -4 -2 -1", 3),  # relative index before the first vertex
     ],
 )
 def test_malformed_obj(tmp_path, capsys, line, replaced):
@@ -122,6 +123,12 @@ def test_bad_thread_count(wheel, capsys, monkeypatch, threads):
         ("minimal", "build", "wheel.obj", "q.json", "-o", "surf", "--tol", "nan"),
         ("minimal", "build", "wheel.obj", "q.json", "-o", "surf", "--alpha", "nan"),
         ("minimal", "build", "wheel.obj", "q.json", "-o", "surf", "--alpha", "0,-inf"),
+        # usage errors: argparse would exit 2, the code of a verification failure
+        ("harmonic", "check", "wheel.obj", "u.json", "--tol", "abc"),
+        ("minimal", "build", "wheel.obj", "q.json", "-o", "surf", "--alpha", "0,zz"),
+        ("harmonic", "solve", "wheel.obj"),  # a missing positional
+        ("mesh", "info", "wheel.obj", "--bogus"),  # an unknown flag
+        ("hqd", "from-harmonic", "wheel.obj", "u.json", "--tol", "1e-30"),  # a flag it does not read
     ],
 )
 def test_bad_flag(wheel, capsys, argv):

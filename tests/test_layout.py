@@ -1,12 +1,16 @@
 """One mesh format: the package reads edges, flaps and corners through the
 index arrays of ``TriMesh`` (``edge_ends``, ``face_edges``, ``flap_edges``,
 ...).  ``TriMesh`` builds no per-element tables, and outside ``mesh.py``
-nothing calls its one per-element view, ``edge_flap``."""
+nothing calls its one per-element view, ``edge_flap``.  Every flag of the
+``ddg`` command line is read by its handler."""
 
+import argparse
 import ast
+import inspect
 from pathlib import Path
 
 from ddgconf import build
+from ddgconf.cli import build_parser
 
 from conftest import WHEEL6_FACES
 
@@ -31,3 +35,27 @@ def test_trimesh_keeps_no_per_element_tables():
     mesh = build(WHEEL6_FACES)
     deleted = LOOKUPS - {"edge_flap"} | {"_star", "_build_vertex_stars", "vertex_star"}
     assert sorted(name for name in deleted if hasattr(mesh, name)) == []
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_every_cli_flag_is_read():
+    """No ``ddg`` subcommand accepts a flag and ignores it: each optional
+    dest is read as ``args.<dest>`` by the subcommand's handler (``main``
+    reads ``-o``)."""
+    unread = []
+    for command, group in _subcommands(build_parser()).items():
+        for which, sp in _subcommands(group).items():
+            tree = ast.parse(inspect.getsource(sp.get_default("func")))
+            read = {
+                node.attr
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args"
+            }
+            for action in sp._actions:
+                if action.option_strings and action.dest not in ("help", "output", *read):
+                    unread.append(f"{command} {which} {action.option_strings[-1]}")
+    assert unread == []
