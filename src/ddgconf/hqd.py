@@ -30,10 +30,6 @@ class QuadDiff:
     def values(self):
         return 1j * self.imag
 
-    @classmethod
-    def from_complex(cls, q):
-        return cls(np.asarray(q, dtype=complex).imag)
-
 
 def _as_complex(q):
     if isinstance(q, QuadDiff):

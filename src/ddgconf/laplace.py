@@ -4,7 +4,6 @@ conjugate harmonic function on faces."""
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import MissingBoundaryData, NotHarmonic, SingularSystem
@@ -28,15 +27,10 @@ def laplacian(r: Realization, h):
 
     Returns an array aligned with ``mesh.interior_vertices``.
     """
-    mesh = r.mesh
-    h = np.asarray(h)
-    w = cotan_weights(r)
-    acc = np.zeros(mesh.vertex_count, dtype=h.dtype if h.dtype.kind == "c" else float)
-    # added at i and at j edge by edge, in the order of a loop over the edges
-    i, j = mesh.interior_ends.T
-    terms = np.stack([w * (h[j] - h[i]), w * (h[i] - h[j])], axis=1)
-    np.add.at(acc, mesh.interior_ends.ravel(), terms.ravel())
-    return acc[mesh.interior_vertices]
+    D = r.mesh.interior_incidence
+    # summed at each vertex in edge order; negating the result instead would
+    # turn a residual of 0.0 into -0.0
+    return (D.T @ (cotan_weights(r) * -(D @ np.asarray(h))))[r.mesh.interior_vertices]
 
 
 def gradient_scale(r: Realization, h):
@@ -46,15 +40,20 @@ def gradient_scale(r: Realization, h):
     return float(magnitude(h[j] - h[i]).max())
 
 
-def require_harmonic(r: Realization, h, rtol=HARMONIC_RTOL):
+def check_harmonic(r: Realization, h, rtol=HARMONIC_RTOL):
+    """``(harmonic, |Lh|_inf, |dh|_inf, Lh)``: ``h`` is harmonic when
+    ``|Lh|_inf <= rtol * |dh|_inf`` (not for a NaN residual) or constant."""
     res = laplacian(r, h)
-    res_norm = float(np.abs(res).max()) if len(res) else 0.0
+    residual = float(np.abs(res).max()) if len(res) else 0.0
     scale = gradient_scale(r, h)
-    if scale == 0.0:
-        return  # constant functions are harmonic
-    if res_norm > rtol * scale:
+    return scale == 0.0 or residual <= rtol * scale, residual, scale, res
+
+
+def require_harmonic(r: Realization, h, rtol=HARMONIC_RTOL):
+    harmonic, residual, scale, _ = check_harmonic(r, h, rtol)
+    if not harmonic:
         raise NotHarmonic(
-            f"Laplacian residual {res_norm:.3e} exceeds {rtol:.1e} * |dh| = {rtol * scale:.3e}"
+            f"Laplacian residual {residual:.3e} exceeds {rtol:.1e} * |dh| = {rtol * scale:.3e}"
         )
 
 
@@ -62,14 +61,14 @@ def solve_dirichlet(r: Realization, boundary):
     """Harmonic extension of boundary data.
 
     ``boundary`` maps boundary vertex -> value (a dict, or a full-length array
-    whose boundary entries are used).  The interior system is solved by sparse
-    LU (a symmetric minimum-degree ordering) with up to three steps of
-    iterative refinement; the result satisfies ``|Lh|_inf <= 1e-10 * |h|_inf``
-    or ``SingularSystem`` is raised.
+    whose boundary entries are used).  The realization's interior system
+    (``r.dirichlet_system``) is solved by sparse LU (a symmetric
+    minimum-degree ordering) with up to three steps of iterative refinement;
+    the result satisfies ``|Lh|_inf <= 1e-10 * |h|_inf`` or
+    ``SingularSystem`` is raised.
     """
     mesh = r.mesh
     mesh.require_disk()
-    ni = len(mesh.interior_vertices)
 
     g = np.zeros(mesh.vertex_count)
     if isinstance(boundary, dict):
@@ -85,29 +84,11 @@ def solve_dirichlet(r: Realization, boundary):
             )
         g = boundary.copy()
 
-    if ni == 0:
+    if not mesh.interior_vertices:
         return g
 
-    w = cotan_weights(r)
-    pos = np.full(mesh.vertex_count, -1)
-    pos[mesh.interior_vertices] = np.arange(ni)
-
-    # row a of edge {i, j} is a = i with neighbour c = j, then a = j with
-    # c = i; entries go in that order, edge by edge
-    ends = mesh.interior_ends.ravel()
-    other = mesh.interior_ends[:, ::-1].ravel()
-    a, c, wa = pos[ends], pos[other], np.repeat(w, 2)
-    row = a >= 0
-    diag = np.zeros(ni)
-    np.subtract.at(diag, a[row], wa[row])
-    outer = row & (c < 0)
-    b = np.zeros(ni)
-    np.subtract.at(b, a[outer], wa[outer] * g[other[outer]])
-    inner = row & (c >= 0)
-    rows = np.r_[a[inner], np.arange(ni)]
-    cols = np.r_[c[inner], np.arange(ni)]
-    A = sp.csc_matrix((np.r_[wa[inner], diag], (rows, cols)), shape=(ni, ni))
-
+    A, B = r.dirichlet_system
+    b = B @ g
     # A is symmetric: a minimum-degree ordering of A + A^T with diagonal
     # pivots roughly halves the fill of the default COLAMD ordering; the
     # threshold still pivots where a diagonal nearly vanishes

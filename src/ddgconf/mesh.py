@@ -94,10 +94,6 @@ class TriMesh:
     # -- queries --------------------------------------------------------------
 
     @property
-    def face_count(self):
-        return len(self.faces)
-
-    @property
     def edge_count(self):
         return len(self.edges)
 
@@ -131,6 +127,14 @@ class TriMesh:
         start = c - c % 3
         after = np.stack([start + (c + 1) % 3, start + (c + 2) % 3], axis=2)
         return self.face_edges.ravel()[after.reshape(-1, 4)]
+
+    @cached_property
+    def interior_incidence(self):
+        """``(E_int, V)`` interior rows of the edge incidence, ``(D @ h)[e] =
+        h_j - h_i``; from ``interior_ends``, far cheaper than a row slice."""
+        k = len(self.interior_ends)
+        ends, starts = self.interior_ends.ravel(), np.arange(0, 2 * k + 1, 2)
+        return sp.csr_array((np.tile([-1.0, 1.0], k), ends, starts), (k, self.vertex_count))
 
     @cached_property
     def _primal_graph(self):

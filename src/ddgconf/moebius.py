@@ -2,7 +2,7 @@
 sl(2,C)-valued dual 1-form determined by per-edge cross-ratio rates, its
 Pauli-basis coordinates, and transition matrices between two realizations."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,9 +108,6 @@ def rates_from_deformation(r: Realization, zdot):
 @dataclass
 class ClosednessReport:
     closed: bool
-    matrix_defect: dict  # interior vertex -> norm of the matrix sum
-    rate_sum_defect: dict  # interior vertex -> |sum mu|
-    weighted_rate_defect: dict  # interior vertex -> |sum mu / (z_j - z_i)|
     max_defect: float  # worst normalized defect
     equivalence_ok: bool  # matrix sum vanishes iff both scalar sums do
 
@@ -136,15 +133,7 @@ def check_sl2_form_closed(r: Realization, form: SlForm, tol=1e-10) -> Closedness
 
     max_defect = float(np.concatenate([[0.0], mnorm, rate, weighted]).max())
     equivalence_ok = bool(np.all((mnorm <= tol) == ((rate <= tol) & (weighted <= tol))))
-    vertices = mesh.interior_vertices
-    return ClosednessReport(
-        max_defect <= tol,
-        dict(zip(vertices, mnorm)),
-        dict(zip(vertices, rate)),
-        dict(zip(vertices, weighted)),
-        max_defect,
-        equivalence_ok,
-    )
+    return ClosednessReport(max_defect <= tol, max_defect, equivalence_ok)
 
 
 def _adjugate(m):
@@ -199,9 +188,7 @@ class TransitionReport:
     eigenvalues: np.ndarray  # lambda per interior edge
     max_eigen_residual: float  # eigen-relation residual, relative
     max_cr_residual: float  # |cr_b - cr_a / lambda^2| relative
-    max_cycle_residual: float  # | prod G - I | around interior vertices
-    cross_ratios_a: np.ndarray = field(repr=False, default=None)
-    cross_ratios_b: np.ndarray = field(repr=False, default=None)
+    max_cycle_residual: float  # | prod G - I | around interior vertices, relative
 
 
 def transition_matrices(a: Realization, b: Realization) -> TransitionReport:
@@ -219,7 +206,8 @@ def transition_matrices(a: Realization, b: Realization) -> TransitionReport:
     psi = lift(a.z)
     wi, wj = (G @ psi[i][:, :, None])[:, :, 0], (G @ psi[j][:, :, None])[:, :, 0]
     lam = wj[:, 1]  # second lift component is 1
-    scale = np.maximum(np.abs(G).max(axis=(1, 2)), 1e-300) * np.maximum(
+    G_norm = np.abs(G).max(axis=(1, 2))
+    scale = np.maximum(G_norm, 1e-300) * np.maximum(
         np.maximum(magnitude(a.z[i]), magnitude(a.z[j])), 1.0
     )
     res = np.maximum(
@@ -229,22 +217,24 @@ def transition_matrices(a: Realization, b: Realization) -> TransitionReport:
     eig_res = float((res / scale).max(initial=0.0))
 
     cra = cross_ratios(a)
-    crb = cross_ratios(b)
     if n:
-        cr_res = float(np.abs(crb - cra / lam**2).max() / np.abs(cra).max())
+        cr_res = float(np.abs(cross_ratios(b) - cra / lam**2).max() / np.abs(cra).max())
     else:
         cr_res = 0.0
 
-    # product of G around each interior vertex, G^{-1} where the dual edge
-    # runs against the canonical orientation; one column of slots at a time
+    # product P of G around each interior vertex (G^{-1} against the canonical orientation)
+    # rounds to max_m |P_{m-1}| |G_m| (|G^{-1}| = |G|); two broadcast products beat matmul
     c = mesh.vertex_cycles
     G_inv = _adjugate(G)
     p = np.tile(np.eye(2, dtype=complex), (len(c.valence), 1, 1))
+    p_scale = np.zeros(len(c.valence))
     for m in range(c.sign.shape[1]):
         rows = np.flatnonzero(c.sign[:, m])
         k = c.edges[rows, m]
         g = np.where((c.sign[rows, m] > 0)[:, None, None], G[k], G_inv[k])
-        p[rows] = p[rows] @ g
-    cyc_res = float(np.abs(p - np.eye(2)).max(initial=0.0))
+        prev = p[rows]
+        p_scale[rows] = np.maximum(p_scale[rows], np.abs(prev).max(axis=(1, 2)) * G_norm[k])
+        p[rows] = prev[:, :, :1] * g[:, :1] + prev[:, :, 1:] * g[:, 1:]
+    cyc_res = float((np.abs(p - np.eye(2)).max(axis=(1, 2)) / p_scale).max(initial=0.0))
 
-    return TransitionReport(face_maps, G, lam, eig_res, cr_res, cyc_res, cra, crb)
+    return TransitionReport(face_maps, G, lam, eig_res, cr_res, cyc_res)

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DegenerateFace, InvalidInput, MeshMismatch
 from .mesh import TriMesh
@@ -21,10 +22,11 @@ COLLINEAR_TOL = 1e-14
 class Realization:
     """A triangular mesh with one complex position per vertex.
 
-    Caches signed face areas, per-corner cotangents, circumradii and, once
-    asked for, the cotan weights.  Faces may be negatively oriented; areas
-    and corner angles then carry a negative sign.  ``z`` is a read-only copy
-    of the positions, so that no cached value can go stale.
+    Caches signed doubled face areas, per-corner cotangents, circumradii
+    and, once asked for, the cotan weights and the interior Dirichlet
+    system.  Faces may be negatively oriented; areas and corner angles then
+    carry a negative sign.  ``z`` is a read-only copy of the positions, so
+    that no cached value can go stale.
     """
 
     def __init__(self, mesh: TriMesh, z):
@@ -44,7 +46,6 @@ class Realization:
         zi, zj, zk = z[tri[:, 0]], z[tri[:, 1]], z[tri[:, 2]]
         # signed doubled area = Im(conj(z_j - z_i) (z_k - z_i))
         self.area2 = (np.conj(zj - zi) * (zk - zi)).imag
-        self.area = 0.5 * self.area2
 
         lengths = np.abs(np.stack([zk - zj, zi - zk, zj - zi]))
         scale = lengths.max(axis=0)
@@ -78,6 +79,34 @@ class Realization:
         )[self.mesh.interior_edges]
         w.flags.writeable = False
         return w
+
+    @cached_property
+    def dirichlet_system(self):
+        """``(A, B)``, built once and read-only: the interior values ``x`` (in
+        ``interior_vertices`` order) of the harmonic extension of boundary
+        values ``g`` (zero at interior vertices) solve ``A x = B @ g``.  Row
+        ``a`` of ``A`` holds ``w_ac`` per interior neighbour ``c`` and ``-sum_c
+        w_ac`` on the diagonal; row ``a`` of ``B`` ``-w_ac`` per boundary one."""
+        mesh = self.mesh
+        ni = len(mesh.interior_vertices)
+        pos = np.full(mesh.vertex_count, -1)
+        pos[mesh.interior_vertices] = np.arange(ni)
+        # row a of edge {i, j} is a = i with neighbour c = j, then a = j with
+        # c = i; entries go in that order, edge by edge
+        ends, other = mesh.interior_ends.ravel(), mesh.interior_ends[:, ::-1].ravel()
+        a, c, wa = pos[ends], pos[other], np.repeat(self.cotan_weights, 2)
+        row = a >= 0
+        diag = np.zeros(ni)
+        np.subtract.at(diag, a[row], wa[row])
+        inner, outer = row & (c >= 0), row & (c < 0)
+        rows = np.r_[a[inner], np.arange(ni)]
+        cols = np.r_[c[inner], np.arange(ni)]
+        A = sp.csc_matrix((np.r_[wa[inner], diag], (rows, cols)), shape=(ni, ni))
+        # a row's neighbours ascend as its edges do, so B @ g sums in edge order
+        B = sp.csr_matrix((-wa[outer], (a[outer], other[outer])), shape=(ni, mesh.vertex_count))
+        for arr in (A.data, A.indices, A.indptr, B.data, B.indices, B.indptr):
+            arr.flags.writeable = False
+        return A, B
 
     def cot_at(self, face, vertex):
         """Signed cotangent of the corner angle of ``face`` at its vertex

@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial import Delaunay
 
 from ddgconf import Realization, build
-from ddgconf import laplace
+from ddgconf import deform, laplace
 from ddgconf.moebius import MoebiusMap
 
 WHEEL6_FACES = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 6), (0, 6, 1)]
@@ -104,6 +104,16 @@ def random_harmonic(r, seed):
     rng = np.random.default_rng(seed)
     bnd = {v: float(rng.standard_normal()) for v in r.mesh.boundary_vertices}
     return laplace.solve_dirichlet(r, bnd)
+
+
+def deformed_grid_pair():
+    """A jittered 50 x 50 grid and a copy moved 2% of its radius along the
+    conformal deformation of a random harmonic function.  Some transition
+    matrices between the two have entries above 3e3."""
+    a = jittered_grid(50, 0.45, seed=4)
+    zdot = deform.conformal_deformation(a, random_harmonic(a, seed=4))
+    step = 0.02 * np.abs(a.z - a.z.mean()).max() / np.abs(zdot).max()
+    return a, Realization(a.mesh, a.z + step * zdot)
 
 
 def random_moebius(r, rng, margin=1e-2):

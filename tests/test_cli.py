@@ -8,7 +8,7 @@ from ddgconf import Realization, build, fileio, hqd, laplace
 from ddgconf import deform as deform_mod
 from ddgconf.cli import main
 
-from conftest import WHEEL6_FACES
+from conftest import WHEEL6_FACES, deformed_grid_pair
 
 
 def run(capsys, *argv):
@@ -207,6 +207,18 @@ def test_moebius_mu_eta_transitions(files, capsys):
     code, out, _ = run(capsys, "moebius", "transitions", files["wheel"], files["scaled"])
     assert code == 0
     assert json.loads(out)["consistent"] is True
+
+
+def test_moebius_transitions_accepts_a_correct_pair_with_large_transitions(capsys, tmp_path):
+    a, b = deformed_grid_pair()
+    paths = [str(tmp_path / "a.obj"), str(tmp_path / "b.obj")]
+    for path, r in zip(paths, (a, b)):
+        fileio.write_obj_planar(path, r.mesh, r.z)
+    code, out, _ = run(capsys, "moebius", "transitions", *paths)
+    assert code == 0
+    data = json.loads(out)
+    assert data["consistent"] is True
+    assert data["max_cycle_residual"] < 1e-12
 
 
 def test_minimal_build_and_verify(files, capsys, tmp_path):

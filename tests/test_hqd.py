@@ -204,3 +204,17 @@ def test_similarity_and_reversal_leave_harmonic_and_qdiff(kind):
         q2 = hqd.qdiff_from_harmonic(s, u2).values
         assert np.abs(q2 - q).max() <= 1e-12 * np.abs(q).max(), label
         assert hqd.verify_qdiff(s, q2).holomorphic, label
+
+
+@pytest.mark.parametrize("seed", [92, 93, 94])
+def test_moebius_image_with_a_fresh_solve_is_harmonic_and_holomorphic(seed):
+    """A Moebius image of a Delaunay disk is another realization of the same
+    mesh: a Dirichlet solve on it meets the residual contract and its ``q``
+    verifies as holomorphic."""
+    r = delaunay_disk(400, seed=91)
+    s = Realization(r.mesh, random_moebius(r, np.random.default_rng(seed)).apply(r.z))
+    rng = np.random.default_rng(95)
+    boundary = {v: rng.standard_normal() for v in s.mesh.boundary_vertices}
+    h = laplace.solve_dirichlet(s, boundary)
+    assert np.abs(laplace.laplacian(s, h)).max() <= 1e-10 * np.abs(h).max()
+    assert hqd.verify_qdiff(s, hqd.qdiff_from_harmonic(s, h)).holomorphic

@@ -152,3 +152,32 @@ def test_refinement_that_misses_the_contract_raises(monkeypatch):
     bnd = {v: 1.0 + r.z[v].real for v in r.mesh.boundary_vertices}
     with pytest.raises(SingularSystem, match="after 3 refinement steps"):
         laplace.solve_dirichlet(r, bnd)
+
+
+def test_second_solve_reuses_the_cached_system():
+    """The interior system is assembled once per realization and is
+    read-only; a solve on it equals a solve on a fresh realization bit for
+    bit."""
+    r = delaunay_disk(300, seed=5)
+    rng = np.random.default_rng(6)
+    first, second = ({v: rng.standard_normal() for v in r.mesh.boundary_vertices} for _ in "ab")
+    laplace.solve_dirichlet(r, first)
+    system = r.dirichlet_system
+    h = laplace.solve_dirichlet(r, second)
+    assert r.dirichlet_system is system
+    for m in system:
+        with pytest.raises(ValueError):
+            m.data[0] = 0.0
+    fresh = Realization(r.mesh, r.z)
+    assert h.tobytes() == laplace.solve_dirichlet(fresh, second).tobytes()
+    assert fresh.dirichlet_system is not system
+
+
+def test_nan_is_not_harmonic(wheel6):
+    """``require_harmonic`` and ``ddg harmonic check`` share one verdict, and
+    a NaN residual fails it."""
+    h = np.abs(wheel6.z)
+    h[0] = np.nan
+    assert not laplace.check_harmonic(wheel6, h)[0]
+    with pytest.raises(NotHarmonic):
+        laplace.require_harmonic(wheel6, h)

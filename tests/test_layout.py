@@ -59,3 +59,7 @@ def test_every_cli_flag_is_read():
                 if action.option_strings and action.dest not in ("help", "output", *read):
                     unread.append(f"{command} {which} {action.option_strings[-1]}")
     assert unread == []
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()

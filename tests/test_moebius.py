@@ -5,7 +5,7 @@ from ddgconf import Realization
 from ddgconf import deform, hqd, moebius
 from ddgconf.errors import DegenerateFace, MeshMismatch, VertexAtInfinity
 
-from conftest import delaunay_disk, random_harmonic, random_moebius
+from conftest import delaunay_disk, deformed_grid_pair, random_harmonic, random_moebius
 
 
 def test_moebius_apply_identity(wheel6_irregular):
@@ -148,6 +148,17 @@ def test_transitions_deformed_pair(wheel6_irregular):
     assert rep.max_cr_residual < 1e-10
     assert rep.max_cycle_residual < 1e-10
     assert np.abs(rep.transitions - np.eye(2)).max() > 1e-4
+
+
+def test_transition_cycle_residual_is_relative_to_the_products_scale():
+    """Around a vertex the product of transitions with entries near 3e3
+    rounds to about 1e-16 of those entries, not of 1: the cycle residual is
+    measured against the running product's scale."""
+    a, b = deformed_grid_pair()
+    rep = moebius.transition_matrices(a, b)
+    assert np.abs(rep.transitions).max() > 1e3
+    assert rep.max_cr_residual < 1e-12
+    assert rep.max_cycle_residual < 1e-12
 
 
 def test_transitions_mesh_mismatch(wheel6, square2):
