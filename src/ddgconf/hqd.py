@@ -14,7 +14,7 @@ import numpy as np
 
 from . import laplace
 from .deform import cross_ratio_rate
-from .errors import ClosureDefect, DegenerateFace, NotRealizable
+from .errors import ClosureDefect, NotRealizable
 from .mesh import integrate, magnitude
 from .realization import Realization, cross_ratios, intersection_angles
 
@@ -51,10 +51,7 @@ def gradient(r: Realization, u) -> GradField:
     z = r.z
     zi, zj, zk = z[tri[:, 0]], z[tri[:, 1]], z[tri[:, 2]]
     ui, uj, uk = u[tri[:, 0]], u[tri[:, 1]], u[tri[:, 2]]
-    area2 = r.area2
-    if np.any(area2 == 0):
-        raise DegenerateFace("zero-area face")
-    grad = 1j * (ui * (zk - zj) + uj * (zi - zk) + uk * (zj - zi)) / area2
+    grad = 1j * (ui * (zk - zj) + uj * (zi - zk) + uk * (zj - zi)) / r.area2
     return GradField(grad, 0.5 * np.conj(grad))
 
 

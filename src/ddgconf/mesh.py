@@ -6,6 +6,7 @@ vertex pair ``(i, j)`` with ``i < j``; the face containing the oriented edge
 face.  The dual edge of ``i -> j`` runs from the right face to the left face.
 """
 
+import math
 from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
@@ -149,44 +150,56 @@ class TriMesh:
 
     @cached_property
     def vertex_cycles(self):
-        """The cycles of :meth:`dual_cycles` as :class:`VertexCycles` arrays."""
+        """The dual cycles as a read-only ``(V_int, E_int)`` CSR operator: row
+        ``r`` holds the star ``ring`` of ``v = interior_vertices[r]`` slot by
+        slot, counterclockwise; slot ``m`` is +1 (``v < ring[m]``) or -1 in the
+        column of edge ``{v, ring[m]}``.  Read-only, so no sort can reorder it."""
         v = self.faces.ravel()
-        corners = np.flatnonzero(~self.is_boundary_vertex[v])
+        inner = np.flatnonzero(~self.is_boundary_vertex[v])
+        row = (np.cumsum(~self.is_boundary_vertex) - 1)[v[inner]]
+        indptr = np.r_[0, np.cumsum(np.bincount(row, minlength=len(self.interior_vertices)))]
+        corners = np.empty_like(inner)
+        corners[indptr[row] + self._star_rank[inner]] = inner  # slot order
+        # corner (v, j, k) holds v -> j
         v, j = v[corners], np.roll(self.faces, -1, axis=1).ravel()[corners]
-        pos = np.searchsorted(self.interior_edges, self.face_edges.ravel()[corners])
-        valence = np.bincount(v, minlength=self.vertex_count)[self.interior_vertices]
-        row = (np.cumsum(~self.is_boundary_vertex) - 1)[v]
-        padded = np.zeros((len(valence), valence.max(initial=0), 3), dtype=np.int32)
-        # corner (v, j, k) holds v -> j, whose left face is the corner's face
-        padded[row, self._star_rank[corners]] = np.stack([pos, np.where(v < j, 1, -1), corners // 3], axis=1)
-        return VertexCycles(valence, *np.moveaxis(padded, 2, 0))
+        pos = (np.cumsum((self.edge_faces >= 0).all(axis=1)) - 1)[self.face_edges.ravel()[corners]]
+        shape = (len(self.interior_vertices), len(self.interior_edges))
+        return _read_only(sp.csr_array((np.where(v < j, 1.0, -1.0), pos, indptr), shape))
+
+    @cached_property
+    def cycle_faces(self):
+        """Left face of ``v -> ring[m]`` per slot of :attr:`vertex_cycles`."""
+        c = self.vertex_cycles
+        faces = self.interior_faces[c.indices, (c.data < 0).astype(np.int64)]
+        faces.flags.writeable = False
+        return faces
 
     def cycle_sum(self, values, signed=False):
         """Sum of per-interior-edge ``values`` (trailing axes allowed) around
-        each interior vertex, in ``interior_vertices`` order and slot by slot
-        in the order of :meth:`dual_cycles`.  ``signed`` negates a value where
-        its dual edge runs against the canonical orientation (``v > ring[m]``)."""
+        each interior vertex: one product with :attr:`vertex_cycles`, or with
+        a ones-valued copy of it unless ``signed``.  CSR sums each row from 0
+        in stored order, slot by slot; complex values enter as (re, im) pairs,
+        so that each term is exactly +-1 times a real number."""
+        values = np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
+        trailing = values.shape[1:]
+        flat = np.ascontiguousarray(values).reshape(len(values), math.prod(trailing))
         c = self.vertex_cycles
-        values = np.asarray(values)
-        total = np.zeros((len(c.valence),) + values.shape[1:], dtype=values.dtype)
-        for m in range(c.sign.shape[1]):
-            rows = np.flatnonzero(c.sign[:, m])
-            terms = values[c.edges[rows, m]]
-            if signed:
-                flip = c.sign[rows, m].reshape((-1,) + (1,) * (values.ndim - 1)) < 0
-                terms = np.where(flip, -terms, terms)
-            total[rows] += terms
-        return total
+        if not signed:  # the same index arrays: abs() would sort each row
+            c = sp.csr_array((np.ones(c.nnz), c.indices, c.indptr), c.shape)
+        return (c @ flat.view(float)).view(values.dtype).reshape((-1,) + trailing)
 
     def dual_cycles(self):
         """Counterclockwise cycle of dual edges around each interior vertex."""
-        c = self.vertex_cycles
+        c, to = self.vertex_cycles, self.cycle_faces.tolist()
+        starts = c.indptr.tolist()
+        tails = np.repeat(self.interior_vertices, np.diff(starts))
+        heads = (self.interior_ends[c.indices].sum(axis=1) - tails).tolist()
+        edges = self._dual_graph.edge_ids[c.indices].tolist()
         cycles = {}
-        for v, d, pos, to in zip(self.interior_vertices, c.valence, c.edges, c.to_faces):
-            edges, to = self._dual_graph.edge_ids[pos[:d]].tolist(), to[:d].tolist()
-            heads = (self.interior_ends[pos[:d]].sum(axis=1) - v).tolist()
-            # the face before slot m is the face after slot m - 1
-            cycles[v] = [DualEdge(v, heads[m], to[m - 1], to[m], edges[m]) for m in range(d)]
+        for v, a, b in zip(self.interior_vertices, starts, starts[1:]):
+            # the face before slot a is the face after slot b - 1
+            slots = zip(heads[a:b], to[b - 1:b] + to[a:b - 1], to[a:b], edges[a:b])
+            cycles[v] = [DualEdge(v, *slot) for slot in slots]
         return cycles
 
     def dual_spanning_tree(self, root=0):
@@ -207,18 +220,6 @@ class TriMesh:
         the step traverses the edge from its smaller to its larger vertex.
         """
         return self._primal_graph.steps(root)
-
-
-class VertexCycles(NamedTuple):
-    """Dual cycles around the interior vertices (rows in ``interior_vertices``
-    order), padded with zeros to the largest valence.  Slot ``m`` of vertex
-    ``v`` holds the dual edge of ``v -> ring[m]``, ``ring`` its
-    counterclockwise star."""
-
-    valence: np.ndarray  # (n,)
-    edges: np.ndarray  # (n, k) position of edge {v, ring[m]} in interior_edges
-    sign: np.ndarray  # (n, k) +1 if v < ring[m], -1 if v > ring[m], 0 in padding
-    to_faces: np.ndarray  # (n, k) left face of v -> ring[m]
 
 
 class _Graph:
@@ -339,6 +340,13 @@ def integrate(mesh, form, root=0, dual=False):
     gap = np.abs(gap).max(axis=tuple(range(1, gap.ndim))) if gap.ndim > 1 else magnitude(gap)
     scale = max(float(np.abs(form).max()) if form.size else 0.0, 1e-300)
     return Integral(pot, g.edge_ids[cotree], gap, scale, mesh.edges)
+
+
+def _read_only(a):
+    """Sparse ``a`` with its data, index and pointer arrays read-only."""
+    for arr in (a.data, a.indices, a.indptr):
+        arr.flags.writeable = False
+    return a
 
 
 def _face_array(faces):

@@ -35,12 +35,18 @@ class MoebiusMap:
         return MoebiusMap(self.a / s, self.b / s, self.c / s, self.d / s)
 
     def apply(self, z):
+        """Images of ``z``; raises for a zero determinant and for an image at
+        or (numerically) near infinity, overflow included."""
+        if self.a * self.d - self.b * self.c == 0:
+            raise DegenerateFace("Moebius map has zero determinant")
         z = np.asarray(z, dtype=complex)
-        den = self.c * z + self.d
+        with np.errstate(all="ignore"):
+            den = self.c * z + self.d
+            w = (self.a * z + self.b) / den
         scale = max(abs(self.c), abs(self.d))
-        if np.any(np.abs(den) < 1e-12 * scale):
+        if np.any(np.abs(den) < 1e-12 * scale) or not np.isfinite(w).all():
             raise VertexAtInfinity("Moebius map sends a vertex (numerically) to infinity")
-        return (self.a * z + self.b) / den
+        return w
 
     @classmethod
     def identity(cls):
@@ -124,8 +130,7 @@ def check_sl2_form_closed(r: Realization, form: SlForm, tol=1e-10) -> Closedness
     # negated where v > j; its global scale keeps vertices where mu happens
     # to be locally tiny from registering rounding noise as a defect
     tau = mu / r.interior_dz()
-    c = mesh.vertex_cycles
-    w_scale = max(float(magnitude(tau)[c.edges].max(where=c.sign != 0, initial=0.0)), 1e-300)
+    w_scale = max(float(magnitude(tau)[mesh.vertex_cycles.indices].max(initial=0.0)), 1e-300)
     msum = mesh.cycle_sum(form.matrices, signed=True)
     mnorm = np.abs(msum).max(axis=(1, 2), initial=0.0) / mat_scale
     rate = magnitude(mesh.cycle_sum(mu)) / mu_scale
@@ -225,13 +230,15 @@ def transition_matrices(a: Realization, b: Realization) -> TransitionReport:
     # product P of G around each interior vertex (G^{-1} against the canonical orientation)
     # rounds to max_m |P_{m-1}| |G_m| (|G^{-1}| = |G|); two broadcast products beat matmul
     c = mesh.vertex_cycles
+    start, valence = c.indptr[:-1], np.diff(c.indptr)
     G_inv = _adjugate(G)
-    p = np.tile(np.eye(2, dtype=complex), (len(c.valence), 1, 1))
-    p_scale = np.zeros(len(c.valence))
-    for m in range(c.sign.shape[1]):
-        rows = np.flatnonzero(c.sign[:, m])
-        k = c.edges[rows, m]
-        g = np.where((c.sign[rows, m] > 0)[:, None, None], G[k], G_inv[k])
+    p = np.tile(np.eye(2, dtype=complex), (len(valence), 1, 1))
+    p_scale = np.zeros(len(valence))
+    for m in range(valence.max(initial=0)):
+        rows = np.flatnonzero(valence > m)
+        slot = start[rows] + m
+        k = c.indices[slot]
+        g = np.where((c.data[slot] > 0)[:, None, None], G[k], G_inv[k])
         prev = p[rows]
         p_scale[rows] = np.maximum(p_scale[rows], np.abs(prev).max(axis=(1, 2)) * G_norm[k])
         p[rows] = prev[:, :, :1] * g[:, :1] + prev[:, :, 1:] * g[:, 1:]

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateFace, InvalidInput, MeshMismatch
-from .mesh import TriMesh
+from .mesh import TriMesh, _read_only
 
 TAU = 2.0 * np.pi
 
@@ -104,9 +104,7 @@ class Realization:
         A = sp.csc_matrix((np.r_[wa[inner], diag], (rows, cols)), shape=(ni, ni))
         # a row's neighbours ascend as its edges do, so B @ g sums in edge order
         B = sp.csr_matrix((-wa[outer], (a[outer], other[outer])), shape=(ni, mesh.vertex_count))
-        for arr in (A.data, A.indices, A.indptr, B.data, B.indices, B.indptr):
-            arr.flags.writeable = False
-        return A, B
+        return _read_only(A), _read_only(B)
 
     def cot_at(self, face, vertex):
         """Signed cotangent of the corner angle of ``face`` at its vertex
@@ -206,10 +204,7 @@ def check_conformal_equiv(a: Realization, b: Realization, tol=1e-9):
     a.mesh.require_disk()
     cra = np.abs(cross_ratios(a))
     crb = np.abs(cross_ratios(b))
-    if len(cra):
-        max_dev = float(np.max(np.abs(cra - crb) / cra))
-    else:
-        max_dev = 0.0
+    max_dev = float(np.max(np.abs(cra - crb) / cra, initial=0.0))
     if max_dev > tol:
         return EquivalenceReport(False, max_dev, None, np.inf)
 
@@ -229,10 +224,7 @@ def check_pattern(a: Realization, b: Realization, tol=1e-9):
     cra = cross_ratios(a)
     crb = cross_ratios(b)
     # principal value of arg(cr_a / cr_b): avoids the branch cut at 0 ~ 2*pi
-    if len(cra):
-        max_dev = float(np.max(np.abs(np.angle(cra / crb))))
-    else:
-        max_dev = 0.0
+    max_dev = float(np.max(np.abs(np.angle(cra / crb)), initial=0.0))
     if max_dev > tol:
         return EquivalenceReport(False, max_dev, None, np.inf)
 

@@ -4,7 +4,7 @@ with Gauss map by inverse stereographic projection and the associate family
 obtained by rotating the complex null-curve potential."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,14 +58,7 @@ class MinimalSurface:
     def at_phase(self, alpha):
         """Member of the associate family for another phase (same potential)."""
         phase = np.exp(1j * reduce_phase(alpha))
-        return MinimalSurface(
-            self.mesh,
-            self.potential,
-            (phase * self.potential).real,
-            self.k,
-            float(alpha),
-            self.closure_defect,
-        )
+        return replace(self, f=(phase * self.potential).real, alpha=float(alpha))
 
 
 def weierstrass_integrate(r: Realization, q, alpha=0.0, anchor_face=0, tol=1e-8):
@@ -154,6 +147,6 @@ def qdiff_from_minimal(r: Realization, f, tol=1e-9) -> QuadDiff:
 def dual_mesh(r: Realization, face_points):
     """Polygonal dual mesh: one vertex per face of the primal mesh, one face
     per interior primal vertex (ordered along the counterclockwise star)."""
-    c = r.mesh.vertex_cycles
-    polys = [faces[:d] for faces, d in zip(c.to_faces.tolist(), c.valence.tolist())]
+    faces, starts = r.mesh.cycle_faces.tolist(), r.mesh.vertex_cycles.indptr.tolist()
+    polys = [faces[a:b] for a, b in zip(starts, starts[1:])]
     return np.asarray(face_points, dtype=float), polys

@@ -13,6 +13,7 @@ from ddgconf.mesh import integrate
 from conftest import (
     SQUARE2_FACES, WHEEL6_FACES, delaunay_disk, grid_disk, jittered_grid, reference_tables
 )
+from test_operators import reference_cycle_sum
 
 
 def test_square2_tables():
@@ -180,16 +181,20 @@ def test_tables_match_reference(kind):
     assert mesh.interior_vertices == closed
     assert mesh.boundary_vertices == [v for v, (_, c) in enumerate(ref.star) if not c]
 
-    valence = np.array([len(ref.star[v][0]) for v in closed], dtype=np.int64)
+    # row r of the cycle operator lists the star of closed[r] slot by slot
+    rings = [ref.star[v][0] for v in closed]
     pos = {e: p for p, e in enumerate(mesh.interior_edges)}
-    slots = np.zeros((3, len(closed), valence.max(initial=0)), dtype=np.int32)
-    for row, v in enumerate(closed):
-        for m, j in enumerate(ref.star[v][0]):
-            slots[:, row, m] = pos[ref.key(v, j)], 1 if v < j else -1, ref.oriented[(v, j)]
+    slots = [
+        (pos[ref.key(v, j)], 1.0 if v < j else -1.0, ref.oriented[(v, j)])
+        for v, ring in zip(closed, rings) for j in ring
+    ]
+    edges, signs, to_faces = zip(*slots) if slots else ((), (), ())
     cycles = mesh.vertex_cycles
-    assert_bitwise(cycles.valence, valence)
-    for got, want in zip((cycles.edges, cycles.sign, cycles.to_faces), slots):
-        assert_bitwise(got, want)
+    assert cycles.shape == (len(closed), len(mesh.interior_edges))
+    assert np.diff(cycles.indptr).tolist() == [len(ring) for ring in rings]
+    assert cycles.indices.tolist() == list(edges)
+    assert_bitwise(cycles.data, np.array(signs, dtype=np.float64))
+    assert_bitwise(mesh.cycle_faces, np.array(to_faces, dtype=np.int64))
 
 
 @pytest.mark.parametrize("kind", ["wheel6", "delaunay", "jittered", "strip"])
@@ -207,9 +212,41 @@ def test_face_order_and_rotation_leave_the_tables(kind):
     new_id = np.argsort(order)
     assert np.array_equal(other.edge_faces, np.where(mesh.edge_faces >= 0, new_id[mesh.edge_faces], -1))
     a, b = mesh.vertex_cycles, other.vertex_cycles
-    for got, want in zip(b[:3], a[:3]):
+    for got, want in zip((b.indptr, b.indices, b.data), (a.indptr, a.indices, a.data)):
         assert np.array_equal(got, want)
-    assert np.array_equal(b.to_faces, np.where(a.sign != 0, new_id[a.to_faces], 0))
+    assert np.array_equal(other.cycle_faces, new_id[mesh.cycle_faces])
+
+
+def test_cycle_operator_is_read_only():
+    """``abs`` and ``sort_indices`` would sort each row of the cycle operator
+    in place and so reorder its slots; both raise, and leave it as it was."""
+    mesh = TABLE_MESHES["jittered"]()
+    c = mesh.vertex_cycles
+    before = [a.copy() for a in (c.data, c.indices, c.indptr)]
+    assert not c.has_sorted_indices  # the slots are not in column order
+    for reorder in (abs, lambda a: a.sort_indices()):
+        with pytest.raises(ValueError):
+            reorder(c)
+    for got, want in zip((c.data, c.indices, c.indptr), before):
+        assert_bitwise(got, want)
+    assert not mesh.cycle_faces.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["strip", "wheel500", "triangle"])
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("trailing", [(), (2, 2)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_cycle_sum_on_small_meshes(kind, signed, trailing, dtype):
+    """No interior vertex, one vertex of valence 500, no interior edge."""
+    mesh = build([(0, 1, 2)]) if kind == "triangle" else TABLE_MESHES[kind]()
+    rng = np.random.default_rng(10)
+    values = rng.standard_normal((len(mesh.interior_edges),) + trailing)
+    if dtype is complex:
+        values = values + 1j * rng.standard_normal(values.shape)
+    got = mesh.cycle_sum(values, signed)
+    assert got.shape == (len(mesh.interior_vertices),) + trailing
+    assert got.dtype == values.dtype
+    assert got.tobytes() == reference_cycle_sum(mesh, values, signed).tobytes()
 
 
 # -- rejected input: the class and the exact message ---------------------------

@@ -30,6 +30,17 @@ def test_moebius_degenerate_and_pole():
         phi.apply(np.array([0.0, 1.0], dtype=complex))
 
 
+@pytest.mark.parametrize(
+    "coeffs, error",
+    [((1, 0, 0, 0), DegenerateFace), ((1, 0, 0, 1e-320), VertexAtInfinity)],
+)
+def test_moebius_apply_raises_instead_of_returning_inf(coeffs, error):
+    """A zero determinant, and an image that overflows to infinity, raise
+    rather than return inf or NaN."""
+    with pytest.raises(error):
+        moebius.MoebiusMap(*coeffs).apply(np.array([1.0 + 1j, 2.0]))
+
+
 def test_lift_shape(wheel6):
     psi = moebius.lift(wheel6.z)
     assert psi.shape == (7, 2)
