@@ -8,7 +8,7 @@ import numpy as np
 
 from . import laplace
 from .errors import IncompatibleRates, IntegrationDefect
-from .mesh import integrate, magnitude, product
+from .mesh import Defect, integrate, magnitude, product
 from .realization import Realization
 
 
@@ -49,6 +49,7 @@ class TriangleCompatReport:
     sigma_face: np.ndarray  # average scaling speed (circumradius log-rate)
     sigma_spread: np.ndarray
     radius_rate_error: np.ndarray  # |sigma_face - FD(R)/R| relative, nan if face failed
+    closure: Defect  # |closure| per face, against the face's longest side
 
 
 def check_triangle_compat(r: Realization, rates: EdgeRates, tol=1e-10, fd_step=1e-6):
@@ -68,7 +69,8 @@ def check_triangle_compat(r: Realization, rates: EdgeRates, tol=1e-10, fd_step=1
     closure = step[:, 0] + step[:, 1] + step[:, 2]
     scale = magnitude(dz).max(axis=1)
     defect = closure / scale
-    ok = magnitude(closure) <= tol * scale
+    closed = Defect(magnitude(closure), scale, np.arange(nf), "face")
+    ok = closed.relative <= tol
 
     omega_face, omega_spread, sigma_face, sigma_spread, rr_err = np.full((5, nf), np.nan)
     cot, s, w = r.cot[ok], c[ok].real, c[ok].imag
@@ -96,19 +98,14 @@ def check_triangle_compat(r: Realization, rates: EdgeRates, tol=1e-10, fd_step=1
     rr_err[ok] = np.abs(sigma_face[ok] - rr) / denom
 
     return TriangleCompatReport(
-        ok, defect, omega_face, omega_spread, sigma_face, sigma_spread, rr_err
+        ok, defect, omega_face, omega_spread, sigma_face, sigma_spread, rr_err, closed
     )
 
 
 def require_triangle_compat(r: Realization, rates: EdgeRates, tol=1e-10):
     report = check_triangle_compat(r, rates, tol)
-    if not report.ok.all():
-        f = int(np.flatnonzero(~report.ok)[0])
-        raise IncompatibleRates(
-            f"edge rates do not close on face {f} (defect {report.defect[f]:.3e})",
-            face=f,
-            defect=report.defect[f],
-        )
+    message = "edge rates do not close on face {face} (defect {defect:.3e})"
+    report.closure.require(tol, IncompatibleRates, message, defect=report.defect)
     return report
 
 
@@ -125,7 +122,8 @@ def conformal_deformation(r: Realization, u, anchor_vertex=0, anchor_face=0):
     i, j = mesh.edge_ends.T
     form = product((u[i] + u[j]) / 2.0 + 1j * conj.edge_rotation, r.z[j] - r.z[i])
     zdot = integrate(mesh, form, anchor_vertex)
-    zdot.require(1e-10, IntegrationDefect, "closure failure {gap:.3e} on co-tree edge {edge}")
+    message = "closure failure {defect:.3e} on co-tree edge {edge}"
+    zdot.defect.require(1e-10, IntegrationDefect, message)
     return zdot.potential
 
 

@@ -56,7 +56,7 @@ class VertexAtInfinity(DDGError):
     code = "vertex_at_infinity"
 
 
-# solver / analysis
+# solver
 class SingularSystem(DDGError):
     code = "singular_system"
 
@@ -65,29 +65,34 @@ class MissingBoundaryData(DDGError):
     code = "missing_boundary_data"
 
 
-class NotHarmonic(DDGError):
+# verdicts: well-formed data that fails a mathematical check
+class VerificationError(DDGError):
+    pass
+
+
+class NotHarmonic(VerificationError):
     code = "not_harmonic"
 
 
-class IncompatibleRates(DDGError):
+class IncompatibleRates(VerificationError):
     code = "incompatible_rates"
 
 
-class IntegrationDefect(DDGError):
+class IntegrationDefect(VerificationError):
     code = "integration_defect"
 
 
-class ClosureDefect(DDGError):
+class ClosureDefect(VerificationError):
     code = "closure_defect"
 
 
-class NotRealizable(DDGError):
+class NotRealizable(VerificationError):
     code = "not_realizable"
 
 
-class NotHolomorphic(DDGError):
+class NotHolomorphic(VerificationError):
     code = "not_holomorphic"
 
 
-class NotMinimal(DDGError):
+class NotMinimal(VerificationError):
     code = "not_minimal"

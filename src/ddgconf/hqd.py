@@ -15,7 +15,7 @@ import numpy as np
 from . import laplace
 from .deform import cross_ratio_rate
 from .errors import ClosureDefect, NotRealizable
-from .mesh import integrate, magnitude
+from .mesh import Defect, _floor, integrate, magnitude
 from .realization import Realization, cross_ratios, intersection_angles
 
 
@@ -98,6 +98,7 @@ class QDiffReport:
     vertex_sum: dict  # interior vertex -> complex defect of sum q
     weighted_sum: dict  # interior vertex -> complex defect of sum q / dz
     max_defect: float  # worst normalized defect across all three checks
+    defects: tuple  # the three checks' Defects: |Re q|, |sum q|, |sum q / dz|
 
 
 def verify_qdiff(r: Realization, q, tol=1e-9) -> QDiffReport:
@@ -107,20 +108,20 @@ def verify_qdiff(r: Realization, q, tol=1e-9) -> QDiffReport:
     """
     q = _as_complex(q)
     mesh = r.mesh
-    q_scale = max(float(np.abs(q).max()) if len(q) else 0.0, 1e-300)
+    q_scale = np.abs(q).max(initial=0.0)
     # tau is stored for the canonical orientation (i < j); around v the term
     # is q_vj / (z_j - z_v)
     tau = q / r.interior_dz()
-    tau_scale = max(float(np.abs(tau).max()) if len(tau) else 0.0, 1e-300)
 
-    max_real = float(np.abs(q.real).max() / q_scale) if len(q) else 0.0
-    s0 = mesh.cycle_sum(q)
-    s1 = mesh.cycle_sum(tau, signed=True)
-    sums = magnitude(s0) / q_scale, magnitude(s1) / tau_scale
-    max_defect = float(np.concatenate([[max_real], *sums]).max())
-    vertex_sum = dict(zip(mesh.interior_vertices, s0))
-    weighted_sum = dict(zip(mesh.interior_vertices, s1))
-    return QDiffReport(max_defect <= tol, max_real, vertex_sum, weighted_sum, max_defect)
+    s0, s1, v = mesh.cycle_sum(q), mesh.cycle_sum(tau, signed=True), mesh.interior_vertices
+    defects = (
+        Defect(np.abs(q.real), q_scale, mesh.interior_ends, "edge"),
+        Defect(magnitude(s0), q_scale, v, "vertex"),
+        Defect(magnitude(s1), np.abs(tau).max(initial=0.0), v, "vertex"),
+    )
+    worst = float(np.max([d.worst for d in defects]))
+    sums = dict(zip(v, s0)), dict(zip(v, s1))
+    return QDiffReport(worst <= tol, defects[0].worst, *sums, worst, defects)
 
 
 def harmonic_from_qdiff(r: Realization, q, anchor_vertex=0, anchor_face=0, tol=1e-9):
@@ -135,12 +136,8 @@ def harmonic_from_qdiff(r: Realization, q, anchor_vertex=0, anchor_face=0, tol=1
     mesh.require_disk()
 
     dual = integrate(mesh, q / r.interior_dz(), anchor_face, dual=True)
-    dual.require(
-        tol,
-        ClosureDefect,
-        "dual form q/dz fails to close across edge {edge} (defect {gap:.3e}); "
-        "the weighted vertex sums do not vanish",
-    )
+    message = "dual form q/dz fails to close across edge {edge} (defect {defect:.3e}); "
+    dual.defect.require(tol, ClosureDefect, message + "the weighted vertex sums do not vanish")
     h = dual.potential
 
     # omega(e_ij) = <2 conj(h_face), dz(e_ij)> = Re(2 h_face dz(e_ij)), the same
@@ -150,20 +147,20 @@ def harmonic_from_qdiff(r: Realization, q, anchor_vertex=0, anchor_face=0, tol=1
     side = 2.0 * h[mesh.edge_faces]  # a missing face (-1) is never read
     left, right = (side.real * dz.real[:, None] - side.imag * dz.imag[:, None]).T
     has_left, has_right = (mesh.edge_faces >= 0).T
-    bound = tol * np.maximum(np.maximum(np.abs(left), np.abs(right)), 1.0)
-    bad = np.flatnonzero(has_left & has_right & (np.abs(left - right) > bound))
-    if len(bad):
-        e = bad[0]
-        raise NotRealizable(
-            f"edge {mesh.edges[e]}: the two face-side evaluations disagree "
-            f"({left[e]:.6e} vs {right[e]:.6e}); q has a real part",
-            edge=mesh.edges[e],
-        )
-    omega = np.where(has_left, left, right)
+    _require_realizable(mesh, left[has_left & has_right], right[has_left & has_right], tol)
 
-    u = integrate(mesh, omega, anchor_vertex)
-    u.require(tol, ClosureDefect, "primal form fails to close on edge {edge}")
+    u = integrate(mesh, np.where(has_left, left, right), anchor_vertex)
+    u.defect.require(tol, ClosureDefect, "primal form fails to close on edge {edge}")
     return u.potential
+
+
+def _require_realizable(mesh, left, right, tol):
+    """The two face-side evaluations ``left`` and ``right`` of each interior
+    edge (in ``interior_ends`` order) must agree."""
+    scale = np.maximum(np.maximum(np.abs(left), np.abs(right)), 1.0)
+    message = "edge {edge}: the two face-side evaluations disagree ({left:.6e} vs {right:.6e})"
+    defect = Defect(np.abs(left - right), scale, mesh.interior_ends, "edge")
+    defect.require(tol, NotRealizable, message + "; q has a real part", left=left, right=right)
 
 
 def project_out_linear(r: Realization, u):
@@ -206,27 +203,24 @@ def cross_ratio_rate_check(
     """
     mesh = r.mesh
     q = qdiff_from_function(r, u).values
-    q_scale = max(float(np.abs(q).max()) if len(q) else 0.0, 1e-300)
+    q_scale = np.abs(q).max(initial=0.0)
+
+    def worst(value, scale):
+        return Defect(value, scale, mesh.interior_ends, "edge").worst
 
     zdot = np.asarray(zdot, dtype=complex)
-    scale = r.edge_scale()
-    t = 1e-6 * scale / max(float(np.abs(zdot).max()), 1e-300)
+    t = 1e-6 * r.edge_scale() / _floor(np.abs(zdot).max())
     cr0 = cross_ratios(r)
     crp = cross_ratios(Realization(mesh, r.z + t * zdot))
     crm = cross_ratios(Realization(mesh, r.z - t * zdot))
     dlog_cr = (crp - crm) / (2.0 * t * cr0)
-    fd_err = float(np.abs(q - dlog_cr).max() / q_scale) if len(q) else 0.0
-
-    ana_err = float((magnitude(q - cross_ratio_rate(r, zdot)) / q_scale).max(initial=0.0))
+    fd_err = worst(np.abs(q - dlog_cr), q_scale)
+    ana_err = worst(magnitude(q - cross_ratio_rate(r, zdot)), q_scale)
 
     # q = i phi_dot, so the expected angle rate is Im(q)
     phip = intersection_angles(Realization(mesh, r.z + t * zdot))
     phim = intersection_angles(Realization(mesh, r.z - t * zdot))
     dphi = np.angle(np.exp(1j * (phip - phim))) / (2.0 * t)
-    if len(q):
-        dphi_scale = max(float(np.abs(dphi).max()), 1e-300)
-        angle_err = float(np.abs(dphi - q.imag).max() / dphi_scale)
-    else:
-        angle_err = 0.0
+    angle_err = worst(np.abs(dphi - q.imag), np.abs(dphi).max(initial=0.0))
     ok = fd_err <= fd_tol and ana_err <= analytic_tol and angle_err <= fd_tol
     return RateCheckReport(ok, fd_err, ana_err, angle_err)

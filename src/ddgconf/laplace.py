@@ -7,7 +7,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import MissingBoundaryData, NotHarmonic, SingularSystem
-from .mesh import integrate, magnitude
+from .mesh import Defect, _floor, integrate, magnitude
 from .realization import Realization
 
 # downstream operations accept h as harmonic when |Lh|_inf <= HARMONIC_RTOL * |dh|_inf
@@ -41,19 +41,19 @@ def gradient_scale(r: Realization, h):
 
 
 def check_harmonic(r: Realization, h, rtol=HARMONIC_RTOL):
-    """``(harmonic, |Lh|_inf, |dh|_inf, Lh)``: ``h`` is harmonic when
-    ``|Lh|_inf <= rtol * |dh|_inf`` (not for a NaN residual) or constant."""
+    """``(harmonic, defect, Lh)``: ``h`` is harmonic when each ``|Lh|``
+    passes ``rtol`` against ``|dh|_inf`` (a constant ``h`` does)."""
     res = laplacian(r, h)
-    residual = float(np.abs(res).max()) if len(res) else 0.0
-    scale = gradient_scale(r, h)
-    return scale == 0.0 or residual <= rtol * scale, residual, scale, res
+    defect = Defect(np.abs(res), gradient_scale(r, h), r.mesh.interior_vertices, "vertex")
+    return defect.passes(rtol), defect, res
 
 
 def require_harmonic(r: Realization, h, rtol=HARMONIC_RTOL):
-    harmonic, residual, scale, _ = check_harmonic(r, h, rtol)
+    harmonic, defect, _ = check_harmonic(r, h, rtol)
     if not harmonic:
+        residual, bound = float(np.max(defect.value, initial=0.0)), rtol * defect.scale
         raise NotHarmonic(
-            f"Laplacian residual {residual:.3e} exceeds {rtol:.1e} * |dh| = {rtol * scale:.3e}"
+            f"Laplacian residual {residual:.3e} exceeds {rtol:.1e} * |dh| = {bound:.3e}"
         )
 
 
@@ -103,7 +103,7 @@ def solve_dirichlet(r: Realization, boundary):
         raise SingularSystem("interior cotan system produced non-finite values")
 
     # iterative refinement down to the residual contract
-    h_scale = max(float(np.abs(g).max()), float(np.abs(x).max()), 1e-300)
+    h_scale = _floor(max(float(np.abs(g).max()), float(np.abs(x).max())))
     for _ in range(3):
         res = A @ x - b
         if float(np.abs(res).max()) <= 1e-12 * h_scale:
@@ -159,4 +159,4 @@ def conjugate_harmonic(r: Realization, h, anchor_face=0, rtol=HARMONIC_RTOL):
     face = corner // 3
     half = 0.5 * r.cot.ravel()[corner - corner % 3 + (corner + 2) % 3] * (h[j] - h[i])
     omega = np.where(on_left, wt[face] - half, wt[face] + half)
-    return ConjugateHarmonic(wt, omega, dual.defect)
+    return ConjugateHarmonic(wt, omega, dual.defect.worst)

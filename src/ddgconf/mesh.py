@@ -271,28 +271,55 @@ class _Graph:
         return steps, self.edge_ids[cotree].tolist()
 
 
+def _floor(scale):
+    """``scale``, but at least 1e-300: a zero defect against a zero scale is 0."""
+    return np.maximum(scale, 1e-300)
+
+
+class Defect(NamedTuple):
+    """Per-element defects (magnitudes) of a check that holds where they
+    vanish, against ``scale``: one number or one per element.  ``where``
+    holds the vertices or faces, or for ``kind == "edge"`` the edge ends
+    ``(i, j)``, rows of ``TriMesh.edge_ends``.  A NaN fails every verdict."""
+
+    value: np.ndarray
+    scale: object
+    where: object
+    kind: str  # "vertex", "face" or "edge"
+
+    @property
+    def relative(self):
+        return self.value / _floor(self.scale)
+
+    @property
+    def worst(self):
+        """Largest relative defect: 0.0 without elements, NaN if one is NaN."""
+        return float(np.max(self.relative, initial=0.0))
+
+    def passes(self, tol):
+        return self.worst <= tol
+
+    def require(self, tol, error, message, **fields):
+        """Raise ``error`` for the first element whose relative defect is not
+        ``<= tol``.  Its details, which ``message`` may name, are its location
+        keyed by ``kind``, its value as ``defect`` and its entry of each
+        per-element array in ``fields`` (which may replace ``defect``)."""
+        bad = np.flatnonzero(~(self.relative <= tol))
+        if len(bad):
+            k = bad[0]
+            where = tuple(map(int, self.where[k])) if self.kind == "edge" else int(self.where[k])
+            details = {self.kind: where, "defect": self.value[k].item()}
+            details.update({name: values[k].item() for name, values in fields.items()})
+            raise error(message.format(**details), **details)
+
+
 class Integral(NamedTuple):
-    """Potential of a 1-form integrated over a spanning tree, with the
-    closure gaps ``|d @ potential - form|`` on the co-tree edges."""
+    """Potential of a 1-form integrated over a spanning tree, and the closure
+    gaps ``|d @ potential - form|`` on its co-tree edges against ``max|form|``."""
 
     potential: np.ndarray
     cotree: np.ndarray  # mesh edge ids, ascending
-    gap: np.ndarray  # per co-tree edge
-    scale: float  # max|form|, floored at 1e-300
-    edges: list  # the mesh's vertex pairs
-
-    @property
-    def defect(self):
-        """Worst co-tree gap relative to ``scale`` (0 without a co-tree)."""
-        return float((self.gap / self.scale).max()) if len(self.gap) else 0.0
-
-    def require(self, tol, error, message):
-        """Raise ``error`` for the first co-tree edge whose gap exceeds
-        ``tol * scale``; ``message`` may name ``{edge}`` and ``{gap}``."""
-        bad = np.flatnonzero(self.gap > tol * self.scale)
-        if len(bad):
-            edge, gap = self.edges[self.cotree[bad[0]]], self.gap[bad[0]]
-            raise error(message.format(edge=edge, gap=gap), edge=edge, defect=gap)
+    defect: Defect
 
 
 def magnitude(x):
@@ -338,8 +365,9 @@ def integrate(mesh, form, root=0, dual=False):
         lo = hi
     gap = (g.d @ pot - form)[cotree]
     gap = np.abs(gap).max(axis=tuple(range(1, gap.ndim))) if gap.ndim > 1 else magnitude(gap)
-    scale = max(float(np.abs(form).max()) if form.size else 0.0, 1e-300)
-    return Integral(pot, g.edge_ids[cotree], gap, scale, mesh.edges)
+    edges = g.edge_ids[cotree]
+    defect = Defect(gap, np.abs(form).max(initial=0.0), mesh.edge_ends[edges], "edge")
+    return Integral(pot, edges, defect)
 
 
 def _read_only(a):

@@ -8,7 +8,7 @@ import numpy as np
 
 from .deform import cross_ratio_rate
 from .errors import CoincidentVertices, DegenerateFace, MeshMismatch, VertexAtInfinity
-from .mesh import magnitude
+from .mesh import Defect, magnitude
 from .realization import Realization, _check_same_mesh, cross_ratios
 
 PAULI = (
@@ -116,29 +116,30 @@ class ClosednessReport:
     closed: bool
     max_defect: float  # worst normalized defect
     equivalence_ok: bool  # matrix sum vanishes iff both scalar sums do
+    defects: tuple  # Defects of the matrix sum, the rate sum and the weighted sum
 
 
 def check_sl2_form_closed(r: Realization, form: SlForm, tol=1e-10) -> ClosednessReport:
     """Closedness of the matrix form at interior vertices, cross-checked
     against the two scalar rate sums it is equivalent to."""
     mesh = r.mesh
-    mat_scale = max(float(np.abs(form.matrices).max()) if len(form.matrices) else 0.0, 1e-300)
     mu = form.rates
-    mu_scale = max(float(np.abs(mu).max()) if len(mu) else 0.0, 1e-300)
-
     # around v the weighted term is mu / (z_j - z_v), the canonical value
     # negated where v > j; its global scale keeps vertices where mu happens
     # to be locally tiny from registering rounding noise as a defect
     tau = mu / r.interior_dz()
-    w_scale = max(float(magnitude(tau)[mesh.vertex_cycles.indices].max(initial=0.0)), 1e-300)
-    msum = mesh.cycle_sum(form.matrices, signed=True)
-    mnorm = np.abs(msum).max(axis=(1, 2), initial=0.0) / mat_scale
-    rate = magnitude(mesh.cycle_sum(mu)) / mu_scale
-    weighted = magnitude(mesh.cycle_sum(tau, signed=True)) / w_scale
-
-    max_defect = float(np.concatenate([[0.0], mnorm, rate, weighted]).max())
-    equivalence_ok = bool(np.all((mnorm <= tol) == ((rate <= tol) & (weighted <= tol))))
-    return ClosednessReport(max_defect <= tol, max_defect, equivalence_ok)
+    msum = np.abs(mesh.cycle_sum(form.matrices, signed=True)).max(axis=(1, 2), initial=0.0)
+    w_scale = magnitude(tau)[mesh.vertex_cycles.indices].max(initial=0.0)
+    v = mesh.interior_vertices
+    defects = (
+        Defect(msum, np.abs(form.matrices).max(initial=0.0), v, "vertex"),
+        Defect(magnitude(mesh.cycle_sum(mu)), np.abs(mu).max(initial=0.0), v, "vertex"),
+        Defect(magnitude(mesh.cycle_sum(tau, signed=True)), w_scale, v, "vertex"),
+    )
+    max_defect = float(np.max([d.worst for d in defects]))
+    mnorm, rate, weighted = (d.relative <= tol for d in defects)
+    equivalence_ok = bool(np.all(mnorm == (rate & weighted)))
+    return ClosednessReport(max_defect <= tol, max_defect, equivalence_ok, defects)
 
 
 def _adjugate(m):
@@ -151,17 +152,18 @@ def _face_maps(a, b):
     triple ``a[f]`` to ``b[f]``; ``a`` and ``b`` have shape (F, 3)."""
 
     def normal_form(p):
-        """Matrix of the map sending ``(p1, p2, p3) -> (0, 1, inf)``."""
+        """Matrix of the map sending ``(p1, p2, p3) -> (0, 1, inf)`` and its
+        ``ad - bc = (p2 - p3)(p2 - p1)(p1 - p3)``, which has no cancellation
+        and is exactly 0 where two points coincide."""
         p1, p2, p3 = p.T
         entries = [p2 - p3, -p1 * (p2 - p3), p2 - p1, -p3 * (p2 - p1)]
-        return np.stack(entries, axis=1).reshape(-1, 2, 2)
+        return np.stack(entries, axis=1).reshape(-1, 2, 2), (p2 - p3) * (p2 - p1) * (p1 - p3)
 
-    na, nb = normal_form(a), normal_form(b)
-    det_nb = np.linalg.det(nb)
+    (na, det_na), (nb, det_nb) = normal_form(a), normal_form(b)
     if np.any(det_nb == 0):
         raise DegenerateFace("coincident points in face triple")
     m = (_adjugate(nb) / det_nb[:, None, None]) @ na
-    det = np.linalg.det(m)
+    det = det_na / det_nb
     if np.any(det == 0):
         raise DegenerateFace("coincident points in face triple")
     return m / np.sqrt(det)[:, None, None]
@@ -194,6 +196,7 @@ class TransitionReport:
     max_eigen_residual: float  # eigen-relation residual, relative
     max_cr_residual: float  # |cr_b - cr_a / lambda^2| relative
     max_cycle_residual: float  # | prod G - I | around interior vertices, relative
+    cycle: Defect  # | prod G - I | per interior vertex, against its rounding scale
 
 
 def transition_matrices(a: Realization, b: Realization) -> TransitionReport:
@@ -205,27 +208,22 @@ def transition_matrices(a: Realization, b: Realization) -> TransitionReport:
     face_maps = _fix_signs(_face_maps(a.z[a.tri], b.z[a.tri]))
     left, right = mesh.interior_faces.T
     G = _adjugate(face_maps[right]) @ face_maps[left]
-    n = len(G)
     # G psi_j = lam psi_j and G psi_i = psi_i / lam on the lifts psi = (z, 1)
     i, j = mesh.interior_ends.T
     psi = lift(a.z)
     wi, wj = (G @ psi[i][:, :, None])[:, :, 0], (G @ psi[j][:, :, None])[:, :, 0]
     lam = wj[:, 1]  # second lift component is 1
     G_norm = np.abs(G).max(axis=(1, 2))
-    scale = np.maximum(G_norm, 1e-300) * np.maximum(
-        np.maximum(magnitude(a.z[i]), magnitude(a.z[j])), 1.0
-    )
     res = np.maximum(
         np.abs(wj - lam[:, None] * psi[j]).max(axis=1),
         np.abs(wi - psi[i] / lam[:, None]).max(axis=1),
     )
-    eig_res = float((res / scale).max(initial=0.0))
+    scale = G_norm * np.maximum(np.maximum(magnitude(a.z[i]), magnitude(a.z[j])), 1.0)
+    eig_res = Defect(res, scale, mesh.interior_ends, "edge").worst
 
     cra = cross_ratios(a)
-    if n:
-        cr_res = float(np.abs(cross_ratios(b) - cra / lam**2).max() / np.abs(cra).max())
-    else:
-        cr_res = 0.0
+    cr_gap = np.abs(cross_ratios(b) - cra / lam**2)
+    cr_res = Defect(cr_gap, np.abs(cra).max(initial=0.0), mesh.interior_ends, "edge").worst
 
     # product P of G around each interior vertex (G^{-1} against the canonical orientation)
     # rounds to max_m |P_{m-1}| |G_m| (|G^{-1}| = |G|); two broadcast products beat matmul
@@ -242,6 +240,6 @@ def transition_matrices(a: Realization, b: Realization) -> TransitionReport:
         prev = p[rows]
         p_scale[rows] = np.maximum(p_scale[rows], np.abs(prev).max(axis=(1, 2)) * G_norm[k])
         p[rows] = prev[:, :, :1] * g[:, :1] + prev[:, :, 1:] * g[:, 1:]
-    cyc_res = float((np.abs(p - np.eye(2)).max(axis=(1, 2)) / p_scale).max(initial=0.0))
-
-    return TransitionReport(face_maps, G, lam, eig_res, cr_res, cyc_res)
+    off = np.abs(p - np.eye(2)).max(axis=(1, 2))
+    cycle = Defect(off, p_scale, mesh.interior_vertices, "vertex")
+    return TransitionReport(face_maps, G, lam, eig_res, cr_res, cycle.worst, cycle)

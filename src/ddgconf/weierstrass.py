@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import CoincidentVertices, IntegrationDefect, MeshMismatch, NotHolomorphic, NotMinimal
 from .hqd import QuadDiff, _as_complex, verify_qdiff
-from .mesh import integrate, magnitude
+from .mesh import Defect, integrate, magnitude
 from .realization import Realization
 
 
@@ -67,22 +67,22 @@ def weierstrass_integrate(r: Realization, q, alpha=0.0, anchor_face=0, tol=1e-8)
     """
     mesh = r.mesh
     mesh.require_disk()
-    report = verify_qdiff(r, q, tol)
-    if not report.holomorphic:
-        raise NotHolomorphic(
-            f"quadratic differential fails verification (defect {report.max_defect:.3e})"
-        )
+    # the report's per-vertex sums are freed before the integration
+    worst = verify_qdiff(r, q, tol).max_defect
+    if not worst <= tol:
+        raise NotHolomorphic(f"quadratic differential fails verification (defect {worst:.3e})")
     q = _as_complex(q)
 
     dual = integrate(mesh, integrand(r, q), anchor_face, dual=True)
-    dual.require(1e-9, IntegrationDefect, "Weierstrass form fails to close across edge {edge}")
+    message = "Weierstrass form fails to close across edge {edge}"
+    dual.defect.require(1e-9, IntegrationDefect, message)
     pot = dual.potential
 
     k = (-1j * q / magnitude(r.interior_dz()) ** 2).real
 
     phase = np.exp(1j * reduce_phase(alpha))
     f = (phase * pot).real
-    return MinimalSurface(mesh, pot, f, k, float(alpha), dual.defect)
+    return MinimalSurface(mesh, pot, f, k, float(alpha), dual.defect.worst)
 
 
 @dataclass
@@ -92,6 +92,7 @@ class MinimalityReport:
     residual: np.ndarray  # per interior edge
     k: np.ndarray  # least-squares edge factor from the parallelism relation
     orthogonal_part: np.ndarray  # norm of df orthogonal to (n_j - n_i)
+    defect: Defect  # |(n_j - n_i) x df| per interior edge, against |n_j - n_i| max|df|
 
 
 def verify_minimal(mesh, n, f, tol=1e-9) -> MinimalityReport:
@@ -120,12 +121,13 @@ def verify_minimal(mesh, n, f, tol=1e-9) -> MinimalityReport:
     df = f[left] - f[right]
     # when every df vanishes so does every residual; 1.0 keeps them defined
     df_scale = float(np.linalg.norm(df, axis=1).max(initial=0.0)) or 1.0
-    residual = np.linalg.norm(np.cross(dn, df), axis=1) / (dn_norm * df_scale)
+    cross = np.linalg.norm(np.cross(dn, df), axis=1)
+    defect = Defect(cross, dn_norm * df_scale, mesh.interior_ends, "edge")
     # df = k * (1 + |z_i|^2)(1 + |z_j|^2)/2 * dn; the raw projection onto dn
     k = np.einsum("ij,ij->i", dn, df) / dn_norm**2
     ortho = np.linalg.norm(df - k[:, None] * dn, axis=1)
-    max_res = float(residual.max(initial=0.0))
-    return MinimalityReport(max_res <= tol, max_res, residual, k, ortho)
+    worst = defect.worst
+    return MinimalityReport(worst <= tol, worst, defect.relative, k, ortho, defect)
 
 
 def qdiff_from_minimal(r: Realization, f, tol=1e-9) -> QuadDiff:

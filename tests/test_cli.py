@@ -299,3 +299,29 @@ def test_outputs_deterministic(files, capsys, monkeypatch, tmp_path):
         assert code == 0
         outputs.append((surfaces.replace(prefix, "PREFIX"), obj_bytes, out2))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_overflowing_q_ends_in_a_coded_error(files, capsys, tmp_path):
+    """``q / dz`` overflows, so ``hqd to-harmonic`` fails its closure check
+    with a NaN defect; the defect report cannot hold the NaN, so the run ends
+    in ``error [non_finite]`` and exit code 1, not a traceback."""
+    q = json.loads(open(files["q"]).read())["q"]
+    path = tmp_path / "qbig.json"
+    path.write_text(fileio.dump_json({"q": {key: 1e308 for key in q}}))
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, "hqd", "to-harmonic", files["wheel"], str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error [non_finite]: ")
+
+
+def test_nan_defect_report_is_a_coded_error(files, capsys, monkeypatch):
+    """A verification failure whose details hold a NaN exits 1 with one
+    coded line on stderr."""
+
+    def fails(*args, **kwargs):
+        raise hqd.ClosureDefect("form fails to close on edge (0, 1)", edge=(0, 1), defect=np.nan)
+
+    monkeypatch.setattr(hqd, "harmonic_from_qdiff", fails)
+    code, out, err = run(capsys, "hqd", "to-harmonic", files["wheel"], files["q"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error [non_finite]: ") and err.count("\n") == 1

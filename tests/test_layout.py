@@ -2,7 +2,8 @@
 index arrays of ``TriMesh`` (``edge_ends``, ``face_edges``, ``flap_edges``,
 ...).  ``TriMesh`` builds no per-element tables, and outside ``mesh.py``
 nothing calls its one per-element view, ``edge_flap``.  Every flag of the
-``ddg`` command line is read by its handler."""
+``ddg`` command line is read by its handler.  One helper beside ``Defect``
+floors every scale at 1e-300."""
 
 import argparse
 import ast
@@ -29,6 +30,20 @@ def test_modules_read_the_mesh_through_index_arrays():
             if isinstance(node, (ast.Attribute, ast.Constant)) and name in LOOKUPS:
                 reads.append(f"{path.name}:{node.lineno}: {name}")
     assert reads == []
+
+
+def test_one_scale_floor():
+    """The literal 1e-300 occurs once in the package, in ``mesh._floor``;
+    every check floors its scale through ``mesh.Defect`` or that helper."""
+    floors = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant) and node.value == 1e-300
+    ]
+    tree = ast.parse((PACKAGE / "mesh.py").read_text())
+    (helper,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_floor"]
+    assert floors == [f"mesh.py:{helper.body[-1].lineno}"]
 
 
 def test_trimesh_keeps_no_per_element_tables():

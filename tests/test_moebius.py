@@ -131,6 +131,18 @@ def test_face_moebius_three_points():
     assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("pair", [(0, 1), (1, 2), (0, 2)])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_face_moebius_rejects_coincident_points(pair, side):
+    """Two coincident points of either triple make a determinant exactly 0."""
+    rng = np.random.default_rng(sum(pair))
+    a, b = (list(rng.standard_normal(3) + 1j * rng.standard_normal(3)) for _ in range(2))
+    triple = a if side == "a" else b
+    triple[pair[1]] = triple[pair[0]]
+    with pytest.raises(DegenerateFace):
+        moebius.face_moebius(tuple(a), tuple(b))
+
+
 def test_transitions_moebius_pair():
     """A global Moebius image gives identical face maps, so all transitions
     are the identity with unit eigenvalues."""

@@ -402,21 +402,24 @@ def test_integrate_matches_reference(mesh, dual, shape):
     assert result.potential.dtype == pot.dtype
     assert result.potential.tobytes() == pot.tobytes()
     assert result.cotree.tolist() == cotree
-    assert result.gap.tobytes() == gaps.tobytes()
-    assert result.scale == max(float(np.abs(form).max()), 1e-300)
-    assert result.defect == max(g / result.scale for g in gaps)
+    defect = result.defect
+    assert defect.value.tobytes() == gaps.tobytes()
+    assert defect.scale == max(float(np.abs(form).max()), 1e-300)
+    assert defect.worst == max(g / defect.scale for g in gaps)
+    assert defect.where.tolist() == [list(mesh.edges[e]) for e in cotree]
 
 
 def test_integrate_reports_the_first_failing_cotree_edge(mesh):
     form = np.random.default_rng(8).standard_normal(len(mesh.edges))
     result = integrate(mesh, form)
-    first = next(k for k, g in enumerate(result.gap) if g > 1e-3 * result.scale)
+    defect = result.defect
+    first = next(k for k, g in enumerate(defect.value) if g > 1e-3 * defect.scale)
     with pytest.raises(InvalidInput) as info:
-        result.require(1e-3, InvalidInput, "edge {edge}: {gap:.3e}")
+        defect.require(1e-3, InvalidInput, "edge {edge}: {defect:.3e}")
     edge = mesh.edges[result.cotree[first]]
-    assert str(info.value) == f"edge {edge}: {result.gap[first]:.3e}"
-    assert info.value.details == {"edge": edge, "defect": result.gap[first]}
-    result.require(1.0 + result.defect, InvalidInput, "never")
+    assert str(info.value) == f"edge {edge}: {defect.value[first]:.3e}"
+    assert info.value.details == {"edge": edge, "defect": defect.value[first]}
+    defect.require(1.0 + defect.worst, InvalidInput, "never")
 
 
 @pytest.mark.parametrize("signed", [False, True])
