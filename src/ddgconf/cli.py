@@ -65,7 +65,7 @@ def mesh_info(args):
     report = {
         "vertices": mesh.vertex_count,
         "faces": len(mesh.faces),
-        "edges": len(mesh.edges),
+        "edges": mesh.edge_count,
         "interior_edges": len(mesh.interior_edges),
         "boundary_edges": len(mesh.boundary_edges),
         "interior_vertices": len(mesh.interior_vertices),
@@ -372,7 +372,8 @@ def main(argv=None):
         _threads()
         _check_flags(args)
         try:
-            report, passed = args.func(args)
+            with np.errstate(all="ignore"):  # a NaN or inf fails every verdict instead
+                report, passed = args.func(args)
         except VerificationError as exc:
             # dump_json raises NonFinite for a NaN detail: an error, exit code 1
             failure = {"verdict": "fail", "error": exc.code, "message": str(exc), **exc.details}

@@ -16,7 +16,7 @@ from .realization import Realization
 class EdgeRates:
     """Per-edge scaling (sigma) and rotation (omega) rates of a deformation:
     ``zdot_j - zdot_i = (sigma_ij + i omega_ij)(z_j - z_i)``.  Both attach to
-    the unordered edge; arrays are aligned with ``mesh.edges``."""
+    the unordered edge; arrays are aligned with ``mesh.edge_ends``."""
 
     sigma: np.ndarray
     omega: np.ndarray

@@ -181,7 +181,7 @@ def boundary_data_from_json(data, mesh: TriMesh):
     values = _vertex_values(data, mesh.vertex_count, real=True)
     if isinstance(data, dict):
         return values
-    return {v: values[v] for v in mesh.boundary_vertices}
+    return {v: values[v] for v in mesh.boundary_vertices.tolist()}
 
 
 def edge_map_to_json(mesh: TriMesh, values):

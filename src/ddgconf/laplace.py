@@ -72,10 +72,11 @@ def solve_dirichlet(r: Realization, boundary):
 
     g = np.zeros(mesh.vertex_count)
     if isinstance(boundary, dict):
-        for v in mesh.boundary_vertices:
-            if v not in boundary:
-                raise MissingBoundaryData(f"no boundary value for vertex {v}")
-            g[v] = boundary[v]
+        vertices = mesh.boundary_vertices.tolist()
+        missing = set(vertices).difference(boundary)
+        if missing:
+            raise MissingBoundaryData(f"no boundary value for vertex {min(missing)}")
+        g[vertices] = [boundary[v] for v in vertices]
     else:
         boundary = np.asarray(boundary, dtype=float)
         if boundary.shape != (mesh.vertex_count,):

@@ -27,7 +27,7 @@ class DualEdge(NamedTuple):
     head: int
     from_face: int  # right face of tail -> head
     to_face: int  # left face of tail -> head
-    edge: int  # index into TriMesh.edges
+    edge: int  # row of TriMesh.edge_ends
 
 
 class TriMesh:
@@ -37,7 +37,8 @@ class TriMesh:
     ``faces[f][m] -> faces[f][m + 1]``.  ``edge_ends`` lists the edges
     ``(i, j)``, ``i < j``, in ascending order; ``face_edges[f, m]`` is the
     edge of corner ``3 f + m``; ``edge_faces[e]`` holds the left and right
-    face of ``e`` (-1 where it has none).
+    face of ``e`` (-1 where it has none).  Element sets are read-only int64
+    arrays, but ``interior_vertices`` is a list: ``bench/`` compares it with one.
     """
 
     def __init__(self, faces, vertex_count=None):
@@ -59,7 +60,6 @@ class TriMesh:
             np.minimum(tail, head) * vertex_count + np.maximum(tail, head), return_inverse=True
         )
         self.edge_ends = np.stack([keys // vertex_count, keys % vertex_count], axis=1)
-        self.edges = list(zip(*self.edge_ends.T.tolist()))
         self.face_edges = corner_edge.reshape(-1, 3)
         # the corners of each edge: i -> j in column 0, j -> i in column 1
         side = (tail > head).astype(np.int64)
@@ -68,8 +68,8 @@ class TriMesh:
         self.edge_faces = self._edge_corners // 3  # -1 // 3 == -1
 
         interior = (self.edge_faces >= 0).all(axis=1)
-        self.interior_edges = np.flatnonzero(interior).tolist()
-        self.boundary_edges = np.flatnonzero(~interior).tolist()
+        self.interior_edges = np.flatnonzero(interior)
+        self.boundary_edges = np.flatnonzero(~interior)
         self.interior_ends = self.edge_ends[interior]
         self.interior_faces = self.edge_faces[interior]
 
@@ -79,15 +79,17 @@ class TriMesh:
 
         self.is_boundary_vertex = np.zeros(vertex_count, dtype=bool)
         self.is_boundary_vertex[self.edge_ends[self.boundary_edges]] = True
-        self.boundary_vertices = np.flatnonzero(self.is_boundary_vertex).tolist()
+        self.boundary_vertices = np.flatnonzero(self.is_boundary_vertex)
         self.interior_vertices = np.flatnonzero(~self.is_boundary_vertex).tolist()
+        for a in (self.interior_edges, self.boundary_edges, self.boundary_vertices):
+            a.flags.writeable = False
 
     def _check_connected(self):
         # a bare adjacency: the spanning trees' graph is built only when needed
         i, j = self.edge_ends.T
         graph = sp.csr_array((np.ones(len(i)), (i, j)), (self.vertex_count, self.vertex_count))
         _, label = connected_components(graph, directed=False)
-        root = self.edges[0][0]
+        root = int(self.edge_ends[0, 0])
         missing = np.flatnonzero(label != label[root])
         if len(missing):
             raise Disconnected(f"vertices {missing[:8].tolist()}... not connected to vertex {root}")
@@ -96,10 +98,10 @@ class TriMesh:
 
     @property
     def edge_count(self):
-        return len(self.edges)
+        return len(self.edge_ends)
 
     def euler_characteristic(self):
-        return self.vertex_count - len(self.edges) + len(self.faces)
+        return self.vertex_count - self.edge_count + len(self.faces)
 
     def is_disk(self):
         return self.euler_characteristic() == 1
@@ -113,7 +115,7 @@ class TriMesh:
     def edge_flap(self, e):
         """``(i, j, k, l)`` with ``i < j``, ``k`` apex of the left face of
         ``i -> j`` and ``l`` apex of the right face.  Interior edges only."""
-        i, j = self.edges[e]
+        i, j = self.edge_ends[e].tolist()
         k, l = (self.faces[self.edge_faces[e]].sum(axis=1) - i - j).tolist()
         return i, j, k, l
 
@@ -144,9 +146,8 @@ class TriMesh:
 
     @cached_property
     def _dual_graph(self):
-        e = np.array(self.interior_edges, dtype=np.int64)
-        left, right = self.edge_faces[e].T
-        return _Graph(right, left, len(self.faces), e, "face")
+        left, right = self.interior_faces.T
+        return _Graph(right, left, len(self.faces), self.interior_edges, "face")
 
     @cached_property
     def vertex_cycles(self):
@@ -194,7 +195,7 @@ class TriMesh:
         starts = c.indptr.tolist()
         tails = np.repeat(self.interior_vertices, np.diff(starts))
         heads = (self.interior_ends[c.indices].sum(axis=1) - tails).tolist()
-        edges = self._dual_graph.edge_ids[c.indices].tolist()
+        edges = self.interior_edges[c.indices].tolist()
         cycles = {}
         for v, a, b in zip(self.interior_vertices, starts, starts[1:]):
             # the face before slot a is the face after slot b - 1

@@ -97,9 +97,8 @@ def sl2_form_from_rates(r: Realization, mu) -> SlForm:
     if mu.shape != (n,):
         raise MeshMismatch(f"expected {n} edge rates, got {mu.shape}")
     dz = r.interior_dz()
-    bad = np.flatnonzero(dz == 0)
-    if len(bad):
-        edge = mesh.edges[mesh.interior_edges[bad[0]]]
+    if np.any(dz == 0):
+        edge = tuple(mesh.interior_ends[dz == 0][0].tolist())
         raise CoincidentVertices(f"edge {edge} has coincident endpoints", edge=edge)
     vecs = (mu / dz)[:, None] * r.null_vectors()
     return SlForm(mu, sl2_from_pauli(vecs), vecs)

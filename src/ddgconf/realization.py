@@ -148,10 +148,8 @@ def cross_ratios(r: Realization):
     num = (z[j] - z[k]) * (z[i] - z[l])
     den = (z[k] - z[i]) * (z[l] - z[j])
     if np.any(den == 0) or np.any(num == 0):
-        e = int(np.flatnonzero((den == 0) | (num == 0))[0])
-        raise DegenerateFace(
-            f"coincident vertices at interior edge {r.mesh.edges[r.mesh.interior_edges[e]]}"
-        )
+        edge = tuple(r.mesh.interior_ends[(den == 0) | (num == 0)][0].tolist())
+        raise DegenerateFace(f"coincident vertices at interior edge {edge}")
     return num / den
 
 

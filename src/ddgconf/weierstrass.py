@@ -113,9 +113,8 @@ def verify_minimal(mesh, n, f, tol=1e-9) -> MinimalityReport:
     i, j = mesh.interior_ends.T
     dn = n[j] - n[i]
     dn_norm = np.linalg.norm(dn, axis=1)
-    bad = np.flatnonzero(dn_norm == 0)
-    if len(bad):
-        edge = mesh.edges[mesh.interior_edges[bad[0]]]
+    if np.any(dn_norm == 0):
+        edge = tuple(mesh.interior_ends[dn_norm == 0][0].tolist())
         raise CoincidentVertices(f"Gauss points coincide on edge {edge}", edge=edge)
     left, right = mesh.interior_faces.T
     df = f[left] - f[right]

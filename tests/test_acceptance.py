@@ -115,7 +115,7 @@ def test_criterion_04_deformation_equivalence():
 
         sigma = deform_mod.edge_rates(r, zdot).sigma
         omega_rot = deform_mod.edge_rates(r, 1j * zdot).omega
-        mid = np.array([(u[i] + u[j]) / 2.0 for i, j in r.mesh.edges])
+        mid = np.array([(u[i] + u[j]) / 2.0 for i, j in r.mesh.edge_ends.tolist()])
         edge_worst = max(edge_worst, float(np.abs(sigma - mid).max() / uscale))
         rot_worst = max(rot_worst, float(np.abs(omega_rot - mid).max() / uscale))
 
@@ -243,7 +243,7 @@ def test_criterion_09_sl2_layer(wheel6_irregular):
     eig_worst = 0.0
     mscale = np.abs(form.matrices).max()
     for idx, e in enumerate(r.mesh.interior_edges):
-        i, j = r.mesh.edges[e]
+        i, j = r.mesh.edge_ends[e].tolist()
         eta = form.matrices[idx]
         ri = np.abs(eta @ psi[i] + mu[idx] * psi[i]).max()
         rj = np.abs(eta @ psi[j] - mu[idx] * psi[j]).max()
@@ -300,7 +300,7 @@ def test_criterion_10_minimal_pipeline(wheel6):
         res_worst = max(res_worst, rep.max_residual)
 
         for idx, e in enumerate(r.mesh.interior_edges):
-            i, j = r.mesh.edges[e]
+            i, j = r.mesh.edge_ends[e].tolist()
             kc = -1j * q.values[idx] / abs(r.z[j] - r.z[i]) ** 2
             k_imag_worst = max(k_imag_worst, abs(kc.imag))
 

@@ -325,3 +325,29 @@ def test_nan_defect_report_is_a_coded_error(files, capsys, monkeypatch):
     code, out, err = run(capsys, "hqd", "to-harmonic", files["wheel"], files["q"])
     assert (code, out) == (1, "")
     assert err.startswith("error [non_finite]: ") and err.count("\n") == 1
+
+
+def test_strip_without_interior_vertices(tmp_path, capsys):
+    """On a 2x6 strip every vertex lies on the boundary: ``interior_edges``
+    is still an int64 array, the solve returns the boundary data and the
+    check reports empty vertex sums."""
+    mesh = build([f for i in range(5) for f in ((i, i + 1, 7 + i), (i, 7 + i, 6 + i))])
+    assert mesh.interior_edges.dtype == np.int64 and mesh.interior_edges.shape == (9,)
+    assert mesh.interior_vertices == []
+    obj, bnd, q = (str(tmp_path / name) for name in ("strip.obj", "bnd.json", "q.json"))
+    fileio.write_obj_planar(obj, mesh, np.r_[np.arange(6), np.arange(6) + 1j])
+    with open(bnd, "w") as fh:
+        fh.write(fileio.dump_json({"boundary": {str(v): float(v) for v in range(12)}}))
+    with open(q, "w") as fh:
+        fh.write(fileio.dump_json({"q": fileio.edge_map_to_json(mesh, np.ones(9))}))
+    code, out, err = run(capsys, "harmonic", "solve", obj, bnd)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "schema": 1, "command": "harmonic solve", "residual": 0.0, "values": list(range(12)),
+    }
+    code, out, err = run(capsys, "hqd", "check", obj, q)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "schema": 1, "command": "hqd check", "tol": 1e-9, "holomorphic": True, "max_defect": 0.0,
+        "max_real_part": 0.0, "vertex_sum": {}, "weighted_sum": {},
+    }

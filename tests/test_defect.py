@@ -108,10 +108,10 @@ def test_require_fields_join_the_message_and_details():
 
 def test_integral_cotree_defect(disk):
     r = disk[0]
-    for dual, n in ((False, len(r.mesh.edges)), (True, len(r.mesh.interior_edges))):
+    for dual, n in ((False, len(r.mesh.edge_ends)), (True, len(r.mesh.interior_edges))):
         result = integrate(r.mesh, np.random.default_rng(3).standard_normal(n), dual=dual)
         assert [tuple(w) for w in result.defect.where.tolist()] == [
-            r.mesh.edges[e] for e in result.cotree
+            tuple(r.mesh.edge_ends[e].tolist()) for e in result.cotree
         ]
         assert_nan_fails(result.defect)
 
@@ -218,7 +218,7 @@ def test_overflowing_q_raises_closure_defect(points, seed):
     with np.errstate(all="ignore"), pytest.raises(ClosureDefect) as info:
         hqd.harmonic_from_qdiff(r, np.full(len(r.mesh.interior_edges), 1e308j))
     assert np.isnan(info.value.details["defect"])
-    assert info.value.details["edge"] in r.mesh.edges
+    assert list(info.value.details["edge"]) in r.mesh.edge_ends.tolist()
 
 
 def test_real_part_is_not_realizable(disk):
@@ -245,6 +245,7 @@ def test_realizability_fails_on_a_nan_face(monkeypatch, disk):
     monkeypatch.setattr(hqd, "integrate", nan_on_face_9)
     with pytest.raises(NotRealizable) as info:
         hqd.harmonic_from_qdiff(r, q)
-    first = min(r.mesh.edges[e] for e in r.mesh.face_edges[9] if e in set(r.mesh.interior_edges))
+    interior = set(r.mesh.interior_edges.tolist())
+    first = min(tuple(r.mesh.edge_ends[e].tolist()) for e in r.mesh.face_edges[9] if e in interior)
     assert info.value.details["edge"] == first
     assert "(nan vs" in str(info.value) or "vs nan)" in str(info.value)

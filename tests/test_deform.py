@@ -59,7 +59,7 @@ def test_conformal_deformation_scale_rates():
         u = random_harmonic(r, seed=30 + seed)
         zdot = deform.conformal_deformation(r, u)
         rates = deform.edge_rates(r, zdot)
-        for e, (i, j) in enumerate(r.mesh.edges):
+        for e, (i, j) in enumerate(r.mesh.edge_ends.tolist()):
             assert rates.sigma[e] == pytest.approx((u[i] + u[j]) / 2.0, abs=1e-10)
 
 
@@ -76,7 +76,7 @@ def test_pattern_deformation_is_rotated_conformal(wheel6_irregular):
     alpha = random_harmonic(r, seed=5)
     zdot = deform.pattern_deformation(r, alpha)
     rates = deform.edge_rates(r, zdot)
-    for e, (i, j) in enumerate(r.mesh.edges):
+    for e, (i, j) in enumerate(r.mesh.edge_ends.tolist()):
         assert rates.omega[e] == pytest.approx((alpha[i] + alpha[j]) / 2.0, abs=1e-10)
 
 

@@ -173,7 +173,7 @@ def test_relabelling_permutes_harmonic_and_qdiff(kind):
 
     q = hqd.qdiff_from_harmonic(r, u).values
     q2 = hqd.qdiff_from_harmonic(s, u2).values
-    pos = {s.mesh.edges[e]: p for p, e in enumerate(s.mesh.interior_edges)}
+    pos = {tuple(s.mesh.edge_ends[e].tolist()): p for p, e in enumerate(s.mesh.interior_edges)}
     moved = [pos[tuple(sorted(pair))] for pair in new[r.mesh.interior_ends].tolist()]
     assert np.abs(q2[moved] - q).max() <= 1e-12 * np.abs(q).max()
 

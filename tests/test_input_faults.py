@@ -2,6 +2,7 @@
 stderr, never with a traceback."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,29 @@ def test_coincident_gauss_points(wheel, capsys):
     err = assert_input_error(capsys, "minimal", "verify", wheel / "gauss.obj", wheel / "dual.obj",
                              code="coincident_vertices")
     assert "(0, 1)" in err
+
+
+def test_overflow_warnings_stay_off_stderr(tmp_path, capsys):
+    """With every ``q`` at 1e308 on a wheel of radius 0.1, ``q / dz``
+    overflows.  Each command still ends in its one coded line or its defect
+    report, and no numpy RuntimeWarning is raised on the way to stderr."""
+    mesh = build(WHEEL6_FACES)
+    z = 0.1 * np.concatenate([[0.05 + 0.02j], np.exp(2j * np.pi * np.arange(6) / 6.0)])
+    fileio.write_obj_planar(tmp_path / "small.obj", mesh, z)
+    q = fileio.edge_map_to_json(mesh, np.full(len(mesh.interior_edges), 1e308))
+    (tmp_path / "q.json").write_text(fileio.dump_json({"q": q}))
+    files = tmp_path / "small.obj", tmp_path / "q.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for command in (("hqd", "check"), ("hqd", "to-harmonic")):
+            assert_input_error(capsys, *command, *files, code="non_finite")
+        rc, out, err = run(capsys, "minimal", "build", *files, "-o", tmp_path / "min")
+    assert (rc, err) == (2, "")
+    assert json.loads(out) == {
+        "schema": 1, "verdict": "fail", "error": "not_holomorphic",
+        "message": "quadratic differential fails verification (defect nan)",
+    }
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf"), complex(1.0, float("nan"))])

@@ -74,6 +74,10 @@ def test_maximum_principle():
 def test_missing_boundary_data(wheel6):
     with pytest.raises(MissingBoundaryData):
         laplace.solve_dirichlet(wheel6, {1: 1.0})
+    # the smallest boundary vertex without a value is named
+    with pytest.raises(MissingBoundaryData) as info:
+        laplace.solve_dirichlet(wheel6, {v: 1.0 for v in (1, 3, 4, 6)})
+    assert str(info.value) == "no boundary value for vertex 2"
 
 
 def test_require_harmonic_rejects(wheel6):
@@ -95,7 +99,7 @@ def test_conjugate_harmonic_consistency(wheel6_irregular):
     ref = reference_tables(mesh)
     assert conj.closure_defect < 1e-12
     for idx, e in enumerate(mesh.interior_edges):
-        i, j = mesh.edges[e]
+        i, j = mesh.edge_ends[e].tolist()
         fl, fr = ref.left[e], ref.right[e]
         diff = conj.face_potential[fl] - conj.face_potential[fr]
         assert diff == pytest.approx(0.5 * w[idx] * (h[j] - h[i]), abs=1e-12)
@@ -111,7 +115,7 @@ def test_conjugate_harmonic_gives_compatible_rates():
     r = delaunay_disk(80, seed=9)
     h = random_harmonic(r, seed=90)
     conj = laplace.conjugate_harmonic(r, h)
-    sigma = np.array([(h[i] + h[j]) / 2.0 for i, j in r.mesh.edges])
+    sigma = np.array([(h[i] + h[j]) / 2.0 for i, j in r.mesh.edge_ends.tolist()])
     rates = deform.EdgeRates(sigma, conj.edge_rotation)
     rep = deform.check_triangle_compat(r, rates)
     assert rep.ok.all()

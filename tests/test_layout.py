@@ -1,16 +1,20 @@
 """One mesh format: the package reads edges, flaps and corners through the
 index arrays of ``TriMesh`` (``edge_ends``, ``face_edges``, ``flap_edges``,
-...).  ``TriMesh`` builds no per-element tables, and outside ``mesh.py``
-nothing calls its one per-element view, ``edge_flap``.  Every flag of the
+...).  ``TriMesh`` builds no per-element tables, keeps its element sets as
+read-only int64 arrays, and outside ``mesh.py`` nothing calls its one
+per-element view, ``edge_flap``.  Every flag of the
 ``ddg`` command line is read by its handler.  One helper beside ``Defect``
 floors every scale at 1e-300."""
 
 import argparse
 import ast
 import inspect
+from functools import cached_property
 from pathlib import Path
 
-from ddgconf import build
+import numpy as np
+
+from ddgconf import TriMesh, build
 from ddgconf.cli import build_parser
 
 from conftest import WHEEL6_FACES
@@ -50,6 +54,21 @@ def test_trimesh_keeps_no_per_element_tables():
     mesh = build(WHEEL6_FACES)
     deleted = LOOKUPS - {"edge_flap"} | {"_star", "_build_vertex_stars", "vertex_star"}
     assert sorted(name for name in deleted if hasattr(mesh, name)) == []
+
+
+def test_trimesh_element_sets_are_read_only_arrays():
+    """``TriMesh`` keeps index arrays, not lists beside them.  The one list is
+    ``interior_vertices``, which ``bench/test_bench.py`` compares with a list."""
+    mesh = build(WHEEL6_FACES)
+    for name, value in vars(TriMesh).items():
+        if isinstance(value, cached_property):
+            getattr(mesh, name)
+    lists = sorted(name for name, value in vars(mesh).items() if isinstance(value, (list, tuple)))
+    assert lists == ["interior_vertices"]
+    for name in ("interior_edges", "boundary_edges", "boundary_vertices"):
+        values = getattr(mesh, name)
+        assert values.dtype == np.int64 and not values.flags.writeable, name
+    assert not hasattr(mesh, "edges")
 
 
 def _subcommands(parser):

@@ -19,9 +19,9 @@ from test_operators import reference_cycle_sum
 def test_square2_tables():
     mesh = build(SQUARE2_FACES)
     assert mesh.vertex_count == 4
-    assert mesh.edges == [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]
+    assert np.array_equal(mesh.edge_ends, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)])
     assert len(mesh.interior_edges) == 1
-    i, j = mesh.edges[mesh.interior_edges[0]]
+    i, j = mesh.edge_ends[mesh.interior_edges[0]].tolist()
     assert (i, j) == (0, 2)
     assert mesh.interior_vertices == []
     assert mesh.euler_characteristic() == 1
@@ -119,7 +119,7 @@ def test_spanning_trees_cover():
     assert len(steps) + len(cotree) == len(mesh.interior_edges)
     vsteps, vcotree = mesh.vertex_spanning_tree(0)
     assert len(vsteps) == mesh.vertex_count - 1
-    assert len(vsteps) + len(vcotree) == len(mesh.edges)
+    assert len(vsteps) + len(vcotree) == len(mesh.edge_ends)
 
 
 def test_dual_tree_sign_semantics():
@@ -168,7 +168,7 @@ def assert_bitwise(got, want):
 def test_tables_match_reference(kind):
     mesh = TABLE_MESHES[kind]()
     ref = reference_tables(mesh)
-    assert mesh.edges == ref.edges
+    assert np.array_equal(mesh.edge_ends, ref.edges)
     sides = [[-1 if f is None else f for f in pair] for pair in zip(ref.left, ref.right)]
     assert_bitwise(mesh.edge_faces, np.array(sides, dtype=np.int64))
     face_edges = [[ref.key(a, b) for a, b in zip(f, f[1:] + f[:1])] for f in ref.faces]
@@ -179,7 +179,7 @@ def test_tables_match_reference(kind):
     assert_bitwise(mesh.flap_edges, np.array(flap_edges, dtype=np.int64).reshape(-1, 4))
     closed = [v for v, (_, c) in enumerate(ref.star) if c]
     assert mesh.interior_vertices == closed
-    assert mesh.boundary_vertices == [v for v, (_, c) in enumerate(ref.star) if not c]
+    assert np.array_equal(mesh.boundary_vertices, [v for v, (_, c) in enumerate(ref.star) if not c])
 
     # row r of the cycle operator lists the star of closed[r] slot by slot
     rings = [ref.star[v][0] for v in closed]
@@ -206,9 +206,9 @@ def test_face_order_and_rotation_leave_the_tables(kind):
     order = rng.permutation(len(mesh.faces))  # new face m is old face order[m]
     turns = rng.integers(0, 3, len(order))
     other = build([tuple(np.roll(mesh.faces[f], -t).tolist()) for f, t in zip(order, turns)])
-    assert other.edges == mesh.edges
+    assert np.array_equal(other.edge_ends, mesh.edge_ends)
     assert other.interior_vertices == mesh.interior_vertices
-    assert other.boundary_vertices == mesh.boundary_vertices
+    assert np.array_equal(other.boundary_vertices, mesh.boundary_vertices)
     new_id = np.argsort(order)
     assert np.array_equal(other.edge_faces, np.where(mesh.edge_faces >= 0, new_id[mesh.edge_faces], -1))
     a, b = mesh.vertex_cycles, other.vertex_cycles

@@ -53,10 +53,10 @@ def fields(request):
 def reference_tree(mesh, root, dual):
     """BFS tree over sorted adjacency lists: ``(steps, cotree)``."""
     ref = reference_tables(mesh)
-    edges = mesh.interior_edges if dual else range(len(mesh.edges))
+    edges = mesh.interior_edges.tolist() if dual else range(len(mesh.edge_ends))
     adj = [[] for _ in range(len(mesh.faces) if dual else mesh.vertex_count)]
     for e in edges:
-        tail, head = (ref.right[e], ref.left[e]) if dual else mesh.edges[e]
+        tail, head = (ref.right[e], ref.left[e]) if dual else mesh.edge_ends[e].tolist()
         adj[tail].append((head, e, 1))
         adj[head].append((tail, e, -1))
     seen = [False] * len(adj)
@@ -85,7 +85,7 @@ def reference_integrate(mesh, form, root, dual):
         pot[node] = pot[parent] + sign * form[e]
     gaps = []
     for e in cotree:
-        tail, head = (ref.right[e], ref.left[e]) if dual else mesh.edges[e]
+        tail, head = (ref.right[e], ref.left[e]) if dual else mesh.edge_ends[e].tolist()
         gap = pot[head] - pot[tail] - form[e]
         gaps.append(float(np.abs(gap).max()) if form.ndim > 1 else abs(gap))
     return pot, cotree, np.array(gaps)
@@ -164,7 +164,7 @@ def reference_solve_dirichlet(r, boundary, default_ordering=False):
     diag = np.zeros(ni)
     b = np.zeros(ni)
     for idx, e in enumerate(mesh.interior_edges):
-        i, j = mesh.edges[e]
+        i, j = mesh.edge_ends[e].tolist()
         for a, c in ((i, j), (j, i)):
             if a in int_pos:
                 pa = int_pos[a]
@@ -200,15 +200,15 @@ def reference_solve_dirichlet(r, boundary, default_ordering=False):
 def reference_conformal_deformation(r, u):
     mesh = r.mesh
     conj = laplace.conjugate_harmonic(r, u)
-    form = np.empty(len(mesh.edges), dtype=complex)
-    for e, (i, j) in enumerate(mesh.edges):
+    form = np.empty(len(mesh.edge_ends), dtype=complex)
+    for e, (i, j) in enumerate(mesh.edge_ends.tolist()):
         form[e] = ((u[i] + u[j]) / 2.0 + 1j * conj.edge_rotation[e]) * (r.z[j] - r.z[i])
     return integrate(mesh, form).potential
 
 
 def reference_edge_rates(r, zdot):
-    rate = np.empty(len(r.mesh.edges), dtype=complex)
-    for e, (i, j) in enumerate(r.mesh.edges):
+    rate = np.empty(len(r.mesh.edge_ends), dtype=complex)
+    for e, (i, j) in enumerate(r.mesh.edge_ends.tolist()):
         rate[e] = (zdot[j] - zdot[i]) / (r.z[j] - r.z[i])
     return rate
 
@@ -264,7 +264,7 @@ def reference_null_vector_forms(r, rates, weierstrass_form):
     mats = np.empty((n, 2, 2), dtype=complex)
     vecs = np.empty((n, 3), dtype=complex)
     for idx, e in enumerate(r.mesh.interior_edges):
-        i, j = r.mesh.edges[e]
+        i, j = r.mesh.edge_ends[e].tolist()
         zi, zj = r.z[i], r.z[j]
         f = rates[idx] / (1j * (zj - zi)) if weierstrass_form else rates[idx] / (zj - zi)
         mats[idx] = f * np.array([[zi + zj, -2.0 * zi * zj], [2.0, -zi - zj]])
@@ -311,7 +311,7 @@ def reference_transitions(a, b):
     eig_res = 0.0
     psi = moebius.lift(a.z)
     for idx, e in enumerate(mesh.interior_edges):
-        i, j = mesh.edges[e]
+        i, j = mesh.edge_ends[e].tolist()
         al, ar = face_maps[ref.left[e]], face_maps[ref.right[e]]
         g = np.array([[ar[1, 1], -ar[0, 1]], [-ar[1, 0], ar[0, 0]]]) @ al
         G[idx] = g
@@ -335,7 +335,7 @@ def reference_verify_minimal(mesh, n, f):
     df_scale = float(np.linalg.norm(dfs, axis=1).max())
     out = np.zeros((len(mesh.interior_edges), 3))
     for idx, e in enumerate(mesh.interior_edges):
-        i, j = mesh.edges[e]
+        i, j = mesh.edge_ends[e].tolist()
         dn, df = n[j] - n[i], dfs[idx]
         dn_norm = np.linalg.norm(dn)
         proj = float(dn @ df) / dn_norm**2
@@ -346,7 +346,7 @@ def reference_verify_minimal(mesh, n, f):
 def reference_qdiff_from_minimal(r, k):
     q_imag = np.empty(len(r.mesh.interior_edges))
     for idx, e in enumerate(r.mesh.interior_edges):
-        i, j = r.mesh.edges[e]
+        i, j = r.mesh.edge_ends[e].tolist()
         scale = (1.0 + abs(r.z[i]) ** 2) * (1.0 + abs(r.z[j]) ** 2) / 2.0
         q_imag[idx] = k[idx] / scale * abs(r.z[j] - r.z[i]) ** 2
     return q_imag
@@ -355,7 +355,7 @@ def reference_qdiff_from_minimal(r, k):
 def reference_curvature_factor(r, q):
     k = np.empty(len(r.mesh.interior_edges))
     for idx, e in enumerate(r.mesh.interior_edges):
-        i, j = r.mesh.edges[e]
+        i, j = r.mesh.edge_ends[e].tolist()
         k[idx] = (-1j * q[idx] / abs(r.z[j] - r.z[i]) ** 2).real
     return k
 
@@ -388,12 +388,12 @@ def test_spanning_trees_match_reference(mesh):
 @pytest.mark.parametrize("shape", ["real", "complex", "vector"])
 def test_integrate_matches_reference(mesh, dual, shape):
     rng = np.random.default_rng(7)
-    n = len(mesh.interior_edges) if dual else len(mesh.edges)
+    n = len(mesh.interior_edges) if dual else len(mesh.edge_ends)
     trailing = (3,) if shape == "vector" else ()
     form = rng.standard_normal((n,) + trailing)
     if shape != "real":
         form = form + 1j * rng.standard_normal((n,) + trailing)
-    by_edge = np.zeros((len(mesh.edges),) + trailing, dtype=form.dtype)
+    by_edge = np.zeros((len(mesh.edge_ends),) + trailing, dtype=form.dtype)
     by_edge[mesh.interior_edges if dual else slice(None)] = form
     root = 3
     pot, cotree, gaps = reference_integrate(mesh, by_edge, root, dual)
@@ -406,17 +406,17 @@ def test_integrate_matches_reference(mesh, dual, shape):
     assert defect.value.tobytes() == gaps.tobytes()
     assert defect.scale == max(float(np.abs(form).max()), 1e-300)
     assert defect.worst == max(g / defect.scale for g in gaps)
-    assert defect.where.tolist() == [list(mesh.edges[e]) for e in cotree]
+    assert defect.where.tolist() == [mesh.edge_ends[e].tolist() for e in cotree]
 
 
 def test_integrate_reports_the_first_failing_cotree_edge(mesh):
-    form = np.random.default_rng(8).standard_normal(len(mesh.edges))
+    form = np.random.default_rng(8).standard_normal(len(mesh.edge_ends))
     result = integrate(mesh, form)
     defect = result.defect
     first = next(k for k, g in enumerate(defect.value) if g > 1e-3 * defect.scale)
     with pytest.raises(InvalidInput) as info:
         defect.require(1e-3, InvalidInput, "edge {edge}: {defect:.3e}")
-    edge = mesh.edges[result.cotree[first]]
+    edge = tuple(mesh.edge_ends[result.cotree[first]].tolist())
     assert str(info.value) == f"edge {edge}: {defect.value[first]:.3e}"
     assert info.value.details == {"edge": edge, "defect": defect.value[first]}
     defect.require(1.0 + defect.worst, InvalidInput, "never")
@@ -444,7 +444,7 @@ def test_dual_cycles_match_reference(mesh):
 def test_anchor_outside_the_mesh_rejected(mesh):
     for root in (-1, mesh.vertex_count):
         with pytest.raises(InvalidInput):
-            integrate(mesh, np.zeros(len(mesh.edges)), root)
+            integrate(mesh, np.zeros(len(mesh.edge_ends)), root)
     with pytest.raises(InvalidInput):
         mesh.dual_spanning_tree(len(mesh.faces))
 
@@ -456,7 +456,7 @@ def test_index_arrays_match_reference(mesh):
 
 def test_per_vertex_from_edges_matches_reference(fields):
     r, *_ = fields
-    value = np.random.default_rng(10).uniform(-4, 4, len(r.mesh.edges))
+    value = np.random.default_rng(10).uniform(-4, 4, len(r.mesh.edge_ends))
     for mod_tau in (False, True):
         got = realization._per_vertex_from_edges(r.mesh, value, mod_tau)
         ref = reference_per_vertex_from_edges(r.mesh, value, mod_tau)

@@ -89,7 +89,7 @@ def test_curvature_factor(wheel6):
     q = wheel6_root_q(0.9)
     surf = weierstrass.weierstrass_integrate(wheel6, q)
     for idx, e in enumerate(wheel6.mesh.interior_edges):
-        i, j = wheel6.mesh.edges[e]
+        i, j = wheel6.mesh.edge_ends[e].tolist()
         expect = (-1j * 1j * q.imag[idx] / abs(wheel6.z[j] - wheel6.z[i]) ** 2).real
         assert surf.k[idx] == pytest.approx(expect, abs=1e-14)
 
