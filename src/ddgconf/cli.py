@@ -385,7 +385,7 @@ def main(argv=None):
         sys.stdout.write(text)
         out = f"{args.out_prefix}_report.json" if "out_prefix" in args else args.output
         if out:
-            with open(out, "w") as fh:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         return 0 if passed else 2
     except DDGError as exc:

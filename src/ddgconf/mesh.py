@@ -379,14 +379,19 @@ def _read_only(a):
 
 
 def _face_array(faces):
-    """``faces`` as an ``(F, 3)`` int64 array.  Raises for the first face
-    that is not a triangle, repeats a vertex or has a negative vertex id."""
-    faces = list(faces)
-    if not faces:
+    """``faces`` (an ``(F, 3)`` integer array or a sequence of vertex
+    triples) as an ``(F, 3)`` int64 array.  Raises for the first face that is
+    not a triangle, repeats a vertex or has a negative vertex id."""
+    if isinstance(faces, np.ndarray) and faces.dtype.kind == "i" and faces.shape[1:] == (3,):
+        tri = np.array(faces, dtype=np.int64)
+        n = len(tri)
+    else:
+        faces = list(faces)
+        sizes = np.fromiter(map(len, faces), np.int64, len(faces))
+        n = int(np.argmax(sizes != 3)) if (sizes != 3).any() else len(faces)
+        tri = np.fromiter(chain.from_iterable(faces[:n]), np.int64, 3 * n).reshape(n, 3)
+    if not len(faces):
         raise Disconnected("mesh has no faces")
-    sizes = np.fromiter(map(len, faces), np.int64, len(faces))
-    n = int(np.argmax(sizes != 3)) if (sizes != 3).any() else len(faces)
-    tri = np.fromiter(chain.from_iterable(faces[:n]), np.int64, 3 * n).reshape(n, 3)
     s = np.sort(tri, axis=1)
     bad = np.flatnonzero((s[:, 0] == s[:, 1]) | (s[:, 1] == s[:, 2]) | (s[:, 0] < 0))
     first = int(bad[0]) if len(bad) else n  # or the first non-triangle

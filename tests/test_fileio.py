@@ -78,6 +78,18 @@ def test_obj_bad_index_names_first_bad_face(tmp_path, text, face):
         fileio.read_obj_polygons(path)
 
 
+def test_byte_order_mark_is_dropped(tmp_path):
+    """A UTF-8 byte-order mark does not hide the first vertex (which would
+    shift every face index by one) or the JSON's opening brace."""
+    path = tmp_path / "bom.obj"
+    path.write_bytes(b"\xef\xbb\xbfv 9 9 0\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+    verts, faces = fileio.read_obj_polygons(path)
+    assert verts[0].tolist() == [9.0, 9.0, 0.0] and faces == [[0, 1, 2]]
+    path = tmp_path / "bom.json"
+    path.write_bytes(b'\xef\xbb\xbf{"values": [1.5]}')
+    assert fileio.load_json(path) == {"values": [1.5]}
+
+
 def test_write_obj_bytes(tmp_path):
     """OBJ coordinates are written as ``%.17g``."""
     path = tmp_path / "pinned.obj"
@@ -204,6 +216,23 @@ def test_vertex_field_from_json():
         fileio.vertex_field_from_json([0.0, 1.0], 3)
 
 
+VERTEX_KEYS = [("2", 2), ("0", 0), ("002", 2), ("0" * 22 + "2", 2), ("0" * 5000 + "1", 1)] + [
+    (key, None) for key in ("", "3", "1" * 20, "1" * 5000, "-1", "+1", " 1", "1.0", "a")
+]
+
+
+@pytest.mark.parametrize(
+    "key, vertex", VERTEX_KEYS, ids=[repr(k) if len(k) < 30 else f"{len(k)}-chars" for k, _ in VERTEX_KEYS]
+)
+def test_vertex_keys(key, vertex):
+    """A vertex key is a decimal index in [0, 3), zero-padded or not."""
+    if vertex is None:
+        with pytest.raises(DDGError, match="is not an integer in"):
+            fileio.vertex_field_from_json({key: 5.0}, 3)
+    else:
+        assert fileio.vertex_field_from_json({key: 5.0}, 3).tolist() == [5.0 * (v == vertex) for v in range(3)]
+
+
 def test_boundary_data_from_json():
     mesh = build(WHEEL6_FACES)
     bd = fileio.boundary_data_from_json({"boundary": {"1": 2.0, "2": -1.0}}, mesh)
@@ -211,3 +240,138 @@ def test_boundary_data_from_json():
     full = fileio.boundary_data_from_json([0.0, 1, 2, 3, 4, 5, 6], mesh)
     assert sorted(full) == [1, 2, 3, 4, 5, 6]
     assert full[3] == 3.0
+
+
+# -- the array parse and the per-line / per-value loop agree -------------------
+
+TRI = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+
+# (OBJ text, whether the array parse reads it); the line loop reads the rest
+OBJ_CORPUS = [
+    (TRI + "f 1 2 3\n", True),
+    ("# header\n\nv 0 0 0\n# mid\nv 1 0 0\nv 0 1 0\n\nf 1 2 3\n", True),
+    ("v 0 0 0\r\nv 1 0 0\r\nv 0 1 0\r\nf 1 2 3\r\n", True),  # CRLF
+    (TRI + "f 1 2 3", True),  # no final newline
+    ("v 0 0 0  \nv 1 0 0\nv 0 1 0\nf 1 2 3   \n", True),  # trailing spaces
+    ("v +0 -0 0\nv 1e0 0 0\nv 0 +1.5E+2 0\nf 1 2 3\n", True),  # exponents, signs
+    ("v 1_0 0 0\nv 0 ١ 0\nv 0 0 0\nf 1 2 3\n", True),  # what float() reads
+    ("v 0 0 0\nf 1 2 3\nv 1 0 0\nv 0 1 0\n", True),  # a face before its vertices
+    (TRI + "v 1 1 0\nf 1 2 4 3\nf 2 4 3\n", True),  # polygons
+    (TRI + "v 1 1 0\nf 1 2 4 3\nf 1 2 3 f\n", False),  # an "f" token among the ids
+    (TRI + "vt 0 0\nvn 0 0 1\no name\ng group\ns off\nf 1 2 3\n", True),
+    (TRI, True),  # no faces
+    ("", True),
+    ("v\t0 0 0\nv 1 0 0\nv 0 1 0\nf 1\t2 3\n", False),  # tabs
+    ("  v 0 0 0\nv 1 0 0\nv 0 1 0\n f 1 2 3\n", False),  # leading blanks
+    ("v 0 0 0 1\nv 1 0 0 1\nv 0 1 0 1\nf 1 2 3\n", False),  # v x y z w
+    ("v 0 0 0 x\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", False),  # w need not be a number
+    ("v 0 0 0 9 1 0 0\nv 0 1 0\nf 1 2 3\n", False),  # 7 values are not two vertices
+    (TRI + "f 1/1 2/2/2 3//3\n", False),  # slashes
+    (TRI + "f -3 -2 -1\nv 1 1 0\nf 2 -1 3\n", False),  # relative indices
+    (TRI + "f 1 2 99999999999999999999\n", False),  # an index past int64
+    (TRI + "f 1 2 3\nf 1 2 -99999999999999999999\n", False),
+    (TRI + "f 1 2 4\n", False),  # an index past the last vertex
+    (TRI + "f 0 1 2\n", False),
+    (TRI + "f 1 2 x\n", False),
+    (TRI + "f 1.0 2 3\n", False),
+    (TRI + "f\n", False),  # an empty face
+    ("v 0 nan 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", False),
+    ("v 0 0 0\nv 1 inf 0\nv 0 1 -inf\nf 1 2 3\n", False),
+    ("v 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", False),  # three tokens
+    ("v 0 0\nv 1 0 0 0\nv 0 1 0\nf 1 2 3\n", False),  # 3 + 5 tokens
+    ("v\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", False),
+]
+
+
+def _outcome(read, path):
+    """What ``read(path)`` returns, as comparable bytes and lists, or the
+    type and message of what it raises."""
+    try:
+        out = read(path)
+    except DDGError as exc:
+        return type(exc), str(exc)
+    head, rest = out
+    if hasattr(head, "faces"):  # read_obj: (TriMesh, vertices)
+        return head.faces.tolist(), rest.dtype, rest.shape, rest.tobytes()
+    return head.dtype, head.shape, head.tobytes(), rest
+
+
+@pytest.mark.parametrize("text, fast", OBJ_CORPUS)
+@pytest.mark.parametrize("read", [fileio.read_obj_polygons, fileio.read_obj])
+def test_obj_array_parse_matches_line_loop(tmp_path, monkeypatch, text, fast, read):
+    path = tmp_path / "in.obj"
+    path.write_bytes(text.encode())
+    lines = fileio._read_text(path).split("\n")
+    assert (fileio._parse_obj_arrays(lines) is not None) == fast
+    got = _outcome(read, path)
+    monkeypatch.setattr(fileio, "_parse_obj_arrays", lambda lines: None)
+    assert got == _outcome(read, path)
+
+
+# per-value JSON inputs: plain floats take the array path, the rest the loop
+VALUES = [
+    [1.5, -2.5, 0.0, -0.0, 1e-300, 3.0, 7.25],
+    [1, -2.5, 0.0, True, 2.0, 3.0, 4.0],  # an int and a bool
+    ["1.5", 2.0, 0.0, 1.0, 2.0, 3.0, 4.0],  # a numeric string
+    [1.0, 2.0, float("nan"), 1.0, 2.0, 3.0, 4.0],
+    [1.0, 2.0, float("inf"), 1.0, 2.0, 3.0, 4.0],
+    [10**400, 2.0, 0.0, 1.0, 2.0, 3.0, 4.0],
+    [None, 2.0, 0.0, 1.0, 2.0, 3.0, 4.0],
+    [[1.0, -2.5], [-0.0, 0.0], [0.5, 2.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]],
+    [[1, -2.5], [-0.0, 0.0], [0.5, 2.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]],
+    [[1.0, -2.5], [-0.0, 0.0], [0.5, float("inf")], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]],
+    [[1.0, -2.5], [-0.0], [0.5, 2.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]],
+    [[1.0, -2.5], 2.0, [0.5, 2.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]],
+]
+
+
+def _array_outcome(read):
+    try:
+        out = read()
+    except DDGError as exc:
+        return type(exc), str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+def _both_paths(monkeypatch, read):
+    fast = _array_outcome(read)
+    monkeypatch.setattr(fileio, "_numbers", lambda values: None)
+    slow = _array_outcome(read)
+    monkeypatch.undo()
+    return fast, slow
+
+
+@pytest.mark.parametrize("values", VALUES)
+@pytest.mark.parametrize("odd", [None, "1-2", "05-2", "00-5", "5-0"])  # boundary, not edges
+def test_edge_map_array_path_matches_loop(monkeypatch, values, odd):
+    mesh = build(WHEEL6_FACES)
+    keys = [f"0-{v}" for v in range(1, 7)]
+    if odd:
+        keys[3] = odd
+    data = dict(zip(keys, values))
+    for read in (fileio.qdiff_from_json, fileio.mu_from_json):
+        fast, slow = _both_paths(monkeypatch, lambda: read(data, mesh))
+        assert fast == slow
+
+
+@pytest.mark.parametrize("values", VALUES)
+@pytest.mark.parametrize("real", [True, False])
+def test_vertex_field_array_path_matches_loop(monkeypatch, values, real):
+    for data in (values, {"values": values}, {"z": values}, values[:6]):
+        fast, slow = _both_paths(monkeypatch, lambda: fileio.vertex_field_from_json(data, 7, real))
+        assert fast == slow
+
+
+def test_plain_floats_take_the_array_path(monkeypatch):
+    """The array path is taken where it applies: a loop that is never called
+    cannot disagree with it."""
+    mesh = build(WHEEL6_FACES)
+    monkeypatch.setattr(fileio, "_number", None)
+    q = fileio.qdiff_from_json({f"0-{v}": float(v) - 3.5 for v in range(1, 7)}, mesh)
+    assert q.tolist() == [1j * (v - 3.5) for v in range(1, 7)]
+    mu = fileio.mu_from_json({"0-2": [1.0, -2.0]}, mesh)
+    assert mu.tolist() == [0, 1 - 2j, 0, 0, 0, 0]
+    u = fileio.vertex_field_from_json({"values": [0.5] * 7}, 7)
+    assert u.dtype == float and u.tolist() == [0.5] * 7
+    zdot = fileio.vertex_field_from_json({"zdot": [[1.0, -0.0]] * 2}, 2, real=False)
+    assert zdot.tobytes() == np.array([complex(1.0, -0.0)] * 2).tobytes()

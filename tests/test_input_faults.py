@@ -54,6 +54,8 @@ def assert_input_error(capsys, *argv, code="invalid_input"):
         ("f 1 2 9", 3),  # face index past the last vertex
         ("f 0 1 2", 3),  # OBJ indices start at 1
         ("f -4 -2 -1", 3),  # relative index before the first vertex
+        ("f 1 2 99999999999999999999", 3),  # an index past int64
+        ("f 1 2 -99999999999999999999", 3),  # a relative index past int64
     ],
 )
 def test_malformed_obj(tmp_path, capsys, line, replaced):
@@ -86,6 +88,30 @@ def test_malformed_json(wheel, capsys, command, data):
     path = wheel / "data.json"
     path.write_text(data if isinstance(data, str) else json.dumps(data))
     assert_input_error(capsys, *command, wheel / "wheel.obj", path)
+
+
+def test_obj_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.obj"
+    path.write_bytes(("\n".join(TRIANGLE) + "\n").encode() + b"\xff\xfe\n")
+    err = assert_input_error(capsys, "mesh", "info", path)
+    assert f"{path}: not UTF-8 text" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b'{"values": [0.0, 1.0, \xff]}',  # not UTF-8
+        b'{"values": [%s, 0, 0, 0, 0, 0, 0]}' % (b"1" * 400),  # an integer past the float range
+        b'{"values": [%s, 0, 0, 0, 0, 0, 0]}' % (b"1" * 5000),  # past the interpreter's digit limit
+        b'{"values": {"%s": 0.0}}' % (b"1" * 5000),  # a vertex key int() refuses
+        b"[" * 100000 + b"]" * 100000,  # nesting past the recursion limit
+    ],
+    ids=["not-utf8", "400-digits", "5000-digits", "5000-digit-key", "deep-nesting"],
+)
+def test_json_number_and_depth_faults(wheel, capsys, text):
+    path = wheel / "data.json"
+    path.write_bytes(text)
+    assert_input_error(capsys, "harmonic", "check", wheel / "wheel.obj", path)
 
 
 def test_non_finite_gauss_map(tmp_path, capsys):

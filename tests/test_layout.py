@@ -4,7 +4,8 @@ index arrays of ``TriMesh`` (``edge_ends``, ``face_edges``, ``flap_edges``,
 read-only int64 arrays, and outside ``mesh.py`` nothing calls its one
 per-element view, ``edge_flap``.  Every flag of the
 ``ddg`` command line is read by its handler.  One helper beside ``Defect``
-floors every scale at 1e-300."""
+floors every scale at 1e-300.  Every file is opened with an explicit
+encoding."""
 
 import argparse
 import ast
@@ -69,6 +70,18 @@ def test_trimesh_element_sets_are_read_only_arrays():
         values = getattr(mesh, name)
         assert values.dtype == np.int64 and not values.flags.writeable, name
     assert not hasattr(mesh, "edges")
+
+
+def test_every_open_names_its_encoding():
+    """Files are read and written as UTF-8 whatever the locale: every
+    ``open(...)`` call in the package passes ``encoding``."""
+    opens = [
+        (f"{path.name}:{node.lineno}", {k.arg for k in node.keywords})
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"
+    ]
+    assert opens and [where for where, keywords in opens if "encoding" not in keywords] == []
 
 
 def _subcommands(parser):

@@ -279,10 +279,13 @@ def test_cycle_sum_on_small_meshes(kind, signed, trailing, dtype):
     ],
 )
 def test_rejected_build_message(faces, vertex_count, error, message):
-    with pytest.raises(error) as info:
-        build(faces, vertex_count)
-    assert type(info.value) is error
-    assert str(info.value) == message
+    triples = all(len(f) == 3 for f in faces)
+    arrays = [np.array(faces, dtype=np.int64).reshape(-1, 3)] if triples else []
+    for given in [faces] + arrays:  # an (F, 3) int64 array raises the same
+        with pytest.raises(error) as info:
+            build(given, vertex_count)
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("dual", [False, True])
