@@ -210,16 +210,13 @@ def cross_ratio_rate_check(
 
     zdot = np.asarray(zdot, dtype=complex)
     t = 1e-6 * r.edge_scale() / _floor(np.abs(zdot).max())
-    cr0 = cross_ratios(r)
-    crp = cross_ratios(Realization(mesh, r.z + t * zdot))
-    crm = cross_ratios(Realization(mesh, r.z - t * zdot))
-    dlog_cr = (crp - crm) / (2.0 * t * cr0)
+    plus, minus = Realization(mesh, r.z + t * zdot), Realization(mesh, r.z - t * zdot)
+    dlog_cr = (cross_ratios(plus) - cross_ratios(minus)) / (2.0 * t * cross_ratios(r))
     fd_err = worst(np.abs(q - dlog_cr), q_scale)
     ana_err = worst(magnitude(q - cross_ratio_rate(r, zdot)), q_scale)
 
-    # q = i phi_dot, so the expected angle rate is Im(q)
-    phip = intersection_angles(Realization(mesh, r.z + t * zdot))
-    phim = intersection_angles(Realization(mesh, r.z - t * zdot))
+    # q = i phi_dot, so the expected angle rate is Im(q); both read the cached cross ratios
+    phip, phim = intersection_angles(plus), intersection_angles(minus)
     dphi = np.angle(np.exp(1j * (phip - phim))) / (2.0 * t)
     angle_err = worst(np.abs(dphi - q.imag), np.abs(dphi).max(initial=0.0))
     ok = fd_err <= fd_tol and ana_err <= analytic_tol and angle_err <= fd_tol

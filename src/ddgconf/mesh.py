@@ -129,7 +129,19 @@ class TriMesh:
         c = self._edge_corners[self.interior_edges]
         start = c - c % 3
         after = np.stack([start + (c + 1) % 3, start + (c + 2) % 3], axis=2)
-        return self.face_edges.ravel()[after.reshape(-1, 4)]
+        return _read_only(self.face_edges.ravel()[after.reshape(-1, 4)])
+
+    @cached_property
+    def flap_apices(self):
+        """``(E_int, 2)`` apices ``(k, l)`` of each interior edge's flap: the
+        tails of the corners ``k -> i`` before ``i -> j`` and ``l -> j`` before ``j -> i``."""
+        c = self._edge_corners[self.interior_edges]
+        return _read_only(self.faces.ravel()[c - c % 3 + (c + 2) % 3])
+
+    @cached_property
+    def vertex_corners(self):
+        """The corners ``3 f + m`` grouped by vertex, in face order within each."""
+        return _read_only(np.argsort(self.faces.ravel(), kind="stable"))
 
     @cached_property
     def interior_incidence(self):
@@ -171,9 +183,26 @@ class TriMesh:
     def cycle_faces(self):
         """Left face of ``v -> ring[m]`` per slot of :attr:`vertex_cycles`."""
         c = self.vertex_cycles
-        faces = self.interior_faces[c.indices, (c.data < 0).astype(np.int64)]
-        faces.flags.writeable = False
-        return faces
+        return _read_only(self.interior_faces[c.indices, (c.data < 0).astype(np.int64)])
+
+    @cached_property
+    def cycle_rows(self):
+        """The rows of :attr:`vertex_cycles` by descending valence (stable)."""
+        return _read_only(np.argsort(-np.diff(self.vertex_cycles.indptr), kind="stable"))
+
+    @cached_property
+    def cycle_slots(self):
+        """:attr:`vertex_cycles` slot-major, as a read-only ``(max valence,
+        E_int)`` CSR operator: row ``m`` holds slot ``m`` of the rows
+        ``cycle_rows[:n]`` that have one, in that order, ``n`` being its length."""
+        c, rows = self.vertex_cycles, self.cycle_rows
+        valence = np.diff(c.indptr)[rows]
+        # the entries of the reordered rows, each at its slot, then by slot
+        slot = np.arange(c.nnz) - np.repeat(np.cumsum(valence) - valence, valence)
+        pos = (np.repeat(c.indptr[rows], valence) + slot)[np.argsort(slot, kind="stable")]
+        indptr = np.r_[0, np.cumsum(np.bincount(slot))]
+        shape = (len(indptr) - 1, c.shape[1])
+        return _read_only(sp.csr_array((c.data[pos], c.indices[pos], indptr), shape))
 
     def cycle_sum(self, values, signed=False):
         """Sum of per-interior-edge ``values`` (trailing axes allowed) around
@@ -259,10 +288,7 @@ class _Graph:
         cotree = np.ones(len(self.tail), dtype=bool)
         cotree[entries] = False
         signs = np.where(self.tail[entries] == parents, 1, -1)
-        tree = (nodes, parents, entries, signs, np.flatnonzero(cotree))
-        for a in tree:
-            a.flags.writeable = False
-        return tree
+        return tuple(map(_read_only, (nodes, parents, entries, signs, np.flatnonzero(cotree))))
 
     def steps(self, root):
         """``(steps, cotree)`` as :meth:`TriMesh.dual_spanning_tree` lists them."""
@@ -372,8 +398,8 @@ def integrate(mesh, form, root=0, dual=False):
 
 
 def _read_only(a):
-    """Sparse ``a`` with its data, index and pointer arrays read-only."""
-    for arr in (a.data, a.indices, a.indptr):
+    """``a``, an array or sparse (its data, index and pointer arrays), read-only."""
+    for arr in (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,):
         arr.flags.writeable = False
     return a
 

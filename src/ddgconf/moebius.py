@@ -146,6 +146,12 @@ def _adjugate(m):
     return np.stack([m[:, 1, 1], -m[:, 0, 1], -m[:, 1, 0], m[:, 0, 0]], axis=1).reshape(-1, 2, 2)
 
 
+def _mul(a, b):
+    """``a[n] @ b[n]`` for ``(N, 2, 2)`` ``a`` and ``(N, 2, k)`` ``b``: two
+    broadcast products and a sum, which beat ``@`` on small matrices."""
+    return a[:, :, :1] * b[:, None, 0] + a[:, :, 1:] * b[:, None, 1]
+
+
 def _face_maps(a, b):
     """SL(2,C) matrices (up to sign) of the Moebius maps taking each point
     triple ``a[f]`` to ``b[f]``; ``a`` and ``b`` have shape (F, 3)."""
@@ -161,7 +167,7 @@ def _face_maps(a, b):
     (na, det_na), (nb, det_nb) = normal_form(a), normal_form(b)
     if np.any(det_nb == 0):
         raise DegenerateFace("coincident points in face triple")
-    m = (_adjugate(nb) / det_nb[:, None, None]) @ na
+    m = _mul(_adjugate(nb) / det_nb[:, None, None], na)
     det = det_na / det_nb
     if np.any(det == 0):
         raise DegenerateFace("coincident points in face triple")
@@ -206,39 +212,37 @@ def transition_matrices(a: Realization, b: Realization) -> TransitionReport:
 
     face_maps = _fix_signs(_face_maps(a.z[a.tri], b.z[a.tri]))
     left, right = mesh.interior_faces.T
-    G = _adjugate(face_maps[right]) @ face_maps[left]
-    # G psi_j = lam psi_j and G psi_i = psi_i / lam on the lifts psi = (z, 1)
-    i, j = mesh.interior_ends.T
-    psi = lift(a.z)
-    wi, wj = (G @ psi[i][:, :, None])[:, :, 0], (G @ psi[j][:, :, None])[:, :, 0]
-    lam = wj[:, 1]  # second lift component is 1
+    G = _mul(_adjugate(face_maps[right]), face_maps[left])
     G_norm = np.abs(G).max(axis=(1, 2))
-    res = np.maximum(
-        np.abs(wj - lam[:, None] * psi[j]).max(axis=1),
-        np.abs(wi - psi[i] / lam[:, None]).max(axis=1),
-    )
-    scale = G_norm * np.maximum(np.maximum(magnitude(a.z[i]), magnitude(a.z[j])), 1.0)
-    eig_res = Defect(res, scale, mesh.interior_ends, "edge").worst
+    # before the eigen residuals, so that their temporaries and the slot gathers never coexist
+    cycle = Defect(*_cycle_products(mesh, G, G_norm), mesh.interior_vertices, "vertex")
+
+    # the lifts psi = (z, 1) of ends i, j as columns: G psi_i = psi_i / lam, G psi_j = lam psi_j
+    psi = lift(a.z)[mesh.interior_ends].transpose(0, 2, 1)
+    w = _mul(G, psi)
+    lam = w[:, 1, 1]  # second lift component is 1
+    res = np.abs(w - np.stack([psi[:, :, 0] / lam[:, None], lam[:, None] * psi[:, :, 1]], axis=2))
+    scale = G_norm * np.maximum(magnitude(a.z[mesh.interior_ends]).max(axis=1), 1.0)
+    eig_res = Defect(res.max(axis=(1, 2)), scale, mesh.interior_ends, "edge").worst
 
     cra = cross_ratios(a)
     cr_gap = np.abs(cross_ratios(b) - cra / lam**2)
     cr_res = Defect(cr_gap, np.abs(cra).max(initial=0.0), mesh.interior_ends, "edge").worst
-
-    # product P of G around each interior vertex (G^{-1} against the canonical orientation)
-    # rounds to max_m |P_{m-1}| |G_m| (|G^{-1}| = |G|); two broadcast products beat matmul
-    c = mesh.vertex_cycles
-    start, valence = c.indptr[:-1], np.diff(c.indptr)
-    G_inv = _adjugate(G)
-    p = np.tile(np.eye(2, dtype=complex), (len(valence), 1, 1))
-    p_scale = np.zeros(len(valence))
-    for m in range(valence.max(initial=0)):
-        rows = np.flatnonzero(valence > m)
-        slot = start[rows] + m
-        k = c.indices[slot]
-        g = np.where((c.data[slot] > 0)[:, None, None], G[k], G_inv[k])
-        prev = p[rows]
-        p_scale[rows] = np.maximum(p_scale[rows], np.abs(prev).max(axis=(1, 2)) * G_norm[k])
-        p[rows] = prev[:, :, :1] * g[:, :1] + prev[:, :, 1:] * g[:, 1:]
-    off = np.abs(p - np.eye(2)).max(axis=(1, 2))
-    cycle = Defect(off, p_scale, mesh.interior_vertices, "vertex")
     return TransitionReport(face_maps, G, lam, eig_res, cr_res, cycle.worst, cycle)
+
+
+def _cycle_products(mesh, G, G_norm):
+    """``|P - I|`` of the product ``P`` of ``G`` (``adj(G) = G^{-1}`` against the
+    canonical orientation) around each interior vertex, and its rounding scale
+    ``max_m |P_{m-1}| |G_m|``; slot by slot, each a prefix of the products."""
+    s = mesh.cycle_slots
+    both = np.concatenate([G, _adjugate(G)])
+    pick = s.indices + len(G) * (s.data < 0)
+    p = np.tile(np.eye(2, dtype=complex), (len(mesh.cycle_rows), 1, 1))
+    p_scale = np.zeros(len(p))
+    for lo, hi in zip(s.indptr[:-1].tolist(), s.indptr[1:].tolist()):
+        n, k = hi - lo, s.indices[lo:hi]
+        p_scale[:n] = np.maximum(p_scale[:n], np.abs(p[:n]).max(axis=(1, 2)) * G_norm[k])
+        p[:n] = _mul(p[:n], both[pick[lo:hi]])
+    rank = np.argsort(mesh.cycle_rows)
+    return np.abs(p - np.eye(2)).max(axis=(1, 2))[rank], p_scale[rank]

@@ -132,25 +132,28 @@ class Realization:
     def flap_points(self):
         """Vertex indices ``(i, j, k, l)`` per interior edge, as arrays."""
         i, j = self.mesh.interior_ends.T
-        # the apex of a face is its vertex sum less the edge's endpoints
-        k, l = (self.tri[self.mesh.interior_faces].sum(axis=2) - i[:, None] - j[:, None]).T
+        k, l = self.mesh.flap_apices.T
         return i, j, k, l
+
+    @cached_property
+    def cross_ratios(self):
+        """Complex cross ratio per interior edge, read-only: for the interior
+        edge ``{i, j}`` with left-face apex ``k`` and right-face apex ``l``,
+        ``(z_j - z_k)(z_i - z_l) / ((z_k - z_i)(z_l - z_j))``.  Raises, and
+        caches nothing, where a factor is 0."""
+        i, j, k, l = self.flap_points()
+        z = self.z
+        num = (z[j] - z[k]) * (z[i] - z[l])
+        den = (z[k] - z[i]) * (z[l] - z[j])
+        if np.any(den == 0) or np.any(num == 0):
+            edge = tuple(self.mesh.interior_ends[(den == 0) | (num == 0)][0].tolist())
+            raise DegenerateFace(f"coincident vertices at interior edge {edge}")
+        return _read_only(num / den)
 
 
 def cross_ratios(r: Realization):
-    """Complex cross ratio per interior edge.
-
-    For the interior edge ``{i, j}`` with left-face apex ``k`` and right-face
-    apex ``l``:  ``(z_j - z_k)(z_i - z_l) / ((z_k - z_i)(z_l - z_j))``.
-    """
-    i, j, k, l = r.flap_points()
-    z = r.z
-    num = (z[j] - z[k]) * (z[i] - z[l])
-    den = (z[k] - z[i]) * (z[l] - z[j])
-    if np.any(den == 0) or np.any(num == 0):
-        edge = tuple(r.mesh.interior_ends[(den == 0) | (num == 0)][0].tolist())
-        raise DegenerateFace(f"coincident vertices at interior edge {edge}")
-    return num / den
+    """:attr:`Realization.cross_ratios`, computed once per realization."""
+    return r.cross_ratios
 
 
 def intersection_angles(r: Realization):
@@ -177,9 +180,8 @@ def _per_vertex_from_edges(mesh: TriMesh, edge_value, reduce_mod_tau=False):
     s = np.asarray(edge_value)[mesh.face_edges]
     vals = (s[:, [2, 0, 1]] + s - s[:, [1, 2, 0]]).ravel()
     # each vertex's corners in face order, the first at ``start``
-    corner_vertex = mesh.faces.ravel()
-    vals = vals[np.argsort(corner_vertex, kind="stable")]
-    count = np.bincount(corner_vertex, minlength=mesh.vertex_count)
+    vals = vals[mesh.vertex_corners]
+    count = np.bincount(mesh.faces.ravel(), minlength=mesh.vertex_count)
     start = np.cumsum(count) - count
     base = vals[start]
     if reduce_mod_tau:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ddgconf import Realization, build
-from ddgconf import deform, hqd, laplace
+from ddgconf import deform, hqd, laplace, realization
 from ddgconf.errors import ClosureDefect, NotHarmonic
 
 from conftest import delaunay_disk, jittered_grid, random_harmonic, random_moebius
@@ -148,6 +148,22 @@ def test_cross_ratio_rate(wheel6_irregular):
     assert rep.max_fd_error < 1e-5
     assert rep.max_analytic_error < 1e-10
     assert rep.max_angle_error < 1e-5
+
+
+def test_cross_ratio_rate_check_builds_each_perturbation_once(wheel6_irregular, monkeypatch):
+    """``r.z + t zdot`` and ``r.z - t zdot`` are built once each, and the
+    report is the one computed from a fresh realization at every use."""
+    r = wheel6_irregular
+    u = random_harmonic(r, seed=38)
+    zdot = deform.conformal_deformation(r, u)
+    built = []
+    monkeypatch.setattr(hqd, "Realization", lambda mesh, z: built.append(z) or Realization(mesh, z))
+    rep = hqd.cross_ratio_rate_check(r, u, zdot)
+    assert len(built) == 2
+    for name in ("cross_ratios", "intersection_angles"):
+        fresh = getattr(realization, name)
+        monkeypatch.setattr(hqd, name, lambda s, fresh=fresh: fresh(Realization(s.mesh, s.z)))
+    assert hqd.cross_ratio_rate_check(r, u, zdot) == rep
 
 
 def test_cross_ratio_rate_random_disk():

@@ -4,8 +4,8 @@ index arrays of ``TriMesh`` (``edge_ends``, ``face_edges``, ``flap_edges``,
 read-only int64 arrays, and outside ``mesh.py`` nothing calls its one
 per-element view, ``edge_flap``.  Every flag of the
 ``ddg`` command line is read by its handler.  One helper beside ``Defect``
-floors every scale at 1e-300.  Every file is opened with an explicit
-encoding."""
+floors every scale at 1e-300, and one helper in ``moebius.py`` multiplies
+batched 2x2 matrices.  Every file is opened with an explicit encoding."""
 
 import argparse
 import ast
@@ -51,6 +51,15 @@ def test_one_scale_floor():
     assert floors == [f"mesh.py:{helper.body[-1].lineno}"]
 
 
+def test_one_batched_matrix_product():
+    """``moebius.py`` has no ``@``: every batched 2x2 product goes through
+    its one helper, ``_mul``."""
+    tree = ast.parse((PACKAGE / "moebius.py").read_text())
+    products = [node.lineno for node in ast.walk(tree) if isinstance(getattr(node, "op", None), ast.MatMult)]
+    assert products == []
+    assert any(isinstance(n, ast.FunctionDef) and n.name == "_mul" for n in tree.body)
+
+
 def test_trimesh_keeps_no_per_element_tables():
     mesh = build(WHEEL6_FACES)
     deleted = LOOKUPS - {"edge_flap"} | {"_star", "_build_vertex_stars", "vertex_star"}
@@ -59,13 +68,17 @@ def test_trimesh_keeps_no_per_element_tables():
 
 def test_trimesh_element_sets_are_read_only_arrays():
     """``TriMesh`` keeps index arrays, not lists beside them.  The one list is
-    ``interior_vertices``, which ``bench/test_bench.py`` compares with a list."""
+    ``interior_vertices``, which ``bench/test_bench.py`` compares with a list.
+    Every array a cached property stores is read-only."""
     mesh = build(WHEEL6_FACES)
-    for name, value in vars(TriMesh).items():
-        if isinstance(value, cached_property):
-            getattr(mesh, name)
+    cached = [name for name, value in vars(TriMesh).items() if isinstance(value, cached_property)]
+    for name in cached:
+        getattr(mesh, name)
     lists = sorted(name for name, value in vars(mesh).items() if isinstance(value, (list, tuple)))
     assert lists == ["interior_vertices"]
+    arrays = [name for name in cached if isinstance(vars(mesh)[name], np.ndarray)]
+    assert {"flap_edges", "flap_apices", "vertex_corners", "cycle_rows"} <= set(arrays)
+    assert [name for name in arrays if vars(mesh)[name].flags.writeable] == []
     for name in ("interior_edges", "boundary_edges", "boundary_vertices"):
         values = getattr(mesh, name)
         assert values.dtype == np.int64 and not values.flags.writeable, name

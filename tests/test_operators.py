@@ -13,12 +13,12 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ddgconf import Realization, deform, hqd, laplace, moebius, realization, weierstrass
+from ddgconf import Realization, build, deform, hqd, laplace, moebius, realization, weierstrass
 from ddgconf.errors import InvalidInput
 from ddgconf.mesh import integrate
 from ddgconf.realization import cross_ratios
 
-from conftest import delaunay_disk, jittered_grid, reference_tables
+from conftest import delaunay_disk, jittered_grid, random_moebius, reference_tables
 
 
 def fixture_realization(kind):
@@ -148,6 +148,31 @@ def reference_per_vertex_from_edges(mesh, edge_value, reduce_mod_tau=False):
             spread = max(spread, float(vals.max() - vals.min()))
             values[v] = vals[0]
     return values, spread
+
+
+def argsort_per_vertex_from_edges(mesh, edge_value, reduce_mod_tau=False):
+    """``realization._per_vertex_from_edges`` sorting the corners by vertex
+    on every call, as it did before ``TriMesh.vertex_corners``."""
+    s = np.asarray(edge_value)[mesh.face_edges]
+    vals = (s[:, [2, 0, 1]] + s - s[:, [1, 2, 0]]).ravel()
+    corner_vertex = mesh.faces.ravel()
+    vals = vals[np.argsort(corner_vertex, kind="stable")]
+    count = np.bincount(corner_vertex, minlength=mesh.vertex_count)
+    start = np.cumsum(count) - count
+    base = vals[start]
+    if reduce_mod_tau:
+        diff = np.angle(np.exp(1j * (vals - np.repeat(base, count))))
+        return base % realization.TAU, float(np.abs(diff).max())
+    spread = np.maximum.reduceat(vals, start) - np.minimum.reduceat(vals, start)
+    return base, float(spread.max())
+
+
+def uncached_cross_ratios(r):
+    """The cross ratios from the reference flaps, computed on every call."""
+    ref = reference_tables(r.mesh)
+    i, j, k, l = np.array([ref.flap(e) for e in r.mesh.interior_edges]).T
+    z = r.z
+    return (z[j] - z[k]) * (z[i] - z[l]) / ((z[k] - z[i]) * (z[l] - z[j]))
 
 
 def reference_solve_dirichlet(r, boundary, default_ordering=False):
@@ -328,6 +353,25 @@ def reference_transitions(a, b):
     return face_maps, G, lam, eig_res, cr_res
 
 
+def reference_cycle_products(mesh, G, G_norm):
+    """``|P - I|`` and the rounding scale of the product ``P`` of ``G`` around
+    each interior vertex, one slot at a time over the rows that have it."""
+    c = mesh.vertex_cycles
+    start, valence = c.indptr[:-1], np.diff(c.indptr)
+    G_inv = moebius._adjugate(G)
+    p = np.tile(np.eye(2, dtype=complex), (len(valence), 1, 1))
+    p_scale = np.zeros(len(valence))
+    for m in range(valence.max(initial=0)):
+        rows = np.flatnonzero(valence > m)
+        slot = start[rows] + m
+        k = c.indices[slot]
+        g = np.where((c.data[slot] > 0)[:, None, None], G[k], G_inv[k])
+        prev = p[rows]
+        p_scale[rows] = np.maximum(p_scale[rows], np.abs(prev).max(axis=(1, 2)) * G_norm[k])
+        p[rows] = prev[:, :, :1] * g[:, :1] + prev[:, :, 1:] * g[:, 1:]
+    return np.abs(p - np.eye(2)).max(axis=(1, 2)), p_scale
+
+
 def reference_verify_minimal(mesh, n, f):
     """Per interior edge: residual, least-squares factor and orthogonal part."""
     left, right = mesh.interior_faces.T
@@ -452,6 +496,33 @@ def test_anchor_outside_the_mesh_rejected(mesh):
 def test_index_arrays_match_reference(mesh):
     assert mesh.face_edges.tolist() == reference_face_edges(mesh)
     assert mesh.flap_edges.tolist() == reference_flap_edges(mesh)
+    ref = reference_tables(mesh)
+    flaps = [ref.flap(e) for e in mesh.interior_edges]
+    assert [mesh.edge_flap(e) for e in mesh.interior_edges] == flaps
+    assert mesh.flap_apices.tolist() == [[k, l] for _, _, k, l in flaps]
+
+
+CYCLE_MESHES = {
+    "jittered": lambda: jittered_grid(14, 0.45, seed=3).mesh,
+    "delaunay": lambda: delaunay_disk(300, seed=5).mesh,
+    "wheel500": lambda: build([(0, m, m % 500 + 1) for m in range(1, 501)]),
+    "strip": lambda: build([f for i in range(5) for f in ((i, i + 1, 7 + i), (i, 7 + i, 6 + i))]),
+}
+
+
+@pytest.mark.parametrize("kind", CYCLE_MESHES)
+def test_cycle_products_match_reference(kind):
+    """The slot-major product against the per-row loop: a grid, a disk of
+    valences 3 to 10, one row of 500 slots, and no interior vertex."""
+    mesh = CYCLE_MESHES[kind]()
+    rng = np.random.default_rng(13)
+    shape = (len(mesh.interior_edges), 2, 2)
+    G = np.eye(2) + 0.05 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    G_norm = np.abs(G).max(axis=(1, 2))
+    got = moebius._cycle_products(mesh, G, G_norm)
+    for a, b in zip(got, reference_cycle_products(mesh, G, G_norm)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert got[0].shape == (len(mesh.interior_vertices),)
 
 
 def test_per_vertex_from_edges_matches_reference(fields):
@@ -461,6 +532,21 @@ def test_per_vertex_from_edges_matches_reference(fields):
         got = realization._per_vertex_from_edges(r.mesh, value, mod_tau)
         ref = reference_per_vertex_from_edges(r.mesh, value, mod_tau)
         assert got[0].tobytes() == ref[0].tobytes() and got[1] == ref[1]
+
+
+def test_equivalence_checks_match_the_uncached_versions(fields, monkeypatch):
+    """``check_conformal_equiv`` and ``check_pattern`` with the cached corner
+    order and cross ratios against sorting and computing them on every call."""
+    a, *_ = fields
+    b = Realization(a.mesh, random_moebius(a, np.random.default_rng(15)).apply(a.z))
+    checks = (realization.check_conformal_equiv, realization.check_pattern)
+    got = [check(a, b) for check in checks]
+    monkeypatch.setattr(realization, "_per_vertex_from_edges", argsort_per_vertex_from_edges)
+    monkeypatch.setattr(realization, "cross_ratios", uncached_cross_ratios)
+    for rep, ref in zip(got, [check(a, b) for check in checks]):
+        assert rep.equivalent and ref.equivalent
+        assert rep.factors.tobytes() == ref.factors.tobytes()
+        assert (rep.factor_spread, rep.max_deviation) == (ref.factor_spread, ref.max_deviation)
 
 
 def test_solve_dirichlet_and_deformation_match_reference(fields):

@@ -61,6 +61,26 @@ def test_cross_ratio_moebius_invariance():
         assert np.abs((cr2 - cr) / cr).max() < 1e-9
 
 
+def test_cross_ratios_are_computed_once_and_read_only(wheel6_irregular):
+    r = wheel6_irregular
+    cr = cross_ratios(r)
+    assert cross_ratios(r) is cr and not cr.flags.writeable
+    with pytest.raises(ValueError):
+        cr[0] = 1.0
+    with pytest.raises(ValueError):
+        cr *= 2.0
+
+
+def test_vanishing_cross_ratio_factor_raises_on_every_call():
+    """A 1e-162 by 1e-155 rectangle passes the collinearity test, but the
+    product ``(z_2 - z_3)(z_0 - z_1) = -1e-324`` across its diagonal is 0."""
+    r = Realization(build(SQUARE2_FACES), np.array([0, 1e-162, 1e-162 + 1e-155j, 1e-155j]))
+    for _ in range(2):
+        with pytest.raises(DegenerateFace) as info:
+            cross_ratios(r)
+        assert str(info.value) == "coincident vertices at interior edge (0, 2)"
+
+
 def test_collinear_face_rejected():
     mesh = build(SQUARE2_FACES)
     z = np.array([0, 1, 2, 1j], dtype=complex)  # face (0,1,2) collinear
