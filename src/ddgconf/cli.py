@@ -56,6 +56,17 @@ def _max_abs(values):
     return float(np.abs(values).max()) if len(values) else 0.0
 
 
+def _worst(names, defects, **fields):
+    """``worst`` of a bounded report: the name (and entry of each of ``fields``)
+    of the check whose relative defect is largest (the first NaN), with its
+    :meth:`mesh.Defect.element`; None without elements."""
+    if not defects:  # minimal build with an empty --alpha list
+        return None
+    k = int(np.argmax([d.worst for d in defects]))
+    element = defects[k].element()
+    return element and {"check": names[k], **{f: v[k] for f, v in fields.items()}, **element}
+
+
 # -- handlers: each returns (report, passed) --------------------------------------
 
 
@@ -149,9 +160,10 @@ def hqd_check(args):
         "holomorphic": rep.holomorphic,
         "max_defect": rep.max_defect,
         "max_real_part": rep.max_real_part,
-        "vertex_sum": rep.vertex_sum,
-        "weighted_sum": rep.weighted_sum,
+        "worst": _worst(("real_part", "vertex_sum", "weighted_sum"), rep.defects),
     }
+    if args.report or not rep.holomorphic:
+        report.update(vertex_sum=rep.vertex_sum, weighted_sum=rep.weighted_sum)
     return report, rep.holomorphic
 
 
@@ -222,16 +234,17 @@ def moebius_eta(args):
     mu = fileio.mu_from_json(fileio.load_json(args.data), mesh)
     form = moebius.sl2_form_from_rates(r, mu)
     closed = moebius.check_sl2_form_closed(r, form, args.tol)
-    entries = {
-        fileio.edge_key(i, j): {"matrix": m, "vector": v}
-        for (i, j), m, v in zip(mesh.interior_ends.tolist(), form.matrices, form.vectors)
-    }
     report = {
         "closed": closed.closed,
         "max_defect": closed.max_defect,
         "tol": args.tol,
-        "eta": entries,
+        "worst": _worst(("matrix_sum", "rate_sum", "weighted_sum"), closed.defects),
     }
+    if args.report or not closed.closed:
+        report["eta"] = {
+            fileio.edge_key(i, j): {"matrix": m, "vector": v}
+            for (i, j), m, v in zip(mesh.interior_ends.tolist(), form.matrices, form.vectors)
+        }
     return report, closed.closed
 
 
@@ -246,7 +259,7 @@ def minimal_build(args):
     n = weierstrass.gauss_map(r)
     written = [f"{args.out_prefix}_gauss.obj"]
     fileio.write_obj(written[0], n, r.mesh.faces.tolist())
-    per_alpha = []
+    per_alpha, defects = [], []
     for alpha in args.alpha:
         surf = ms.at_phase(alpha)
         verts, polys = weierstrass.dual_mesh(r, surf.f)
@@ -255,12 +268,12 @@ def minimal_build(args):
         written.append(path)
         rep = weierstrass.verify_minimal(r.mesh, n, surf.f, args.tol)
         per_alpha.append({"alpha": alpha, "file": path, "minimality_residual": rep.max_residual})
-    report = {
-        "closure_defect": ms.closure_defect,
-        "k": fileio.edge_map_to_json(r.mesh, ms.k),
-        "surfaces": per_alpha,
-        "files": written,
-    }
+        defects.append(rep.defect)
+    worst = _worst(["edge_parallelism"] * len(defects), defects, alpha=args.alpha)
+    report = {"closure_defect": ms.closure_defect, "worst": worst}
+    if args.report:
+        report["k"] = fileio.edge_map_to_json(r.mesh, ms.k)
+    report.update(surfaces=per_alpha, files=written)
     return report, True
 
 
@@ -280,8 +293,10 @@ def minimal_verify(args):
         "minimal": rep.minimal,
         "max_residual": rep.max_residual,
         "tol": args.tol,
-        "k": fileio.edge_map_to_json(gmesh, rep.k),
+        "worst": _worst(["edge_parallelism"], [rep.defect]),
     }
+    if args.report or not rep.minimal:
+        report["k"] = fileio.edge_map_to_json(gmesh, rep.k)
     return report, rep.minimal
 
 
@@ -314,15 +329,15 @@ COMMANDS = {
     "harmonic check": (harmonic_check, "mesh data", laplace.HARMONIC_RTOL, "report output"),
     "deform build": (deform_build, "mesh data", None, "anchor_vertex anchor_face output"),
     "deform check": (deform_check, "mesh data", 1e-10, "report output"),
-    "hqd check": (hqd_check, "mesh data", 1e-9, "output"),
+    "hqd check": (hqd_check, "mesh data", 1e-9, "report output"),
     "hqd from-harmonic": (hqd_from_harmonic, "mesh data", None, "output"),
     "hqd to-harmonic": (hqd_to_harmonic, "mesh data", 1e-9, "anchor_vertex anchor_face output"),
     "hqd moebius-test": (hqd_moebius_test, "mesh data", 1e-9, "output"),
     "moebius mu": (moebius_mu, "mesh data", None, "output"),
-    "moebius eta": (moebius_eta, "mesh data", 1e-10, "output"),
+    "moebius eta": (moebius_eta, "mesh data", 1e-10, "report output"),
     "moebius transitions": (moebius_transitions, "a b", 1e-10, "output"),
-    "minimal build": (minimal_build, "mesh data", 1e-9, "alpha anchor_face out_prefix"),
-    "minimal verify": (minimal_verify, "gauss dual", 1e-9, "output"),
+    "minimal build": (minimal_build, "mesh data", 1e-9, "report alpha anchor_face out_prefix"),
+    "minimal verify": (minimal_verify, "gauss dual", 1e-9, "report output"),
 }
 
 

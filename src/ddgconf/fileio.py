@@ -11,6 +11,7 @@ import cmath
 import json
 import math
 from itertools import chain, compress
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -163,29 +164,66 @@ def edge_key(i, j):
     return f"{min(i, j)}-{max(i, j)}"
 
 
-def _plain(x):
-    """The JSON value of an array, a complex number or a numpy scalar; a
-    complex array becomes ``[re, im]`` rows in one step."""
-    if isinstance(x, np.ndarray):
-        if np.iscomplexobj(x):
-            x = np.stack([x.real, x.imag], axis=-1)
-        return x.tolist()
-    if isinstance(x, complex):
-        return [x.real, x.imag]
-    if isinstance(x, np.generic):
-        return x.item()
-    raise TypeError(f"{type(x).__name__} is not JSON serializable")
-
-
 def dump_json(obj):
-    """Deterministic JSON: each float is written as its shortest repr, which
-    reads back bit for bit; arrays become lists and complex numbers
-    ``[re, im]`` pairs.  A NaN or infinity raises
-    :class:`~ddgconf.errors.NonFinite`, since JSON has none."""
+    """``json.dumps(obj, indent=2, allow_nan=False) + "\\n"`` byte for byte, with
+    arrays as lists, complex numbers as ``[re, im]`` and numpy scalars as Python
+    ones; the first NaN or infinity raises :class:`NonFinite` with json's message."""
     try:
-        return json.dumps(obj, indent=2, allow_nan=False, default=_plain) + "\n"
+        return _encode(obj, "\n") + "\n"
     except ValueError as exc:
         raise NonFinite(f"report holds a non-finite number ({exc})") from None
+
+
+def _encode(o, ind):
+    """The JSON text of ``o`` at ``ind``, a newline and two spaces per level."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None or o is True or o is False:
+        return {None: "null", True: "true", False: "false"}[o]
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if not math.isfinite(o):
+            raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+        return float.__repr__(o)
+    if isinstance(o, complex):
+        o = [o.real, o.imag]
+    elif isinstance(o, (np.ndarray, np.generic)):
+        return _encode(o.tolist(), ind)
+    elif not isinstance(o, (list, tuple, dict)):
+        raise TypeError(f"{type(o).__name__} is not JSON serializable")
+    if not o:
+        return "{}" if isinstance(o, dict) else "[]"
+    inner = ind + "  "
+    if not isinstance(o, dict):
+        return "[" + inner + _join(o, inner) + ind + "]"
+    if set(map(type, o)) in ({str}, {int}):
+        body = _join(list(o.values()), inner, list(map(encode_basestring_ascii, map(str, o))))
+    else:  # each key before its value, as json reads them
+        body = ("," + inner).join([f"{_key(k)}: {_encode(v, inner)}" for k, v in o.items()])
+    return "{" + inner + body + ind + "}"
+
+
+def _key(k):
+    if not (k is None or isinstance(k, (str, int, float))):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    return _encode(k, "") if isinstance(k, str) else f'"{_encode(k, "")}"'
+
+
+def _join(values, ind, keys=None):
+    """The items of a list, or of a dict with the JSON ``keys``, at ``ind``: floats and
+    complex numbers by one ``%r`` template, the rest (a non-finite value too) one by one."""
+    kinds = set(map(type, values))
+    if kinds <= {float, np.float64} and np.isfinite(x := np.array(values, float)).all():
+        item, columns = "%r", [x.tolist()]  # Python floats: %r of an np.float64 is not float's
+    elif kinds <= {complex, np.complex128} and np.isfinite(z := np.array(values, complex)).all():
+        item, columns = f"[{ind}  %r,{ind}  %r{ind}]", [z.real.tolist(), z.imag.tolist()]
+    else:
+        texts = [_encode(v, ind) for v in values]
+        return ("," + ind).join(texts if keys is None else map("{}: {}".format, keys, texts))
+    if keys is not None:
+        item, columns = "%s: " + item, [keys, *columns]
+    return ("," + ind).join([item] * len(values)) % tuple(chain.from_iterable(zip(*columns)))
 
 
 def load_json(path):

@@ -334,10 +334,21 @@ class Defect(NamedTuple):
         bad = np.flatnonzero(~(self.relative <= tol))
         if len(bad):
             k = bad[0]
-            where = tuple(map(int, self.where[k])) if self.kind == "edge" else int(self.where[k])
-            details = {self.kind: where, "defect": self.value[k].item()}
+            details = self.element(k)
             details.update({name: values[k].item() for name, values in fields.items()})
             raise error(message.format(**details), **details)
+
+    def element(self, k=None):
+        """Element ``k`` as details: its location keyed by ``kind`` (an edge as ``(i, j)``)
+        and ``defect``; by default the worst (the first NaN) with ``scale``, None if empty."""
+        if k is None:
+            if not len(self.value):
+                return None
+            k = int(np.argmax(self.relative))
+            scale = np.broadcast_to(self.scale, self.value.shape)[k].item()
+            return {**self.element(k), "scale": scale}
+        where = tuple(map(int, self.where[k])) if self.kind == "edge" else int(self.where[k])
+        return {self.kind: where, "defect": self.value[k].item()}
 
 
 class Integral(NamedTuple):

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateFace, InvalidInput, MeshMismatch
-from .mesh import TriMesh, _read_only
+from .mesh import Defect, TriMesh, _read_only
 
 TAU = 2.0 * np.pi
 
@@ -204,8 +204,8 @@ def check_conformal_equiv(a: Realization, b: Realization, tol=1e-9):
     a.mesh.require_disk()
     cra = np.abs(cross_ratios(a))
     crb = np.abs(cross_ratios(b))
-    max_dev = float(np.max(np.abs(cra - crb) / cra, initial=0.0))
-    if max_dev > tol:
+    max_dev = Defect(np.abs(cra - crb) / cra, 1.0, a.mesh.interior_ends, "edge").worst
+    if not max_dev <= tol:  # Defect.passes: a NaN fails
         return EquivalenceReport(False, max_dev, None, np.inf)
 
     i, j = a.mesh.edge_ends.T
@@ -224,8 +224,8 @@ def check_pattern(a: Realization, b: Realization, tol=1e-9):
     cra = cross_ratios(a)
     crb = cross_ratios(b)
     # principal value of arg(cr_a / cr_b): avoids the branch cut at 0 ~ 2*pi
-    max_dev = float(np.max(np.abs(np.angle(cra / crb)), initial=0.0))
-    if max_dev > tol:
+    max_dev = Defect(np.abs(np.angle(cra / crb)), 1.0, a.mesh.interior_ends, "edge").worst
+    if not max_dev <= tol:  # Defect.passes: a NaN fails
         return EquivalenceReport(False, max_dev, None, np.inf)
 
     i, j = a.mesh.edge_ends.T

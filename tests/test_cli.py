@@ -4,9 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from ddgconf import Realization, build, fileio, hqd, laplace
+from ddgconf import Realization, build, fileio, hqd, laplace, moebius, weierstrass
 from ddgconf import deform as deform_mod
-from ddgconf.cli import main
+from ddgconf.cli import DEFAULT_ALPHAS, main
 
 from conftest import WHEEL6_FACES, deformed_grid_pair
 
@@ -263,6 +263,14 @@ def test_minimal_build_custom_alphas(files, capsys, tmp_path):
     assert os.path.exists(prefix + "_a0.75.obj")
 
 
+def test_minimal_build_without_alphas(files, capsys, tmp_path):
+    prefix = str(tmp_path / "none")
+    code, out, err = run(capsys, "minimal", "build", files["wheel"], files["q"], "--alpha", "", "-o", prefix)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert (data["worst"], data["surfaces"], data["files"]) == (None, [], [prefix + "_gauss.obj"])
+
+
 def test_nonholomorphic_minimal_build_fails(files, capsys, tmp_path):
     code, out, _ = run(
         capsys,
@@ -270,6 +278,88 @@ def test_nonholomorphic_minimal_build_fails(files, capsys, tmp_path):
     )
     assert code == 2
     assert json.loads(out)["verdict"] == "fail"
+
+
+def _library_worst(checks, defects):
+    """The ``worst`` entry recomputed from the library's Defects: the check
+    and element of the largest relative defect."""
+    k = int(np.argmax([d.worst for d in defects]))
+    d = defects[k]
+    e = int(np.argmax(d.relative))
+    where = [int(v) for v in d.where[e]] if d.kind == "edge" else int(d.where[e])
+    scale = float(np.broadcast_to(d.scale, d.value.shape)[e])
+    return {**checks[k], d.kind: where, "defect": float(d.value[e]), "scale": scale}
+
+
+def _bounded(capsys, argv, checks, defects, maps, failing=False):
+    """The default report of ``argv`` holds the library's ``worst`` and no
+    map unless it fails; ``--report`` adds the maps to it."""
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (2 if failing else 0, "")
+    default = json.loads(out)
+    assert default["worst"] == _library_worst(checks, defects)
+    assert set(maps) & set(default) == (set(maps) if failing else set())
+    code, out, err = run(capsys, *argv, "--report")
+    assert (code, err) == (2 if failing else 0, "")
+    assert json.loads(out) == {**default, **json.loads(fileio.dump_json(maps))}
+    return default
+
+
+@pytest.mark.parametrize("data", ["q", "qbad"])
+def test_hqd_check_bounded_report(files, capsys, data):
+    r = Realization(*fileio.read_obj_planar(files["wheel"]))
+    q = fileio.qdiff_from_json(fileio.load_json(files[data]), r.mesh)
+    rep = hqd.verify_qdiff(r, q, 1e-9)
+    checks = [{"check": c} for c in ("real_part", "vertex_sum", "weighted_sum")]
+    maps = {"vertex_sum": rep.vertex_sum, "weighted_sum": rep.weighted_sum}
+    argv = ("hqd", "check", files["wheel"], files[data])
+    default = _bounded(capsys, argv, checks, rep.defects, maps, failing=data == "qbad")
+    keys = ["schema", "command", "tol", "holomorphic", "max_defect", "max_real_part", "worst"]
+    assert list(default) == keys + ([] if rep.holomorphic else list(maps))
+
+
+@pytest.mark.parametrize("data", ["mu", "mubad"])
+def test_moebius_eta_bounded_report(files, capsys, data):
+    r = Realization(*fileio.read_obj_planar(files["wheel"]))
+    form = moebius.sl2_form_from_rates(r, fileio.mu_from_json(fileio.load_json(files[data]), r.mesh))
+    closed = moebius.check_sl2_form_closed(r, form, 1e-10)
+    checks = [{"check": c} for c in ("matrix_sum", "rate_sum", "weighted_sum")]
+    eta = {
+        fileio.edge_key(i, j): {"matrix": m, "vector": v}
+        for (i, j), m, v in zip(r.mesh.interior_ends.tolist(), form.matrices, form.vectors)
+    }
+    argv = ("moebius", "eta", files["wheel"], files[data])
+    _bounded(capsys, argv, checks, closed.defects, {"eta": eta}, failing=data == "mubad")
+
+
+def test_minimal_build_and_verify_bounded_reports(files, capsys, tmp_path):
+    r = Realization(*fileio.read_obj_planar(files["wheel"]))
+    q = fileio.qdiff_from_json(fileio.load_json(files["q"]), r.mesh)
+    ms = weierstrass.weierstrass_integrate(r, q, 0.0, 0, 1e-9)
+    n = weierstrass.gauss_map(r)
+    defects = [weierstrass.verify_minimal(r.mesh, n, ms.at_phase(a).f, 1e-9).defect for a in DEFAULT_ALPHAS]
+    checks = [{"check": "edge_parallelism", "alpha": a} for a in DEFAULT_ALPHAS]
+    prefix = str(tmp_path / "w")
+    argv = ("minimal", "build", files["wheel"], files["q"], "-o", prefix)
+    default = _bounded(capsys, argv, checks, defects, {"k": fileio.edge_map_to_json(r.mesh, ms.k)})
+    assert list(default) == ["schema", "command", "closure_defect", "worst", "surfaces", "files"]
+    with open(prefix + "_report.json", encoding="utf-8") as fh:  # written by the --report run
+        assert "k" in json.load(fh)
+
+    gauss, dual = prefix + "_gauss.obj", prefix + "_a0.obj"
+    gmesh, gn = fileio.read_obj(gauss)
+    rep = weierstrass.verify_minimal(gmesh, gn, fileio.read_obj_polygons(dual)[0], 1e-9)
+    maps = {"k": fileio.edge_map_to_json(gmesh, rep.k)}
+    checks = [{"check": "edge_parallelism"}]
+    _bounded(capsys, ("minimal", "verify", gauss, dual), checks, [rep.defect], maps)
+
+    pts, polys = fileio.read_obj_polygons(dual)
+    pts[0, 0] += 1e-3
+    broken = str(tmp_path / "broken.obj")
+    fileio.write_obj(broken, pts, polys)
+    rep = weierstrass.verify_minimal(gmesh, gn, pts, 1e-9)
+    maps = {"k": fileio.edge_map_to_json(gmesh, rep.k)}
+    _bounded(capsys, ("minimal", "verify", gauss, broken), checks, [rep.defect], maps, failing=True)
 
 
 def test_thread_env_validation(files, capsys, monkeypatch):
@@ -345,9 +435,10 @@ def test_strip_without_interior_vertices(tmp_path, capsys):
     assert json.loads(out) == {
         "schema": 1, "command": "harmonic solve", "residual": 0.0, "values": list(range(12)),
     }
-    code, out, err = run(capsys, "hqd", "check", obj, q)
+    code, out, err = run(capsys, "hqd", "check", obj, q, "--report")
     assert (code, err) == (0, "")
     assert json.loads(out) == {
         "schema": 1, "command": "hqd check", "tol": 1e-9, "holomorphic": True, "max_defect": 0.0,
         "max_real_part": 0.0, "vertex_sum": {}, "weighted_sum": {},
+        "worst": {"check": "real_part", "edge": [0, 7], "defect": 0.0, "scale": 1.0},
     }

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ddgconf import build, fileio
-from ddgconf.errors import DDGError, InvalidInput
+from ddgconf.errors import DDGError, InvalidInput, NonFinite
 
 from conftest import WHEEL6_FACES, delaunay_disk
 
@@ -179,6 +179,96 @@ def test_dump_json_deterministic_17_digits():
     t2 = fileio.dump_json({"x": np.float64(x)})
     assert t1 == t2
     assert json.loads(t1)["x"] == x  # no precision lost at 17 digits
+
+
+def _plain(x):
+    """The ``default`` hook of the earlier ``json.dumps`` writer."""
+    if isinstance(x, np.ndarray):
+        if np.iscomplexobj(x):
+            x = np.stack([x.real, x.imag], axis=-1)
+        return x.tolist()
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    if isinstance(x, np.generic):
+        return x.item()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
+def _reference(obj):
+    return json.dumps(obj, indent=2, allow_nan=False, default=_plain) + "\n"
+
+
+_C = np.array([0.1 + 2j, -0.0 - 1e-300j, 5e-324, 1e308j, 1 / 3 - 2j / 3])
+WRITER_BATTERY = [
+    {}, [], (), [[]], [{}], {"a": [], "b": {}, "c": ()}, {"t": (1, 2.5, "x", (None,))},
+    {"deep": {"a": [1, [2.5, {"b": [[], {}]}]], "c": {"d": {"e": {}}}}},
+    {1: 2, 20: 3}, {1.5: "a", True: 1, False: 0, None: None, 3: 0.1, -0.0: 1e308},
+    {"f64": np.float64(0.1), "f32": np.float32(0.1), "i64": np.int64(-3), "b": np.bool_(False),
+     "c128": np.complex128(1 - 2j), "c": 0.5 - 0.0j},
+    {"n": _C, "n2": np.stack([_C, _C[::-1]], axis=1), "m": np.array([[1j, 2], [3, -0.0]])},
+    {"m3": _C[:4].reshape(2, 2)[None] * np.ones((3, 1, 1))},
+    [-0.0, 5e-324, 1e308, -1e308, 1 / 3, 2 / 3, 0.1 + 0.2, 1e-300, 123456789.12345678, 1e16, 1e-5],
+    {"s": "é \"\\\n\t\x00\x1f\u2028😀 /"}, {"é😀\n": "ü"},
+    {"l": [1.0, np.float64(2.0), -0.0]}, {"rows": [[1.0, 2.0], [3.0, np.float64(-0.0)]]},
+    {"rows": [[1.0, 2.0], [3, 4.0]]}, [[1.0, 2.0, 3.0]], [[[1.0, 2.0], [3.0, 4.0]]], [(1.0, 2.0)],
+    {"map": {"0-1": 1.0, "0-2": np.float64(2.5)}}, {"map": {0: 1j, 5: -2 + 0j, 7: np.complex128(-0.0)}},
+    {"map": {"0-1": [1.0, -2.0], "0-2": [0.5, 1e308]}}, {"map": {"a": {"matrix": _C[:4].reshape(2, 2)}}},
+    np.array(3.0), np.array([[1, 2], [3, 4]]), np.array([True, False]), np.zeros((0, 2)),
+    np.zeros((2, 0)), np.zeros((3, 2), dtype=np.complex64), np.array([1.5], dtype=np.float32),
+    [None, True, False, 0, -1, 10**30, np.int64(7), np.bool_(True)], [1e308, 1e308], [[1e308, 1e308]],
+    [np.float64(1e308), np.float64(1e308)], {"m": {0: complex(1e308, 1e308), 1: -1e308j}},
+    {"worst": {"check": "vertex_sum", "edge": (3, 5), "defect": 0.0, "scale": 1.0}},
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("obj", WRITER_BATTERY, ids=range(len(WRITER_BATTERY)))
+def test_writer_matches_json_dumps(obj):
+    assert fileio.dump_json(obj) == _reference(obj)
+
+
+def test_writer_matches_json_dumps_on_large_maps():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)
+    c = x + 1j * x[::-1]
+    keys = list(map("{}-{}".format, range(500), range(1, 501)))
+    report = {
+        "values": x, "zdot": c, "list": x.tolist(), "f64": list(x), "pairs": np.stack([x, x], 1).tolist(),
+        "edges": dict(zip(keys, x.tolist())), "sums": dict(zip(range(500), c.tolist())),
+        "mixed": dict(zip(range(500), list(c[:250]) + list(x[:250]))),
+    }
+    assert fileio.dump_json(report) == _reference(report)
+
+
+NON_FINITE = [
+    [float("nan")], [1.0, float("inf")], {"a": 1.0, "b": -float("inf")}, [np.float64("nan")],
+    {"a": [1.0, 2.0], "b": [float("nan"), 1.0]}, {"c": complex(1, float("inf"))},
+    {"c": np.complex128(complex(float("nan"), 1))}, {"c": np.array([1j, complex(float("inf"), 0)])},
+    {"c": [1j, complex(0, float("nan"))]}, {"m": {1: complex(float("nan"), 0)}},
+    {"m": {"0-1": [1.0, float("nan")]}}, {float("nan"): 1}, {"x": np.float64(-np.inf)},
+    np.array([[1.0, np.nan], [np.inf, 2.0]]), {"x": float("nan"), "y": object()},
+    [np.float32("inf")], {"rows": [[1.0, 2.0], [np.float64("inf"), float("nan")]]},
+]
+
+
+@pytest.mark.parametrize("obj", NON_FINITE, ids=range(len(NON_FINITE)))
+def test_writer_names_the_first_non_finite_value(obj):
+    with pytest.raises(ValueError) as info:
+        _reference(obj)
+    with pytest.raises(NonFinite) as error:
+        fileio.dump_json(obj)
+    assert str(error.value) == f"report holds a non-finite number ({info.value})"
+
+
+OTHER_TYPES = [{np.int64(1): 2}, {"o": object()}, [object()], {(1, 2): 3}, {"y": object(), "x": float("nan")}]
+
+
+@pytest.mark.parametrize("obj", OTHER_TYPES, ids=range(len(OTHER_TYPES)))
+def test_writer_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        _reference(obj)
+    with pytest.raises(TypeError):
+        fileio.dump_json(obj)
 
 
 def test_edge_key_canonical():

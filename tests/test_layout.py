@@ -5,7 +5,8 @@ read-only int64 arrays, and outside ``mesh.py`` nothing calls its one
 per-element view, ``edge_flap``.  Every flag of the
 ``ddg`` command line is read by its handler.  One helper beside ``Defect``
 floors every scale at 1e-300, and one helper in ``moebius.py`` multiplies
-batched 2x2 matrices.  Every file is opened with an explicit encoding."""
+batched 2x2 matrices.  Every file is opened with an explicit encoding, and
+every report is written by ``fileio.dump_json``."""
 
 import argparse
 import ast
@@ -95,6 +96,19 @@ def test_every_open_names_its_encoding():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"
     ]
     assert opens and [where for where, keywords in opens if "encoding" not in keywords] == []
+
+
+def test_one_json_writer():
+    """No ``json.dump``/``json.dumps`` call in the package: every report goes
+    through ``fileio.dump_json``, the one owner of the byte format."""
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) in ("dump", "dumps")
+    ]
+    assert calls == []
 
 
 def _subcommands(parser):

@@ -81,6 +81,31 @@ def test_vanishing_cross_ratio_factor_raises_on_every_call():
         assert str(info.value) == "coincident vertices at interior edge (0, 2)"
 
 
+@pytest.mark.parametrize("check", [check_conformal_equiv, check_pattern])
+def test_non_finite_cross_ratios_fail_equivalence(check):
+    """A 10**-161.8 square passes the collinearity test, but its cross
+    ratio's factors are subnormal and ``num / den`` is ``-inf+nanj``.  The
+    NaN deviation fails the verdict against the same square at scale 2,
+    which ``max_dev > tol`` let pass."""
+    square = 10**-161.8 * np.array([0, 1, 1 + 1j, 1j])
+    a, b = (Realization(build(SQUARE2_FACES), s * square) for s in (1, 2))
+    with np.errstate(all="ignore"):
+        rep = check(a, b)
+    assert not rep.equivalent and np.isnan(rep.max_deviation)
+    assert rep.factors is None
+
+
+def test_equivalence_deviation_is_unchanged(wheel6_irregular):
+    """Through ``Defect`` the largest deviation is bitwise the old maximum."""
+    r = wheel6_irregular
+    w = Realization(r.mesh, random_moebius(r, np.random.default_rng(5)).apply(r.z) + 1e-6)
+    cra, crb = cross_ratios(r), cross_ratios(w)
+    conformal = float(np.max(np.abs(np.abs(cra) - np.abs(crb)) / np.abs(cra)))
+    pattern = float(np.max(np.abs(np.angle(cra / crb))))
+    assert check_conformal_equiv(r, w, np.inf).max_deviation == conformal > 0
+    assert check_pattern(r, w, np.inf).max_deviation == pattern > 0
+
+
 def test_collinear_face_rejected():
     mesh = build(SQUARE2_FACES)
     z = np.array([0, 1, 2, 1j], dtype=complex)  # face (0,1,2) collinear
