@@ -182,10 +182,14 @@ def hqd_to_harmonic(args):
 
 
 def hqd_moebius_test(args):
-    """Verify invariance under a deterministic battery of maps."""
+    """Verify invariance under a deterministic battery of maps, applied to the
+    mesh moved and scaled into the unit disk (a similarity keeps ``q`` holomorphic)."""
     r = _load_realization(args.mesh)
     q = fileio.qdiff_from_json(fileio.load_json(args.data), r.mesh)
     defects = [hqd.verify_qdiff(r, q, args.tol).max_defect]
+    # shift, then scale: z - o is exact where z is within a factor 2 of o (Sterbenz)
+    dz = r.z - r.z.mean()
+    r = Realization(r.mesh, dz / np.abs(dz).max())
     rng = np.random.default_rng(20240816)
     n_maps = 50
     while len(defects) <= n_maps:

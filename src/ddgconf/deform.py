@@ -29,7 +29,7 @@ class EdgeRates:
 def edge_rates(r: Realization, zdot) -> EdgeRates:
     zdot = np.asarray(zdot, dtype=complex)
     i, j = r.mesh.edge_ends.T
-    rate = (zdot[j] - zdot[i]) / (r.z[j] - r.z[i])
+    rate = (zdot[j] - zdot[i]) / r.edge_dz
     return EdgeRates(rate.real, rate.imag)
 
 
@@ -63,7 +63,7 @@ def check_triangle_compat(r: Realization, rates: EdgeRates, tol=1e-10, fd_step=1
     """
     nf = len(r.mesh.faces)
     c = rates.complex_rate[r.mesh.face_edges]  # c12, c23, c31
-    z = r.z[r.tri]
+    z = r.z[r.mesh.faces]
     dz = np.roll(z, -1, axis=1) - z  # z2 - z1, z3 - z2, z1 - z3
     step = product(c, dz)
     closure = step[:, 0] + step[:, 1] + step[:, 2]
@@ -93,7 +93,9 @@ def check_triangle_compat(r: Realization, rates: EdgeRates, tol=1e-10, fd_step=1
 
     t = fd_step
     rp, rm = circumradius(z[ok] + t * zd), circumradius(z[ok] - t * zd)
-    rr = (rp - rm) / (2.0 * t * r.circumradius[ok])
+    # the circumradius |zk - zj| |zi - zk| |zj - zi| / 2|area2| of each face
+    radius = np.abs(dz[ok])[:, [1, 2, 0]].prod(axis=1) / (2.0 * np.abs(r.area2[ok]))
+    rr = (rp - rm) / (2.0 * t * radius)
     denom = np.maximum(np.maximum(np.abs(sigma_face[ok]), np.abs(rr)), 1e-12)
     rr_err[ok] = np.abs(sigma_face[ok] - rr) / denom
 
@@ -120,7 +122,7 @@ def conformal_deformation(r: Realization, u, anchor_vertex=0, anchor_face=0):
     mesh = r.mesh
     conj = laplace.conjugate_harmonic(r, u, anchor_face)
     i, j = mesh.edge_ends.T
-    form = product((u[i] + u[j]) / 2.0 + 1j * conj.edge_rotation, r.z[j] - r.z[i])
+    form = product((u[i] + u[j]) / 2.0 + 1j * conj.edge_rotation, r.edge_dz)
     zdot = integrate(mesh, form, anchor_vertex)
     message = "closure failure {defect:.3e} on co-tree edge {edge}"
     zdot.defect.require(1e-10, IntegrationDefect, message)

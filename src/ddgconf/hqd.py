@@ -16,6 +16,7 @@ from . import laplace
 from .deform import cross_ratio_rate
 from .errors import ClosureDefect, NotRealizable
 from .mesh import Defect, _floor, integrate, magnitude
+from .moebius import MoebiusMap
 from .realization import Realization, cross_ratios, intersection_angles
 
 
@@ -47,7 +48,7 @@ def gradient(r: Realization, u) -> GradField:
     """Gradient of the piecewise-linear interpolant of ``u``, constant per
     face: ``i (u_i dz(e_jk) + u_j dz(e_ki) + u_k dz(e_ij)) / (2 A)``."""
     u = np.asarray(u)
-    tri = r.tri
+    tri = r.mesh.faces
     z = r.z
     zi, zj, zk = z[tri[:, 0]], z[tri[:, 1]], z[tri[:, 2]]
     ui, uj, uk = u[tri[:, 0]], u[tri[:, 1]], u[tri[:, 2]]
@@ -82,12 +83,10 @@ def qdiff_cotan(r: Realization, u):
     (used to cross-check :func:`qdiff_from_function`)."""
     u = np.asarray(u, dtype=float)
     i, j, k, l = r.flap_points()
-    fl, fr = r.mesh.interior_faces.T
+    # the cotangents at i, j, k of the left face and at j, i, l of the right
+    (li, lj, _), (rj, ri, _) = r.cot.ravel()[r.mesh.flap_corners()].transpose(1, 2, 0)
     return (-0.5j) * (
-        r.cot_at(fl, i) * (u[k] - u[j])
-        + r.cot_at(fl, j) * (u[k] - u[i])
-        + r.cot_at(fr, j) * (u[l] - u[i])
-        + r.cot_at(fr, i) * (u[l] - u[j])
+        li * (u[k] - u[j]) + lj * (u[k] - u[i]) + rj * (u[l] - u[i]) + ri * (u[l] - u[j])
     )
 
 
@@ -142,8 +141,7 @@ def harmonic_from_qdiff(r: Realization, q, anchor_vertex=0, anchor_face=0, tol=1
 
     # omega(e_ij) = <2 conj(h_face), dz(e_ij)> = Re(2 h_face dz(e_ij)), the same
     # from either side iff Re q = 0
-    i, j = mesh.edge_ends.T
-    dz = r.z[j] - r.z[i]
+    dz = r.edge_dz
     side = 2.0 * h[mesh.edge_faces]  # a missing face (-1) is never read
     left, right = (side.real * dz.real[:, None] - side.imag * dz.imag[:, None]).T
     has_left, has_right = (mesh.edge_faces >= 0).T
@@ -174,8 +172,6 @@ def project_out_linear(r: Realization, u):
 def qdiff_moebius_pushforward_check(r: Realization, q, phi, tol=1e-9):
     """Verify that ``q`` is still holomorphic on the Moebius image of the
     realization (same edge values, new positions)."""
-    from .moebius import MoebiusMap  # local import to avoid a cycle
-
     if not isinstance(phi, MoebiusMap):
         phi = MoebiusMap(*phi)
     w = phi.apply(r.z)

@@ -151,13 +151,12 @@ def conjugate_harmonic(r: Realization, h, anchor_face=0, rtol=HARMONIC_RTOL):
     wt = dual.potential
 
     # evaluated on the left face of each edge, or on the right face on the
-    # boundary, with the cotangent at that face's apex: corner c's edge lies
-    # opposite corner c + 2 of its face
+    # boundary, with the cotangent at that face's apex: two corners on from
+    # the edge's own corner
     i, j = mesh.edge_ends.T
-    c = mesh._edge_corners
-    on_left = c[:, 0] >= 0
-    corner = np.where(on_left, c[:, 0], c[:, 1])
-    face = corner // 3
-    half = 0.5 * r.cot.ravel()[corner - corner % 3 + (corner + 2) % 3] * (h[j] - h[i])
+    on_left = mesh.edge_faces[:, 0] >= 0
+    face = np.where(on_left, *mesh.edge_faces.T)
+    corner = np.where(on_left, *mesh.edge_corners.T)
+    half = 0.5 * r.cot.ravel()[mesh.next_corner(corner, 2)] * (h[j] - h[i])
     omega = np.where(on_left, wt[face] - half, wt[face] + half)
     return ConjugateHarmonic(wt, omega, dual.defect.worst)

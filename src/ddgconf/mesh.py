@@ -33,12 +33,15 @@ class DualEdge(NamedTuple):
 class TriMesh:
     """An oriented triangle mesh as index arrays.
 
-    Corner ``c = 3 f + m`` of face ``f`` carries the oriented edge
-    ``faces[f][m] -> faces[f][m + 1]``.  ``edge_ends`` lists the edges
-    ``(i, j)``, ``i < j``, in ascending order; ``face_edges[f, m]`` is the
-    edge of corner ``3 f + m``; ``edge_faces[e]`` holds the left and right
-    face of ``e`` (-1 where it has none).  Element sets are read-only int64
-    arrays, but ``interior_vertices`` is a list: ``bench/`` compares it with one.
+    Corner ``c = 3 f + m`` of face ``f`` sits at ``faces[f][m]`` and carries
+    the oriented edge ``faces[f][m] -> faces[f][m + 1]``; :meth:`next_corner`
+    steps around a face and :meth:`flap_corners` lists each interior flap's
+    corners.  ``edge_ends`` lists the edges ``(i, j)``, ``i < j``, in
+    ascending order; ``face_edges[f, m]`` is the edge of corner ``3 f + m``;
+    ``edge_corners[e]`` holds the corners of ``i -> j`` and ``j -> i`` and
+    ``edge_faces[e]`` their faces, the left and right face of ``e`` (-1
+    where it has none).  Element sets are read-only int64 arrays, but
+    ``interior_vertices`` is a list: ``bench/`` compares it with one.
     """
 
     def __init__(self, faces, vertex_count=None):
@@ -63,9 +66,9 @@ class TriMesh:
         self.face_edges = corner_edge.reshape(-1, 3)
         # the corners of each edge: i -> j in column 0, j -> i in column 1
         side = (tail > head).astype(np.int64)
-        self._edge_corners = np.full((len(keys), 2), -1, dtype=np.int64)
-        self._edge_corners[corner_edge, side] = np.arange(len(tail))
-        self.edge_faces = self._edge_corners // 3  # -1 // 3 == -1
+        self.edge_corners = np.full((len(keys), 2), -1, dtype=np.int64)
+        self.edge_corners[corner_edge, side] = np.arange(len(tail))
+        self.edge_faces = self.edge_corners // 3  # -1 // 3 == -1
 
         interior = (self.edge_faces >= 0).all(axis=1)
         self.interior_edges = np.flatnonzero(interior)
@@ -74,21 +77,20 @@ class TriMesh:
         self.interior_faces = self.edge_faces[interior]
 
         self._check_connected()
-        twin = self._edge_corners[corner_edge, 1 - side]
+        twin = self.edge_corners[corner_edge, 1 - side]
         self._star_rank = _rank_stars(tail, head, twin, vertex_count)
 
         self.is_boundary_vertex = np.zeros(vertex_count, dtype=bool)
         self.is_boundary_vertex[self.edge_ends[self.boundary_edges]] = True
         self.boundary_vertices = np.flatnonzero(self.is_boundary_vertex)
         self.interior_vertices = np.flatnonzero(~self.is_boundary_vertex).tolist()
-        for a in (self.interior_edges, self.boundary_edges, self.boundary_vertices):
+        sets = (self.edge_corners, self.interior_edges, self.boundary_edges, self.boundary_vertices)
+        for a in sets:
             a.flags.writeable = False
 
     def _check_connected(self):
-        # a bare adjacency: the spanning trees' graph is built only when needed
-        i, j = self.edge_ends.T
-        graph = sp.csr_array((np.ones(len(i)), (i, j)), (self.vertex_count, self.vertex_count))
-        _, label = connected_components(graph, directed=False)
+        # the adjacency is symmetric: its strong components are the connected ones
+        _, label = connected_components(self._primal_graph.adjacency, connection="strong")
         root = int(self.edge_ends[0, 0])
         missing = np.flatnonzero(label != label[root])
         if len(missing):
@@ -121,22 +123,30 @@ class TriMesh:
 
     # -- index arrays and shared operators --------------------------------------
 
+    @staticmethod
+    def next_corner(c, k=1):
+        """The corner ``k`` steps on from corner ``c`` (elementwise) in its
+        face: one step from the corner of ``i -> j`` is that of ``j -> k``."""
+        return c - c % 3 + (c + k) % 3
+
+    def flap_corners(self):
+        """``(E_int, 2, 3)`` corners of each interior edge's flap ``(i, j, k,
+        l)`` (see :meth:`edge_flap`): those of ``i, j, k`` in the left face and
+        of ``j, i, l`` in the right face.  Derived on each call, not cached."""
+        c = self.edge_corners[self.interior_edges]
+        return self.next_corner(c[:, :, None], np.arange(3))
+
     @cached_property
     def flap_edges(self):
         """``(E_int, 4)`` ids of the edges ``jk, ki, il, lj`` of each interior
         edge's flap ``(i, j, k, l)`` (see :meth:`edge_flap`)."""
-        # corner i -> j is followed by j -> k and k -> i, j -> i by i -> l and l -> j
-        c = self._edge_corners[self.interior_edges]
-        start = c - c % 3
-        after = np.stack([start + (c + 1) % 3, start + (c + 2) % 3], axis=2)
-        return _read_only(self.face_edges.ravel()[after.reshape(-1, 4)])
+        # the corners of j, k, i and l carry j -> k, k -> i, i -> l and l -> j
+        return _read_only(self.face_edges.ravel()[self.flap_corners()[:, :, 1:].reshape(-1, 4)])
 
     @cached_property
     def flap_apices(self):
-        """``(E_int, 2)`` apices ``(k, l)`` of each interior edge's flap: the
-        tails of the corners ``k -> i`` before ``i -> j`` and ``l -> j`` before ``j -> i``."""
-        c = self._edge_corners[self.interior_edges]
-        return _read_only(self.faces.ravel()[c - c % 3 + (c + 2) % 3])
+        """``(E_int, 2)`` apices ``(k, l)`` of each interior edge's flap."""
+        return _read_only(self.faces.ravel()[self.flap_corners()[:, :, 2]])
 
     @cached_property
     def vertex_corners(self):
@@ -257,11 +267,8 @@ class _Graph:
     ``head[k]`` (vertices or faces) and lies on mesh edge ``edge_ids[k]``."""
 
     def __init__(self, tail, head, n, edge_ids, node):
-        self.tail, self.n, self.edge_ids, self.node = tail, n, edge_ids, node
+        self.tail, self.head, self.n, self.edge_ids, self.node = tail, head, n, edge_ids, node
         k = np.arange(len(tail))
-        # incidence: (d @ potential)[k] = potential[head[k]] - potential[tail[k]]
-        ones = np.ones(len(k))
-        self.d = sp.csr_array((np.r_[ones, -ones], (np.r_[k, k], np.r_[head, tail])), (len(k), n))
         # k + 1 at (tail, head) and (head, tail); its rows list neighbours in id order
         ends = (np.r_[tail, head], np.r_[head, tail])
         self.adjacency = sp.csr_array((np.r_[k, k] + 1, ends), (n, n))
@@ -353,7 +360,8 @@ class Defect(NamedTuple):
 
 class Integral(NamedTuple):
     """Potential of a 1-form integrated over a spanning tree, and the closure
-    gaps ``|d @ potential - form|`` on its co-tree edges against ``max|form|``."""
+    gaps ``|potential[head] - potential[tail] - form|`` on its co-tree edges
+    against ``max|form|``."""
 
     potential: np.ndarray
     cotree: np.ndarray  # mesh edge ids, ascending
@@ -385,8 +393,8 @@ def integrate(mesh, form, root=0, dual=False):
     left face, potential on faces.  Trailing axes are integrated
     componentwise.  The potential is 0 at ``root``; each node gets
     ``potential[parent] + sign * form``, one BFS level at a time.  A co-tree
-    gap is the :func:`magnitude` of ``d @ potential - form``, or the largest
-    ``np.abs`` of its components.
+    gap is the :func:`magnitude` of ``potential[head] - potential[tail] -
+    form``, or the largest ``np.abs`` of its components.
     """
     g = mesh._dual_graph if dual else mesh._primal_graph
     form = np.asarray(form)
@@ -401,7 +409,7 @@ def integrate(mesh, form, root=0, dual=False):
         hi = int(np.searchsorted(parent_position, lo, side="right"))
         pot[nodes[lo:hi]] = pot[parents[lo:hi]] + step[lo:hi]
         lo = hi
-    gap = (g.d @ pot - form)[cotree]
+    gap = pot[g.head[cotree]] - pot[g.tail[cotree]] - form[cotree]
     gap = np.abs(gap).max(axis=tuple(range(1, gap.ndim))) if gap.ndim > 1 else magnitude(gap)
     edges = g.edge_ids[cotree]
     defect = Defect(gap, np.abs(form).max(initial=0.0), mesh.edge_ends[edges], "edge")
@@ -468,7 +476,7 @@ def _rank_stars(tail, head, twin, n):
     smallest neighbour ``j``.  Raises for the first vertex whose star is not
     a single fan."""
     corner = np.arange(len(tail))
-    succ = twin[corner - corner % 3 + (corner + 2) % 3]  # -1 past an open fan's end
+    succ = twin[TriMesh.next_corner(corner, 2)]  # -1 past an open fan's end
     key = np.where(twin < 0, 0, n) + head
     least = np.full(n, 2 * n)
     np.minimum.at(least, tail, key)

@@ -210,7 +210,7 @@ def transition_matrices(a: Realization, b: Realization) -> TransitionReport:
     _check_same_mesh(a, b)
     mesh = a.mesh
 
-    face_maps = _fix_signs(_face_maps(a.z[a.tri], b.z[a.tri]))
+    face_maps = _fix_signs(_face_maps(a.z[mesh.faces], b.z[mesh.faces]))
     left, right = mesh.interior_faces.T
     G = _mul(_adjugate(face_maps[right]), face_maps[left])
     G_norm = np.abs(G).max(axis=(1, 2))

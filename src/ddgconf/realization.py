@@ -22,11 +22,11 @@ COLLINEAR_TOL = 1e-14
 class Realization:
     """A triangular mesh with one complex position per vertex.
 
-    Caches signed doubled face areas, per-corner cotangents, circumradii
-    and, once asked for, the cotan weights and the interior Dirichlet
-    system.  Faces may be negatively oriented; areas and corner angles then
-    carry a negative sign.  ``z`` is a read-only copy of the positions, so
-    that no cached value can go stale.
+    Keeps signed doubled face areas and builds on first use, read-only, the
+    per-corner cotangents, the edge vectors, the cotan weights, the cross
+    ratios and the interior Dirichlet system.  Faces may be negatively
+    oriented; areas and corner angles then carry a negative sign.  ``z`` is
+    a read-only copy of the positions, so that no cached value can go stale.
     """
 
     def __init__(self, mesh: TriMesh, z):
@@ -42,43 +42,40 @@ class Realization:
         self.mesh = mesh
         self.z = z
 
-        self.tri = tri = mesh.faces
+        tri = mesh.faces
         zi, zj, zk = z[tri[:, 0]], z[tri[:, 1]], z[tri[:, 2]]
         # signed doubled area = Im(conj(z_j - z_i) (z_k - z_i))
         self.area2 = (np.conj(zj - zi) * (zk - zi)).imag
 
-        lengths = np.abs(np.stack([zk - zj, zi - zk, zj - zi]))
-        scale = lengths.max(axis=0)
+        scale = np.abs(np.stack([zk - zj, zi - zk, zj - zi])).max(axis=0)
         bad = np.abs(self.area2) <= COLLINEAR_TOL * scale**2
         if bad.any():
             f = int(np.flatnonzero(bad)[0])
             raise DegenerateFace(f"face {f} {tuple(tri[f].tolist())} is (nearly) collinear", face=f)
 
-        # cot of the (signed) corner angle at each face vertex
-        def corner_cot(a, b, c):
-            u = b - a
-            v = c - a
-            w = np.conj(u) * v
-            return w.real / w.imag
+    @cached_property
+    def cot(self):
+        """``(F, 3)`` cot of the (signed) corner angle at each face vertex:
+        ``cot.ravel()[c]`` is that of corner ``c``."""
+        # the angle at each corner lies between its edges to the next two corners
+        a = self.z[self.mesh.faces]
+        w = np.conj(np.roll(a, -1, axis=1) - a) * (np.roll(a, -2, axis=1) - a)
+        return _read_only(w.real / w.imag)
 
-        self.cot = np.stack(
-            [corner_cot(zi, zj, zk), corner_cot(zj, zk, zi), corner_cot(zk, zi, zj)],
-            axis=1,
-        )
-        self.circumradius = (
-            lengths[0] * lengths[1] * lengths[2] / (2.0 * np.abs(self.area2))
-        )
+    @cached_property
+    def edge_dz(self):
+        """``z_j - z_i`` per edge ``i < j`` of ``mesh.edge_ends``, read-only."""
+        i, j = self.mesh.edge_ends.T
+        return _read_only(self.z[j] - self.z[i])
 
     @cached_property
     def cotan_weights(self):
         """``w_ij = cot(angle at left apex) + cot(angle at right apex)`` per
         interior edge, read-only; see :func:`ddgconf.laplace.cotan_weights`."""
-        # edge m of a face lies opposite corner m + 2
-        w = np.bincount(
-            self.mesh.face_edges.ravel(), self.cot[:, [2, 0, 1]].ravel(), self.mesh.edge_count
-        )[self.mesh.interior_edges]
-        w.flags.writeable = False
-        return w
+        # the corners at the apices k and l lie two on from those of i -> j and j -> i
+        c = self.mesh.edge_corners[self.mesh.interior_edges]
+        apex = self.cot.ravel()[self.mesh.next_corner(c, 2)]
+        return _read_only(apex[:, 0] + apex[:, 1])
 
     @cached_property
     def dirichlet_system(self):
@@ -106,15 +103,9 @@ class Realization:
         B = sp.csr_matrix((-wa[outer], (a[outer], other[outer])), shape=(ni, mesh.vertex_count))
         return _read_only(A), _read_only(B)
 
-    def cot_at(self, face, vertex):
-        """Signed cotangent of the corner angle of ``face`` at its vertex
-        ``vertex``; elementwise for arrays."""
-        return self.cot[face, (self.tri[face] == np.expand_dims(vertex, -1)).argmax(axis=-1)]
-
     def interior_dz(self):
         """``z_j - z_i`` per interior edge ``i < j``."""
-        i, j = self.mesh.interior_ends.T
-        return self.z[j] - self.z[i]
+        return self.edge_dz[self.mesh.interior_edges]
 
     def null_vectors(self):
         """``(1 - z_i z_j, i (1 + z_i z_j), z_i + z_j)`` per interior edge
@@ -126,8 +117,7 @@ class Realization:
 
     def edge_scale(self):
         """Length of the longest edge."""
-        i, j = self.mesh.edge_ends.T
-        return float(np.abs(self.z[j] - self.z[i]).max())
+        return float(np.abs(self.edge_dz).max())
 
     def flap_points(self):
         """Vertex indices ``(i, j, k, l)`` per interior edge, as arrays."""
@@ -208,8 +198,7 @@ def check_conformal_equiv(a: Realization, b: Realization, tol=1e-9):
     if not max_dev <= tol:  # Defect.passes: a NaN fails
         return EquivalenceReport(False, max_dev, None, np.inf)
 
-    i, j = a.mesh.edge_ends.T
-    sigma = np.log(np.abs(b.z[j] - b.z[i]) / np.abs(a.z[j] - a.z[i]))
+    sigma = np.log(np.abs(b.edge_dz) / np.abs(a.edge_dz))
     u, spread = _per_vertex_from_edges(a.mesh, sigma)
     return EquivalenceReport(True, max_dev, u, spread)
 
@@ -228,7 +217,6 @@ def check_pattern(a: Realization, b: Realization, tol=1e-9):
     if not max_dev <= tol:  # Defect.passes: a NaN fails
         return EquivalenceReport(False, max_dev, None, np.inf)
 
-    i, j = a.mesh.edge_ends.T
-    omega = np.angle((b.z[j] - b.z[i]) / (a.z[j] - a.z[i]))
+    omega = np.angle(b.edge_dz / a.edge_dz)
     alpha, spread = _per_vertex_from_edges(a.mesh, omega, reduce_mod_tau=True)
     return EquivalenceReport(True, max_dev, alpha, spread)

@@ -8,7 +8,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CoincidentVertices, IntegrationDefect, MeshMismatch, NotHolomorphic, NotMinimal
+from .errors import (
+    CoincidentVertices, IntegrationDefect, MeshMismatch, NotHolomorphic, NotMinimal,
+    VertexAtInfinity,
+)
 from .hqd import QuadDiff, _as_complex, verify_qdiff
 from .mesh import Defect, integrate, magnitude
 from .realization import Realization
@@ -27,8 +30,6 @@ def stereographic_to_plane(n):
     n = np.asarray(n, dtype=float)
     den = 1.0 - n[:, 2]
     if np.any(np.abs(den) < 1e-12):
-        from .errors import VertexAtInfinity
-
         raise VertexAtInfinity("Gauss map touches the north pole")
     return (n[:, 0] + 1j * n[:, 1]) / den
 

@@ -133,6 +133,12 @@ def random_moebius(r, rng, margin=1e-2):
         return phi
 
 
+def cot_at(r, face, vertex):
+    """Signed cotangent of the corner angle of ``face`` at its vertex
+    ``vertex``, elementwise, looked up in ``r.cot`` by matching the vertex."""
+    return r.cot[face, (r.mesh.faces[face] == np.expand_dims(vertex, -1)).argmax(axis=-1)]
+
+
 def reference_tables(mesh):
     """The per-element tables that ``TriMesh`` was once built from, built
     here with the same dict and set loops from ``mesh.faces``: the face of

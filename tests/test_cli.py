@@ -8,7 +8,7 @@ from ddgconf import Realization, build, fileio, hqd, laplace, moebius, weierstra
 from ddgconf import deform as deform_mod
 from ddgconf.cli import DEFAULT_ALPHAS, main
 
-from conftest import WHEEL6_FACES, deformed_grid_pair
+from conftest import WHEEL6_FACES, delaunay_disk, deformed_grid_pair
 
 
 def run(capsys, *argv):
@@ -187,6 +187,38 @@ def test_hqd_moebius_battery(files, capsys):
     data = json.loads(out)
     assert data["holomorphic"] is True
     assert data["maps"] == 50
+
+
+@pytest.fixture(scope="module")
+def moved_disks(tmp_path_factory):
+    """One disk at the origin and its images under ``z -> s z + c d`` (``d``
+    the diameter), each with the ``q`` of the same boundary data on it."""
+    root = tmp_path_factory.mktemp("moved")
+    r = delaunay_disk(300, seed=5)
+    diameter = float(np.abs(r.z[:, None] - r.z).max())
+    bnd = {v: float(np.cos(3.0 * np.angle(r.z[v]))) for v in r.mesh.boundary_vertices}
+    paths = {}
+    for s, c in [(1.0, 0.0), (1.0, 1e3), (1.0, 1e6), (1e-3, 0.0), (1e3, 0.0)]:
+        moved = Realization(r.mesh, s * r.z + c * diameter)
+        q = hqd.qdiff_from_harmonic(moved, laplace.solve_dirichlet(moved, bnd))
+        obj, data = root / f"disk_{s}_{c}.obj", root / f"q_{s}_{c}.json"
+        fileio.write_obj_planar(obj, r.mesh, moved.z)
+        data.write_text(fileio.dump_json({"q": fileio.edge_map_to_json(r.mesh, q.imag)}))
+        paths[s, c] = str(obj), str(data)
+    return paths
+
+
+@pytest.mark.parametrize("s, c", [(1.0, 1e3), (1.0, 1e6), (1e-3, 0.0), (1e3, 0.0)])
+def test_hqd_moebius_battery_ignores_where_the_disk_lies(moved_disks, capsys, s, c):
+    """The battery's maps meet the disk in the same frame wherever it lies
+    and whatever its size: a moved or scaled disk gets the verdict of the
+    disk at the origin, with a defect within 10x of it."""
+    origin = json.loads(run(capsys, "hqd", "moebius-test", *moved_disks[1.0, 0.0])[1])
+    code, out, _ = run(capsys, "hqd", "moebius-test", *moved_disks[s, c])
+    data = json.loads(out)
+    assert origin["holomorphic"] is True
+    assert code == 0 and data["holomorphic"] is True
+    assert origin["max_defect"] / 10 <= data["max_defect"] <= 10 * origin["max_defect"]
 
 
 def test_moebius_mu_eta_transitions(files, capsys):

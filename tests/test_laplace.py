@@ -6,7 +6,7 @@ from ddgconf import deform, laplace
 from ddgconf.errors import MissingBoundaryData, NotHarmonic, SingularSystem
 
 from conftest import (
-    SQUARE2_FACES, delaunay_disk, grid_disk, jittered_grid, random_harmonic, reference_tables
+    SQUARE2_FACES, cot_at, delaunay_disk, grid_disk, jittered_grid, random_harmonic, reference_tables
 )
 
 
@@ -105,8 +105,8 @@ def test_conjugate_harmonic_consistency(wheel6_irregular):
         assert diff == pytest.approx(0.5 * w[idx] * (h[j] - h[i]), abs=1e-12)
         k = ref.opposite(fl, i, j)
         l = ref.opposite(fr, i, j)
-        from_left = conj.face_potential[fl] - 0.5 * r.cot_at(fl, k) * (h[j] - h[i])
-        from_right = conj.face_potential[fr] + 0.5 * r.cot_at(fr, l) * (h[j] - h[i])
+        from_left = conj.face_potential[fl] - 0.5 * cot_at(r, fl, k) * (h[j] - h[i])
+        from_right = conj.face_potential[fr] + 0.5 * cot_at(r, fr, l) * (h[j] - h[i])
         assert from_left == pytest.approx(from_right, abs=1e-12)
         assert conj.edge_rotation[e] == pytest.approx(from_left, abs=1e-14)
 
@@ -136,7 +136,7 @@ def test_cached_cotan_weights_match_fresh(kind):
     assert laplace.cotan_weights(r) is w and not w.flags.writeable
     _, _, k, l = r.flap_points()
     left, right = r.mesh.interior_faces.T
-    assert w.tobytes() == (r.cot_at(left, k) + r.cot_at(right, l)).tobytes()
+    assert w.tobytes() == (cot_at(r, left, k) + cot_at(r, right, l)).tobytes()
 
 
 def test_refinement_that_misses_the_contract_raises(monkeypatch):

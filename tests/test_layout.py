@@ -5,8 +5,11 @@ read-only int64 arrays, and outside ``mesh.py`` nothing calls its one
 per-element view, ``edge_flap``.  Every flag of the
 ``ddg`` command line is read by its handler.  One helper beside ``Defect``
 floors every scale at 1e-300, and one helper in ``moebius.py`` multiplies
-batched 2x2 matrices.  Every file is opened with an explicit encoding, and
-every report is written by ``fileio.dump_json``."""
+batched 2x2 matrices.  The corner layout is known to ``mesh.py`` alone, a
+``Realization`` builds its cotangents on first use, and ``TriMesh`` keeps
+one graph of its vertices.  Every import sits at module level, every file
+is opened with an explicit encoding, and every report is written by
+``fileio.dump_json``."""
 
 import argparse
 import ast
@@ -16,8 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ddgconf import TriMesh, build
+from ddgconf import Realization, TriMesh, build
 from ddgconf.cli import build_parser
+from ddgconf.mesh import _Graph
 
 from conftest import WHEEL6_FACES
 
@@ -36,6 +40,54 @@ def test_modules_read_the_mesh_through_index_arrays():
             if isinstance(node, (ast.Attribute, ast.Constant)) and name in LOOKUPS:
                 reads.append(f"{path.name}:{node.lineno}: {name}")
     assert reads == []
+
+
+def _package_trees():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(), filename=str(path))
+
+
+def test_corner_layout_only_in_mesh():
+    """Outside ``mesh.py`` no module does ``% 3`` corner arithmetic or reads
+    the corner table ``_edge_corners``: they ask ``TriMesh.next_corner``,
+    ``edge_corners`` and ``flap_corners``."""
+    reads = []
+    for name, tree in _package_trees():
+        if name == "mesh.py":
+            continue
+        for node in ast.walk(tree):
+            mod3 = isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+            if mod3 and isinstance(node.right, ast.Constant) and node.right.value == 3:
+                reads.append(f"{name}:{node.lineno}: % 3")
+            if getattr(node, "attr", getattr(node, "id", None)) == "_edge_corners":
+                reads.append(f"{name}:{node.lineno}: _edge_corners")
+    assert reads == []
+
+
+def test_deleted_realization_and_graph_members(wheel6):
+    r = wheel6
+    assert [name for name in ("tri", "circumradius", "cot_at") if hasattr(r, name)] == []
+    assert not hasattr(r.mesh._primal_graph, "d") and not hasattr(_Graph, "d")
+
+
+def test_cotangents_are_built_on_first_use(wheel6):
+    r = Realization(wheel6.mesh, wheel6.z)
+    assert "cot" not in vars(r)
+    cot = r.cot
+    assert vars(r)["cot"] is cot and r.cot is cot
+    assert cot.shape == (len(r.mesh.faces), 3) and not cot.flags.writeable
+
+
+def test_imports_at_module_level():
+    """No relative import inside a function or class: the package has no
+    import cycle to break that way."""
+    nested = [
+        f"{name}:{node.lineno}"
+        for name, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and node not in tree.body
+    ]
+    assert nested == []
 
 
 def test_one_scale_floor():

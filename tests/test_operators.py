@@ -276,7 +276,8 @@ def reference_triangle_compat(r, c, tol=1e-10, t=1e-6):
 
         rp = circumradius(z1, z2 + t * zd2, z3 + t * zd3)
         rm = circumradius(z1, z2 - t * zd2, z3 - t * zd3)
-        rr = (rp - rm) / (2.0 * t * r.circumradius[f])
+        radius = np.abs(z3 - z2) * np.abs(z1 - z3) * np.abs(z2 - z1) / (2.0 * abs(r.area2[f]))
+        rr = (rp - rm) / (2.0 * t * radius)
         rr_err = abs(sigmas[0] - rr) / max(abs(sigmas[0]), abs(rr), 1e-12)
         out[f, 2:] = (omegas[0], np.ptp(omegas), sigmas[0], np.ptp(sigmas), rr_err)
     return out

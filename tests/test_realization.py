@@ -10,7 +10,7 @@ from ddgconf.realization import (
     intersection_angles,
 )
 
-from conftest import SQUARE2_FACES, WHEEL6_FACES, delaunay_disk, random_moebius
+from conftest import SQUARE2_FACES, WHEEL6_FACES, cot_at, delaunay_disk, random_moebius
 
 
 def test_square2_cross_ratio(square2):
@@ -122,10 +122,9 @@ def test_shape_mismatch():
 
 def test_corner_cots(square2):
     # right isoceles corners: 90 degrees at the right-angle corner, 45 elsewhere
-    assert square2.cot_at(0, 1) == pytest.approx(0.0, abs=1e-15)
-    assert square2.cot_at(0, 0) == pytest.approx(1.0)
-    assert square2.cot_at(0, 2) == pytest.approx(1.0)
-    assert square2.circumradius[0] == pytest.approx(np.sqrt(2) / 2)
+    assert cot_at(square2, 0, 1) == pytest.approx(0.0, abs=1e-15)
+    assert cot_at(square2, 0, 0) == pytest.approx(1.0)
+    assert cot_at(square2, 0, 2) == pytest.approx(1.0)
 
 
 def test_negative_orientation_flips_signs():
@@ -133,7 +132,7 @@ def test_negative_orientation_flips_signs():
     z = np.array([0, 1, 1 + 1j, 1j], dtype=complex)
     r = Realization(mesh, z)
     assert r.area2[0] == pytest.approx(-1.0)
-    assert r.cot_at(0, 0) == pytest.approx(-1.0)
+    assert cot_at(r, 0, 0) == pytest.approx(-1.0)
 
 
 def test_conformal_equiv_scaling(wheel6_irregular):
