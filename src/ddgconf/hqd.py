@@ -38,13 +38,7 @@ def _as_complex(q):
     return np.asarray(q, dtype=complex)
 
 
-@dataclass
-class GradField:
-    grad: np.ndarray  # interpolation gradient per face
-    uz: np.ndarray  # conj(grad) / 2 per face
-
-
-def gradient(r: Realization, u) -> GradField:
+def gradient(r: Realization, u):
     """Gradient of the piecewise-linear interpolant of ``u``, constant per
     face: ``i (u_i dz(e_jk) + u_j dz(e_ki) + u_k dz(e_ij)) / (2 A)``."""
     u = np.asarray(u)
@@ -52,13 +46,13 @@ def gradient(r: Realization, u) -> GradField:
     z = r.z
     zi, zj, zk = z[tri[:, 0]], z[tri[:, 1]], z[tri[:, 2]]
     ui, uj, uk = u[tri[:, 0]], u[tri[:, 1]], u[tri[:, 2]]
-    grad = 1j * (ui * (zk - zj) + uj * (zi - zk) + uk * (zj - zi)) / r.area2
-    return GradField(grad, 0.5 * np.conj(grad))
+    return 1j * (ui * (zk - zj) + uj * (zi - zk) + uk * (zj - zi)) / r.area2
 
 
 def _duz(r: Realization, u):
-    """Dual 1-form ``uz(left face) - uz(right face)`` per interior edge."""
-    uz = gradient(r, u).uz
+    """Dual 1-form ``uz(left face) - uz(right face)`` per interior edge, with
+    ``uz = conj(grad) / 2`` per face."""
+    uz = 0.5 * np.conj(gradient(r, u))
     left, right = r.mesh.interior_faces.T
     return uz[left] - uz[right]
 

@@ -146,17 +146,17 @@ def conjugate_harmonic(r: Realization, h, anchor_face=0, rtol=HARMONIC_RTOL):
     h = np.asarray(h, dtype=float)
     require_harmonic(r, h, rtol)
 
-    i, j = mesh.interior_ends.T
-    dual = integrate(mesh, 0.5 * cotan_weights(r) * (h[j] - h[i]), anchor_face, dual=True)
+    i, j = mesh.edge_ends.T
+    dh = h[j] - h[i]
+    dual = integrate(mesh, 0.5 * cotan_weights(r) * dh[mesh.interior_edges], anchor_face, dual=True)
     wt = dual.potential
 
     # evaluated on the left face of each edge, or on the right face on the
     # boundary, with the cotangent at that face's apex: two corners on from
     # the edge's own corner
-    i, j = mesh.edge_ends.T
     on_left = mesh.edge_faces[:, 0] >= 0
     face = np.where(on_left, *mesh.edge_faces.T)
     corner = np.where(on_left, *mesh.edge_corners.T)
-    half = 0.5 * r.cot.ravel()[mesh.next_corner(corner, 2)] * (h[j] - h[i])
+    half = 0.5 * r.cot.ravel()[mesh.next_corner(corner, 2)] * dh
     omega = np.where(on_left, wt[face] - half, wt[face] + half)
     return ConjugateHarmonic(wt, omega, dual.defect.worst)

@@ -57,17 +57,27 @@ class TriMesh:
 
         tail = tri.ravel()
         head = np.roll(tri, -1, axis=1).ravel()
-        _check_oriented_edges(tail, head, vertex_count)
-
         keys, corner_edge = np.unique(
             np.minimum(tail, head) * vertex_count + np.maximum(tail, head), return_inverse=True
         )
         self.edge_ends = np.stack([keys // vertex_count, keys % vertex_count], axis=1)
         self.face_edges = corner_edge.reshape(-1, 3)
-        # the corners of each edge: i -> j in column 0, j -> i in column 1
+        # the corners of each edge: i -> j in column 0, j -> i in column 1; two
+        # corners in one slot share an oriented edge (a non-manifold edge or
+        # two faces traversing it the same way)
         side = (tail > head).astype(np.int64)
+        corner, slot = np.arange(len(tail)), 2 * corner_edge + side
+        if np.bincount(slot).max() > 1:
+            # name the first repeat in face order and the first corner of its slot
+            first = np.full(2 * len(keys), len(corner))
+            np.minimum.at(first, slot, corner)
+            again = int(np.argmax(first[slot] != corner))
+            raise InconsistentOrientation(
+                f"oriented edge ({tail[again]},{head[again]}) appears in faces "
+                f"{first[slot[again]] // 3} and {again // 3}"
+            )
         self.edge_corners = np.full((len(keys), 2), -1, dtype=np.int64)
-        self.edge_corners[corner_edge, side] = np.arange(len(tail))
+        self.edge_corners[corner_edge, side] = corner
         self.edge_faces = self.edge_corners // 3  # -1 // 3 == -1
 
         interior = (self.edge_faces >= 0).all(axis=1)
@@ -448,23 +458,6 @@ def _face_array(faces):
             raise NonManifold(f"face {f} repeats a vertex")
         raise NonManifold(f"face {f} has a negative vertex id")
     return tri
-
-
-def _check_oriented_edges(tail, head, n):
-    """Reject an oriented edge that two corners share: a non-manifold edge
-    or two faces traversing it the same way."""
-    key = tail * n + head
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    dup = np.flatnonzero(key[1:] == key[:-1])
-    if len(dup):
-        # the repeat that comes first in face order, and the corner it repeats
-        m = dup[np.argmin(order[dup + 1])]
-        first, again = order[m], order[m + 1]
-        raise InconsistentOrientation(
-            f"oriented edge ({tail[again]},{head[again]}) appears in faces "
-            f"{first // 3} and {again // 3}"
-        )
 
 
 def _rank_stars(tail, head, twin, n):

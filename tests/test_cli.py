@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,7 +174,7 @@ def test_hqd_from_and_to_harmonic(files, capsys):
     code, out, _ = run(capsys, "hqd", "from-harmonic", files["wheel"], files["u"])
     assert code == 0
     q_map = json.loads(out)["q"]
-    reference = json.loads(open(files["q"]).read())["q"]
+    reference = json.loads(Path(files["q"]).read_text(encoding="utf-8"))["q"]
     for key, val in reference.items():
         assert q_map[key] == pytest.approx(val, abs=1e-14)
     code, out, _ = run(capsys, "hqd", "to-harmonic", files["wheel"], files["q"])
@@ -225,7 +226,7 @@ def test_moebius_mu_eta_transitions(files, capsys):
     code, out, _ = run(capsys, "moebius", "mu", files["wheel"], files["zdot"])
     assert code == 0
     mu_map = json.loads(out)["mu"]
-    reference = json.loads(open(files["mu"]).read())["mu"]
+    reference = json.loads(Path(files["mu"]).read_text(encoding="utf-8"))["mu"]
     for key, val in reference.items():
         assert mu_map[key][0] == pytest.approx(val[0], abs=1e-10)
         assert mu_map[key][1] == pytest.approx(val[1], abs=1e-10)
@@ -427,7 +428,7 @@ def test_overflowing_q_ends_in_a_coded_error(files, capsys, tmp_path):
     """``q / dz`` overflows, so ``hqd to-harmonic`` fails its closure check
     with a NaN defect; the defect report cannot hold the NaN, so the run ends
     in ``error [non_finite]`` and exit code 1, not a traceback."""
-    q = json.loads(open(files["q"]).read())["q"]
+    q = json.loads(Path(files["q"]).read_text(encoding="utf-8"))["q"]
     path = tmp_path / "qbig.json"
     path.write_text(fileio.dump_json({"q": {key: 1e308 for key in q}}))
     with np.errstate(all="ignore"):

@@ -18,7 +18,7 @@ def test_gradient_pairing():
     r = delaunay_disk(90, seed=21)
     rng = np.random.default_rng(22)
     u = rng.standard_normal(r.mesh.vertex_count)
-    grad = hqd.gradient(r, u).grad
+    grad = hqd.gradient(r, u)
     for f, (i, j, k) in enumerate(r.mesh.faces):
         for a, b in ((i, j), (j, k), (k, i)):
             pairing = (np.conj(grad[f]) * (r.z[b] - r.z[a])).real
@@ -28,7 +28,7 @@ def test_gradient_pairing():
 def test_gradient_of_linear_is_constant(wheel6_irregular):
     r = wheel6_irregular
     u = 3.0 * r.z.real - 2.0 * r.z.imag
-    grad = hqd.gradient(r, u).grad
+    grad = hqd.gradient(r, u)
     assert np.abs(grad - (3.0 - 2.0j)).max() < 1e-12
 
 

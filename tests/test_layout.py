@@ -7,19 +7,21 @@ per-element view, ``edge_flap``.  Every flag of the
 floors every scale at 1e-300, and one helper in ``moebius.py`` multiplies
 batched 2x2 matrices.  The corner layout is known to ``mesh.py`` alone, a
 ``Realization`` builds its cotangents on first use, and ``TriMesh`` keeps
-one graph of its vertices.  Every import sits at module level, every file
-is opened with an explicit encoding, and every report is written by
-``fileio.dump_json``."""
+one graph of its vertices and sorts its corner keys once.  Every import
+sits at module level, every file is opened with an explicit encoding, and
+every report is written by ``fileio.dump_json``."""
 
 import argparse
 import ast
 import inspect
+import textwrap
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from ddgconf import Realization, TriMesh, build
+from ddgconf import Realization, TriMesh, build, hqd
+from ddgconf import mesh as mesh_module
 from ddgconf.cli import build_parser
 from ddgconf.mesh import _Graph
 
@@ -68,6 +70,20 @@ def test_deleted_realization_and_graph_members(wheel6):
     r = wheel6
     assert [name for name in ("tri", "circumradius", "cot_at") if hasattr(r, name)] == []
     assert not hasattr(r.mesh._primal_graph, "d") and not hasattr(_Graph, "d")
+
+
+def test_deleted_orientation_check_and_gradient_field():
+    """``TriMesh.__init__`` sorts the corner keys once, in ``np.unique``,
+    which also finds a repeated oriented edge; ``hqd.gradient`` returns the
+    per-face gradient array itself."""
+    assert not hasattr(mesh_module, "_check_oriented_edges") and not hasattr(hqd, "GradField")
+    init = ast.parse(textwrap.dedent(inspect.getsource(TriMesh.__init__)))
+    calls = [
+        getattr(node.func, "attr", getattr(node.func, "id", None))
+        for node in ast.walk(init)
+        if isinstance(node, ast.Call)
+    ]
+    assert "unique" in calls and "argsort" not in calls
 
 
 def test_cotangents_are_built_on_first_use(wheel6):

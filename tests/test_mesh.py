@@ -265,6 +265,16 @@ def test_cycle_sum_on_small_meshes(kind, signed, trailing, dtype):
             InconsistentOrientation, "oriented edge (3,4) appears in faces 1 and 3",
         ),
         ([(0, 1, 2), (1, 2, 3)], None, InconsistentOrientation, "oriented edge (1,2) appears in faces 0 and 1"),
+        # the first repeat in face order, not in key order
+        (
+            [(3, 4, 5), (0, 1, 2), (3, 4, 6), (0, 1, 7)], None,
+            InconsistentOrientation, "oriented edge (3,4) appears in faces 0 and 2",
+        ),
+        # a repeat on the j -> i side of edge (1, 2)
+        (
+            [(0, 2, 1), (1, 2, 3), (4, 2, 1)], None,
+            InconsistentOrientation, "oriented edge (2,1) appears in faces 0 and 2",
+        ),
         ([(0, 1, 2), (0, 3, 4)], None, NonManifold, "vertex star of 0 is not a single fan"),  # bowtie
         # vertices 1, 3 and 4 each have two open fans
         ([(3, 0, 1), (3, 4, 5), (1, 2, 4)], None, NonManifold, "vertex star of 1 is not a single fan"),
