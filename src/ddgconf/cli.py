@@ -262,13 +262,12 @@ def minimal_build(args):
     ms = weierstrass.weierstrass_integrate(r, q, 0.0, args.anchor_face, args.tol)
     n = weierstrass.gauss_map(r)
     written = [f"{args.out_prefix}_gauss.obj"]
-    fileio.write_obj(written[0], n, r.mesh.faces.tolist())
+    fileio.write_obj(written[0], n, r.mesh.faces.ravel(), [3] * len(r.mesh.faces))
     per_alpha, defects = [], []
     for alpha in args.alpha:
         surf = ms.at_phase(alpha)
-        verts, polys = weierstrass.dual_mesh(r, surf.f)
         path = f"{args.out_prefix}_a{_alpha_tag(alpha)}.obj"
-        fileio.write_obj(path, verts, polys)
+        fileio.write_obj(path, *weierstrass.dual_mesh(r, surf.f))
         written.append(path)
         rep = weierstrass.verify_minimal(r.mesh, n, surf.f, args.tol)
         per_alpha.append({"alpha": alpha, "file": path, "minimality_residual": rep.max_residual})
@@ -286,7 +285,7 @@ def minimal_verify(args):
     norms = np.linalg.norm(n, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise InvalidInput(f"{args.gauss}: vertices are not on the unit sphere")
-    fverts, polys = fileio.read_obj_polygons(args.dual)
+    fverts = fileio.read_obj_polygons(args.dual)[0]
     if len(fverts) != len(gmesh.faces):
         raise InvalidInput(
             f"{args.dual}: {len(fverts)} dual vertices but the Gauss mesh has "

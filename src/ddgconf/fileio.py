@@ -41,11 +41,10 @@ def read_obj_planar(path):
 
 def read_obj_polygons(path):
     """Read an OBJ with arbitrary polygonal faces; returns ``(vertices (n, 3),
-    faces)`` with 0-based vertex ids.  A negative (relative) face index ``-k``
-    names the ``k``-th last vertex read before its face line."""
-    verts, ids, sizes = _read_obj_arrays(path)
-    ids, ends = ids.tolist(), np.cumsum(sizes).tolist()
-    return verts, [ids[a:b] for a, b in zip([0] + ends, ends)]
+    ids, sizes)``: the 0-based vertex ids of all faces in one int64 array and
+    the size of each face.  A negative (relative) face index ``-k`` names the
+    ``k``-th last vertex read before its face line."""
+    return _read_obj_arrays(path)
 
 
 def _read_text(path):
@@ -140,21 +139,21 @@ def _parse_obj_lines(path, lines):
     return verts, ids, sizes
 
 
-def write_obj(path, vertices, faces):
-    """Write an OBJ; ``vertices`` is (n, 3), ``faces`` a list of polygons."""
+def write_obj(path, vertices, ids, sizes):
+    """Write an OBJ; ``vertices`` is (n, 3), and the faces are the 0-based
+    vertex ids ``ids`` of all faces in one array, ``sizes[f]`` of them per face."""
     vertices = np.asarray(vertices, dtype=float)
-    sizes = list(map(len, faces))
-    ids = np.fromiter(chain.from_iterable(faces), np.int64, sum(sizes))
+    sizes = np.asarray(sizes, dtype=np.int64).tolist()
     line = ["f " + " ".join(["%d"] * k) + "\n" for k in range(max(sizes, default=0) + 1)]
     text = "v %.17g %.17g %.17g\n" * len(vertices) + "".join(map(line.__getitem__, sizes))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text % tuple(vertices.ravel().tolist() + (ids + 1).tolist()))
+        fh.write(text % tuple(vertices.ravel().tolist() + (np.asarray(ids) + 1).tolist()))
 
 
 def write_obj_planar(path, mesh: TriMesh, z):
     z = np.asarray(z, dtype=complex)
     verts = np.stack([z.real, z.imag, np.zeros_like(z.real)], axis=1)
-    write_obj(path, verts, mesh.faces.tolist())
+    write_obj(path, verts, mesh.faces.ravel(), [3] * len(mesh.faces))
 
 
 # -- JSON ----------------------------------------------------------------------
@@ -274,17 +273,23 @@ def _numbers(values):
 
 
 def _vertex_values(data, vertex_count, real):
-    """``{vertex: value}`` from a full-length JSON array or an index-keyed map."""
+    """``{vertex: value}`` from a full-length JSON array or an index-keyed map
+    whose keys are ASCII decimals, each naming a different vertex."""
     if not isinstance(data, dict):
         if not isinstance(data, (list, tuple, np.ndarray)) or len(data) != vertex_count:
             raise InvalidInput(f"vertex data must be a map or an array of length {vertex_count}")
         data = dict(enumerate(data))
-    out = {}
+    out, keys = {}, {}
     for key, v in data.items():
-        digits = str(key).lstrip("0") or "0"  # past 19 digits no vertex; int() refuses 4,301
-        vertex = int(digits) if str(key).isdecimal() and len(digits) < 20 else -1
+        text = str(key)
+        digits = text.lstrip("0") or "0"  # past 19 digits no vertex; int() refuses 4,301
+        vertex = int(digits) if text.isascii() and text.isdecimal() and len(digits) < 20 else -1
         if not 0 <= vertex < vertex_count:
             raise InvalidInput(f"vertex key {key!r} is not an integer in [0, {vertex_count})")
+        if vertex in keys:
+            first = keys[vertex]
+            raise InvalidInput(f"vertex keys {first!r} and {key!r} both name vertex {vertex}")
+        keys[vertex] = key
         out[vertex] = _number(v, real)
     return out
 

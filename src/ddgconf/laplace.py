@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .errors import MissingBoundaryData, NotHarmonic, SingularSystem
+from .errors import InvalidInput, MissingBoundaryData, NotHarmonic, SingularSystem
 from .mesh import Defect, _floor, integrate, magnitude
 from .realization import Realization
 
@@ -61,7 +61,8 @@ def solve_dirichlet(r: Realization, boundary):
     """Harmonic extension of boundary data.
 
     ``boundary`` maps boundary vertex -> value (a dict, or a full-length array
-    whose boundary entries are used).  The realization's interior system
+    whose boundary entries are used); a non-finite value raises
+    ``InvalidInput``.  The realization's interior system
     (``r.dirichlet_system``) is solved by sparse LU (a symmetric
     minimum-degree ordering) with up to three steps of iterative refinement;
     the result satisfies ``|Lh|_inf <= 1e-10 * |h|_inf`` or
@@ -84,6 +85,9 @@ def solve_dirichlet(r: Realization, boundary):
                 f"boundary array must have length {mesh.vertex_count}"
             )
         g = boundary.copy()
+    bad = np.flatnonzero(~np.isfinite(g))
+    if len(bad):
+        raise InvalidInput(f"vertex {bad[0]} has a non-finite value", vertex=int(bad[0]))
 
     if not mesh.interior_vertices:
         return g

@@ -205,25 +205,6 @@ class TriMesh:
         c = self.vertex_cycles
         return _read_only(self.interior_faces[c.indices, (c.data < 0).astype(np.int64)])
 
-    @cached_property
-    def cycle_rows(self):
-        """The rows of :attr:`vertex_cycles` by descending valence (stable)."""
-        return _read_only(np.argsort(-np.diff(self.vertex_cycles.indptr), kind="stable"))
-
-    @cached_property
-    def cycle_slots(self):
-        """:attr:`vertex_cycles` slot-major, as a read-only ``(max valence,
-        E_int)`` CSR operator: row ``m`` holds slot ``m`` of the rows
-        ``cycle_rows[:n]`` that have one, in that order, ``n`` being its length."""
-        c, rows = self.vertex_cycles, self.cycle_rows
-        valence = np.diff(c.indptr)[rows]
-        # the entries of the reordered rows, each at its slot, then by slot
-        slot = np.arange(c.nnz) - np.repeat(np.cumsum(valence) - valence, valence)
-        pos = (np.repeat(c.indptr[rows], valence) + slot)[np.argsort(slot, kind="stable")]
-        indptr = np.r_[0, np.cumsum(np.bincount(slot))]
-        shape = (len(indptr) - 1, c.shape[1])
-        return _read_only(sp.csr_array((c.data[pos], c.indices[pos], indptr), shape))
-
     def cycle_sum(self, values, signed=False):
         """Sum of per-interior-edge ``values`` (trailing axes allowed) around
         each interior vertex: one product with :attr:`vertex_cycles`, or with

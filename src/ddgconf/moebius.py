@@ -235,14 +235,18 @@ def _cycle_products(mesh, G, G_norm):
     """``|P - I|`` of the product ``P`` of ``G`` (``adj(G) = G^{-1}`` against the
     canonical orientation) around each interior vertex, and its rounding scale
     ``max_m |P_{m-1}| |G_m|``; slot by slot, each a prefix of the products."""
-    s = mesh.cycle_slots
+    c = mesh.vertex_cycles
+    valence = np.diff(c.indptr)
+    # by descending valence, the rows that have a slot m (valence > m) are a prefix, count[m] long
+    rows = np.argsort(-valence, kind="stable")
+    start, count = c.indptr[rows], np.cumsum(np.bincount(valence)[::-1])[-2::-1]
+    pick = c.indices + len(G) * (c.data < 0)
     both = np.concatenate([G, _adjugate(G)])
-    pick = s.indices + len(G) * (s.data < 0)
-    p = np.tile(np.eye(2, dtype=complex), (len(mesh.cycle_rows), 1, 1))
+    p = np.tile(np.eye(2, dtype=complex), (len(rows), 1, 1))
     p_scale = np.zeros(len(p))
-    for lo, hi in zip(s.indptr[:-1].tolist(), s.indptr[1:].tolist()):
-        n, k = hi - lo, s.indices[lo:hi]
-        p_scale[:n] = np.maximum(p_scale[:n], np.abs(p[:n]).max(axis=(1, 2)) * G_norm[k])
-        p[:n] = _mul(p[:n], both[pick[lo:hi]])
-    rank = np.argsort(mesh.cycle_rows)
+    for m, n in enumerate(count.tolist()):
+        e = start[:n] + m
+        p_scale[:n] = np.maximum(p_scale[:n], np.abs(p[:n]).max(axis=(1, 2)) * G_norm[c.indices[e]])
+        p[:n] = _mul(p[:n], both[pick[e]])
+    rank = np.argsort(rows)
     return np.abs(p - np.eye(2)).max(axis=(1, 2))[rank], p_scale[rank]

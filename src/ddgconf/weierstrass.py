@@ -147,8 +147,8 @@ def qdiff_from_minimal(r: Realization, f, tol=1e-9) -> QuadDiff:
 
 
 def dual_mesh(r: Realization, face_points):
-    """Polygonal dual mesh: one vertex per face of the primal mesh, one face
-    per interior primal vertex (ordered along the counterclockwise star)."""
-    faces, starts = r.mesh.cycle_faces.tolist(), r.mesh.vertex_cycles.indptr.tolist()
-    polys = [faces[a:b] for a, b in zip(starts, starts[1:])]
-    return np.asarray(face_points, dtype=float), polys
+    """Polygonal dual mesh ``(points, ids, sizes)``: one vertex per face of the
+    primal mesh, one face per interior primal vertex, its ``sizes[v]`` faces
+    along the counterclockwise star.  ``ids`` is ``mesh.cycle_faces`` itself."""
+    valences = np.diff(r.mesh.vertex_cycles.indptr)
+    return np.asarray(face_points, dtype=float), r.mesh.cycle_faces, valences

@@ -274,10 +274,10 @@ def test_minimal_build_and_verify(files, capsys, tmp_path):
     assert json.loads(out)["minimal"] is True
 
     # perturb one dual vertex: verification must fail with exit code 2
-    pts, polys = fileio.read_obj_polygons(dual0)
+    pts, ids, sizes = fileio.read_obj_polygons(dual0)
     pts[0, 0] += 1e-3
     broken = str(tmp_path / "broken.obj")
-    fileio.write_obj(broken, pts, polys)
+    fileio.write_obj(broken, pts, ids, sizes)
     code, out, _ = run(capsys, "minimal", "verify", prefix + "_gauss.obj", broken)
     assert code == 2
     assert json.loads(out)["minimal"] is False
@@ -386,10 +386,10 @@ def test_minimal_build_and_verify_bounded_reports(files, capsys, tmp_path):
     checks = [{"check": "edge_parallelism"}]
     _bounded(capsys, ("minimal", "verify", gauss, dual), checks, [rep.defect], maps)
 
-    pts, polys = fileio.read_obj_polygons(dual)
+    pts, ids, sizes = fileio.read_obj_polygons(dual)
     pts[0, 0] += 1e-3
     broken = str(tmp_path / "broken.obj")
-    fileio.write_obj(broken, pts, polys)
+    fileio.write_obj(broken, pts, ids, sizes)
     rep = weierstrass.verify_minimal(gmesh, gn, pts, 1e-9)
     maps = {"k": fileio.edge_map_to_json(gmesh, rep.k)}
     _bounded(capsys, ("minimal", "verify", gauss, broken), checks, [rep.defect], maps, failing=True)

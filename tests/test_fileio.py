@@ -22,7 +22,7 @@ def test_obj_roundtrip(tmp_path):
 def test_obj_nonplanar_rejected(tmp_path):
     path = tmp_path / "bent.obj"
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0.5]], dtype=float)
-    fileio.write_obj(path, verts, [(0, 1, 2)])
+    fileio.write_obj(path, verts, [0, 1, 2], [3])
     with pytest.raises(DDGError):
         fileio.read_obj_planar(path)
 
@@ -38,12 +38,12 @@ def test_obj_quad_rejected(tmp_path):
     path = tmp_path / "quad.obj"
     verts = np.zeros((4, 3))
     verts[1, 0] = verts[2, 0] = verts[2, 1] = verts[3, 1] = 1.0
-    fileio.write_obj(path, verts, [(0, 1, 2, 3)])
+    fileio.write_obj(path, verts, [0, 1, 2, 3], [4])
     with pytest.raises(DDGError):
         fileio.read_obj(path)
-    pts, polys = fileio.read_obj_polygons(path)
+    pts, ids, sizes = fileio.read_obj_polygons(path)
     assert pts.shape == (4, 3)
-    assert polys == [[0, 1, 2, 3]]
+    assert ids.tolist() == [0, 1, 2, 3] and sizes.tolist() == [4]
 
 
 def test_obj_comments_and_slashes(tmp_path):
@@ -58,9 +58,9 @@ def test_obj_relative_indices(tmp_path):
     """A negative face index counts back from the last vertex read so far."""
     path = tmp_path / "relative.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\nv 1 1 0\nf 2 -1 3\n")
-    verts, faces = fileio.read_obj_polygons(path)
+    verts, ids, sizes = fileio.read_obj_polygons(path)
     assert verts.shape == (4, 3)
-    assert faces == [[0, 1, 2], [1, 3, 2]]
+    assert ids.tolist() == [0, 1, 2, 1, 3, 2] and sizes.tolist() == [3, 3]
 
 
 @pytest.mark.parametrize(
@@ -83,8 +83,9 @@ def test_byte_order_mark_is_dropped(tmp_path):
     shift every face index by one) or the JSON's opening brace."""
     path = tmp_path / "bom.obj"
     path.write_bytes(b"\xef\xbb\xbfv 9 9 0\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
-    verts, faces = fileio.read_obj_polygons(path)
-    assert verts[0].tolist() == [9.0, 9.0, 0.0] and faces == [[0, 1, 2]]
+    verts, ids, sizes = fileio.read_obj_polygons(path)
+    assert verts[0].tolist() == [9.0, 9.0, 0.0]
+    assert ids.tolist() == [0, 1, 2] and sizes.tolist() == [3]
     path = tmp_path / "bom.json"
     path.write_bytes(b'\xef\xbb\xbf{"values": [1.5]}')
     assert fileio.load_json(path) == {"values": [1.5]}
@@ -94,7 +95,7 @@ def test_write_obj_bytes(tmp_path):
     """OBJ coordinates are written as ``%.17g``."""
     path = tmp_path / "pinned.obj"
     verts = [[0.1, 0.0, -1.5], [1e-20, 2.0, 3.0], [1 / 3, -0.0, 1e300], [5.0, 6.0, 7.0]]
-    fileio.write_obj(path, verts, [(0, 1, 2, 3), (2, 1, 0)])
+    fileio.write_obj(path, verts, [0, 1, 2, 3, 2, 1, 0], [4, 3])
     assert path.read_text() == (
         "v 0.10000000000000001 0 -1.5\n"
         "v 9.9999999999999995e-21 2 3\n"
@@ -307,7 +308,7 @@ def test_vertex_field_from_json():
 
 
 VERTEX_KEYS = [("2", 2), ("0", 0), ("002", 2), ("0" * 22 + "2", 2), ("0" * 5000 + "1", 1)] + [
-    (key, None) for key in ("", "3", "1" * 20, "1" * 5000, "-1", "+1", " 1", "1.0", "a")
+    (key, None) for key in ("", "3", "1" * 20, "1" * 5000, "-1", "+1", " 1", "1.0", "a", "\u0662", "\uff12")
 ]
 
 
@@ -321,6 +322,17 @@ def test_vertex_keys(key, vertex):
             fileio.vertex_field_from_json({key: 5.0}, 3)
     else:
         assert fileio.vertex_field_from_json({key: 5.0}, 3).tolist() == [5.0 * (v == vertex) for v in range(3)]
+
+
+@pytest.mark.parametrize(
+    "read",
+    [lambda d: fileio.vertex_field_from_json(d, 3), lambda d: fileio.boundary_data_from_json(d, build(WHEEL6_FACES))],
+    ids=["vertex_field", "boundary_data"],
+)
+def test_repeated_vertex_key(read):
+    """Two keys naming one vertex are an error, not the last one winning."""
+    with pytest.raises(InvalidInput, match="^vertex keys '2' and '002' both name vertex 2$"):
+        read({"2": 1.0, "1": 0.0, "002": 5.0})
 
 
 def test_boundary_data_from_json():
@@ -380,10 +392,10 @@ def _outcome(read, path):
         out = read(path)
     except DDGError as exc:
         return type(exc), str(exc)
-    head, rest = out
-    if hasattr(head, "faces"):  # read_obj: (TriMesh, vertices)
-        return head.faces.tolist(), rest.dtype, rest.shape, rest.tobytes()
-    return head.dtype, head.shape, head.tobytes(), rest
+    if len(out) == 3:  # read_obj_polygons: (vertices, ids, sizes)
+        return tuple((a.dtype, a.shape, a.tobytes()) for a in out)
+    mesh, verts = out  # read_obj: (TriMesh, vertices)
+    return mesh.faces.tolist(), verts.dtype, verts.shape, verts.tobytes()
 
 
 @pytest.mark.parametrize("text, fast", OBJ_CORPUS)

@@ -170,8 +170,8 @@ def test_coincident_gauss_points(wheel, capsys):
     n[:, 2] = 1.0
     n[2:, :2] = 0.6 * np.exp(2j * np.pi * np.arange(5) / 5.0).view(float).reshape(-1, 2)
     n[2:, 2] = 0.8
-    fileio.write_obj(wheel / "gauss.obj", n, WHEEL6_FACES)
-    fileio.write_obj(wheel / "dual.obj", np.arange(18.0).reshape(6, 3), [])
+    fileio.write_obj(wheel / "gauss.obj", n, np.ravel(WHEEL6_FACES), [3] * len(WHEEL6_FACES))
+    fileio.write_obj(wheel / "dual.obj", np.arange(18.0).reshape(6, 3), [], [])
     err = assert_input_error(capsys, "minimal", "verify", wheel / "gauss.obj", wheel / "dual.obj",
                              code="coincident_vertices")
     assert "(0, 1)" in err

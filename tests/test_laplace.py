@@ -3,7 +3,7 @@ import pytest
 
 from ddgconf import Realization, build
 from ddgconf import deform, laplace
-from ddgconf.errors import MissingBoundaryData, NotHarmonic, SingularSystem
+from ddgconf.errors import InvalidInput, MissingBoundaryData, NotHarmonic, SingularSystem
 
 from conftest import (
     SQUARE2_FACES, cot_at, delaunay_disk, grid_disk, jittered_grid, random_harmonic, reference_tables
@@ -78,6 +78,22 @@ def test_missing_boundary_data(wheel6):
     with pytest.raises(MissingBoundaryData) as info:
         laplace.solve_dirichlet(wheel6, {v: 1.0 for v in (1, 3, 4, 6)})
     assert str(info.value) == "no boundary value for vertex 2"
+
+
+@pytest.mark.parametrize(
+    "boundary",
+    [
+        np.array([0.0, 1, 2, np.nan, 4, 5, 6]),
+        {1: 1.0, 2: 2.0, 3: np.nan, 4: 4.0, 5: 5.0, 6: 6.0},
+        {1: 1.0, 2: 2.0, 3: np.inf, 4: 4.0, 5: 5.0, 6: 6.0},
+    ],
+    ids=["array-nan", "dict-nan", "dict-inf"],
+)
+def test_non_finite_boundary_value(wheel6, boundary):
+    """A non-finite value is bad input at its vertex, not a singular system."""
+    with pytest.raises(InvalidInput, match="^vertex 3 has a non-finite value$") as info:
+        laplace.solve_dirichlet(wheel6, boundary)
+    assert info.value.details == {"vertex": 3}
 
 
 def test_require_harmonic_rejects(wheel6):

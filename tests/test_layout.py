@@ -7,7 +7,8 @@ per-element view, ``edge_flap``.  Every flag of the
 floors every scale at 1e-300, and one helper in ``moebius.py`` multiplies
 batched 2x2 matrices.  The corner layout is known to ``mesh.py`` alone, a
 ``Realization`` builds its cotangents on first use, and ``TriMesh`` keeps
-one graph of its vertices and sorts its corner keys once.  Every import
+one graph of its vertices and sorts its corner keys once.  Dual cycles
+and dual polygons share one layout, ``vertex_cycles``.  Every import
 sits at module level, every file is opened with an explicit encoding, and
 every report is written by ``fileio.dump_json``."""
 
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ddgconf import Realization, TriMesh, build, hqd
+from ddgconf import Realization, TriMesh, build, hqd, weierstrass
 from ddgconf import mesh as mesh_module
 from ddgconf.cli import build_parser
 from ddgconf.mesh import _Graph
@@ -86,6 +87,13 @@ def test_deleted_orientation_check_and_gradient_field():
     assert "unique" in calls and "argsort" not in calls
 
 
+def test_dual_cycles_in_one_layout(wheel6):
+    """No slot-major copy of ``vertex_cycles`` is kept, and the polygons of
+    the dual mesh are ``cycle_faces`` itself, not a list of lists."""
+    assert [name for name in ("cycle_rows", "cycle_slots") if hasattr(TriMesh, name)] == []
+    assert weierstrass.dual_mesh(wheel6, np.zeros((6, 3)))[1] is wheel6.mesh.cycle_faces
+
+
 def test_cotangents_are_built_on_first_use(wheel6):
     r = Realization(wheel6.mesh, wheel6.z)
     assert "cot" not in vars(r)
@@ -146,7 +154,7 @@ def test_trimesh_element_sets_are_read_only_arrays():
     lists = sorted(name for name, value in vars(mesh).items() if isinstance(value, (list, tuple)))
     assert lists == ["interior_vertices"]
     arrays = [name for name in cached if isinstance(vars(mesh)[name], np.ndarray)]
-    assert {"flap_edges", "flap_apices", "vertex_corners", "cycle_rows"} <= set(arrays)
+    assert {"flap_edges", "flap_apices", "vertex_corners"} <= set(arrays)
     assert [name for name in arrays if vars(mesh)[name].flags.writeable] == []
     for name in ("interior_edges", "boundary_edges", "boundary_vertices"):
         values = getattr(mesh, name)

@@ -147,7 +147,7 @@ def test_conjugate_surface_recorded(wheel6):
 
 def test_dual_mesh_structure(wheel6):
     surf = weierstrass.weierstrass_integrate(wheel6, wheel6_root_q())
-    pts, polys = weierstrass.dual_mesh(wheel6, surf.f)
+    pts, ids, sizes = weierstrass.dual_mesh(wheel6, surf.f)
     assert pts.shape == (6, 3)
-    assert len(polys) == 1
-    assert sorted(polys[0]) == [0, 1, 2, 3, 4, 5]
+    assert len(sizes) == 1
+    assert sorted(ids[: sizes[0]].tolist()) == [0, 1, 2, 3, 4, 5]
