@@ -8,7 +8,10 @@ reports are JSON with ``"schema": 1``, written by :func:`fileio.dump_json`
 are byte-reproducible.
 
 The table :data:`COMMANDS` gives each subcommand its handler, positionals,
-default ``--tol`` and the flags its handler reads.  A handler returns
+default ``--tol`` and the flags its handler reads.  :func:`main` reads the
+positionals in order (each OBJ ``mesh``, ``a``, ``b`` as a ``Realization``,
+``data`` as a JSON document) and passes them to the handler after ``args``;
+``minimal verify`` reads its own two files.  A handler returns
 ``(report, passed)``; :func:`main` adds ``schema`` and ``command``, prints the
 report, writes it to ``-o`` and maps ``passed`` to the exit code.
 
@@ -47,9 +50,17 @@ def _threads():
         raise InvalidInput(f"DDG_THREADS must be a positive integer, got {raw!r}")
 
 
-def _load_realization(path):
-    mesh, z = fileio.read_obj_planar(path)
-    return Realization(mesh, z)
+def _read_inputs(args):
+    """The inputs a handler takes after ``args``: its positionals read in
+    order, ``data`` as JSON and each OBJ as a ``Realization``.  ``minimal
+    verify`` reads its ``gauss`` and ``dual`` itself."""
+    inputs = []
+    for name in COMMANDS[f"{args.command} {args.which}"][1].split():
+        if name == "data":
+            inputs.append(fileio.load_json(args.data))
+        elif name in ("mesh", "a", "b"):
+            inputs.append(Realization(*fileio.read_obj_planar(getattr(args, name))))
+    return inputs
 
 
 def _max_abs(values):
@@ -70,9 +81,8 @@ def _worst(names, defects, **fields):
 # -- handlers: each returns (report, passed) --------------------------------------
 
 
-def mesh_info(args):
-    mesh, z = fileio.read_obj_planar(args.mesh)
-    Realization(mesh, z)  # validates non-degeneracy
+def mesh_info(args, r):
+    mesh = r.mesh
     report = {
         "vertices": mesh.vertex_count,
         "faces": len(mesh.faces),
@@ -87,9 +97,7 @@ def mesh_info(args):
     return report, True
 
 
-def check_equivalence(args):
-    a = _load_realization(args.a)
-    b = _load_realization(args.b)
+def check_equivalence(args, a, b):
     conformal = args.which == "conformal"
     rep = (check_conformal_equiv if conformal else check_pattern)(a, b, args.tol)
     report = {
@@ -102,9 +110,8 @@ def check_equivalence(args):
     return report, rep.equivalent
 
 
-def harmonic_solve(args):
-    r = _load_realization(args.mesh)
-    bnd = fileio.boundary_data_from_json(fileio.load_json(args.data), r.mesh)
+def harmonic_solve(args, r, data):
+    bnd = fileio.boundary_data_from_json(data, r.mesh)
     h = laplace.solve_dirichlet(r, bnd)
     report = {"residual": _max_abs(laplace.laplacian(r, h)), "values": h}
     if args.report:
@@ -112,9 +119,8 @@ def harmonic_solve(args):
     return report, True
 
 
-def harmonic_check(args):
-    r = _load_realization(args.mesh)
-    h = fileio.vertex_field_from_json(fileio.load_json(args.data), r.mesh.vertex_count)
+def harmonic_check(args, r, data):
+    h = fileio.vertex_field_from_json(data, r.mesh.vertex_count)
     ok, defect, res = laplace.check_harmonic(r, h, args.tol)
     residual = float(np.max(defect.value, initial=0.0))
     report = {"harmonic": ok, "residual": residual, "gradient_scale": defect.scale, "tol": args.tol}
@@ -123,9 +129,8 @@ def harmonic_check(args):
     return report, ok
 
 
-def deform_build(args):
-    r = _load_realization(args.mesh)
-    u = fileio.vertex_field_from_json(fileio.load_json(args.data), r.mesh.vertex_count)
+def deform_build(args, r, data):
+    u = fileio.vertex_field_from_json(data, r.mesh.vertex_count)
     zdot = deform.conformal_deformation(r, u, args.anchor_vertex, args.anchor_face)
     rates = deform.edge_rates(r, zdot)
     i, j = r.mesh.edge_ends.T
@@ -133,11 +138,8 @@ def deform_build(args):
     return {"zdot": zdot, "scale_rate_residual": float(sig_err)}, True
 
 
-def deform_check(args):
-    r = _load_realization(args.mesh)
-    zdot = fileio.vertex_field_from_json(
-        fileio.load_json(args.data), r.mesh.vertex_count, real=False
-    )
+def deform_check(args, r, data):
+    zdot = fileio.vertex_field_from_json(data, r.mesh.vertex_count, real=False)
     rep = deform.check_triangle_compat(r, deform.edge_rates(r, zdot), args.tol)
     ok = bool(rep.ok.all())
     faces = len(rep.ok)
@@ -151,9 +153,8 @@ def deform_check(args):
     return {"compatible": ok, "tol": args.tol, "faces": faces}, ok
 
 
-def hqd_check(args):
-    r = _load_realization(args.mesh)
-    q = fileio.qdiff_from_json(fileio.load_json(args.data), r.mesh)
+def hqd_check(args, r, data):
+    q = fileio.qdiff_from_json(data, r.mesh)
     rep = hqd.verify_qdiff(r, q, args.tol)
     report = {
         "tol": args.tol,
@@ -167,25 +168,22 @@ def hqd_check(args):
     return report, rep.holomorphic
 
 
-def hqd_from_harmonic(args):
-    r = _load_realization(args.mesh)
-    u = fileio.vertex_field_from_json(fileio.load_json(args.data), r.mesh.vertex_count)
+def hqd_from_harmonic(args, r, data):
+    u = fileio.vertex_field_from_json(data, r.mesh.vertex_count)
     q = hqd.qdiff_from_harmonic(r, u)
     return {"q": fileio.edge_map_to_json(r.mesh, q.imag)}, True
 
 
-def hqd_to_harmonic(args):
-    r = _load_realization(args.mesh)
-    q = fileio.qdiff_from_json(fileio.load_json(args.data), r.mesh)
+def hqd_to_harmonic(args, r, data):
+    q = fileio.qdiff_from_json(data, r.mesh)
     u = hqd.harmonic_from_qdiff(r, q, args.anchor_vertex, args.anchor_face, args.tol)
     return {"values": u, "residual": _max_abs(laplace.laplacian(r, u))}, True
 
 
-def hqd_moebius_test(args):
+def hqd_moebius_test(args, r, data):
     """Verify invariance under a deterministic battery of maps, applied to the
     mesh moved and scaled into the unit disk (a similarity keeps ``q`` holomorphic)."""
-    r = _load_realization(args.mesh)
-    q = fileio.qdiff_from_json(fileio.load_json(args.data), r.mesh)
+    q = fileio.qdiff_from_json(data, r.mesh)
     defects = [hqd.verify_qdiff(r, q, args.tol).max_defect]
     # shift, then scale: z - o is exact where z is within a factor 2 of o (Sterbenz)
     dz = r.z - r.z.mean()
@@ -207,9 +205,7 @@ def hqd_moebius_test(args):
     return {"holomorphic": ok, "maps": n_maps, "max_defect": worst, "tol": args.tol}, ok
 
 
-def moebius_transitions(args):
-    a = _load_realization(args.a)
-    b = _load_realization(args.b)
+def moebius_transitions(args, a, b):
     rep = moebius.transition_matrices(a, b)
     ok = rep.max_cr_residual <= args.tol and rep.max_cycle_residual <= 10 * args.tol
     report = {
@@ -223,19 +219,15 @@ def moebius_transitions(args):
     return report, ok
 
 
-def moebius_mu(args):
-    r = _load_realization(args.mesh)
-    zdot = fileio.vertex_field_from_json(
-        fileio.load_json(args.data), r.mesh.vertex_count, real=False
-    )
+def moebius_mu(args, r, data):
+    zdot = fileio.vertex_field_from_json(data, r.mesh.vertex_count, real=False)
     mu = moebius.rates_from_deformation(r, zdot)
     return {"mu": fileio.edge_map_to_json(r.mesh, mu)}, True
 
 
-def moebius_eta(args):
-    r = _load_realization(args.mesh)
+def moebius_eta(args, r, data):
     mesh = r.mesh
-    mu = fileio.mu_from_json(fileio.load_json(args.data), mesh)
+    mu = fileio.mu_from_json(data, mesh)
     form = moebius.sl2_form_from_rates(r, mu)
     closed = moebius.check_sl2_form_closed(r, form, args.tol)
     report = {
@@ -256,9 +248,8 @@ def _alpha_tag(alpha):
     return ("%g" % alpha).replace("-", "m")
 
 
-def minimal_build(args):
-    r = _load_realization(args.mesh)
-    q = fileio.qdiff_from_json(fileio.load_json(args.data), r.mesh)
+def minimal_build(args, r, data):
+    q = fileio.qdiff_from_json(data, r.mesh)
     ms = weierstrass.weierstrass_integrate(r, q, 0.0, args.anchor_face, args.tol)
     n = weierstrass.gauss_map(r)
     written = [f"{args.out_prefix}_gauss.obj"]
@@ -281,6 +272,7 @@ def minimal_build(args):
 
 
 def minimal_verify(args):
+    """Reads its own two files: the unit-sphere check runs between them."""
     gmesh, n = fileio.read_obj(args.gauss)
     norms = np.linalg.norm(n, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-9):
@@ -391,7 +383,7 @@ def main(argv=None):
         _check_flags(args)
         try:
             with np.errstate(all="ignore"):  # a NaN or inf fails every verdict instead
-                report, passed = args.func(args)
+                report, passed = args.func(args, *_read_inputs(args))
         except VerificationError as exc:
             # dump_json raises NonFinite for a NaN detail: an error, exit code 1
             failure = {"verdict": "fail", "error": exc.code, "message": str(exc), **exc.details}

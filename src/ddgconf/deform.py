@@ -52,14 +52,14 @@ class TriangleCompatReport:
     closure: Defect  # |closure| per face, against the face's longest side
 
 
-def check_triangle_compat(r: Realization, rates: EdgeRates, tol=1e-10, fd_step=1e-6):
+def check_triangle_compat(r: Realization, rates: EdgeRates, tol=1e-10):
     """Per-face compatibility of edge rates.
 
     Closure: the complex rates must sum to zero around each face boundary.
     For compatible faces the three cotangent expressions for the average
     rotation speed (and likewise the average scaling) must agree, and the
     average scaling is validated against a central finite difference of the
-    circumradius under the reconstructed per-face deformation.
+    circumradius under the reconstructed per-face deformation (step 1e-6).
     """
     nf = len(r.mesh.faces)
     c = rates.complex_rate[r.mesh.face_edges]  # c12, c23, c31
@@ -91,7 +91,7 @@ def check_triangle_compat(r: Realization, rates: EdgeRates, tol=1e-10, fd_step=1
         area2 = np.abs(product(np.conj(p[:, 1] - p[:, 0]), p[:, 2] - p[:, 0]).imag)
         return side[:, 0] * side[:, 1] * side[:, 2] / (2.0 * area2)
 
-    t = fd_step
+    t = 1e-6
     rp, rm = circumradius(z[ok] + t * zd), circumradius(z[ok] - t * zd)
     # the circumradius |zk - zj| |zi - zk| |zj - zi| / 2|area2| of each face
     radius = np.abs(dz[ok])[:, [1, 2, 0]].prod(axis=1) / (2.0 * np.abs(r.area2[ok]))

@@ -226,12 +226,23 @@ def _join(values, ind, keys=None):
 
 
 def load_json(path):
-    """Parse a UTF-8 JSON file.  Malformed JSON, an integer past the
-    interpreter's digit limit and nesting past its recursion limit all raise
-    :class:`~ddgconf.errors.InvalidInput`."""
+    """Parse a UTF-8 JSON file.  Malformed JSON, an object that repeats a key,
+    an integer past the interpreter's digit limit and nesting past its
+    recursion limit all raise :class:`~ddgconf.errors.InvalidInput`."""
     text = _read_text(path)
+
+    def unique(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise InvalidInput(f"{path}: JSON object repeats the key {key!r}")
+                seen.add(key)
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise InvalidInput(f"{path}: invalid JSON ({exc})") from exc
 

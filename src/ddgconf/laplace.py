@@ -48,21 +48,21 @@ def check_harmonic(r: Realization, h, rtol=HARMONIC_RTOL):
     return defect.passes(rtol), defect, res
 
 
-def require_harmonic(r: Realization, h, rtol=HARMONIC_RTOL):
-    harmonic, defect, _ = check_harmonic(r, h, rtol)
+def require_harmonic(r: Realization, h):
+    harmonic, defect, _ = check_harmonic(r, h)
     if not harmonic:
-        residual, bound = float(np.max(defect.value, initial=0.0)), rtol * defect.scale
+        residual, bound = float(np.max(defect.value, initial=0.0)), HARMONIC_RTOL * defect.scale
         raise NotHarmonic(
-            f"Laplacian residual {residual:.3e} exceeds {rtol:.1e} * |dh| = {bound:.3e}"
+            f"Laplacian residual {residual:.3e} exceeds {HARMONIC_RTOL:.1e} * |dh| = {bound:.3e}"
         )
 
 
 def solve_dirichlet(r: Realization, boundary):
     """Harmonic extension of boundary data.
 
-    ``boundary`` maps boundary vertex -> value (a dict, or a full-length array
-    whose boundary entries are used); a non-finite value raises
-    ``InvalidInput``.  The realization's interior system
+    ``boundary`` is a dict mapping each boundary vertex to its value (other
+    keys are ignored); a missing vertex raises ``MissingBoundaryData`` and a
+    non-finite value ``InvalidInput``.  The realization's interior system
     (``r.dirichlet_system``) is solved by sparse LU (a symmetric
     minimum-degree ordering) with up to three steps of iterative refinement;
     the result satisfies ``|Lh|_inf <= 1e-10 * |h|_inf`` or
@@ -72,19 +72,11 @@ def solve_dirichlet(r: Realization, boundary):
     mesh.require_disk()
 
     g = np.zeros(mesh.vertex_count)
-    if isinstance(boundary, dict):
-        vertices = mesh.boundary_vertices.tolist()
-        missing = set(vertices).difference(boundary)
-        if missing:
-            raise MissingBoundaryData(f"no boundary value for vertex {min(missing)}")
-        g[vertices] = [boundary[v] for v in vertices]
-    else:
-        boundary = np.asarray(boundary, dtype=float)
-        if boundary.shape != (mesh.vertex_count,):
-            raise MissingBoundaryData(
-                f"boundary array must have length {mesh.vertex_count}"
-            )
-        g = boundary.copy()
+    vertices = mesh.boundary_vertices.tolist()
+    missing = set(vertices).difference(boundary)
+    if missing:
+        raise MissingBoundaryData(f"no boundary value for vertex {min(missing)}")
+    g[vertices] = [boundary[v] for v in vertices]
     bad = np.flatnonzero(~np.isfinite(g))
     if len(bad):
         raise InvalidInput(f"vertex {bad[0]} has a non-finite value", vertex=int(bad[0]))
@@ -134,7 +126,7 @@ class ConjugateHarmonic:
     closure_defect: float  # worst dual co-tree defect, relative
 
 
-def conjugate_harmonic(r: Realization, h, anchor_face=0, rtol=HARMONIC_RTOL):
+def conjugate_harmonic(r: Realization, h, anchor_face=0):
     """Face potential of the rotation part of the deformation induced by a
     harmonic ``h``.
 
@@ -148,7 +140,7 @@ def conjugate_harmonic(r: Realization, h, anchor_face=0, rtol=HARMONIC_RTOL):
     mesh = r.mesh
     mesh.require_disk()
     h = np.asarray(h, dtype=float)
-    require_harmonic(r, h, rtol)
+    require_harmonic(r, h)
 
     i, j = mesh.edge_ends.T
     dh = h[j] - h[i]

@@ -475,3 +475,54 @@ def test_strip_without_interior_vertices(tmp_path, capsys):
         "max_real_part": 0.0, "vertex_sum": {}, "weighted_sum": {},
         "worst": {"check": "real_part", "edge": [0, 7], "defect": 0.0, "scale": 1.0},
     }
+
+
+def test_harmonic_solve_report_adds_the_scale(files, capsys):
+    code, out, err = run(capsys, "harmonic", "solve", files["wheel"], files["bnd"], "--report")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert list(data) == ["schema", "command", "residual", "values", "h_scale"]
+    assert data["h_scale"] == max(map(abs, data["values"])) > 0
+
+
+def test_deform_check_lists_every_face(files, capsys, tmp_path):
+    """``--report`` or a failing check lists each face: a face that closes
+    with its average rotation and scaling rates, a face that does not
+    without them.  A motion of 1e20 at vertex 1 fails, by rounding, to
+    close on the two faces at vertex 1."""
+    r = Realization(*fileio.read_obj_planar(files["wheel"]))
+    code, out, err = run(capsys, "deform", "check", files["wheel"], files["zdot"], "--report")
+    assert (code, err) == (0, "")
+    faces = json.loads(out)["faces"]
+    assert [list(f) for f in faces] == [["face", "ok", "defect", "omega", "sigma"]] * 6
+    zdot = fileio.vertex_field_from_json(fileio.load_json(files["zdot"]), 7, real=False)
+    rep = deform_mod.check_triangle_compat(r, deform_mod.edge_rates(r, zdot))
+    assert [f["omega"] for f in faces] == rep.omega_face.tolist()
+    assert [f["sigma"] for f in faces] == rep.sigma_face.tolist()
+    assert [complex(*f["defect"]) for f in faces] == rep.defect.tolist()
+
+    spike = 0.1 * r.z
+    spike[1] = 1e20
+    path = tmp_path / "spike.json"
+    path.write_text(fileio.dump_json({"zdot": spike}))
+    code, out, err = run(capsys, "deform", "check", files["wheel"], str(path))
+    assert (code, err) == (2, "")
+    assert json.loads(out)["compatible"] is False
+    faces = json.loads(out)["faces"]
+    failed = [f for f, face in enumerate(WHEEL6_FACES) if 1 in face]
+    assert [f["face"] for f in faces if not f["ok"]] == failed
+    assert [list(f) for f in faces if not f["ok"]] == [["face", "ok", "defect"]] * 2
+    assert [list(f) for f in faces if f["ok"]] == [["face", "ok", "defect", "omega", "sigma"]] * 4
+
+
+def test_hqd_check_without_elements_has_no_worst(tmp_path, capsys):
+    """On one triangle every check is empty: it passes, and ``worst`` is null."""
+    obj, q = tmp_path / "tri.obj", tmp_path / "q.json"
+    fileio.write_obj_planar(obj, build([(0, 1, 2)]), [0, 1, 1j])
+    q.write_text(fileio.dump_json({"q": {}}))
+    code, out, err = run(capsys, "hqd", "check", str(obj), str(q))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "schema": 1, "command": "hqd check", "tol": 1e-9, "holomorphic": True,
+        "max_defect": 0.0, "max_real_part": 0.0, "worst": None,
+    }

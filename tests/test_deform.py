@@ -127,7 +127,7 @@ def test_holomorphic_fields_come_from_harmonic_functions(disk):
     _, sv, vt = np.linalg.svd(a)
     null = vt[int(np.sum(sv > 1e-10 * sv[0])):].T
     fields = [
-        deform.conformal_deformation(r, laplace.solve_dirichlet(r, unit[b]))
+        deform.conformal_deformation(r, laplace.solve_dirichlet(r, dict(enumerate(unit[b]))))
         for b in r.mesh.boundary_vertices
     ] + [np.ones(nv), 1j * np.ones(nv), 1j * r.z]
     span = np.array([np.r_[f.real, f.imag] for f in fields]).T

@@ -335,6 +335,25 @@ def test_repeated_vertex_key(read):
         read({"2": 1.0, "1": 0.0, "002": 5.0})
 
 
+def test_load_json_rejects_a_repeated_key(tmp_path):
+    """An object that repeats a key is an error naming the file and the
+    first key that repeats, at any depth; the last value does not win."""
+    path = tmp_path / "data.json"
+    path.write_text('{"a": 1, "v": {"x": 0, "b": 2, "b": 3, "x": 4}}')
+    with pytest.raises(InvalidInput) as info:
+        fileio.load_json(path)
+    assert str(info.value) == f"{path}: JSON object repeats the key 'b'"
+    path.write_text('{"a": {"b": 1}, "c": {"b": 1}}')  # the same key in two objects
+    assert fileio.load_json(path) == {"a": {"b": 1}, "c": {"b": 1}}
+
+
+@pytest.mark.parametrize("read", [fileio.qdiff_from_json, fileio.mu_from_json])
+@pytest.mark.parametrize("data", [[0.5], {"q": [0.5], "mu": [0.5]}])
+def test_edge_data_must_be_a_map(read, data):
+    with pytest.raises(InvalidInput, match='^interior-edge data must be an "i-j" keyed map$'):
+        read(data, build(WHEEL6_FACES))
+
+
 def test_boundary_data_from_json():
     mesh = build(WHEEL6_FACES)
     bd = fileio.boundary_data_from_json({"boundary": {"1": 2.0, "2": -1.0}}, mesh)

@@ -227,3 +227,23 @@ def test_readers_unwrap_and_reject():
         fileio.vertex_field_from_json({"values": [[1.0, 2.0]]}, 1)  # complex where real is due
     with pytest.raises(InvalidInput):
         Realization(build([(0, 1, 2)]), [0, 1, complex(0, np.inf)])
+
+
+BOUNDARY = ", ".join(f'"{v}": {v}.0' for v in range(1, 7))
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        (("harmonic", "solve"), '{"boundary": {%s, "1": 5.0}}' % BOUNDARY, "1"),
+        (("hqd", "check"), '{"q": {"0-1": 0.0, "0-2": 0.0, "0-1": 1.0}}', "0-1"),
+        (("hqd", "check"), '{"q": {}, "q": {"0-1": 1.0}}', "q"),
+    ],
+    ids=["boundary-vertex", "q-edge", "wrapper"],
+)
+def test_repeated_json_key(wheel, capsys, command, text, key):
+    """A JSON object that repeats a key is bad input, not the last value winning."""
+    path = wheel / "data.json"
+    path.write_text(text)
+    err = assert_input_error(capsys, *command, wheel / "wheel.obj", path)
+    assert err == f"error [invalid_input]: {path}: JSON object repeats the key {key!r}\n"

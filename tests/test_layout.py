@@ -3,7 +3,9 @@ index arrays of ``TriMesh`` (``edge_ends``, ``face_edges``, ``flap_edges``,
 ...).  ``TriMesh`` builds no per-element tables, keeps its element sets as
 read-only int64 arrays, and outside ``mesh.py`` nothing calls its one
 per-element view, ``edge_flap``.  Every flag of the
-``ddg`` command line is read by its handler.  One helper beside ``Defect``
+``ddg`` command line is read by its handler, and ``main`` reads every
+positional file but the two of ``minimal verify``.  Library functions take
+one input form and no parameter that no caller sets.  One helper beside ``Defect``
 floors every scale at 1e-300, and one helper in ``moebius.py`` multiplies
 batched 2x2 matrices.  The corner layout is known to ``mesh.py`` alone, a
 ``Realization`` builds its cotangents on first use, and ``TriMesh`` keeps
@@ -20,10 +22,11 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from ddgconf import Realization, TriMesh, build, hqd, weierstrass
+from ddgconf import Realization, TriMesh, build, deform, hqd, laplace, weierstrass
 from ddgconf import mesh as mesh_module
-from ddgconf.cli import build_parser
+from ddgconf.cli import COMMANDS, build_parser
 from ddgconf.mesh import _Graph
 
 from conftest import WHEEL6_FACES
@@ -213,3 +216,42 @@ def test_every_cli_flag_is_read():
 
 def test_parser_is_built_once_per_process():
     assert build_parser() is build_parser()
+
+
+def test_main_reads_the_positional_files():
+    """No handler reads ``args.mesh``, ``args.a``, ``args.b`` or ``args.data``:
+    ``main`` reads them and passes the realizations and the JSON document."""
+    reads = [
+        f"{handler.__name__}: args.{node.attr}"
+        for handler in {spec[0] for spec in COMMANDS.values()}
+        for node in ast.walk(ast.parse(inspect.getsource(handler)))
+        if isinstance(node, ast.Attribute)
+        and getattr(node.value, "id", None) == "args"
+        and node.attr in ("mesh", "a", "b", "data")
+    ]
+    assert reads == []
+
+
+def test_parameters_no_caller_sets_are_constants():
+    """Every caller left these at their defaults, so they are constants."""
+    signatures = {
+        deform.check_triangle_compat: "fd_step",
+        hqd.cross_ratio_rate_check: "fd_tol analytic_tol",
+        hqd.qdiff_from_harmonic: "rtol",
+        laplace.require_harmonic: "rtol",
+        laplace.conjugate_harmonic: "rtol",
+    }
+    kept = [
+        f"{fn.__name__}({name})"
+        for fn, names in signatures.items()
+        for name in names.split()
+        if name in inspect.signature(fn).parameters
+    ]
+    assert kept == []
+    assert "rtol" in inspect.signature(laplace.check_harmonic).parameters  # set by --tol
+
+
+def test_pushforward_takes_only_a_moebius_map(wheel6):
+    q = hqd.QuadDiff(np.zeros(len(wheel6.mesh.interior_edges)))
+    with pytest.raises(AttributeError):
+        hqd.qdiff_moebius_pushforward_check(wheel6, q, (1.0, 0.5, 0.0, 1.0))
