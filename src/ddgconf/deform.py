@@ -59,7 +59,9 @@ def check_triangle_compat(r: Realization, rates: EdgeRates, tol=1e-10):
     For compatible faces the three cotangent expressions for the average
     rotation speed (and likewise the average scaling) must agree, and the
     average scaling is validated against a central finite difference of the
-    circumradius under the reconstructed per-face deformation (step 1e-6).
+    circumradius under the reconstructed per-face deformation (step 1e-6,
+    bounded so that its fastest vertex moves by 1e-6 to 1e-4 of the longest
+    edge).
     """
     nf = len(r.mesh.faces)
     c = rates.complex_rate[r.mesh.face_edges]  # c12, c23, c31
@@ -91,7 +93,9 @@ def check_triangle_compat(r: Realization, rates: EdgeRates, tol=1e-10):
         area2 = np.abs(product(np.conj(p[:, 1] - p[:, 0]), p[:, 2] - p[:, 0]).imag)
         return side[:, 0] * side[:, 1] * side[:, 2] / (2.0 * area2)
 
-    t = 1e-6
+    # a fixed step would collapse the faces under large rates and leave small rates in the rounding
+    rate = np.abs(zd).max(initial=0.0) / r.edge_scale()
+    t = float(np.clip(1e-6, 1e-6 / rate, 1e-4 / rate)) if rate > 0 else 1e-6
     rp, rm = circumradius(z[ok] + t * zd), circumradius(z[ok] - t * zd)
     # the circumradius |zk - zj| |zi - zk| |zj - zi| / 2|area2| of each face
     radius = np.abs(dz[ok])[:, [1, 2, 0]].prod(axis=1) / (2.0 * np.abs(r.area2[ok]))

@@ -142,55 +142,58 @@ def check_sl2_form_closed(r: Realization, form: SlForm, tol=1e-10) -> Closedness
 
 
 def _adjugate(m):
-    """``[[d, -b], [-c, a]]`` of each 2x2 matrix ``[[a, b], [c, d]]``."""
-    return np.stack([m[:, 1, 1], -m[:, 0, 1], -m[:, 1, 0], m[:, 0, 0]], axis=1).reshape(-1, 2, 2)
+    """``(d, -b, -c, a)`` of each 2x2 matrix ``(a, b, c, d)``."""
+    return m[3], -m[1], -m[2], m[0]
 
 
 def _mul(a, b):
-    """``a[n] @ b[n]`` for ``(N, 2, 2)`` ``a`` and ``(N, 2, k)`` ``b``: two
-    broadcast products and a sum, which beat ``@`` on small matrices."""
-    return a[:, :, :1] * b[:, None, 0] + a[:, :, 1:] * b[:, None, 1]
+    """``a[n] @ b[n]`` of 2x2 matrices as entry arrays ``(m00, m01, m10, m11)``, faster than ``@``."""
+    (a00, a01, a10, a11), (b00, b01, b10, b11) = a, b
+    return a00 * b00 + a01 * b10, a00 * b01 + a01 * b11, a10 * b00 + a11 * b10, a10 * b01 + a11 * b11
+
+
+def _max_abs(m):
+    """Largest entry modulus of each matrix of the entry arrays ``m``."""
+    a, b, c, d = map(np.abs, m)
+    return np.maximum(np.maximum(a, b), np.maximum(c, d))
 
 
 def _face_maps(a, b):
-    """SL(2,C) matrices (up to sign) of the Moebius maps taking each point
-    triple ``a[f]`` to ``b[f]``; ``a`` and ``b`` have shape (F, 3)."""
+    """Entry arrays of the SL(2,C) matrices ``N_b^{-1} N_a`` (up to sign) of the Moebius maps
+    taking each point triple ``a[:, f]`` to ``b[:, f]``; ``a``, ``b`` are (3, F).  The normal form
+    ``N_p`` sends ``(p1, p2, p3) -> (0, 1, inf)``; its ``ad - bc = (p2 - p3)(p2 - p1)(p1 - p3)``
+    has no cancellation and is exactly 0 where two points coincide."""
 
     def normal_form(p):
-        """Matrix of the map sending ``(p1, p2, p3) -> (0, 1, inf)`` and its
-        ``ad - bc = (p2 - p3)(p2 - p1)(p1 - p3)``, which has no cancellation
-        and is exactly 0 where two points coincide."""
-        p1, p2, p3 = p.T
-        entries = [p2 - p3, -p1 * (p2 - p3), p2 - p1, -p3 * (p2 - p1)]
-        return np.stack(entries, axis=1).reshape(-1, 2, 2), (p2 - p3) * (p2 - p1) * (p1 - p3)
+        p1, p2, p3 = p
+        d23, d21 = p2 - p3, p2 - p1
+        return (d23, -p1 * d23, d21, -p3 * d21), d23 * d21 * (p1 - p3)
 
     (na, det_na), (nb, det_nb) = normal_form(a), normal_form(b)
     if np.any(det_nb == 0):
         raise DegenerateFace("coincident points in face triple")
-    m = _mul(_adjugate(nb) / det_nb[:, None, None], na)
-    det = det_na / det_nb
-    if np.any(det == 0):
+    m = _mul([x / det_nb for x in _adjugate(nb)], na)
+    s = np.sqrt(det_na / det_nb)
+    if np.any(s == 0):
         raise DegenerateFace("coincident points in face triple")
-    return m / np.sqrt(det)[:, None, None]
+    return [x / s for x in m]
 
 
 def face_moebius(a_triple, b_triple):
     """SL(2,C) matrix (up to sign) of the unique Moebius map taking the three
     points of ``a_triple`` to those of ``b_triple``."""
-    return _face_maps(np.array([a_triple], dtype=complex), np.array([b_triple], dtype=complex))[0]
+    return np.reshape(_face_maps(*np.array([a_triple, b_triple], dtype=complex)[:, :, None]), (2, 2))
 
 
 def _fix_signs(m):
-    """Deterministic sign for each SL(2,C) matrix: nonnegative real trace,
-    tie-broken by the imaginary trace and then by the first entry with a
-    component above 1e-12 (its real part before its imaginary part)."""
-    trace = m[:, 0, 0] + m[:, 1, 1]
-    entries = m.reshape(-1, 4)
-    parts = np.stack([entries.real, entries.imag], axis=2).reshape(-1, 8)  # re, im of each entry
-    keys = np.column_stack([trace.real, trace.imag, parts])
-    decisive = np.abs(keys) > 1e-12
-    key = keys[np.arange(len(keys)), decisive.argmax(axis=1)]
-    return np.where((decisive.any(axis=1) & (key < 0))[:, None, None], -m, m)
+    """Deterministic sign for each SL(2,C) matrix: nonnegative real trace; where
+    ``|Re tr| <= 1e-12``, the first of the imaginary trace and the entries' real and
+    imaginary parts above 1e-12 in modulus is made positive (if none is, ``m`` is kept)."""
+    trace = m[0] + m[3]
+    flip, rest = trace.real < -1e-12, np.flatnonzero(~(np.abs(trace.real) > 1e-12))
+    keys = np.column_stack([trace[rest].imag] + [f(x[rest]) for x in m for f in (np.real, np.imag)])
+    flip[rest] = keys[np.arange(len(rest)), (np.abs(keys) > 1e-12).argmax(axis=1)] < -1e-12
+    return [np.where(flip, -x, x) for x in m]
 
 
 @dataclass
@@ -209,25 +212,23 @@ def transition_matrices(a: Realization, b: Realization) -> TransitionReport:
     1-form ``G(e*_ij) = A_right^{-1} A_left`` with its eigenvalues."""
     _check_same_mesh(a, b)
     mesh = a.mesh
-
-    face_maps = _fix_signs(_face_maps(a.z[mesh.faces], b.z[mesh.faces]))
+    face_maps = _fix_signs(_face_maps(a.z[mesh.faces.T], b.z[mesh.faces.T]))
     left, right = mesh.interior_faces.T
-    G = _mul(_adjugate(face_maps[right]), face_maps[left])
-    G_norm = np.abs(G).max(axis=(1, 2))
+    G = _mul(_adjugate([x[right] for x in face_maps]), [x[left] for x in face_maps])
+    G_norm = _max_abs(G)
     # before the eigen residuals, so that their temporaries and the slot gathers never coexist
     cycle = Defect(*_cycle_products(mesh, G, G_norm), mesh.interior_vertices, "vertex")
-
-    # the lifts psi = (z, 1) of ends i, j as columns: G psi_i = psi_i / lam, G psi_j = lam psi_j
-    psi = lift(a.z)[mesh.interior_ends].transpose(0, 2, 1)
-    w = _mul(G, psi)
-    lam = w[:, 1, 1]  # second lift component is 1
-    res = np.abs(w - np.stack([psi[:, :, 0] / lam[:, None], lam[:, None] * psi[:, :, 1]], axis=2))
-    scale = G_norm * np.maximum(magnitude(a.z[mesh.interior_ends]).max(axis=1), 1.0)
-    eig_res = Defect(res.max(axis=(1, 2)), scale, mesh.interior_ends, "edge").worst
-
+    # G applied to the lifts (z, 1) of ends i, j: G psi_i = psi_i / lam, G psi_j = lam psi_j
+    zi, zj = a.z[mesh.interior_ends.T]
+    w = _mul(G, (zi, zj, 1.0, 1.0))
+    lam = w[3]  # second lift component is 1
+    res = _max_abs((w[0] - zi / lam, w[1] - lam * zj, w[2] - 1.0 / lam, w[3] - lam * 1.0))
+    scale = G_norm * np.maximum(np.maximum(magnitude(zi), magnitude(zj)), 1.0)
+    eig_res = Defect(res, scale, mesh.interior_ends, "edge").worst
     cra = cross_ratios(a)
     cr_gap = np.abs(cross_ratios(b) - cra / lam**2)
     cr_res = Defect(cr_gap, np.abs(cra).max(initial=0.0), mesh.interior_ends, "edge").worst
+    face_maps, G = (np.stack(m, axis=1).reshape(-1, 2, 2) for m in (face_maps, G))
     return TransitionReport(face_maps, G, lam, eig_res, cr_res, cycle.worst, cycle)
 
 
@@ -240,13 +241,13 @@ def _cycle_products(mesh, G, G_norm):
     # by descending valence, the rows that have a slot m (valence > m) are a prefix, count[m] long
     rows = np.argsort(-valence, kind="stable")
     start, count = c.indptr[rows], np.cumsum(np.bincount(valence)[::-1])[-2::-1]
-    pick = c.indices + len(G) * (c.data < 0)
-    both = np.concatenate([G, _adjugate(G)])
-    p = np.tile(np.eye(2, dtype=complex), (len(rows), 1, 1))
-    p_scale = np.zeros(len(p))
+    pick = c.indices + len(G_norm) * (c.data < 0)
+    both = [np.concatenate(pair) for pair in zip(G, _adjugate(G))]
+    p, p_scale = [np.full(len(rows), v, dtype=complex) for v in (1, 0, 0, 1)], np.zeros(len(rows))
     for m, n in enumerate(count.tolist()):
-        e = start[:n] + m
-        p_scale[:n] = np.maximum(p_scale[:n], np.abs(p[:n]).max(axis=(1, 2)) * G_norm[c.indices[e]])
-        p[:n] = _mul(p[:n], both[pick[e]])
+        e, prev = start[:n] + m, [x[:n] for x in p]
+        p_scale[:n] = np.maximum(p_scale[:n], _max_abs(prev) * G_norm[c.indices[e]])
+        for x, y in zip(p, _mul(prev, [x[pick[e]] for x in both])):
+            x[:n] = y
     rank = np.argsort(rows)
-    return np.abs(p - np.eye(2)).max(axis=(1, 2))[rank], p_scale[rank]
+    return _max_abs((p[0] - 1.0, p[1], p[2], p[3] - 1.0))[rank], p_scale[rank]

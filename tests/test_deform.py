@@ -134,3 +134,16 @@ def test_holomorphic_fields_come_from_harmonic_functions(disk):
     assert null.shape[1] == len(r.mesh.boundary_vertices) + 3
     assert np.linalg.matrix_rank(span) == null.shape[1]
     assert subspace_angles(null, span).max() < 1e-8
+
+
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e4, 1e6])
+def test_radius_rate_step_scales_with_the_rates(s):
+    """The finite-difference step of the circumradius check follows the size
+    of the rates: under the scaling ``s z`` every closing face has a finite
+    radius-rate error within acceptance criterion 4's 1e-5 (at 1e6 a fixed
+    step collapsed the faces, at 1e-6 it drowned in rounding)."""
+    r = delaunay_disk(300, seed=5)
+    rep = deform.check_triangle_compat(r, deform.edge_rates(r, s * r.z))
+    assert rep.ok.any()
+    err = rep.radius_rate_error[rep.ok]
+    assert np.isfinite(err).all() and err.max() <= 1e-5

@@ -2,9 +2,10 @@
 per-element loops they replaced.  The loops stay here as the reference.
 The integrator, the cycle sum, the index arrays, the per-vertex
 reconstruction, the Dirichlet solve, the conformal deformation and the
-triangle compatibility check must agree bit for bit; the rest, whose
-arithmetic is now batched, to 1e-12 of the reference scale (see
-:func:`assert_close`)."""
+triangle compatibility check must agree bit for bit, as must the Möbius
+transitions with the ``(N, 2, 2)`` broadcast formulation that their entry
+arrays replaced; the rest, whose arithmetic is now batched, to 1e-12 of
+the reference scale (see :func:`assert_close`)."""
 
 from collections import deque
 
@@ -15,7 +16,7 @@ import scipy.sparse.linalg as spla
 
 from ddgconf import Realization, build, deform, hqd, laplace, moebius, realization, weierstrass
 from ddgconf.errors import InvalidInput
-from ddgconf.mesh import integrate
+from ddgconf.mesh import Defect, integrate, magnitude
 from ddgconf.realization import cross_ratios
 
 from conftest import delaunay_disk, jittered_grid, random_moebius, reference_tables
@@ -249,26 +250,33 @@ def reference_cross_ratio_rate(r, zdot):
     return np.array([ce(j, k) - ce(k, i) + ce(i, l) - ce(l, j) for i, j, k, l in flaps])
 
 
-def reference_triangle_compat(r, c, tol=1e-10, t=1e-6):
+def reference_triangle_compat(r, c, tol=1e-10):
     """Per face: closure defect, verdict, average rates and their spreads,
-    and the circumradius rate error (nan on failed faces)."""
+    and the circumradius rate error (nan on failed faces).  The finite
+    difference step is 1e-6, bounded so that the fastest reconstructed vertex
+    of the closing faces moves by 1e-6 to 1e-4 of the longest edge."""
     ref = reference_tables(r.mesh)
     out = np.full((len(r.mesh.faces), 7), complex(np.nan, 0.0))
+    closing = []
     for f, (v1, v2, v3) in enumerate(ref.faces):
         z1, z2, z3 = r.z[v1], r.z[v2], r.z[v3]
         c12, c23, c31 = (c[ref.key(a, b)] for a, b in ((v1, v2), (v2, v3), (v3, v1)))
         closure = c12 * (z2 - z1) + c23 * (z3 - z2) + c31 * (z1 - z3)
         scale = max(abs(z2 - z1), abs(z3 - z2), abs(z1 - z3))
         out[f, :2] = closure / scale, abs(closure) <= tol * scale
-        if not out[f, 1]:
-            continue
+        if out[f, 1]:
+            zd2 = c12 * (z2 - z1)
+            closing.append((f, z1, z2, z3, c12, c23, c31, zd2, zd2 + c23 * (z3 - z2)))
+    # the reconstructed rates (0, zd2, zd3) of every closing face, as the program holds them
+    zd = np.array([[0.0, zd2, zd3] for *_, zd2, zd3 in closing], dtype=complex)
+    rate = np.abs(zd).max(initial=0.0) / r.edge_scale()
+    t = float(np.clip(1e-6, 1e-6 / rate, 1e-4 / rate)) if rate > 0 else 1e-6
+    for f, z1, z2, z3, c12, c23, c31, zd2, zd3 in closing:
         cot1, cot2, cot3 = r.cot[f]
         s12, s23, s31 = c12.real, c23.real, c31.real
         w12, w23, w31 = c12.imag, c23.imag, c31.imag
         omegas = np.array([w23 + cot1 * (s31 - s12), w31 + cot2 * (s12 - s23), w12 + cot3 * (s23 - s31)])
         sigmas = np.array([s23 - cot1 * (w31 - w12), s31 - cot2 * (w12 - w23), s12 - cot3 * (w23 - w31)])
-        zd2 = c12 * (z2 - z1)
-        zd3 = zd2 + c23 * (z3 - z2)
 
         def circumradius(a, b, cc):
             ar2 = abs((np.conj(b - a) * (cc - a)).imag)
@@ -322,6 +330,70 @@ def reference_fix_sign(m):
     return m
 
 
+def reference_adjugate(m):
+    """``[[d, -b], [-c, a]]`` of each ``(N, 2, 2)`` matrix ``[[a, b], [c, d]]``."""
+    return np.stack([m[:, 1, 1], -m[:, 0, 1], -m[:, 1, 0], m[:, 0, 0]], axis=1).reshape(-1, 2, 2)
+
+
+def entries(m):
+    """The entry arrays ``(m00, m01, m10, m11)`` of ``(N, 2, 2)`` matrices."""
+    return tuple(m.reshape(-1, 4).T)
+
+
+def broadcast_mul(a, b):
+    """``a[n] @ b[n]`` for ``(N, 2, 2)`` ``a`` and ``(N, 2, k)`` ``b``: two
+    broadcast products and a sum."""
+    return a[:, :, :1] * b[:, None, 0] + a[:, :, 1:] * b[:, None, 1]
+
+
+def broadcast_face_maps(a, b):
+    """The face maps of point triples ``a[f]`` -> ``b[f]`` as ``(F, 2, 2)``
+    normal forms, ``a`` and ``b`` of shape (F, 3)."""
+
+    def normal_form(p):
+        p1, p2, p3 = p.T
+        entries = [p2 - p3, -p1 * (p2 - p3), p2 - p1, -p3 * (p2 - p1)]
+        return np.stack(entries, axis=1).reshape(-1, 2, 2), (p2 - p3) * (p2 - p1) * (p1 - p3)
+
+    (na, det_na), (nb, det_nb) = normal_form(a), normal_form(b)
+    m = broadcast_mul(reference_adjugate(nb) / det_nb[:, None, None], na)
+    return m / np.sqrt(det_na / det_nb)[:, None, None]
+
+
+def broadcast_fix_signs(m):
+    """The sign fix with one key row per matrix: real and imaginary trace,
+    then the real and imaginary part of each entry."""
+    trace = m[:, 0, 0] + m[:, 1, 1]
+    flat = m.reshape(-1, 4)
+    parts = np.stack([flat.real, flat.imag], axis=2).reshape(-1, 8)
+    keys = np.column_stack([trace.real, trace.imag, parts])
+    decisive = np.abs(keys) > 1e-12
+    key = keys[np.arange(len(keys)), decisive.argmax(axis=1)]
+    return np.where((decisive.any(axis=1) & (key < 0))[:, None, None], -m, m)
+
+
+def broadcast_transitions(a, b):
+    """``transition_matrices`` on ``(N, 2, 2)`` arrays: face maps, ``G``,
+    eigenvalues, the eigen, cross-ratio and cycle residuals, and the cycle
+    defects and scales."""
+    mesh = a.mesh
+    face_maps = broadcast_fix_signs(broadcast_face_maps(a.z[mesh.faces], b.z[mesh.faces]))
+    left, right = mesh.interior_faces.T
+    G = broadcast_mul(reference_adjugate(face_maps[right]), face_maps[left])
+    G_norm = np.abs(G).max(axis=(1, 2))
+    cycle = reference_cycle_products(mesh, G, G_norm)
+    psi = moebius.lift(a.z)[mesh.interior_ends].transpose(0, 2, 1)
+    w = broadcast_mul(G, psi)
+    lam = w[:, 1, 1]
+    res = np.abs(w - np.stack([psi[:, :, 0] / lam[:, None], lam[:, None] * psi[:, :, 1]], axis=2))
+    scale = G_norm * np.maximum(magnitude(a.z[mesh.interior_ends]).max(axis=1), 1.0)
+    eig_res = Defect(res.max(axis=(1, 2)), scale, mesh.interior_ends, "edge").worst
+    cra = cross_ratios(a)
+    cr_res = Defect(np.abs(cross_ratios(b) - cra / lam**2), np.abs(cra).max(initial=0.0), None, "edge").worst
+    cycle_res = Defect(*cycle, None, "vertex").worst
+    return face_maps, G, lam, eig_res, cr_res, cycle_res, *cycle
+
+
 def reference_transitions(a, b):
     """Face maps, transitions, eigenvalues and the eigen and cross-ratio
     residuals (the cycle product was already batched)."""
@@ -359,7 +431,7 @@ def reference_cycle_products(mesh, G, G_norm):
     each interior vertex, one slot at a time over the rows that have it."""
     c = mesh.vertex_cycles
     start, valence = c.indptr[:-1], np.diff(c.indptr)
-    G_inv = moebius._adjugate(G)
+    G_inv = reference_adjugate(G)
     p = np.tile(np.eye(2, dtype=complex), (len(valence), 1, 1))
     p_scale = np.zeros(len(valence))
     for m in range(valence.max(initial=0)):
@@ -520,7 +592,7 @@ def test_cycle_products_match_reference(kind):
     shape = (len(mesh.interior_edges), 2, 2)
     G = np.eye(2) + 0.05 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     G_norm = np.abs(G).max(axis=(1, 2))
-    got = moebius._cycle_products(mesh, G, G_norm)
+    got = moebius._cycle_products(mesh, entries(G), G_norm)
     for a, b in zip(got, reference_cycle_products(mesh, G, G_norm)):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
     assert got[0].shape == (len(mesh.interior_vertices),)
@@ -596,6 +668,34 @@ def test_null_vector_forms_match_reference(fields):
     assert_close(surface.k, reference_curvature_factor(r, q))
 
 
+def moebius_pairs(r, zdot):
+    """``r`` and a copy moved along ``zdot``; a Moebius image ``phi(r)`` and a
+    copy of it moved along the pushed-forward field ``phi' zdot``."""
+    phi = random_moebius(r, np.random.default_rng(16))
+    w = phi.apply(r.z)
+    v = (phi.a * phi.d - phi.b * phi.c) / (phi.c * r.z + phi.d) ** 2 * zdot
+    step = 1e-3 * np.abs(w - w.mean()).max() / np.abs(v).max()
+    return [
+        (r, Realization(r.mesh, r.z + 1e-3 * zdot / np.abs(zdot).max())),
+        (Realization(r.mesh, w), Realization(r.mesh, w + step * v)),
+    ]
+
+
+def test_transitions_match_broadcast_formulation(fields):
+    """The entry-array transitions against the ``(N, 2, 2)`` broadcast
+    formulation they replaced: every output bit for bit."""
+    r, _, _, zdot, *_ = fields
+    for a, b in moebius_pairs(r, zdot):
+        rep = moebius.transition_matrices(a, b)
+        got = (
+            rep.face_maps, rep.transitions, rep.eigenvalues, rep.max_eigen_residual,
+            rep.max_cr_residual, rep.max_cycle_residual, rep.cycle.value, rep.cycle.scale,
+        )
+        for x, y in zip(got, broadcast_transitions(a, b), strict=True):
+            x, y = np.asarray(x), np.asarray(y)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
 def test_transitions_match_reference(fields):
     r, _, _, zdot, *_ = fields
     b = Realization(r.mesh, r.z + 1e-3 * zdot / np.abs(zdot).max())
@@ -608,24 +708,44 @@ def test_transitions_match_reference(fields):
     assert_close(rep.max_cr_residual, cr_res, scale=1.0)
 
 
-@pytest.mark.parametrize(
-    "m, flip",
-    [
-        ([[2, 1], [0, 1]], False),  # real trace > 0
-        ([[-2, 1], [0, -1]], True),  # real trace < 0
-        ([[1 + 2j, 0], [0, -1 + 1e-13 - 1j]], False),  # real trace below 1e-12: imaginary trace > 0
-        ([[1 - 2j, 0], [0, -1 + 1j]], True),  # imaginary trace < 0
-        ([[1e-13, -3], [0.5, 0]], True),  # traceless: first real part above 1e-12 < 0
-        ([[0, 2e-13 - 3j], [0.5, 0]], True),  # first entry decided by its imaginary part
-        ([[0, 2j], [-0.5j, 0]], False),  # the same, > 0
-        ([[1e-13, 0], [0, 0]], False),  # nothing above 1e-12: kept
-    ],
-)
+SIGN_CASES = [
+    ([[2, 1], [0, 1]], False),  # real trace > 0
+    ([[-2, 1], [0, -1]], True),  # real trace < 0
+    ([[1 + 2j, 0], [0, -1 + 1e-13 - 1j]], False),  # real trace below 1e-12: imaginary trace > 0
+    ([[1 - 2j, 0], [0, -1 + 1j]], True),  # imaginary trace < 0
+    ([[1e-13, -3], [0.5, 0]], True),  # traceless: first real part above 1e-12 < 0
+    ([[0, 2e-13 - 3j], [0.5, 0]], True),  # first entry decided by its imaginary part
+    ([[0, 2j], [-0.5j, 0]], False),  # the same, > 0
+    ([[1e-13, 0], [0, 0]], False),  # nothing above 1e-12: kept
+]
+
+
+def fix_signs(m):
+    """``moebius._fix_signs`` of ``(N, 2, 2)`` matrices."""
+    return np.stack(moebius._fix_signs(entries(m)), axis=1).reshape(-1, 2, 2)
+
+
+@pytest.mark.parametrize("m, flip", SIGN_CASES)
 def test_sign_tie_breaks_match_reference(m, flip):
     m = np.array(m, dtype=complex)
-    got = moebius._fix_signs(m[None])[0]
+    got = fix_signs(m[None])[0]
     assert got.tobytes() == reference_fix_sign(m).tobytes()
     assert got.tobytes() == (-m if flip else m).tobytes()
+
+
+def test_sign_tie_breaks_in_a_batch():
+    """Every tie-break case, twice and negated, shuffled among matrices that
+    their real trace decides: the tie-breaks run on a subset of the rows."""
+    rng = np.random.default_rng(17)
+    ties = np.array([m for m, _ in SIGN_CASES], dtype=complex)
+    decided = rng.standard_normal((40, 2, 2)) + 1j * rng.standard_normal((40, 2, 2))
+    batch = np.concatenate([ties, -ties, ties, decided])[rng.permutation(3 * len(ties) + 40)]
+    got = fix_signs(batch)
+    real_trace = np.trace(batch, axis1=1, axis2=2).real
+    assert (np.abs(real_trace) <= 1e-12).sum() == 18  # six tie-break cases, three times each
+    assert (real_trace < -1e-12).any() and (real_trace > 1e-12).any()
+    for g, m in zip(got, batch, strict=True):
+        assert g.tobytes() == reference_fix_sign(m).tobytes()
 
 
 def test_verify_minimal_and_qdiff_from_minimal_match_reference(fields):
