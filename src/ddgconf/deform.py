@@ -48,7 +48,7 @@ class TriangleCompatReport:
     omega_spread: np.ndarray  # disagreement of the three expressions
     sigma_face: np.ndarray  # average scaling speed (circumradius log-rate)
     sigma_spread: np.ndarray
-    radius_rate_error: np.ndarray  # |sigma_face - FD(R)/R| relative, nan if face failed
+    radius_rate_error: np.ndarray  # |sigma_face - d/dt log R| relative, nan if face failed
     closure: Defect  # |closure| per face, against the face's longest side
 
 
@@ -58,10 +58,8 @@ def check_triangle_compat(r: Realization, rates: EdgeRates, tol=1e-10):
     Closure: the complex rates must sum to zero around each face boundary.
     For compatible faces the three cotangent expressions for the average
     rotation speed (and likewise the average scaling) must agree, and the
-    average scaling is validated against a central finite difference of the
-    circumradius under the reconstructed per-face deformation (step 1e-6,
-    bounded so that its fastest vertex moves by 1e-6 to 1e-4 of the longest
-    edge).
+    average scaling is validated against the circumradius log-rate
+    ``d/dt log R``, differentiated through the side lengths and the area.
     """
     nf = len(r.mesh.faces)
     c = rates.complex_rate[r.mesh.face_edges]  # c12, c23, c31
@@ -84,22 +82,11 @@ def check_triangle_compat(r: Realization, rates: EdgeRates, tol=1e-10):
     sigma_face[ok] = sigmas[:, 0]
     sigma_spread[ok] = sigmas.max(axis=1) - sigmas.min(axis=1)
 
-    # circumradius log-rate by central differences of the per-face
-    # deformation reconstructed from the rates (translation gauge: zd1 = 0)
-    zd = np.cumsum(np.c_[np.zeros(len(cot)), step[ok, :2]], axis=1)
-
-    def circumradius(p):
-        side = magnitude(np.roll(p, -1, axis=1) - p)
-        area2 = np.abs(product(np.conj(p[:, 1] - p[:, 0]), p[:, 2] - p[:, 0]).imag)
-        return side[:, 0] * side[:, 1] * side[:, 2] / (2.0 * area2)
-
-    # a fixed step would collapse the faces under large rates and leave small rates in the rounding
-    rate = np.abs(zd).max(initial=0.0) / r.edge_scale()
-    t = float(np.clip(1e-6, 1e-6 / rate, 1e-4 / rate)) if rate > 0 else 1e-6
-    rp, rm = circumradius(z[ok] + t * zd), circumradius(z[ok] - t * zd)
-    # the circumradius |zk - zj| |zi - zk| |zj - zi| / 2|area2| of each face
-    radius = np.abs(dz[ok])[:, [1, 2, 0]].prod(axis=1) / (2.0 * np.abs(r.area2[ok]))
-    rr = (rp - rm) / (2.0 * t * radius)
+    # d/dt log R of R = L12 L23 L31 / 2|area2|: each side adds its sigma, the
+    # doubled area Im w, w = conj(z2 - z1)(z3 - z1), moves by Im((conj(c12) + c31) w)
+    w = product(np.conj(dz[ok, 0]), -dz[ok, 2])
+    area_rate = product(np.conj(c[ok, 0]) + c[ok, 2], w).imag / r.area2[ok]
+    rr = s[:, 0] + s[:, 1] + s[:, 2] - area_rate
     denom = np.maximum(np.maximum(np.abs(sigma_face[ok]), np.abs(rr)), 1e-12)
     rr_err[ok] = np.abs(sigma_face[ok] - rr) / denom
 

@@ -10,7 +10,8 @@ meshes are byte-reproducible.
 import cmath
 import json
 import math
-from itertools import chain, compress
+import re
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -40,10 +41,9 @@ def read_obj_planar(path):
 
 
 def read_obj_polygons(path):
-    """Read an OBJ with arbitrary polygonal faces; returns ``(vertices (n, 3),
-    ids, sizes)``: the 0-based vertex ids of all faces in one int64 array and
-    the size of each face.  A negative (relative) face index ``-k`` names the
-    ``k``-th last vertex read before its face line."""
+    """Read an OBJ with arbitrary polygonal faces; returns ``(vertices (n, 3), ids,
+    sizes)`` as :func:`_read_obj_arrays` does.  A negative (relative) face index
+    ``-k`` names the ``k``-th last vertex read before its face line."""
     return _read_obj_arrays(path)
 
 
@@ -59,47 +59,37 @@ def _read_text(path):
 
 def _read_obj_arrays(path):
     """``(vertices (n, 3), ids, sizes)`` of an OBJ: the 0-based vertex ids of
-    all faces in one int64 array, and the size of each face.  Clean input is
-    parsed as arrays; the line loop reads anything else (slashes, relative
-    indices, stray whitespace, extra values, a bad value or index) to the same
-    result, or names its first fault."""
-    lines = _read_text(path).split("\n")
-    return _parse_obj_arrays(lines) or _parse_obj_lines(path, lines)
+    all faces in one int64 array, and the size of each face.  The bulk parse
+    reads clean input; the line loop reads the rest (slashes, relative indices,
+    stray whitespace, extra values) to the same result, or names its fault."""
+    text = _read_text(path)
+    return _parse_obj_block(text) or _parse_obj_lines(path, text.split("\n"))
 
 
-def _parse_obj_arrays(lines):
-    """The array parse of :func:`_read_obj_arrays`, or None where it does not
-    apply: every ``v``/``f`` line starts with ``"v "``/``"f "``, every vertex
-    has three finite values and every face index lies in ``[1, n]``."""
-    v = [line for line in lines if line.startswith("v ")]
-    f = [line for line in lines if line.startswith("f ")]
-    if any(line.split()[:1] in (["v"], ["f"]) for line in lines if not line.startswith(("v ", "f "))):
+# a line that split() reads as a vertex or face but that lacks the "v "/"f " tag
+_ODD_TAG = re.compile(r"\n(?![vf] )[^\S\n]*[vf]\s")
+
+
+def _parse_obj_block(text):
+    """The bulk parse of :func:`_read_obj_arrays`, or None.  Tags become sentinels (NaN
+    for ``v``, 0 for ``f``) before one ``np.fromstring`` per kind; three finite values
+    per vertex and every index in ``[1, n]`` leave each sentinel where a tag stood."""
+    text = f"\n{text}\n"
+    if _ODD_TAG.search(text):
         return None
-    # 4 tokens per line: if every fourth token is dropped and the rest convert
-    # (so none is "v"), each line's "v" was dropped, and it had three values
-    values = " ".join(v).split()
-    if len(values) != 4 * len(v):
+    v, f = ("".join(re.findall(tag + "[^\n]*", text)) for tag in ("\nv ", "\nf "))
+    try:  # a token np.fromstring cannot read (an index it saturates fails the range check)
+        values = np.fromstring(v.replace("\nv ", "\nnan "), sep=" ")
+        ids = np.fromstring(f.replace("\nf ", "\n0 "), dtype=np.int64, sep=" ")
+    except ValueError:
         return None
-    del values[::4]
-    ids = " ".join(f).split()
-    # triangles, the common case: a strided delete in place of the per-token scan
-    if len(ids) == 4 * len(f) and ids[::4].count("f") == len(f):
-        sizes = np.full(len(f), 3)
-        del ids[::4]
-    else:  # polygons: each "f" token starts a face
-        starts = np.flatnonzero(np.fromiter(map("f".__eq__, ids), bool, len(ids)))
-        if len(starts) != len(f):
-            return None
-        sizes = np.diff(np.append(starts, len(ids))) - 1
-        ids = list(compress(ids, map("f".__ne__, ids)))
-    try:
-        verts = np.array(values, dtype=float).reshape(-1, 3)
-        ids = np.array(ids, dtype=np.int64) - 1
-    except (ValueError, OverflowError):  # a token that is not a number, or an index past int64
+    starts = np.flatnonzero(tag := ids == 0)
+    if len(values) != 4 * v.count("\n") or len(starts) != f.count("\n"):
         return None
+    verts, ids = values.reshape(-1, 4)[:, 1:].copy(), ids[~tag] - 1
     if not np.isfinite(verts).all() or not ((ids >= 0) & (ids < len(verts))).all():
         return None
-    return verts, ids, sizes
+    return verts, ids, np.diff(starts, append=len(tag)) - 1
 
 
 def _parse_obj_lines(path, lines):
@@ -337,13 +327,32 @@ def boundary_data_from_json(data, mesh: TriMesh):
 
 def _edge_keys(mesh: TriMesh):
     """The ``"i-j"`` key of each interior edge, in ``interior_ends`` order."""
-    i, j = mesh.interior_ends.T.tolist()
-    return list(map("{}-{}".format, i, j))
+    ends = mesh.interior_ends
+    return ("%d-%d\n" * len(ends) % tuple(ends.ravel().tolist())).split("\n")[:-1]
 
 
 def edge_map_to_json(mesh: TriMesh, values):
     """Interior-edge data as an ``"i-j"`` keyed map."""
     return dict(zip(_edge_keys(mesh), np.asarray(values).tolist()))
+
+
+# a newline not followed by a canonical "i-j" key and a newline: ASCII decimals of at
+# most 18 digits (so within int64), without a sign or a leading zero
+_ODD_KEY = re.compile(r"\n(?!(?:0|[1-9][0-9]{0,17})-(?:0|[1-9][0-9]{0,17})\n|\Z)")
+
+
+def _edge_rows(keys, mesh: TriMesh):
+    """The ``interior_ends`` row of each key, matched as ``i * V + j``, when
+    every key is the canonical key of an interior edge; else None."""
+    if set(map(type, keys)) != {str} or _ODD_KEY.search(text := "\n".join(["", *keys, ""])):
+        return None
+    i, j = np.fromstring(text.replace("-", " "), dtype=np.int64, sep=" ").reshape(-1, 2).T
+    n, ends = mesh.vertex_count, mesh.interior_ends
+    if len(i) != len(keys) or not ((i < j) & (j < n)).all():
+        return None  # a key holding a newline reads as two
+    table = np.append(ends[:, 0] * n + ends[:, 1], n * n)  # ascending, as edge_ends is
+    rows = np.searchsorted(table, code := i * n + j)
+    return rows if (table[rows] == code).all() else None
 
 
 def _edge_values(data, mesh: TriMesh, wrapper, bare):
@@ -355,13 +364,12 @@ def _edge_values(data, mesh: TriMesh, wrapper, bare):
         data = data[wrapper]
     if not isinstance(data, dict):
         raise InvalidInput('interior-edge data must be an "i-j" keyed map')
-    keys = _edge_keys(mesh)
-    pos = dict(zip(keys, range(len(keys))))
-    out = np.zeros(len(keys), dtype=complex)
-    rows, values = list(map(pos.get, data)), _numbers(list(data.values()))
-    if values is not None and None not in rows:
+    out = np.zeros(len(mesh.interior_ends), dtype=complex)
+    rows, values = _edge_rows(list(data), mesh), _numbers(list(data.values()))
+    if rows is not None and values is not None:
         out[rows] = values if np.iscomplexobj(values) else bare(values)
         return out
+    pos = dict(zip(_edge_keys(mesh), range(len(out))))
     for key, v in data.items():
         if key not in pos:
             raise InvalidInput(f"'{key}' is not an interior edge")

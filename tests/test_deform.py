@@ -43,6 +43,18 @@ def test_face_scaling_matches_circumradius_rate():
     assert np.nanmax(rep.radius_rate_error) < 1e-5
 
 
+def test_radius_rate_is_exact_on_a_sliver():
+    """The circumradius rate is differentiated, not differenced, so a sliver
+    (face 9 here, area2 / L^2 about 5e-4) costs it no accuracy: a central
+    difference was off by 1.4e-4 on this setup."""
+    r = delaunay_disk(60, seed=26)
+    rng = np.random.default_rng(27)
+    zdot = rng.standard_normal(r.mesh.vertex_count) + 1j * rng.standard_normal(r.mesh.vertex_count)
+    rep = deform.check_triangle_compat(r, deform.edge_rates(r, zdot))
+    assert rep.ok.all()
+    assert np.nanmax(rep.radius_rate_error) < 1e-12
+
+
 def test_incompatible_rates_rejected(wheel6_irregular):
     r = wheel6_irregular
     rates = deform.edge_rates(r, r.z**2)

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,9 @@ def test_obj_relative_indices(tmp_path):
         ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf -4 -2 -1\nf 1 2 9\n", "[-4, -2, -1]"),
         ("v 0 0 0\nv 1 0 0\nf -3 -2 -1\nv 0 1 0\n", "[-3, -2, -1]"),  # 3rd vertex comes later
         ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2 9\nf 0 1 2\n", "[1, 2, 9]"),
+        # np.fromstring saturates these to 2**63 - 1, which the bulk parse must not pass on
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\n", "[1, 2, 99999999999999999999]"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 -99999999999999999999\n", "[1, 2, -99999999999999999999]"),
     ],
 )
 def test_obj_bad_index_names_first_bad_face(tmp_path, text, face):
@@ -363,11 +367,11 @@ def test_boundary_data_from_json():
     assert full[3] == 3.0
 
 
-# -- the array parse and the per-line / per-value loop agree -------------------
+# -- the bulk parse and the per-line / per-value loop agree --------------------
 
 TRI = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
 
-# (OBJ text, whether the array parse reads it); the line loop reads the rest
+# (OBJ text, whether the bulk parse reads it); the line loop reads the rest
 OBJ_CORPUS = [
     (TRI + "f 1 2 3\n", True),
     ("# header\n\nv 0 0 0\n# mid\nv 1 0 0\nv 0 1 0\n\nf 1 2 3\n", True),
@@ -375,7 +379,8 @@ OBJ_CORPUS = [
     (TRI + "f 1 2 3", True),  # no final newline
     ("v 0 0 0  \nv 1 0 0\nv 0 1 0\nf 1 2 3   \n", True),  # trailing spaces
     ("v +0 -0 0\nv 1e0 0 0\nv 0 +1.5E+2 0\nf 1 2 3\n", True),  # exponents, signs
-    ("v 1_0 0 0\nv 0 ١ 0\nv 0 0 0\nf 1 2 3\n", True),  # what float() reads
+    ("v 1_0 0 0\nv 0 ١ 0\nv 0 0 0\nf 1 2 3\n", False),  # float() reads these, np.fromstring not
+    ("v .5 5. 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", True),
     ("v 0 0 0\nf 1 2 3\nv 1 0 0\nv 0 1 0\n", True),  # a face before its vertices
     (TRI + "v 1 1 0\nf 1 2 4 3\nf 2 4 3\n", True),  # polygons
     (TRI + "v 1 1 0\nf 1 2 4 3\nf 1 2 3 f\n", False),  # an "f" token among the ids
@@ -401,6 +406,17 @@ OBJ_CORPUS = [
     ("v 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", False),  # three tokens
     ("v 0 0\nv 1 0 0 0\nv 0 1 0\nf 1 2 3\n", False),  # 3 + 5 tokens
     ("v\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", False),
+    (TRI + "f +1 2 3\n", True),  # int() reads the sign too
+    (TRI + "f 1e2 2 3\n", False),
+    (TRI + "f 0x10 2 3\n", False),
+    (TRI + "f 1 2 3\x00\n", False),
+    ("v 0x1p3 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", False),
+    ("v 1e5e3 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", False),
+    ("v 1,5 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", False),
+    ("v infinity 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", False),
+    ("v 0\xa00 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", False),  # split() breaks at U+00A0, np.fromstring not
+    ("\u3000v 5 5 0\n" + TRI + "f 2 3 4\n", False),  # a vertex behind a wide space
+    ("v 0 0 0 nan 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3\n", False),  # no vertex from a line's extra values
 ]
 
 
@@ -422,11 +438,23 @@ def _outcome(read, path):
 def test_obj_array_parse_matches_line_loop(tmp_path, monkeypatch, text, fast, read):
     path = tmp_path / "in.obj"
     path.write_bytes(text.encode())
-    lines = fileio._read_text(path).split("\n")
-    assert (fileio._parse_obj_arrays(lines) is not None) == fast
+    assert (fileio._parse_obj_block(fileio._read_text(path)) is not None) == fast
     got = _outcome(read, path)
-    monkeypatch.setattr(fileio, "_parse_obj_arrays", lambda lines: None)
+    monkeypatch.setattr(fileio, "_parse_obj_block", lambda text: None)
     assert got == _outcome(read, path)
+
+
+def test_block_parse_reads_floats_as_float_does():
+    """``np.fromstring`` rounds each decimal as ``float()`` does: 17-digit and
+    shortest reprs across the range, subnormals and short decimals."""
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal(3000) * 10.0 ** rng.integers(-320, 300, 3000)
+    tokens = ["%.17g" % v for v in x] + list(map(repr, x.tolist())) + [f"{k / 1000}" for k in range(-500, 500)]
+    tokens += [f"{d}e{e}" for d, e in zip(rng.integers(1, 10**9, 500), rng.integers(-340, 290, 500))]
+    tokens = tokens[: len(tokens) // 3 * 3]
+    text = "".join(f"v {a} {b} {c}\n" for a, b, c in zip(*[iter(tokens)] * 3))
+    verts = fileio._parse_obj_block(text)[0]
+    assert verts.ravel().tobytes() == np.array(list(map(float, tokens))).tobytes()
 
 
 # per-value JSON inputs: plain floats take the array path, the rest the loop
@@ -473,6 +501,43 @@ def test_edge_map_array_path_matches_loop(monkeypatch, values, odd):
     for read in (fileio.qdiff_from_json, fileio.mu_from_json):
         fast, slow = _both_paths(monkeypatch, lambda: read(data, mesh))
         assert fast == slow
+
+
+# the wheel with its hub numbered 1, so that "1-2" is an interior edge
+HUB1_FACES = [[{0: 1, 1: 0}.get(v, v) for v in face] for face in WHEEL6_FACES]
+ODD_KEYS = ["+1-2", "1-2-3", "12", " 1-2", "1-2 ", "1-\u0662", "1-" + "9" * 20, "01-2", "1-02", "2-1", "1-2\n1-3", ""]
+
+
+@pytest.mark.parametrize("odd", ODD_KEYS)
+@pytest.mark.parametrize("beside", [False, True], ids=["alone", "beside-1-2"])
+def test_odd_edge_keys_leave_the_integer_match(monkeypatch, odd, beside):
+    """A key that is not the canonical key of an interior edge sends the map
+    to the per-value loop, which names it, with or without the canonical
+    "1-2" beside it."""
+    mesh = build(HUB1_FACES)
+    keys = [k for k in fileio._edge_keys(mesh) if beside or k != "1-2"]
+    assert "1-2" in fileio._edge_keys(mesh) and fileio._edge_rows(keys, mesh) is not None
+    data = dict.fromkeys(keys, 0.5) | {odd: 1.5}
+    assert fileio._edge_rows(list(data), mesh) is None
+    fast, slow = _both_paths(monkeypatch, lambda: fileio.qdiff_from_json(data, mesh))
+    assert fast == slow == (InvalidInput, f"'{odd}' is not an interior edge")
+
+
+def test_edge_keys_match_the_format_string():
+    """The one-template keys equal ``f"{i}-{j}"`` for vertex ids of 1 to 5
+    digits, and the integer match finds each key's row with no per-key
+    state beyond a few arrays (a regular expression that repeats one group
+    over the joined keys keeps about 300 bytes of backtracking state a key)."""
+    n = 12000  # a strip of triangles: (k, k+1, k+2), every other one turned
+    mesh = build([(k, k + 1, k + 2) if k % 2 == 0 else (k + 1, k, k + 2) for k in range(n - 2)])
+    keys = fileio._edge_keys(mesh)
+    assert keys == [f"{i}-{j}" for i, j in mesh.interior_ends.tolist()]
+    assert {len(k.split("-")[1]) for k in keys} == {1, 2, 3, 4, 5}
+    tracemalloc.start()
+    rows = fileio._edge_rows(keys[::-1], mesh)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert rows.tolist() == list(range(len(keys)))[::-1] and peak < 100 * len(keys)
 
 
 @pytest.mark.parametrize("values", VALUES)

@@ -10,7 +10,8 @@ floors every scale at 1e-300, and one helper in ``moebius.py`` multiplies
 batched 2x2 matrices.  The corner layout is known to ``mesh.py`` alone, a
 ``Realization`` builds its cotangents on first use, and ``TriMesh`` keeps
 one graph of its vertices and sorts its corner keys once.  Dual cycles
-and dual polygons share one layout, ``vertex_cycles``.  Every import
+and dual polygons share one layout, ``vertex_cycles``.  An OBJ is read
+by one bulk parse with the line loop as its fallback.  Every import
 sits at module level, every file is opened with an explicit encoding, and
 every report is written by ``fileio.dump_json``."""
 
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddgconf import Realization, TriMesh, build, deform, hqd, laplace, weierstrass
+from ddgconf import Realization, TriMesh, build, deform, fileio, hqd, laplace, weierstrass
 from ddgconf import mesh as mesh_module
 from ddgconf.cli import COMMANDS, build_parser
 from ddgconf.mesh import _Graph
@@ -88,6 +89,16 @@ def test_deleted_orientation_check_and_gradient_field():
         if isinstance(node, ast.Call)
     ]
     assert "unique" in calls and "argsort" not in calls
+
+
+def test_one_bulk_obj_parse():
+    """``_read_obj_arrays`` tries one bulk parse, then the line loop; the
+    second fast path it once had, ``_parse_obj_arrays``, is gone."""
+    assert not hasattr(fileio, "_parse_obj_arrays")
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fileio._read_obj_arrays)))
+    calls = [getattr(node.func, "id", "") for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    parses = sorted(name for name in calls if name.startswith("_parse_obj"))
+    assert parses == ["_parse_obj_block", "_parse_obj_lines"]
 
 
 def test_dual_cycles_in_one_layout(wheel6):

@@ -252,40 +252,25 @@ def reference_cross_ratio_rate(r, zdot):
 
 def reference_triangle_compat(r, c, tol=1e-10):
     """Per face: closure defect, verdict, average rates and their spreads,
-    and the circumradius rate error (nan on failed faces).  The finite
-    difference step is 1e-6, bounded so that the fastest reconstructed vertex
-    of the closing faces moves by 1e-6 to 1e-4 of the longest edge."""
+    and the circumradius rate error (nan on failed faces): ``d/dt log R`` is
+    the sum of the three sigmas less ``d/dt log |area2|``."""
     ref = reference_tables(r.mesh)
     out = np.full((len(r.mesh.faces), 7), complex(np.nan, 0.0))
-    closing = []
     for f, (v1, v2, v3) in enumerate(ref.faces):
         z1, z2, z3 = r.z[v1], r.z[v2], r.z[v3]
         c12, c23, c31 = (c[ref.key(a, b)] for a, b in ((v1, v2), (v2, v3), (v3, v1)))
         closure = c12 * (z2 - z1) + c23 * (z3 - z2) + c31 * (z1 - z3)
         scale = max(abs(z2 - z1), abs(z3 - z2), abs(z1 - z3))
         out[f, :2] = closure / scale, abs(closure) <= tol * scale
-        if out[f, 1]:
-            zd2 = c12 * (z2 - z1)
-            closing.append((f, z1, z2, z3, c12, c23, c31, zd2, zd2 + c23 * (z3 - z2)))
-    # the reconstructed rates (0, zd2, zd3) of every closing face, as the program holds them
-    zd = np.array([[0.0, zd2, zd3] for *_, zd2, zd3 in closing], dtype=complex)
-    rate = np.abs(zd).max(initial=0.0) / r.edge_scale()
-    t = float(np.clip(1e-6, 1e-6 / rate, 1e-4 / rate)) if rate > 0 else 1e-6
-    for f, z1, z2, z3, c12, c23, c31, zd2, zd3 in closing:
+        if not out[f, 1]:
+            continue
         cot1, cot2, cot3 = r.cot[f]
         s12, s23, s31 = c12.real, c23.real, c31.real
         w12, w23, w31 = c12.imag, c23.imag, c31.imag
         omegas = np.array([w23 + cot1 * (s31 - s12), w31 + cot2 * (s12 - s23), w12 + cot3 * (s23 - s31)])
         sigmas = np.array([s23 - cot1 * (w31 - w12), s31 - cot2 * (w12 - w23), s12 - cot3 * (w23 - w31)])
-
-        def circumradius(a, b, cc):
-            ar2 = abs((np.conj(b - a) * (cc - a)).imag)
-            return abs(b - a) * abs(cc - b) * abs(a - cc) / (2.0 * ar2)
-
-        rp = circumradius(z1, z2 + t * zd2, z3 + t * zd3)
-        rm = circumradius(z1, z2 - t * zd2, z3 - t * zd3)
-        radius = np.abs(z3 - z2) * np.abs(z1 - z3) * np.abs(z2 - z1) / (2.0 * abs(r.area2[f]))
-        rr = (rp - rm) / (2.0 * t * radius)
+        w = np.conj(z2 - z1) * (z3 - z1)  # Im w = area2
+        rr = s12 + s23 + s31 - ((c12.conjugate() + c31) * w).imag / r.area2[f]
         rr_err = abs(sigmas[0] - rr) / max(abs(sigmas[0]), abs(rr), 1e-12)
         out[f, 2:] = (omegas[0], np.ptp(omegas), sigmas[0], np.ptp(sigmas), rr_err)
     return out
