@@ -8,7 +8,7 @@ import numpy as np
 
 from . import laplace
 from .errors import IncompatibleRates, IntegrationDefect
-from .mesh import Defect, integrate, magnitude, product
+from .mesh import Defect, integrate, magnitude, product, reduce_rows
 from .realization import Realization
 
 
@@ -67,7 +67,7 @@ def check_triangle_compat(r: Realization, rates: EdgeRates, tol=1e-10):
     dz = np.roll(z, -1, axis=1) - z  # z2 - z1, z3 - z2, z1 - z3
     step = product(c, dz)
     closure = step[:, 0] + step[:, 1] + step[:, 2]
-    scale = magnitude(dz).max(axis=1)
+    scale = reduce_rows(np.maximum, magnitude(dz))
     defect = closure / scale
     closed = Defect(magnitude(closure), scale, np.arange(nf), "face")
     ok = closed.relative <= tol
@@ -78,9 +78,9 @@ def check_triangle_compat(r: Realization, rates: EdgeRates, tol=1e-10):
     omegas = np.roll(w, -1, axis=1) + cot * (np.roll(s, -2, axis=1) - s)
     sigmas = np.roll(s, -1, axis=1) - cot * (np.roll(w, -2, axis=1) - w)
     omega_face[ok] = omegas[:, 0]
-    omega_spread[ok] = omegas.max(axis=1) - omegas.min(axis=1)
+    omega_spread[ok] = reduce_rows(np.maximum, omegas) - reduce_rows(np.minimum, omegas)
     sigma_face[ok] = sigmas[:, 0]
-    sigma_spread[ok] = sigmas.max(axis=1) - sigmas.min(axis=1)
+    sigma_spread[ok] = reduce_rows(np.maximum, sigmas) - reduce_rows(np.minimum, sigmas)
 
     # d/dt log R of R = L12 L23 L31 / 2|area2|: each side adds its sigma, the
     # doubled area Im w, w = conj(z2 - z1)(z3 - z1), moves by Im((conj(c12) + c31) w)

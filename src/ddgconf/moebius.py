@@ -8,7 +8,7 @@ import numpy as np
 
 from .deform import cross_ratio_rate
 from .errors import CoincidentVertices, DegenerateFace, MeshMismatch, VertexAtInfinity
-from .mesh import Defect, magnitude
+from .mesh import Defect, magnitude, reduce_rows
 from .realization import Realization, _check_same_mesh, cross_ratios
 
 PAULI = (
@@ -127,7 +127,7 @@ def check_sl2_form_closed(r: Realization, form: SlForm, tol=1e-10) -> Closedness
     # negated where v > j; its global scale keeps vertices where mu happens
     # to be locally tiny from registering rounding noise as a defect
     tau = mu / r.interior_dz()
-    msum = np.abs(mesh.cycle_sum(form.matrices, signed=True)).max(axis=(1, 2), initial=0.0)
+    msum = reduce_rows(np.maximum, np.abs(mesh.cycle_sum(form.matrices, signed=True)))
     w_scale = magnitude(tau)[mesh.vertex_cycles.indices].max(initial=0.0)
     v = mesh.interior_vertices
     defects = (

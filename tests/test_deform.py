@@ -149,11 +149,12 @@ def test_holomorphic_fields_come_from_harmonic_functions(disk):
 
 
 @pytest.mark.parametrize("s", [1e-6, 1.0, 1e4, 1e6])
-def test_radius_rate_step_scales_with_the_rates(s):
-    """The finite-difference step of the circumradius check follows the size
-    of the rates: under the scaling ``s z`` every closing face has a finite
-    radius-rate error within acceptance criterion 4's 1e-5 (at 1e6 a fixed
-    step collapsed the faces, at 1e-6 it drowned in rounding)."""
+def test_radius_rate_stays_finite_under_scaling(s):
+    """The circumradius rate is differentiated, not stepped, so it holds at
+    any size of the rates: under the scaling ``s z`` every closing face has a
+    finite radius-rate error within acceptance criterion 4's 1e-5 (a fixed
+    finite-difference step once collapsed the faces at 1e6 and drowned in
+    rounding at 1e-6)."""
     r = delaunay_disk(300, seed=5)
     rep = deform.check_triangle_compat(r, deform.edge_rates(r, s * r.z))
     assert rep.ok.any()

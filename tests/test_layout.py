@@ -11,7 +11,8 @@ batched 2x2 matrices.  The corner layout is known to ``mesh.py`` alone, a
 ``Realization`` builds its cotangents on first use, and ``TriMesh`` keeps
 one graph of its vertices and sorts its corner keys once.  Dual cycles
 and dual polygons share one layout, ``vertex_cycles``.  An OBJ is read
-by one bulk parse with the line loop as its fallback.  Every import
+by one bulk parse with the line loop as its fallback, and every tree
+integration goes through ``mesh.integrate``.  Every import
 sits at module level, every file is opened with an explicit encoding, and
 every report is written by ``fileio.dump_json``."""
 
@@ -99,6 +100,22 @@ def test_one_bulk_obj_parse():
     calls = [getattr(node.func, "id", "") for node in ast.walk(tree) if isinstance(node, ast.Call)]
     parses = sorted(name for name in calls if name.startswith("_parse_obj"))
     assert parses == ["_parse_obj_block", "_parse_obj_lines"]
+
+
+def test_one_tree_integrator():
+    """Only ``mesh.py`` builds a BFS tree, and ``integrate`` reads the level
+    schedule its ``_Graph`` caches per tree instead of sorting or searching
+    the BFS order again on each call."""
+    bfs = [
+        f"{name}:{node.lineno}"
+        for name, tree in _package_trees()
+        for node in ast.walk(tree)
+        if getattr(node, "attr", getattr(node, "id", None)) == "breadth_first_order"
+    ]
+    assert bfs and {where.split(":")[0] for where in bfs} == {"mesh.py"}
+    tree = ast.parse(textwrap.dedent(inspect.getsource(mesh_module.integrate)))
+    names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)}
+    assert names.isdisjoint({"argsort", "searchsorted", "breadth_first_order"})
 
 
 def test_dual_cycles_in_one_layout(wheel6):

@@ -511,6 +511,73 @@ def test_integrate_matches_reference(mesh, dual, shape):
     assert defect.where.tolist() == [mesh.edge_ends[e].tolist() for e in cotree]
 
 
+def strip_mesh(length):
+    """A 1 x ``length`` strip of unit squares, each split into two triangles:
+    its BFS trees have about ``length`` primal and ``2 length`` dual levels."""
+    faces = []
+    for k in range(length):
+        a, b, c, d = 2 * k, 2 * k + 2, 2 * k + 3, 2 * k + 1
+        faces += [(a, b, c), (a, c, d)]
+    return build(faces)
+
+
+def assert_integrates_as_reference(mesh, form, root, dual):
+    """``integrate`` equals :func:`reference_integrate` bit for bit: the
+    potential, the co-tree, and the defect's value, scale and edges."""
+    by_edge = np.zeros((len(mesh.edge_ends),) + form.shape[1:], dtype=form.dtype)
+    by_edge[mesh.interior_edges if dual else slice(None)] = form
+    pot, cotree, gaps = reference_integrate(mesh, by_edge, root, dual)
+    scale = np.abs(form).max()  # as test_integrate_matches_reference takes it
+
+    result = integrate(mesh, form, root, dual)
+    assert result.potential.dtype == pot.dtype
+    assert result.potential.tobytes() == pot.tobytes()
+    assert result.cotree.tolist() == cotree
+    defect = result.defect
+    assert defect.value.tobytes() == gaps.tobytes()
+    assert np.float64(defect.scale).tobytes() == np.float64(scale).tobytes()
+    assert defect.where.tolist() == [mesh.edge_ends[e].tolist() for e in cotree]
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_integrate_matches_reference_across_hundreds_of_levels(dual):
+    mesh = strip_mesh(200)
+    n = len(mesh.interior_edges) if dual else len(mesh.edge_ends)
+    rng = np.random.default_rng(10)
+    form = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    graph = mesh._dual_graph if dual else mesh._primal_graph
+    for root in (0, graph.n // 2):
+        levels = graph.tree(root)[2]
+        assert len(levels) > (300 if dual and root == 0 else 100)
+        assert_integrates_as_reference(mesh, form, root, dual)
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_integrate_matches_reference_for_matrices(mesh, dual):
+    n = len(mesh.interior_edges) if dual else len(mesh.edge_ends)
+    rng = np.random.default_rng(11)
+    form = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+    assert_integrates_as_reference(mesh, form, 5, dual)
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("shape", ["real", "complex", "vector"])
+def test_integrate_matches_reference_with_nan_and_inf(mesh, dual, shape):
+    """One NaN and one inf entry: where a step's sign is -1, ``sign * form``
+    is a complex product, ``(-1 + 0j)(inf + b j)`` is ``-inf + nan j``, not
+    the negation ``-inf - b j``, and NaN and inf spread to the gaps."""
+    n = len(mesh.interior_edges) if dual else len(mesh.edge_ends)
+    rng = np.random.default_rng(12)
+    trailing = (3,) if shape == "vector" else ()
+    form = rng.standard_normal((n,) + trailing)
+    if shape != "real":
+        form = form + 1j * rng.standard_normal((n,) + trailing)
+    form[n // 3] = np.nan
+    form[2 * n // 3] = np.inf
+    with np.errstate(invalid="ignore"):
+        assert_integrates_as_reference(mesh, form, 3, dual)
+
+
 def test_integrate_reports_the_first_failing_cotree_edge(mesh):
     form = np.random.default_rng(8).standard_normal(len(mesh.edge_ends))
     result = integrate(mesh, form)
