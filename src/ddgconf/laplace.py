@@ -23,14 +23,12 @@ def cotan_weights(r: Realization):
 
 
 def laplacian(r: Realization, h):
-    """Weighted vertex sums ``sum_j w_ij (h_j - h_i)`` at interior vertices.
-
-    Returns an array aligned with ``mesh.interior_vertices``.
-    """
-    D = r.mesh.interior_incidence
-    # summed at each vertex in edge order; negating the result instead would
-    # turn a residual of 0.0 into -0.0
-    return (D.T @ (cotan_weights(r) * -(D @ np.asarray(h))))[r.mesh.interior_vertices]
+    """Weighted vertex sums ``sum_j w_ij (h_j - h_i)`` at interior vertices,
+    aligned with ``mesh.interior_vertices``: one signed
+    :meth:`TriMesh.cycle_sum`, which sums slot by slot around each vertex."""
+    h = np.asarray(h)
+    i, j = r.mesh.interior_ends.T
+    return r.mesh.cycle_sum(cotan_weights(r) * (h[j] - h[i]), signed=True)
 
 
 def gradient_scale(r: Realization, h):

@@ -164,14 +164,6 @@ class TriMesh:
         return _read_only(np.argsort(self.faces.ravel(), kind="stable"))
 
     @cached_property
-    def interior_incidence(self):
-        """``(E_int, V)`` interior rows of the edge incidence, ``(D @ h)[e] =
-        h_j - h_i``; from ``interior_ends``, far cheaper than a row slice."""
-        k = len(self.interior_ends)
-        ends, starts = self.interior_ends.ravel(), np.arange(0, 2 * k + 1, 2)
-        return sp.csr_array((np.tile([-1.0, 1.0], k), ends, starts), (k, self.vertex_count))
-
-    @cached_property
     def _primal_graph(self):
         i, j = self.edge_ends.T
         return _Graph(i, j, self.vertex_count, np.arange(len(i)), "vertex")
@@ -291,7 +283,8 @@ class _Graph:
         kids, levels = np.cumsum(np.bincount(up, minlength=self.n)), [1]
         while levels[-1] < self.n:
             levels.append(1 + int(kids[levels[-1] - 1]))
-        entries = self.adjacency[parents, nodes] - 1
+        # an empty fancy index of a sparse array is sparse, not an ndarray
+        entries = self.adjacency[parents, nodes] - 1 if len(nodes) else np.zeros(0, np.int64)
         cotree = np.ones(len(self.tail), dtype=bool)
         cotree[entries] = False
         signs = np.where(self.tail[entries] == parents, 1, -1)

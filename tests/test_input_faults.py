@@ -11,7 +11,8 @@ from ddgconf import Realization, build, fileio, hqd, laplace
 from ddgconf.cli import main
 from ddgconf.errors import InvalidInput, NonFinite
 
-from conftest import WHEEL6_FACES
+from conftest import SQUARE2_FACES, WHEEL6_FACES
+from test_fuzz import CASES, CODES, ERROR_LINE, _reject
 
 TRIANGLE = ["v 0 0 0", "v 1 0 0", "v 0 1 0", "f 1 2 3"]
 
@@ -247,3 +248,53 @@ def test_repeated_json_key(wheel, capsys, command, text, key):
     path.write_text(text)
     err = assert_input_error(capsys, *command, wheel / "wheel.obj", path)
     assert err == f"error [invalid_input]: {path}: JSON object repeats the key {key!r}\n"
+
+
+SMALLEST = {
+    "triangle": ([(0, 1, 2)], [0, 1, 1j]),  # one face: no interior edge, an empty dual tree
+    "square2": (SQUARE2_FACES, [0, 1, 1 + 1j, 1j]),  # two faces: one interior edge
+}
+
+
+@pytest.mark.parametrize("kind", SMALLEST)
+def test_every_command_on_the_smallest_meshes(tmp_path, capsys, kind):
+    """Every command of the fuzz on one and on two triangles, with its four
+    assertions: exit 0, 1 or 2 and nothing raised; exit 1 with no stdout and
+    one coded stderr line; no stderr on exit 0; finite JSON on stdout."""
+    faces, z = SMALLEST[kind]
+    r = Realization(build(faces), np.array(z, dtype=complex))
+    fileio.write_obj_planar(tmp_path / "disk.obj", r.mesh, r.z)
+    fileio.write_obj_planar(tmp_path / "image.obj", r.mesh, 2.0 * r.z + 0.5j)
+    bnd = {int(v): float(np.cos(3 * r.z[v].real)) for v in r.mesh.boundary_vertices}
+    (tmp_path / "bnd.json").write_text(json.dumps({"boundary": bnd}))
+    (tmp_path / "u.json").write_text(json.dumps({"values": laplace.solve_dirichlet(r, bnd).tolist()}))
+    producers = {
+        "deform build": ["disk.obj", "u.json", "-o", "zdot.json"],
+        "hqd from-harmonic": ["disk.obj", "u.json", "-o", "q.json"],
+        "moebius mu": ["disk.obj", "zdot.json", "-o", "mu.json"],
+        "minimal build": ["disk.obj", "q.json", "--alpha", "0", "-o", "min"],
+    }
+    faults = []
+    for command, argv in [*producers.items(), *CASES.items()]:
+        paths = [str(tmp_path / a) if "." in a or a in ("min", "out") else a for a in argv]
+        try:
+            code = main([*command.split(), *paths])
+        except Exception as exc:
+            faults.append(f"{command}: raised {exc!r}")
+            capsys.readouterr()
+            continue
+        out, err = capsys.readouterr()
+        if code not in (0, 1, 2):
+            faults.append(f"{command}: exit {code!r}")
+        elif code == 1:
+            line = ERROR_LINE.fullmatch(err)
+            if out or not line or line[1] not in CODES:
+                faults.append(f"{command}: exit 1 with stdout {out[:60]!r}, stderr {err[:120]!r}")
+            continue
+        if code == 0 and err:
+            faults.append(f"{command}: exit 0 with stderr {err[:120]!r}")
+        try:
+            json.loads(out, parse_constant=_reject)
+        except ValueError as exc:
+            faults.append(f"{command}: exit {code} with stdout that is not finite JSON ({exc})")
+    assert faults == []

@@ -10,7 +10,9 @@ floors every scale at 1e-300, and one helper in ``moebius.py`` multiplies
 batched 2x2 matrices.  The corner layout is known to ``mesh.py`` alone, a
 ``Realization`` builds its cotangents on first use, and ``TriMesh`` keeps
 one graph of its vertices and sorts its corner keys once.  Dual cycles
-and dual polygons share one layout, ``vertex_cycles``.  An OBJ is read
+and dual polygons share one layout, ``vertex_cycles``, and every sum around
+a vertex, the cotan Laplacian's too, is one ``TriMesh.cycle_sum``: no
+module forms a ``.T @`` product.  An OBJ is read
 by one bulk parse with the line loop as its fallback, and every tree
 integration goes through ``mesh.integrate``.  Every import
 sits at module level, every file is opened with an explicit encoding, and
@@ -123,6 +125,23 @@ def test_dual_cycles_in_one_layout(wheel6):
     the dual mesh are ``cycle_faces`` itself, not a list of lists."""
     assert [name for name in ("cycle_rows", "cycle_slots") if hasattr(TriMesh, name)] == []
     assert weierstrass.dual_mesh(wheel6, np.zeros((6, 3)))[1] is wheel6.mesh.cycle_faces
+
+
+def test_one_vertex_sum_operator():
+    """The Laplacian sums through ``TriMesh.cycle_sum``; ``TriMesh`` keeps no
+    incidence operator beside ``vertex_cycles``, and no module transposes
+    an operator to sum over vertices."""
+    assert not hasattr(TriMesh, "interior_incidence")
+    source = ast.parse(textwrap.dedent(inspect.getsource(laplace.laplacian)))
+    calls = {getattr(node.func, "attr", None) for node in ast.walk(source) if isinstance(node, ast.Call)}
+    assert "cycle_sum" in calls
+    transposed = [
+        f"{name}:{node.lineno}"
+        for name, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(getattr(node, "op", None), ast.MatMult) and getattr(node.left, "attr", None) == "T"
+    ]
+    assert transposed == []
 
 
 def test_cotangents_are_built_on_first_use(wheel6):

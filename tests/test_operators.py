@@ -19,7 +19,7 @@ from ddgconf.errors import InvalidInput
 from ddgconf.mesh import Defect, integrate, magnitude
 from ddgconf.realization import cross_ratios
 
-from conftest import delaunay_disk, jittered_grid, random_moebius, reference_tables
+from conftest import delaunay_disk, grid_disk, jittered_grid, random_moebius, reference_tables
 
 
 def fixture_realization(kind):
@@ -601,6 +601,35 @@ def test_cycle_sum_matches_reference(mesh, signed, shape):
         values = values + 1j * rng.standard_normal(values.shape)
     expected = reference_cycle_sum(mesh, values, signed)
     assert mesh.cycle_sum(values, signed).tobytes() == expected.tobytes()
+
+
+LAPLACIAN_REALIZATIONS = {
+    "delaunay": lambda: delaunay_disk(300, seed=5),
+    "jittered": lambda: fixture_realization("jittered"),  # negative weights
+    "grid20": lambda: grid_disk(19),  # zero weights
+}
+
+
+@pytest.mark.parametrize("kind", LAPLACIAN_REALIZATIONS)
+def test_laplacian_is_the_signed_cycle_sum(kind):
+    """``laplacian`` sums ``w (h_j - h_i)`` slot by slot, as the reference
+    cycle sum does, for a real and a complex ``h``, and a complex ``h`` gives
+    its two real Laplacians.  A constant ``h`` gives +0.0, not -0.0, at every
+    interior vertex, whatever the signs of the weights."""
+    r = LAPLACIAN_REALIZATIONS[kind]()
+    w, (i, j) = laplace.cotan_weights(r), r.mesh.interior_ends.T
+    if kind == "grid20":
+        assert (w == 0).any()
+    rng = np.random.default_rng(15)
+    real, imag = rng.standard_normal((2, r.mesh.vertex_count))
+    for h in (real, real + 1j * imag):
+        expected = reference_cycle_sum(r.mesh, w * (h[j] - h[i]), signed=True)
+        assert laplace.laplacian(r, h).tobytes() == expected.tobytes()
+    parts = laplace.laplacian(r, real), laplace.laplacian(r, imag)
+    both = laplace.laplacian(r, real + 1j * imag)
+    assert (both.real.tobytes(), both.imag.tobytes()) == tuple(p.tobytes() for p in parts)
+    zero = laplace.laplacian(r, np.full(r.mesh.vertex_count, 2.5))
+    assert zero.tobytes() == np.zeros(len(r.mesh.interior_vertices)).tobytes()
 
 
 def test_dual_cycles_match_reference(mesh):
