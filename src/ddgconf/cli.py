@@ -250,7 +250,7 @@ def _alpha_tag(alpha):
 
 def minimal_build(args, r, data):
     q = fileio.qdiff_from_json(data, r.mesh)
-    ms = weierstrass.weierstrass_integrate(r, q, 0.0, args.anchor_face, args.tol)
+    ms = weierstrass.weierstrass_integrate(r, q, args.anchor_face, args.tol)
     n = weierstrass.gauss_map(r)
     written = [f"{args.out_prefix}_gauss.obj"]
     fileio.write_obj(written[0], n, r.mesh.faces.ravel(), [3] * len(r.mesh.faces))

@@ -63,8 +63,7 @@ def check_triangle_compat(r: Realization, rates: EdgeRates, tol=1e-10):
     """
     nf = len(r.mesh.faces)
     c = rates.complex_rate[r.mesh.face_edges]  # c12, c23, c31
-    z = r.z[r.mesh.faces]
-    dz = np.roll(z, -1, axis=1) - z  # z2 - z1, z3 - z2, z1 - z3
+    dz = r.face_dz.T  # z2 - z1, z3 - z2, z1 - z3
     step = product(c, dz)
     closure = step[:, 0] + step[:, 1] + step[:, 2]
     scale = reduce_rows(np.maximum, magnitude(dz))

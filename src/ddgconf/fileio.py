@@ -239,8 +239,12 @@ def load_json(path):
 
 def _number(v, real=False, bare=float):
     """A finite number from JSON: an ``[re, im]`` pair is complex (unless
-    ``real``), a lone number ``x`` becomes ``bare(x)``."""
+    ``real``), a lone number ``x`` becomes ``bare(x)``.  Each number is an int
+    or a float (numpy's too), never a bool or a string."""
     kind = "real number" if real else "number or [re, im] pair"
+    parts = v if isinstance(v, (list, tuple)) and not real else [v]
+    if not all(type(x) in (int, float) or isinstance(x, (np.integer, np.floating)) for x in parts):
+        raise InvalidInput(f"{v!r} is not a {kind}")
     try:
         if isinstance(v, (list, tuple)) and not real:
             re, im = v

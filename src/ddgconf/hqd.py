@@ -40,12 +40,9 @@ def _as_complex(q):
 def gradient(r: Realization, u):
     """Gradient of the piecewise-linear interpolant of ``u``, constant per
     face: ``i (u_i dz(e_jk) + u_j dz(e_ki) + u_k dz(e_ij)) / (2 A)``."""
-    u = np.asarray(u)
-    tri = r.mesh.faces
-    z = r.z
-    zi, zj, zk = z[tri[:, 0]], z[tri[:, 1]], z[tri[:, 2]]
-    ui, uj, uk = u[tri[:, 0]], u[tri[:, 1]], u[tri[:, 2]]
-    return 1j * (ui * (zk - zj) + uj * (zi - zk) + uk * (zj - zi)) / r.area2
+    ui, uj, uk = np.asarray(u)[r.mesh.faces.T]
+    dz_ij, dz_jk, dz_ki = r.face_dz
+    return 1j * (ui * dz_jk + uj * dz_ki + uk * dz_ij) / r.area2
 
 
 def _duz(r: Realization, u):

@@ -40,8 +40,9 @@ class TriMesh:
     ascending order; ``face_edges[f, m]`` is the edge of corner ``3 f + m``;
     ``edge_corners[e]`` holds the corners of ``i -> j`` and ``j -> i`` and
     ``edge_faces[e]`` their faces, the left and right face of ``e`` (-1
-    where it has none).  Element sets are read-only int64 arrays, but
-    ``interior_vertices`` is a list: ``bench/`` compares it with one.
+    where it has none); ``vertex_stars`` lists the corners by vertex,
+    counterclockwise around each.  Element sets are read-only int64 arrays,
+    but ``interior_vertices`` is a list: ``bench/`` compares it with one.
     """
 
     def __init__(self, faces, vertex_count=None):
@@ -88,7 +89,7 @@ class TriMesh:
 
         self._check_connected()
         twin = self.edge_corners[corner_edge, 1 - side]
-        self._star_rank = _rank_stars(tail, head, twin, vertex_count)
+        self.vertex_stars = _vertex_stars(tail, head, twin, vertex_count)
 
         self.is_boundary_vertex = np.zeros(vertex_count, dtype=bool)
         self.is_boundary_vertex[self.edge_ends[self.boundary_edges]] = True
@@ -159,11 +160,6 @@ class TriMesh:
         return _read_only(self.faces.ravel()[self.flap_corners()[:, :, 2]])
 
     @cached_property
-    def vertex_corners(self):
-        """The corners ``3 f + m`` grouped by vertex, in face order within each."""
-        return _read_only(np.argsort(self.faces.ravel(), kind="stable"))
-
-    @cached_property
     def _primal_graph(self):
         i, j = self.edge_ends.T
         return _Graph(i, j, self.vertex_count, np.arange(len(i)), "vertex")
@@ -179,17 +175,14 @@ class TriMesh:
         ``r`` holds the star ``ring`` of ``v = interior_vertices[r]`` slot by
         slot, counterclockwise; slot ``m`` is +1 (``v < ring[m]``) or -1 in the
         column of edge ``{v, ring[m]}``.  Read-only, so no sort can reorder it."""
-        v = self.faces.ravel()
-        inner = np.flatnonzero(~self.is_boundary_vertex[v])
-        row = (np.cumsum(~self.is_boundary_vertex) - 1)[v[inner]]
-        indptr = np.r_[0, np.cumsum(np.bincount(row, minlength=len(self.interior_vertices)))]
-        corners = np.empty_like(inner)
-        corners[indptr[row] + self._star_rank[inner]] = inner  # slot order
-        # corner (v, j, k) holds v -> j
-        v, j = v[corners], np.roll(self.faces, -1, axis=1).ravel()[corners]
-        pos = (np.cumsum((self.edge_faces >= 0).all(axis=1)) - 1)[self.face_edges.ravel()[corners]]
+        valence = np.bincount(self.faces.ravel())
+        corners = self.vertex_stars[np.repeat(~self.is_boundary_vertex, valence)]  # slot order
+        e = self.face_edges.ravel()[corners]
+        sign = np.where(self.edge_corners[e, 0] == corners, 1.0, -1.0)  # +1 where v < j
+        pos = (np.cumsum((self.edge_faces >= 0).all(axis=1)) - 1)[e]
+        indptr = np.r_[0, np.cumsum(valence[self.interior_vertices])]
         shape = (len(self.interior_vertices), len(self.interior_edges))
-        return _read_only(sp.csr_array((np.where(v < j, 1.0, -1.0), pos, indptr), shape))
+        return _read_only(sp.csr_array((sign, pos, indptr), shape))
 
     @cached_property
     def cycle_faces(self):
@@ -448,8 +441,8 @@ def _face_array(faces):
     return tri
 
 
-def _rank_stars(tail, head, twin, n):
-    """Position of each corner in the counterclockwise star of its vertex.
+def _vertex_stars(tail, head, twin, n):
+    """The corners, read-only, by ascending vertex and counterclockwise in each star.
 
     Corner ``(v, j, k)`` is followed by corner ``(v, k, .)``, which holds the
     twin of the corner's ``k -> v``.  An open fan starts at its one corner
@@ -469,14 +462,17 @@ def _rank_stars(tail, head, twin, n):
     succ[(succ >= 0) & is_first[succ]] = -1
     jump = np.where(succ < 0, corner, succ)
     steps = (succ >= 0).astype(np.int64)
-    for _ in range(int(np.bincount(tail).max() - 2).bit_length()):
+    valence = np.bincount(tail, minlength=n)
+    for _ in range(int(valence.max() - 2).bit_length()):
         steps += steps[jump]
         jump = jump[jump]
     # a single fan is one path: its corners end where its first corner ends
     bad = jump != jump[first[tail]]
     if bad.any():
         raise NonManifold(f"vertex star of {tail[bad].min()} is not a single fan")
-    return steps[first[tail]] - steps
+    stars = np.empty_like(corner)  # a star's rank r corner has valence - 1 - r steps to go
+    stars[(np.cumsum(valence) - 1)[tail] - steps] = corner
+    return _read_only(stars)
 
 
 def build(faces, vertex_count=None):

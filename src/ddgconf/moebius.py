@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deform import cross_ratio_rate
-from .errors import CoincidentVertices, DegenerateFace, MeshMismatch, VertexAtInfinity
+from .errors import DegenerateFace, MeshMismatch, VertexAtInfinity
 from .mesh import Defect, magnitude, reduce_rows
 from .realization import Realization, _check_same_mesh, cross_ratios
 
@@ -92,15 +92,10 @@ def sl2_form_from_rates(r: Realization, mu) -> SlForm:
     the two edge endpoints:
     ``(mu / (z_j - z_i)) [[z_i + z_j, -2 z_i z_j], [2, -z_i - z_j]]``."""
     mu = np.asarray(mu, dtype=complex)
-    mesh = r.mesh
-    n = len(mesh.interior_edges)
+    n = len(r.mesh.interior_edges)
     if mu.shape != (n,):
         raise MeshMismatch(f"expected {n} edge rates, got {mu.shape}")
-    dz = r.interior_dz()
-    if np.any(dz == 0):
-        edge = tuple(mesh.interior_ends[dz == 0][0].tolist())
-        raise CoincidentVertices(f"edge {edge} has coincident endpoints", edge=edge)
-    vecs = (mu / dz)[:, None] * r.null_vectors()
+    vecs = (mu / r.interior_dz())[:, None] * r.null_vectors()
     return SlForm(mu, sl2_from_pauli(vecs), vecs)
 
 

@@ -22,11 +22,12 @@ COLLINEAR_TOL = 1e-14
 class Realization:
     """A triangular mesh with one complex position per vertex.
 
-    Keeps signed doubled face areas and builds on first use, read-only, the
-    per-corner cotangents, the edge vectors, the cotan weights, the cross
-    ratios and the interior Dirichlet system.  Faces may be negatively
-    oriented; areas and corner angles then carry a negative sign.  ``z`` is
-    a read-only copy of the positions, so that no cached value can go stale.
+    Keeps the face sides ``face_dz`` and signed doubled face areas and
+    builds on first use, read-only, the per-corner cotangents, the edge
+    vectors, the cotan weights, the cross ratios and the interior Dirichlet
+    system.  Faces may be negatively oriented; areas and corner angles then
+    carry a negative sign.  ``z`` is a read-only copy of the positions, so
+    that no cached value can go stale.
     """
 
     def __init__(self, mesh: TriMesh, z):
@@ -43,11 +44,12 @@ class Realization:
         self.z = z
 
         tri = mesh.faces
-        zi, zj, zk = z[tri[:, 0]], z[tri[:, 1]], z[tri[:, 2]]
-        # signed doubled area = Im(conj(z_j - z_i) (z_k - z_i))
-        self.area2 = (np.conj(zj - zi) * (zk - zi)).imag
+        p = z[tri.T.ravel()].reshape(3, -1)  # one C-order gather: row m at the corners m
+        self.face_dz = _read_only(p[[1, 2, 0]] - p)  # (3, F), row m: z_{m+1} - z_m
+        # signed doubled area = Im(conj(z_j - z_i) (z_k - z_i)), z_k - z_i = -(z_i - z_k)
+        self.area2 = -(np.conj(self.face_dz[0]) * self.face_dz[2]).imag
 
-        scale = np.abs(np.stack([zk - zj, zi - zk, zj - zi])).max(axis=0)
+        scale = np.abs(self.face_dz).max(axis=0)
         bad = np.abs(self.area2) <= COLLINEAR_TOL * scale**2
         if bad.any():
             f = int(np.flatnonzero(bad)[0])
@@ -57,10 +59,9 @@ class Realization:
     def cot(self):
         """``(F, 3)`` cot of the (signed) corner angle at each face vertex:
         ``cot.ravel()[c]`` is that of corner ``c``."""
-        # the angle at each corner lies between its edges to the next two corners
-        a = self.z[self.mesh.faces]
-        w = np.conj(np.roll(a, -1, axis=1) - a) * (np.roll(a, -2, axis=1) - a)
-        return _read_only(w.real / w.imag)
+        # corner m lies between side m and side m - 1 reversed; reversing keeps cot
+        w = np.conj(self.face_dz) * self.face_dz[[2, 0, 1]]
+        return _read_only(np.ascontiguousarray((w.real / w.imag).T))
 
     @cached_property
     def edge_dz(self):
@@ -169,11 +170,11 @@ def _per_vertex_from_edges(mesh: TriMesh, edge_value, reduce_mod_tau=False):
     # corner m of face f lies between face edges m - 1 and m, opposite m + 1
     s = np.asarray(edge_value)[mesh.face_edges]
     vals = (s[:, [2, 0, 1]] + s - s[:, [1, 2, 0]]).ravel()
-    # each vertex's corners in face order, the first at ``start``
-    vals = vals[mesh.vertex_corners]
+    # each vertex's corners from ``start`` on; its first triangle in face order has the least corner
     count = np.bincount(mesh.faces.ravel(), minlength=mesh.vertex_count)
     start = np.cumsum(count) - count
-    base = vals[start]
+    base = vals[np.minimum.reduceat(mesh.vertex_stars, start)]
+    vals = vals[mesh.vertex_stars]
     if reduce_mod_tau:
         diff = np.angle(np.exp(1j * (vals - np.repeat(base, count))))
         return base % TAU, float(np.abs(diff).max())

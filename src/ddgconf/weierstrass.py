@@ -51,20 +51,20 @@ def integrand(r: Realization, q):
 class MinimalSurface:
     mesh: object
     potential: np.ndarray  # complex null-curve potential per face, (F, 3)
-    f: np.ndarray  # real face positions Re(e^{i alpha} potential), (F, 3)
+    f: np.ndarray  # real face positions Re(e^{i alpha} potential), (F, 3), at alpha = 0
     k: np.ndarray  # real edge curvature factor -i q / |dz|^2
-    alpha: float
     closure_defect: float  # worst dual co-tree defect, relative
 
     def at_phase(self, alpha):
         """Member of the associate family for another phase (same potential)."""
         phase = np.exp(1j * reduce_phase(alpha))
-        return replace(self, f=(phase * self.potential).real, alpha=float(alpha))
+        return replace(self, f=(phase * self.potential).real)
 
 
-def weierstrass_integrate(r: Realization, q, alpha=0.0, anchor_face=0, tol=1e-8):
+def weierstrass_integrate(r: Realization, q, anchor_face=0, tol=1e-8):
     """Integrate the Weierstrass 1-form of a holomorphic quadratic
-    differential over a dual spanning tree (anchored to 0 on ``anchor_face``).
+    differential over a dual spanning tree (anchored to 0 on ``anchor_face``);
+    :meth:`MinimalSurface.at_phase` rotates the result in its associate family.
     """
     mesh = r.mesh
     mesh.require_disk()
@@ -80,10 +80,7 @@ def weierstrass_integrate(r: Realization, q, alpha=0.0, anchor_face=0, tol=1e-8)
     pot = dual.potential
 
     k = (-1j * q / magnitude(r.interior_dz()) ** 2).real
-
-    phase = np.exp(1j * reduce_phase(alpha))
-    f = (phase * pot).real
-    return MinimalSurface(mesh, pot, f, k, float(alpha), dual.defect.worst)
+    return MinimalSurface(mesh, pot, None, k, dual.defect.worst).at_phase(0.0)
 
 
 @dataclass

@@ -368,7 +368,7 @@ def test_moebius_eta_bounded_report(files, capsys, data):
 def test_minimal_build_and_verify_bounded_reports(files, capsys, tmp_path):
     r = Realization(*fileio.read_obj_planar(files["wheel"]))
     q = fileio.qdiff_from_json(fileio.load_json(files["q"]), r.mesh)
-    ms = weierstrass.weierstrass_integrate(r, q, 0.0, 0, 1e-9)
+    ms = weierstrass.weierstrass_integrate(r, q, 0, 1e-9)
     n = weierstrass.gauss_map(r)
     defects = [weierstrass.verify_minimal(r.mesh, n, ms.at_phase(a).f, 1e-9).defect for a in DEFAULT_ALPHAS]
     checks = [{"check": "edge_parallelism", "alpha": a} for a in DEFAULT_ALPHAS]

@@ -91,6 +91,30 @@ def test_malformed_json(wheel, capsys, command, data):
     assert_input_error(capsys, *command, wheel / "wheel.obj", path)
 
 
+@pytest.mark.parametrize(
+    "command, data, value",
+    [
+        (("harmonic", "solve"), {"boundary": {"1": True}}, True),
+        (("harmonic", "solve"), {"boundary": {"1": "1.5"}}, "1.5"),
+        (("harmonic", "check"), {"values": [0.0, True, "1.5", " 2 ", "1_0", 0.0, 0.0]}, True),
+        (("harmonic", "check"), {"values": {"3": " 2 "}}, " 2 "),
+        (("deform", "check"), {"zdot": [[0.0, 0.0]] * 6 + [[0.0, False]]}, [0.0, False]),
+        (("deform", "check"), {"zdot": [[0.0, 0.0]] * 6 + ["1_0"]}, "1_0"),
+        (("hqd", "check"), {"q": {"0-1": True}}, True),
+        (("hqd", "check"), {"q": {"0-1": "1.5"}}, "1.5"),
+        (("moebius", "eta"), {"mu": {"0-1": [1.0, True]}}, [1.0, True]),
+        (("moebius", "eta"), {"mu": {"0-1": ["1", "0"]}}, ["1", "0"]),
+    ],
+)
+def test_strings_and_booleans_are_not_numbers(wheel, capsys, command, data, value):
+    """``float()`` would read ``True`` as 1 and ``" 2 "`` or ``"1_0"`` as
+    numbers; JSON input takes only ints and floats, and the error names the value."""
+    path = wheel / "data.json"
+    path.write_text(json.dumps(data))
+    err = assert_input_error(capsys, *command, wheel / "wheel.obj", path)
+    assert f"{value!r} is not a " in err
+
+
 def test_obj_not_utf8(tmp_path, capsys):
     path = tmp_path / "bad.obj"
     path.write_bytes(("\n".join(TRIANGLE) + "\n").encode() + b"\xff\xfe\n")

@@ -12,7 +12,11 @@ batched 2x2 matrices.  The corner layout is known to ``mesh.py`` alone, a
 one graph of its vertices and sorts its corner keys once.  Dual cycles
 and dual polygons share one layout, ``vertex_cycles``, and every sum around
 a vertex, the cotan Laplacian's too, is one ``TriMesh.cycle_sum``: no
-module forms a ``.T @`` product.  An OBJ is read
+module forms a ``.T @`` product.  ``TriMesh.vertex_stars`` is the one
+order of the corners around a vertex, and ``Realization.face_dz`` the one
+gather of positions by face (the Moebius face maps excepted).  No module
+imports a name it does not read or keeps a private function nothing
+references.  An OBJ is read
 by one bulk parse with the line loop as its fallback, and every tree
 integration goes through ``mesh.integrate``.  Every import
 sits at module level, every file is opened with an explicit encoding, and
@@ -28,7 +32,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddgconf import Realization, TriMesh, build, deform, fileio, hqd, laplace, weierstrass
+from ddgconf import Realization, TriMesh, build, deform, fileio, hqd, laplace, realization, weierstrass
 from ddgconf import mesh as mesh_module
 from ddgconf.cli import COMMANDS, build_parser
 from ddgconf.mesh import _Graph
@@ -187,6 +191,72 @@ def test_one_batched_matrix_product():
     assert any(isinstance(n, ast.FunctionDef) and n.name == "_mul" for n in tree.body)
 
 
+def test_one_star_order():
+    """``TriMesh.vertex_stars`` is the one order of the corners around a
+    vertex: no rank per corner and no face-ordered copy is kept beside it."""
+    mesh = build(WHEEL6_FACES)
+    kept = [name for name in ("vertex_corners", "_star_rank") if hasattr(TriMesh, name) or hasattr(mesh, name)]
+    assert kept == []
+    for fn in (TriMesh.vertex_cycles.func, realization._per_vertex_from_edges):
+        source = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(source)}
+        assert "vertex_stars" in names and "argsort" not in names, fn.__name__
+
+
+def _functions(tree):
+    """``(function name, node)`` for every node under a module-level function or method."""
+    for top in tree.body:
+        for fn in [top] + (top.body if isinstance(top, ast.ClassDef) else []):
+            if isinstance(fn, ast.FunctionDef):
+                yield from ((fn.name, node) for node in ast.walk(fn))
+
+
+def test_positions_are_gathered_by_face_once():
+    """Outside ``realization.py``, which builds ``Realization.face_dz``, no
+    module indexes positions ``z`` by ``mesh.faces``; the face maps of
+    ``moebius.transition_matrices`` are the one exception, left for the move
+    of the Moebius layer into a local frame."""
+    gathers = set()
+    for name, tree in _package_trees():
+        if name == "realization.py":
+            continue
+        for fn, node in _functions(tree):
+            value = getattr(node, "value", None)
+            if isinstance(node, ast.Subscript) and getattr(value, "attr", getattr(value, "id", None)) == "z":
+                if "faces" in {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(node.slice)}:
+                    gathers.add(f"{name}:{fn}")
+    assert gathers == {"moebius.py:transition_matrices"}
+
+
+def test_no_unused_import_or_private_function():
+    """Every name a module imports is read in it (``__init__.py`` exports
+    its names), and every module-level ``_private`` function is referenced
+    somewhere in the package."""
+    unused, referenced, private = [], set(), []
+    for name, tree in _package_trees():
+        imported = {
+            (alias.asname or alias.name).split(".")[0]: node.lineno
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if name != "__init__.py":
+            unused += [f"{name}:{line}: {alias}" for alias, line in imported.items() if alias not in read]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                referenced |= {alias.name for alias in node.names}
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                referenced.add(getattr(node, "attr", getattr(node, "id", None)))
+        private += [
+            f"{name}:{node.lineno}: {node.name}"
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+        ]
+    assert unused == []
+    assert [where for where in private if where.rsplit(" ", 1)[1] not in referenced] == []
+
+
 def test_trimesh_keeps_no_per_element_tables():
     mesh = build(WHEEL6_FACES)
     deleted = LOOKUPS - {"edge_flap"} | {"_star", "_build_vertex_stars", "vertex_star"}
@@ -204,9 +274,9 @@ def test_trimesh_element_sets_are_read_only_arrays():
     lists = sorted(name for name, value in vars(mesh).items() if isinstance(value, (list, tuple)))
     assert lists == ["interior_vertices"]
     arrays = [name for name in cached if isinstance(vars(mesh)[name], np.ndarray)]
-    assert {"flap_edges", "flap_apices", "vertex_corners"} <= set(arrays)
+    assert {"flap_edges", "flap_apices", "cycle_faces"} <= set(arrays)
     assert [name for name in arrays if vars(mesh)[name].flags.writeable] == []
-    for name in ("interior_edges", "boundary_edges", "boundary_vertices"):
+    for name in ("interior_edges", "boundary_edges", "boundary_vertices", "vertex_stars"):
         values = getattr(mesh, name)
         assert values.dtype == np.int64 and not values.flags.writeable, name
     assert not hasattr(mesh, "edges")
@@ -287,6 +357,7 @@ def test_parameters_no_caller_sets_are_constants():
         hqd.qdiff_from_harmonic: "rtol",
         laplace.require_harmonic: "rtol",
         laplace.conjugate_harmonic: "rtol",
+        weierstrass.weierstrass_integrate: "alpha",
     }
     kept = [
         f"{fn.__name__}({name})"

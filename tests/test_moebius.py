@@ -3,7 +3,7 @@ import pytest
 
 from ddgconf import Realization
 from ddgconf import deform, hqd, moebius
-from ddgconf.errors import CoincidentVertices, DegenerateFace, MeshMismatch, VertexAtInfinity
+from ddgconf.errors import DegenerateFace, MeshMismatch, VertexAtInfinity
 
 from conftest import delaunay_disk, deformed_grid_pair, random_harmonic, random_moebius
 
@@ -188,14 +188,3 @@ def test_transitions_mesh_mismatch(wheel6, square2):
     with pytest.raises(MeshMismatch):
         moebius.transition_matrices(wheel6, square2)
 
-
-def test_coincident_endpoints_named_with_plain_ints(wheel6, monkeypatch):
-    """A vanishing ``dz`` names its interior edge as ``(i, j)`` in plain ints."""
-    dz = wheel6.interior_dz().copy()
-    dz[3] = 0.0
-    monkeypatch.setattr(wheel6, "interior_dz", lambda: dz)
-    with pytest.raises(CoincidentVertices) as info:
-        moebius.sl2_form_from_rates(wheel6, np.ones(len(dz)))
-    edge = info.value.details["edge"]
-    assert edge == tuple(wheel6.mesh.interior_ends[3].tolist()) and {type(v) for v in edge} == {int}
-    assert str(info.value) == f"edge ({edge[0]}, {edge[1]}) has coincident endpoints"

@@ -19,7 +19,10 @@ from ddgconf.errors import InvalidInput
 from ddgconf.mesh import Defect, integrate, magnitude
 from ddgconf.realization import cross_ratios
 
-from conftest import delaunay_disk, grid_disk, jittered_grid, random_moebius, reference_tables
+from conftest import (
+    SQUARE2_FACES, WHEEL6_FACES, delaunay_disk, grid_disk, jittered_grid, random_moebius,
+    reference_tables,
+)
 
 
 def fixture_realization(kind):
@@ -153,7 +156,8 @@ def reference_per_vertex_from_edges(mesh, edge_value, reduce_mod_tau=False):
 
 def argsort_per_vertex_from_edges(mesh, edge_value, reduce_mod_tau=False):
     """``realization._per_vertex_from_edges`` sorting the corners by vertex
-    on every call, as it did before ``TriMesh.vertex_corners``."""
+    on every call, in face order within each vertex, as it did before it read
+    ``TriMesh.vertex_stars``."""
     s = np.asarray(edge_value)[mesh.face_edges]
     vals = (s[:, [2, 0, 1]] + s - s[:, [1, 2, 0]]).ravel()
     corner_vertex = mesh.faces.ravel()
@@ -637,6 +641,96 @@ def test_dual_cycles_match_reference(mesh):
     cycles = mesh.dual_cycles()
     assert list(cycles) == list(expected)
     assert {v: [tuple(de) for de in c] for v, c in cycles.items()} == expected
+
+
+def reference_stars(mesh):
+    """Every corner, vertex by vertex, walked along the vertex's star from the
+    first neighbour of ``reference_tables``; the last neighbour of an open fan
+    has no corner ``v -> j``."""
+    ref = reference_tables(mesh)
+    corners = []
+    for v, (ring, _) in enumerate(ref.star):
+        faces = [ref.oriented[(v, j)] for j in ring if (v, j) in ref.oriented]
+        corners += [3 * f + ref.faces[f].index(v) for f in faces]
+    return corners
+
+
+STAR_MESHES = {
+    "wheel6": lambda: build(WHEEL6_FACES),
+    "square2": lambda: build(SQUARE2_FACES),
+    "triangle": lambda: build([(0, 1, 2)]),
+    "strip200": lambda: strip_mesh(200),
+    "hull1055": lambda: delaunay_disk(1000, seed=1055).mesh,  # the benchmark's sliver disk
+}
+
+
+@pytest.mark.parametrize("kind", STAR_MESHES)
+def test_vertex_stars_match_the_reference_walk(kind):
+    """All corners, grouped by ascending vertex, counterclockwise in each star:
+    corner ``(v, j, k)`` is followed by ``(v, k, .)``.  A closed ring starts at
+    its smallest neighbour, an open fan at its boundary edge ``v -> j``."""
+    mesh = STAR_MESHES[kind]()
+    stars = mesh.vertex_stars
+    assert stars.dtype == np.int64 and not stars.flags.writeable
+    with pytest.raises(ValueError):
+        stars[0] = 0
+    assert stars.tolist() == reference_stars(mesh)
+    corners = mesh.faces.ravel()
+    v, j, k = (corners[mesh.next_corner(stars, m)] for m in range(3))
+    assert sorted(stars.tolist()) == list(range(len(corners))) and (np.diff(v) >= 0).all()
+    valence = np.bincount(v)
+    start = np.cumsum(valence) - valence
+    same_star = np.diff(v) == 0
+    assert (j[1:][same_star] == k[:-1][same_star]).all()
+    boundary = {tuple(e) for e in mesh.edge_ends[mesh.boundary_edges].tolist()}
+    for vertex, first in enumerate(start.tolist()):
+        ring = j[first:first + valence[vertex]]
+        if mesh.is_boundary_vertex[vertex]:
+            assert tuple(sorted((vertex, int(j[first])))) in boundary
+        else:
+            assert j[first] == ring.min()
+
+
+def test_vertex_cycles_read_the_stars_in_slot_order(mesh):
+    """Row by row, ``vertex_cycles`` and ``cycle_faces`` hold the reference
+    cycles slot by slot, and its slots are the interior stars' corners."""
+    cycles = reference_cycles(mesh)
+    pos = {e: idx for idx, e in enumerate(mesh.interior_edges.tolist())}
+    c = mesh.vertex_cycles
+    assert c.indptr.tolist() == np.cumsum([0] + [len(cyc) for cyc in cycles.values()]).tolist()
+    assert c.indices.tolist() == [pos[e] for cyc in cycles.values() for *_, e in cyc]
+    signs = [1.0 if v < j else -1.0 for cyc in cycles.values() for v, j, *_ in cyc]
+    assert c.data.tobytes() == np.array(signs).tobytes()
+    assert mesh.cycle_faces.tolist() == [to for cyc in cycles.values() for _, _, _, to, _ in cyc]
+    inner = ~mesh.is_boundary_vertex[mesh.faces.ravel()[mesh.vertex_stars]]
+    assert (mesh.cycle_faces == mesh.vertex_stars[inner] // 3).all()
+
+
+FACE_REALIZATIONS = {
+    "delaunay": lambda: delaunay_disk(300, seed=5),
+    "jittered": lambda: fixture_realization("jittered"),  # folded-over faces
+    "hull1055": lambda: delaunay_disk(1000, seed=1055),
+}
+
+
+@pytest.mark.parametrize("kind", FACE_REALIZATIONS)
+def test_face_dz_and_its_readers_match_the_differences_of_positions(kind):
+    """``face_dz`` row ``m`` is ``z[faces[:, m + 1]] - z[faces[:, m]]`` bit for
+    bit; the doubled areas, the cotangents and the gradient read from it
+    equal the formulas on gathered positions bit for bit."""
+    r = FACE_REALIZATIONS[kind]()
+    zi, zj, zk = r.z[r.mesh.faces.T]
+    dz = r.face_dz
+    assert dz.shape == (3, len(r.mesh.faces)) and dz.flags.c_contiguous and not dz.flags.writeable
+    assert dz.tobytes() == np.array([zj - zi, zk - zj, zi - zk]).tobytes()
+    assert r.area2.tobytes() == (np.conj(zj - zi) * (zk - zi)).imag.tobytes()
+    a = r.z[r.mesh.faces]
+    w = np.conj(np.roll(a, -1, axis=1) - a) * (np.roll(a, -2, axis=1) - a)
+    assert r.cot.flags.c_contiguous and r.cot.tobytes() == (w.real / w.imag).tobytes()
+    u = np.random.default_rng(12).standard_normal(r.mesh.vertex_count)
+    ui, uj, uk = u[r.mesh.faces.T]
+    grad = 1j * (ui * (zk - zj) + uj * (zi - zk) + uk * (zj - zi)) / r.area2
+    assert hqd.gradient(r, u).tobytes() == grad.tobytes()
 
 
 def test_anchor_outside_the_mesh_rejected(mesh):

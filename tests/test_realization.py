@@ -114,6 +114,20 @@ def test_collinear_face_rejected():
     assert str(info.value) == "face 0 (0, 1, 2) is (nearly) collinear"
 
 
+def test_coincident_endpoints_rejected(wheel6):
+    """A zero side makes the doubled area exactly 0, so no ``Realization``
+    holds coincident endpoints and no later layer has to look for them."""
+    mesh = wheel6.mesh
+    for i, j in mesh.edge_ends.tolist():
+        z = wheel6.z.copy()
+        z[j] = z[i]
+        with pytest.raises(DegenerateFace) as info:
+            Realization(mesh, z)
+        f = info.value.details["face"]
+        assert {i, j} <= set(mesh.faces[f].tolist())
+        assert f == min(f for f, face in enumerate(mesh.faces.tolist()) if {i, j} <= set(face))
+
+
 def test_shape_mismatch():
     mesh = build(SQUARE2_FACES)
     with pytest.raises(MeshMismatch):
