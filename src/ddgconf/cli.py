@@ -139,10 +139,22 @@ def deform_build(args, r, data):
 
 
 def deform_check(args, r, data):
+    """Face closure (``compatible``) and the paper's definition of a
+    holomorphic field, ``Re d/dt log cr = 0`` on every interior edge
+    (``holomorphic``); the field passes when both hold."""
     zdot = fileio.vertex_field_from_json(data, r.mesh.vertex_count, real=False)
-    rep = deform.check_triangle_compat(r, deform.edge_rates(r, zdot), args.tol)
-    ok = bool(rep.ok.all())
-    faces = len(rep.ok)
+    rates = deform.edge_rates(r, zdot)
+    rep = deform.check_triangle_compat(r, rates, args.tol)
+    cross_ratio = deform.holomorphic_defect(r, rates)
+    compatible, holomorphic = bool(rep.ok.all()), cross_ratio.passes(args.tol)
+    ok = compatible and holomorphic
+    report = {
+        "compatible": compatible,
+        "holomorphic": holomorphic,
+        "tol": args.tol,
+        "worst": _worst(("closure", "real_part"), (rep.closure, cross_ratio)),
+        "faces": len(rep.ok),
+    }
     if args.report or not ok:
         faces = []
         for f, good in enumerate(rep.ok.tolist()):
@@ -150,7 +162,8 @@ def deform_check(args, r, data):
             if good:
                 entry.update(omega=rep.omega_face[f], sigma=rep.sigma_face[f])
             faces.append(entry)
-    return {"compatible": ok, "tol": args.tol, "faces": faces}, ok
+        report["faces"] = faces
+    return report, ok
 
 
 def hqd_check(args, r, data):

@@ -33,11 +33,27 @@ def edge_rates(r: Realization, zdot) -> EdgeRates:
     return EdgeRates(rate.real, rate.imag)
 
 
+def _flap_rates(r: Realization, rates: EdgeRates):
+    """The complex rates ``c`` on each interior edge's flap ``(i, j, k, l)``,
+    columns ``jk, ki, il, lj``, and ``d/dt log cr = c_jk - c_ki + c_il - c_lj``."""
+    c = rates.complex_rate[r.mesh.flap_edges]
+    return c, c[:, 0] - c[:, 1] + c[:, 2] - c[:, 3]
+
+
 def cross_ratio_rate(r: Realization, zdot):
-    """``d/dt log cr = c_jk - c_ki + c_il - c_lj`` per interior edge, from
-    the complex edge rates ``c`` of ``zdot`` on the flap ``(i, j, k, l)``."""
-    c = edge_rates(r, zdot).complex_rate[r.mesh.flap_edges]
-    return c[:, 0] - c[:, 1] + c[:, 2] - c[:, 3]
+    """``d/dt log cr`` per interior edge, from the complex edge rates of
+    ``zdot`` on its flap."""
+    return _flap_rates(r, edge_rates(r, zdot))[1]
+
+
+def holomorphic_defect(r: Realization, rates: EdgeRates):
+    """``|Re d/dt log cr|`` per interior edge against the local scale
+    ``|c_jk| + |c_ki| + |c_il| + |c_lj|``.  The rates come from a holomorphic
+    vector field, one whose deformation keeps every length cross ratio,
+    where it vanishes."""
+    c, rate = _flap_rates(r, rates)
+    scale = magnitude(c[:, 0]) + magnitude(c[:, 1]) + magnitude(c[:, 2]) + magnitude(c[:, 3])
+    return Defect(np.abs(rate.real), scale, r.mesh.interior_ends, "edge")
 
 
 @dataclass

@@ -192,6 +192,59 @@ def test_second_solve_reuses_the_cached_system():
     assert fresh.dirichlet_system is not system
 
 
+def strip_disk(length):
+    """A 2 x ``length`` strip of unit squares, each split into two triangles:
+    its interior vertices form one chain of ``length - 1``."""
+    faces = []
+    for k in range(length):
+        a, b = 3 * k, 3 * k + 3
+        faces += [(a, b, b + 1), (a, b + 1, a + 1), (a + 1, b + 1, b + 2), (a + 1, b + 2, a + 2)]
+    x, y = np.divmod(np.arange(3 * length + 3), 3)
+    return Realization(build(faces), x + 1j * y)
+
+
+SCHEDULE_MESHES = {
+    "delaunay": lambda: delaunay_disk(300, seed=5),
+    "jittered": lambda: jittered_grid(14, 0.45, seed=3),  # negative cotan weights
+    "sliver": lambda: delaunay_disk(1000, seed=1055),
+    "strip": lambda: strip_disk(200),
+}
+
+
+@pytest.mark.parametrize("kind", list(SCHEDULE_MESHES))
+def test_single_column_panels_change_only_the_schedule(kind, monkeypatch):
+    """``solve_dirichlet`` factors in single-column panels.  Against a factor
+    with scipy's default panel size, the orderings, the pivots and the fill
+    are the same, and the solve agrees to 1e-14 of ``max|h|`` and meets the
+    1e-10 residual contract: only the order of the column updates moved."""
+    r = SCHEDULE_MESHES[kind]()
+    assert len(r.mesh.interior_vertices) > 100
+    splu, factors = laplace.spla.splu, []
+
+    def record(lu):
+        factors.append(lu)
+        return lu
+
+    rng = np.random.default_rng(12)
+    bnd = {v: rng.standard_normal() for v in r.mesh.boundary_vertices.tolist()}
+    monkeypatch.setattr(laplace.spla, "splu", lambda *a, **k: record(splu(*a, **k)))
+    h = laplace.solve_dirichlet(r, bnd)
+    # the same call without the panel size, so with scipy's default
+    monkeypatch.setattr(laplace.spla, "splu", lambda *a, panel_size, **k: record(splu(*a, **k)))
+    default = laplace.solve_dirichlet(r, bnd)
+
+    single, wide = factors
+    assert single.perm_c.tolist() == wide.perm_c.tolist()
+    assert single.perm_r.tolist() == wide.perm_r.tolist()
+    assert single.nnz == wide.nnz
+    assert np.abs(h - default).max() <= 1e-14 * np.abs(h).max()
+    A, B = r.dirichlet_system
+    interior = r.mesh.interior_vertices
+    g = h.copy()
+    g[interior] = 0.0
+    assert np.abs(A @ h[interior] - B @ g).max() <= 1e-10 * np.abs(h).max()
+
+
 def test_nan_is_not_harmonic(wheel6):
     """``require_harmonic`` and ``ddg harmonic check`` share one verdict, and
     a NaN residual fails it."""

@@ -213,7 +213,11 @@ def reference_solve_dirichlet(r, boundary, default_ordering=False):
         lu = spla.splu(A)
     else:
         lu = spla.splu(
-            A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options={"SymmetricMode": True}
+            A,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.1,
+            panel_size=1,
+            options={"SymmetricMode": True},
         )
     x = lu.solve(b)
     h_scale = max(float(np.abs(g).max()), float(np.abs(x).max()), 1e-300)
