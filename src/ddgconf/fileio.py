@@ -11,6 +11,7 @@ import cmath
 import json
 import math
 import re
+from collections.abc import Mapping
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -155,8 +156,9 @@ def edge_key(i, j):
 
 def dump_json(obj):
     """``json.dumps(obj, indent=2, allow_nan=False) + "\\n"`` byte for byte, with
-    arrays as lists, complex numbers as ``[re, im]`` and numpy scalars as Python
-    ones; the first NaN or infinity raises :class:`NonFinite` with json's message."""
+    arrays as lists, complex numbers as ``[re, im]``, numpy scalars as Python
+    ones and any ``Mapping`` as a dict; the first NaN or infinity raises
+    :class:`NonFinite` with json's message."""
     try:
         return _encode(obj, "\n") + "\n"
     except ValueError as exc:
@@ -179,12 +181,12 @@ def _encode(o, ind):
         o = [o.real, o.imag]
     elif isinstance(o, (np.ndarray, np.generic)):
         return _encode(o.tolist(), ind)
-    elif not isinstance(o, (list, tuple, dict)):
+    elif not isinstance(o, (list, tuple, Mapping)):
         raise TypeError(f"{type(o).__name__} is not JSON serializable")
     if not o:
-        return "{}" if isinstance(o, dict) else "[]"
+        return "{}" if isinstance(o, Mapping) else "[]"
     inner = ind + "  "
-    if not isinstance(o, dict):
+    if not isinstance(o, Mapping):
         return "[" + inner + _join(o, inner) + ind + "]"
     if set(map(type, o)) in ({str}, {int}):
         body = _join(list(o.values()), inner, list(map(encode_basestring_ascii, map(str, o))))

@@ -8,6 +8,8 @@ harmonic function, and checks the Moebius-invariance and cross-ratio-rate
 identities.
 """
 
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +60,7 @@ def qdiff_from_function(r: Realization, u):
 
     Purely imaginary for every ``u``; holomorphic precisely when ``u`` is
     harmonic."""
-    q = _duz(r, u) * r.interior_dz()
+    q = _duz(r, u) * r.interior_dz
     return QuadDiff(q.imag)
 
 
@@ -80,12 +82,38 @@ def qdiff_cotan(r: Realization, u):
     )
 
 
+class VertexSums(Mapping):
+    """Read-only view that reads as ``dict(zip(vertices, sums))`` for an
+    ascending list ``vertices``, but builds no dict that no caller reads."""
+
+    def __init__(self, vertices, sums):
+        self._vertices, self._sums = vertices, sums
+
+    def __getitem__(self, v):
+        k = bisect_left(self._vertices, v)
+        if k == len(self._vertices) or self._vertices[k] != v:
+            raise KeyError(v)
+        return self._sums[k]
+
+    def __iter__(self):
+        return iter(self._vertices)
+
+    def __len__(self):
+        return len(self._vertices)
+
+    def __repr__(self):
+        return repr(dict(self))
+
+
 @dataclass
 class QDiffReport:
+    """The verdict of :func:`verify_qdiff`; its per-vertex maps are
+    :class:`VertexSums` over ``interior_vertices``."""
+
     holomorphic: bool
     max_real_part: float  # |Re q|_inf / |q|_inf
-    vertex_sum: dict  # interior vertex -> complex defect of sum q
-    weighted_sum: dict  # interior vertex -> complex defect of sum q / dz
+    vertex_sum: Mapping  # interior vertex -> complex defect of sum q
+    weighted_sum: Mapping  # interior vertex -> complex defect of sum q / dz
     max_defect: float  # worst normalized defect across all three checks
     defects: tuple  # the three checks' Defects: |Re q|, |sum q|, |sum q / dz|
 
@@ -100,7 +128,7 @@ def verify_qdiff(r: Realization, q, tol=1e-9) -> QDiffReport:
     q_scale = np.abs(q).max(initial=0.0)
     # tau is stored for the canonical orientation (i < j); around v the term
     # is q_vj / (z_j - z_v)
-    tau = q / r.interior_dz()
+    tau = q / r.interior_dz
 
     s0, s1, v = mesh.cycle_sum(q), mesh.cycle_sum(tau, signed=True), mesh.interior_vertices
     defects = (
@@ -109,7 +137,7 @@ def verify_qdiff(r: Realization, q, tol=1e-9) -> QDiffReport:
         Defect(magnitude(s1), np.abs(tau).max(initial=0.0), v, "vertex"),
     )
     worst = float(np.max([d.worst for d in defects]))
-    sums = dict(zip(v, s0)), dict(zip(v, s1))
+    sums = VertexSums(v, s0), VertexSums(v, s1)
     return QDiffReport(worst <= tol, defects[0].worst, *sums, worst, defects)
 
 
@@ -124,7 +152,7 @@ def harmonic_from_qdiff(r: Realization, q, anchor_vertex=0, anchor_face=0, tol=1
     mesh = r.mesh
     mesh.require_disk()
 
-    dual = integrate(mesh, q / r.interior_dz(), anchor_face, dual=True)
+    dual = integrate(mesh, q / r.interior_dz, anchor_face, dual=True)
     message = "dual form q/dz fails to close across edge {edge} (defect {defect:.3e}); "
     dual.defect.require(tol, ClosureDefect, message + "the weighted vertex sums do not vanish")
     h = dual.potential

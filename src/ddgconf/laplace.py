@@ -120,7 +120,7 @@ def solve_dirichlet(r: Realization, boundary):
             )
 
     h = g.copy()
-    h[mesh.interior_vertices] = x
+    h[~mesh.is_boundary_vertex] = x
     return h
 
 
@@ -153,11 +153,7 @@ def conjugate_harmonic(r: Realization, h, anchor_face=0):
     wt = dual.potential
 
     # evaluated on the left face of each edge, or on the right face on the
-    # boundary, with the cotangent at that face's apex: two corners on from
-    # the edge's own corner
-    on_left = mesh.edge_faces[:, 0] >= 0
-    face = np.where(on_left, *mesh.edge_faces.T)
-    corner = np.where(on_left, *mesh.edge_corners.T)
-    half = 0.5 * r.cot.ravel()[mesh.next_corner(corner, 2)] * dh
-    omega = np.where(on_left, wt[face] - half, wt[face] + half)
+    # boundary, with the cotangent at that face's apex
+    face, half_cot = r.rotation_stencil
+    omega = wt.take(face) + half_cot * dh
     return ConjugateHarmonic(wt, omega, dual.defect.worst)

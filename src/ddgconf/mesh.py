@@ -7,13 +7,14 @@ face.  The dual edge of ``i -> j`` runs from the right face to the left face.
 """
 
 import math
+from collections import namedtuple
 from functools import cached_property, reduce
 from itertools import chain, pairwise
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import (
     Disconnected, InconsistentOrientation, InvalidInput, NonManifold, NotSimplyConnected
@@ -87,7 +88,7 @@ class TriMesh:
         self.interior_ends = self.edge_ends[interior]
         self.interior_faces = self.edge_faces[interior]
 
-        self._check_connected()
+        self._check_connected(tail, head)
         twin = self.edge_corners[corner_edge, 1 - side]
         self.vertex_stars = _vertex_stars(tail, head, twin, vertex_count)
 
@@ -99,11 +100,15 @@ class TriMesh:
         for a in sets:
             a.flags.writeable = False
 
-    def _check_connected(self):
-        # the adjacency is symmetric: its strong components are the connected ones
-        _, label = connected_components(self._primal_graph.adjacency, connection="strong")
+    def _check_connected(self, tail, head):
+        # each corner edge tail -> head lies on its face's directed 3-cycle, so
+        # a search along them from one vertex reaches all that connect to it
+        n = self.vertex_count
         root = int(self.edge_ends[0, 0])
-        missing = np.flatnonzero(label != label[root])
+        corners = sp.csr_array((np.ones(len(tail)), (tail, head)), (n, n))
+        missing = np.ones(n, dtype=bool)
+        missing[breadth_first_order(corners, root, return_predecessors=False)] = False
+        missing = np.flatnonzero(missing)
         if len(missing):
             raise Disconnected(f"vertices {missing[:8].tolist()}... not connected to vertex {root}")
 
@@ -162,12 +167,12 @@ class TriMesh:
     @cached_property
     def _primal_graph(self):
         i, j = self.edge_ends.T
-        return _Graph(i, j, self.vertex_count, np.arange(len(i)), "vertex")
+        return _Graph(i, j, self.vertex_count, np.arange(len(i)), self.edge_ends, "vertex")
 
     @cached_property
     def _dual_graph(self):
         left, right = self.interior_faces.T
-        return _Graph(right, left, len(self.faces), self.interior_edges, "face")
+        return _Graph(right, left, len(self.faces), self.interior_edges, self.interior_ends, "face")
 
     @cached_property
     def vertex_cycles(self):
@@ -238,26 +243,29 @@ class TriMesh:
         return self._primal_graph.steps(root)
 
 
+# A BFS spanning tree of a _Graph: each node's rank in the BFS order; for the
+# node at rank p > 0 its parent's rank, the form entry that reaches it from the
+# parent (along it where the sign is +1), all at p - 1; the ranks (1, ..., n)
+# that bound the BFS levels; the other entries, ascending, with their head and
+# tail nodes, their mesh edges and those edges' ends, rows of TriMesh.edge_ends
+_Tree = namedtuple("_Tree", "rank up levels entries signs cotree head tail edge_ids ends")
+
+
 class _Graph:
     """Graph of a 1-form: entry ``k`` runs from node ``tail[k]`` to node
-    ``head[k]`` (vertices or faces) and lies on mesh edge ``edge_ids[k]``."""
+    ``head[k]`` (vertices or faces) and lies on mesh edge ``edge_ids[k]``,
+    whose ends are ``ends[k]``."""
 
-    def __init__(self, tail, head, n, edge_ids, node):
+    def __init__(self, tail, head, n, edge_ids, ends, node):
         self.tail, self.head, self.n, self.edge_ids, self.node = tail, head, n, edge_ids, node
-        k = np.arange(len(tail))
-        # k + 1 at (tail, head) and (head, tail); its rows list neighbours in id order
-        ends = (np.r_[tail, head], np.r_[head, tail])
-        self.adjacency = sp.csr_array((np.r_[k, k] + 1, ends), (n, n))
+        self.ends = ends
         self._trees = {}
 
     def tree(self, root):
-        """``(rank, up, levels, entries, signs, cotree)``: each node's rank in
-        the BFS order; for the node at rank ``p > 0`` its parent's rank, the
-        form entry that reaches it from the parent (along it when the sign is
-        +1), all at ``p - 1``; the ranks ``(1, ..., n)`` that bound the BFS
-        levels; the other entries, ascending.  A TriMesh is connected and its
-        vertex stars are fans, so the BFS reaches every vertex and every
-        face.  Built once per root; the arrays are read-only."""
+        """The :class:`_Tree` rooted at ``root``, with the co-tree's tables
+        that :func:`integrate` reads, so that a call gathers none.  A TriMesh
+        is connected and its vertex stars are fans, so the BFS reaches every
+        vertex and every face.  Built once per root; the arrays are read-only."""
         if not 0 <= root < self.n:
             raise InvalidInput(f"anchor {self.node} {root} is outside [0, {self.n})")
         if root not in self._trees:
@@ -265,7 +273,13 @@ class _Graph:
         return self._trees[root]
 
     def _build_tree(self, root):
-        order, pred = breadth_first_order(self.adjacency, root, return_predecessors=True)
+        # k + 1 at (tail, head) and (head, tail); its rows list neighbours in id
+        # order.  Built for each new root and not kept: the cached trees hold
+        # all that integrate reads
+        k = np.arange(len(self.tail))
+        both = (np.r_[self.tail, self.head], np.r_[self.head, self.tail])
+        adjacency = sp.csr_array((np.r_[k, k] + 1, both), (self.n, self.n))
+        order, pred = breadth_first_order(adjacency, root, return_predecessors=True)
         rank = np.empty(self.n, dtype=np.int64)
         rank[order] = np.arange(self.n)
         nodes = order[1:]
@@ -277,20 +291,21 @@ class _Graph:
         while levels[-1] < self.n:
             levels.append(1 + int(kids[levels[-1] - 1]))
         # an empty fancy index of a sparse array is sparse, not an ndarray
-        entries = self.adjacency[parents, nodes] - 1 if len(nodes) else np.zeros(0, np.int64)
+        entries = adjacency[parents, nodes] - 1 if len(nodes) else np.zeros(0, np.int64)
         cotree = np.ones(len(self.tail), dtype=bool)
         cotree[entries] = False
         signs = np.where(self.tail[entries] == parents, 1, -1)
-        tree = (rank, up, np.array(levels), entries, signs, np.flatnonzero(cotree))
-        return tuple(map(_read_only, tree))
+        cotree = np.flatnonzero(cotree)
+        co = (self.head[cotree], self.tail[cotree], self.edge_ids[cotree], self.ends[cotree])
+        return _Tree(*map(_read_only, (rank, up, np.array(levels), entries, signs, cotree, *co)))
 
     def steps(self, root):
         """``(steps, cotree)`` as :meth:`TriMesh.dual_spanning_tree` lists them."""
-        rank, up, _, entries, signs, cotree = self.tree(root)
-        order = np.argsort(rank)
-        edges = self.edge_ids[entries].tolist()
-        steps = list(zip(order[1:].tolist(), order[up].tolist(), edges, signs.tolist()))
-        return steps, self.edge_ids[cotree].tolist()
+        t = self.tree(root)
+        order = np.argsort(t.rank)
+        edges = self.edge_ids[t.entries].tolist()
+        steps = list(zip(order[1:].tolist(), order[t.up].tolist(), edges, t.signs.tolist()))
+        return steps, t.edge_ids.tolist()
 
 
 def _floor(scale):
@@ -388,23 +403,23 @@ def integrate(mesh, form, root=0, dual=False):
     left face, potential on faces.  Trailing axes are integrated
     componentwise.  The potential is 0 at ``root``; each node gets
     ``potential[parent] + sign * form``, one BFS level at a time in the
-    order of the ``(rank, up, levels, ...)`` that :meth:`_Graph.tree` caches.
-    A co-tree gap is the :func:`magnitude` of ``potential[head] -
-    potential[tail] - form``, or the largest ``np.abs`` of its components.
+    order of the level schedule that :meth:`_Graph.tree` caches, with the
+    co-tree's nodes and edges.  A co-tree gap is the :func:`magnitude` of
+    ``potential[head] - potential[tail] - form``, or the largest ``np.abs``
+    of its components.
     """
     g = mesh._dual_graph if dual else mesh._primal_graph
     form = np.asarray(form)
-    rank, up, levels, entries, signs, cotree = g.tree(root)
-    step = signs.reshape((-1,) + (1,) * (form.ndim - 1)) * form.take(entries, axis=0)
+    t = g.tree(root)
+    step = t.signs.reshape((-1,) + (1,) * (form.ndim - 1)) * form.take(t.entries, axis=0)
     bfs = np.zeros((g.n,) + form.shape[1:], dtype=form.dtype)  # the potential in BFS order
-    for lo, hi in pairwise(levels.tolist()):
-        bfs[lo:hi] = bfs.take(up[lo - 1:hi - 1], axis=0) + step[lo - 1:hi - 1]
-    pot = bfs.take(rank, axis=0)
-    head, tail, edges = g.head[cotree], g.tail[cotree], g.edge_ids[cotree]
-    gap = pot.take(head, axis=0) - pot.take(tail, axis=0) - form.take(cotree, axis=0)
+    for lo, hi in pairwise(t.levels.tolist()):
+        bfs[lo:hi] = bfs.take(t.up[lo - 1:hi - 1], axis=0) + step[lo - 1:hi - 1]
+    pot = bfs.take(t.rank, axis=0)
+    gap = pot.take(t.head, axis=0) - pot.take(t.tail, axis=0) - form.take(t.cotree, axis=0)
     gap = reduce_rows(np.maximum, np.abs(gap)) if gap.ndim > 1 else magnitude(gap)
-    defect = Defect(gap, np.abs(form).max(initial=0.0), mesh.edge_ends.take(edges, axis=0), "edge")
-    return Integral(pot, edges, defect)
+    defect = Defect(gap, np.abs(form).max(initial=0.0), t.ends, "edge")
+    return Integral(pot, t.edge_ids, defect)
 
 
 def _read_only(a):

@@ -95,7 +95,7 @@ def sl2_form_from_rates(r: Realization, mu) -> SlForm:
     n = len(r.mesh.interior_edges)
     if mu.shape != (n,):
         raise MeshMismatch(f"expected {n} edge rates, got {mu.shape}")
-    vecs = (mu / r.interior_dz())[:, None] * r.null_vectors()
+    vecs = (mu / r.interior_dz)[:, None] * r.null_vectors()
     return SlForm(mu, sl2_from_pauli(vecs), vecs)
 
 
@@ -121,7 +121,7 @@ def check_sl2_form_closed(r: Realization, form: SlForm, tol=1e-10) -> Closedness
     # around v the weighted term is mu / (z_j - z_v), the canonical value
     # negated where v > j; its global scale keeps vertices where mu happens
     # to be locally tiny from registering rounding noise as a defect
-    tau = mu / r.interior_dz()
+    tau = mu / r.interior_dz
     msum = reduce_rows(np.maximum, np.abs(mesh.cycle_sum(form.matrices, signed=True)))
     w_scale = magnitude(tau)[mesh.vertex_cycles.indices].max(initial=0.0)
     v = mesh.interior_vertices

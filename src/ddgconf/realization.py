@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateFace, InvalidInput, MeshMismatch
-from .mesh import Defect, TriMesh, _read_only
+from .mesh import Defect, TriMesh, _read_only, magnitude
 
 TAU = 2.0 * np.pi
 
@@ -24,10 +24,12 @@ class Realization:
 
     Keeps the face sides ``face_dz`` and signed doubled face areas and
     builds on first use, read-only, the per-corner cotangents, the edge
-    vectors, the cotan weights, the cross ratios and the interior Dirichlet
-    system.  Faces may be negatively oriented; areas and corner angles then
-    carry a negative sign.  ``z`` is a read-only copy of the positions, so
-    that no cached value can go stale.
+    vectors, their interior rows and squared lengths, the cotan weights, the
+    cross ratios, the interior Dirichlet system and the rotation stencil:
+    a second field on the same realization builds none of them again.
+    Faces may be negatively oriented; areas and corner angles then carry a
+    negative sign.  ``z`` is a read-only copy of the positions, so that no
+    cached value can go stale.
     """
 
     def __init__(self, mesh: TriMesh, z):
@@ -104,9 +106,29 @@ class Realization:
         B = sp.csr_matrix((-wa[outer], (a[outer], other[outer])), shape=(ni, mesh.vertex_count))
         return _read_only(A), _read_only(B)
 
+    @cached_property
     def interior_dz(self):
-        """``z_j - z_i`` per interior edge ``i < j``."""
-        return self.edge_dz[self.mesh.interior_edges]
+        """The interior rows of :attr:`edge_dz`, read-only."""
+        return _read_only(self.edge_dz[self.mesh.interior_edges])
+
+    @cached_property
+    def interior_dz2(self):
+        """``magnitude(interior_dz) ** 2``, read-only."""
+        return _read_only(magnitude(self.interior_dz) ** 2)
+
+    @cached_property
+    def rotation_stencil(self):
+        """``(face, half_cot)`` per edge, read-only: the face on which
+        :func:`ddgconf.laplace.conjugate_harmonic` evaluates the edge's
+        rotation, its left face or on the boundary its right one, and half
+        the cotangent at that face's apex, negated on the left face."""
+        mesh = self.mesh
+        on_left = mesh.edge_faces[:, 0] >= 0
+        face = np.where(on_left, *mesh.edge_faces.T)
+        # the apex corner lies two on from the edge's own corner in that face
+        corner = np.where(on_left, *mesh.edge_corners.T)
+        half = 0.5 * self.cot.ravel()[mesh.next_corner(corner, 2)]
+        return _read_only(face), _read_only(np.where(on_left, -half, half))
 
     def null_vectors(self):
         """``(1 - z_i z_j, i (1 + z_i z_j), z_i + z_j)`` per interior edge

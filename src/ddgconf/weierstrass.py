@@ -44,7 +44,7 @@ def integrand(r: Realization, q):
     """C^3-valued dual 1-form ``(q / (i dz)) (1 - z_i z_j, i(1 + z_i z_j),
     z_i + z_j)`` on canonical interior dual edges."""
     q = _as_complex(q)
-    return (q / (1j * r.interior_dz()))[:, None] * r.null_vectors()
+    return (q / (1j * r.interior_dz))[:, None] * r.null_vectors()
 
 
 @dataclass
@@ -79,7 +79,7 @@ def weierstrass_integrate(r: Realization, q, anchor_face=0, tol=1e-8):
     dual.defect.require(1e-9, IntegrationDefect, message)
     pot = dual.potential
 
-    k = (-1j * q / magnitude(r.interior_dz()) ** 2).real
+    k = (-1j * q / r.interior_dz2).real
     return MinimalSurface(mesh, pot, None, k, dual.defect.worst).at_phase(0.0)
 
 
@@ -140,7 +140,7 @@ def qdiff_from_minimal(r: Realization, f, tol=1e-9) -> QuadDiff:
         )
     i, j = mesh.interior_ends.T
     scale = (1.0 + magnitude(r.z[i]) ** 2) * (1.0 + magnitude(r.z[j]) ** 2) / 2.0
-    return QuadDiff(report.k / scale * magnitude(r.interior_dz()) ** 2)
+    return QuadDiff(report.k / scale * r.interior_dz2)
 
 
 def dual_mesh(r: Realization, face_points):

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ddgconf import Realization, build
-from ddgconf import deform, hqd, laplace, realization
+from ddgconf import deform, fileio, hqd, laplace, realization
 from ddgconf.errors import ClosureDefect, NotHarmonic
 
 from conftest import delaunay_disk, jittered_grid, random_harmonic, random_moebius
@@ -234,3 +236,35 @@ def test_moebius_image_with_a_fresh_solve_is_harmonic_and_holomorphic(seed):
     h = laplace.solve_dirichlet(s, boundary)
     assert np.abs(laplace.laplacian(s, h)).max() <= 1e-10 * np.abs(h).max()
     assert hqd.verify_qdiff(s, hqd.qdiff_from_harmonic(s, h)).holomorphic
+
+
+def test_report_sums_are_a_read_only_view_of_the_dict():
+    """``QDiffReport.vertex_sum`` and ``weighted_sum`` read as ``dict(zip(
+    interior_vertices, sums))``: the same keys in the same order and the same
+    bits, a ``KeyError`` for any other vertex, and the same JSON."""
+    r = delaunay_disk(120, seed=3)
+    u = np.random.default_rng(4).standard_normal(r.mesh.vertex_count)
+    q = hqd.qdiff_from_function(r, u)  # not harmonic: the sums do not vanish
+    rep = hqd.verify_qdiff(r, q)
+    v = r.mesh.interior_vertices
+    sums = r.mesh.cycle_sum(q.values), r.mesh.cycle_sum(q.values / r.interior_dz, signed=True)
+    expected = [dict(zip(v, s)) for s in sums]
+    for view, want in zip((rep.vertex_sum, rep.weighted_sum), expected, strict=True):
+        assert list(view) == list(want) and len(view) == len(want) and view == want
+        assert [view[k].tobytes() for k in v] == [want[k].tobytes() for k in v]
+        assert [type(k) for k in view] == [type(k) for k in want]
+        for missing in (*r.mesh.boundary_vertices[:3].tolist(), -1, r.mesh.vertex_count):
+            assert missing not in view
+            with pytest.raises(KeyError):
+                view[missing]
+        with pytest.raises(TypeError):
+            view[v[0]] = 0.0
+    copied = dataclasses.replace(rep, vertex_sum=dict(rep.vertex_sum))
+    assert copied.vertex_sum == expected[0] and copied.weighted_sum is rep.weighted_sum
+
+    def report(a, b):
+        return fileio.dump_json({"max_defect": rep.max_defect, "vertex_sum": a, "weighted_sum": b})
+
+    assert report(rep.vertex_sum, rep.weighted_sum) == report(*expected)
+    empty = hqd.VertexSums([], np.zeros(0, dtype=complex))
+    assert report(empty, empty) == report({}, {})

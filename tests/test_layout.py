@@ -14,7 +14,10 @@ and dual polygons share one layout, ``vertex_cycles``, and every sum around
 a vertex, the cotan Laplacian's too, is one ``TriMesh.cycle_sum``: no
 module forms a ``.T @`` product.  ``TriMesh.vertex_stars`` is the one
 order of the corners around a vertex, and ``Realization.face_dz`` the one
-gather of positions by face (the Moebius face maps excepted).  No module
+gather of positions by face (the Moebius face maps excepted).  The interior
+rows of ``edge_dz`` and their squared lengths are ``Realization`` caches
+that no other module rebuilds, and ``integrate`` reads the co-tree of a
+spanning tree from ``_Graph.tree`` instead of gathering it per call.  No module
 imports a name it does not read or keeps a private function nothing
 references.  An OBJ is read
 by one bulk parse with the line loop as its fallback, and every tree
@@ -227,6 +230,43 @@ def test_positions_are_gathered_by_face_once():
                 if "faces" in {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(node.slice)}:
                     gathers.add(f"{name}:{fn}")
     assert gathers == {"moebius.py:transition_matrices"}
+
+
+def _names(node):
+    return {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(node)}
+
+
+def test_interior_edge_vectors_are_gathered_once():
+    """Outside ``realization.py``, which caches ``interior_dz`` and its
+    squared lengths ``interior_dz2``, no module indexes ``edge_dz`` by
+    ``interior_edges`` or squares a ``dz``; ``integrate`` reads its co-tree
+    nodes and edges from the cached tree and gathers no table of the graph
+    or the mesh."""
+    found = []
+    for name, tree in _package_trees():
+        if name == "realization.py":
+            continue
+        for fn, node in _functions(tree):
+            if isinstance(node, ast.Subscript) and "edge_dz" in _names(node.value):
+                if "interior_edges" in _names(node.slice):
+                    found.append(f"{name}:{fn}: edge_dz[interior_edges]")
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "take":
+                if "edge_dz" in _names(node.func.value) and "interior_edges" in _names(node):
+                    found.append(f"{name}:{fn}: edge_dz.take(interior_edges)")
+            squared = isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            if squared and getattr(node.right, "value", None) == 2:
+                if {"dz", "edge_dz", "interior_dz", "face_dz"} & _names(node.left):
+                    found.append(f"{name}:{fn}: |dz|**2")
+    assert found == []
+    source = ast.parse(textwrap.dedent(inspect.getsource(mesh_module.integrate)))
+    graph_reads = {
+        node.attr
+        for node in ast.walk(source)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "g"
+    }
+    assert graph_reads == {"tree", "n"}
+    assert "edge_ends" not in _names(source)
+    assert {"head", "tail", "edge_ids", "ends"} <= set(mesh_module._Tree._fields)
 
 
 def test_no_unused_import_or_private_function():

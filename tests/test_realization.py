@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddgconf import Realization, build, moebius
+from ddgconf import Realization, build, deform, hqd, laplace, moebius, weierstrass
 from ddgconf.errors import DegenerateFace, MeshMismatch
 from ddgconf.realization import (
     check_conformal_equiv,
@@ -232,3 +232,48 @@ def test_positions_are_a_read_only_copy(wheel6_irregular):
     assert np.array_equal(r.z, before)
     assert r.cotan_weights is w
     assert np.array_equal(w, Realization(r.mesh, before).cotan_weights)
+
+
+def _field(r, boundary):
+    """The six calls that a field makes on a realization, from its Dirichlet
+    solve to its Weierstrass surface, and every array or number they return."""
+    u = laplace.solve_dirichlet(r, boundary)
+    q = hqd.qdiff_from_harmonic(r, u)
+    rep = hqd.verify_qdiff(r, q)
+    sums = [np.array(list(m.values())) for m in (rep.vertex_sum, rep.weighted_sum)]
+    keys = [np.array(list(m)) for m in (rep.vertex_sum, rep.weighted_sum)]
+    u2 = hqd.harmonic_from_qdiff(r, q)
+    zdot = deform.conformal_deformation(r, u)
+    ms = weierstrass.weierstrass_integrate(r, q)
+    numbers = np.array([rep.max_defect, rep.max_real_part, ms.closure_defect])
+    return [u, q.imag, *sums, *keys, numbers, u2, zdot, ms.potential, ms.f, ms.k]
+
+
+def _arrays(value):
+    return value if isinstance(value, tuple) else (value,)
+
+
+def test_second_field_reuses_the_cached_tables():
+    """The per-realization tables of the field pipeline and the co-tree
+    tables of the spanning trees are built once, read-only, and returned as
+    the same objects to a second field; that field equals, bit for bit, the
+    same field on a fresh realization of a fresh mesh."""
+    r = delaunay_disk(300, seed=5)
+    rng = np.random.default_rng(6)
+    first, second = ({v: rng.standard_normal() for v in r.mesh.boundary_vertices} for _ in "ab")
+    _field(r, first)
+    names = ("interior_dz", "interior_dz2", "rotation_stencil")
+    cached = {name: getattr(r, name) for name in names}
+    graphs = (r.mesh._primal_graph, r.mesh._dual_graph)
+    trees = [g.tree(0) for g in graphs]
+    out = _field(r, second)
+    for name, value in cached.items():
+        assert getattr(r, name) is value, name
+        assert [a.flags.writeable for a in _arrays(value)] == [False] * len(_arrays(value)), name
+    for g, tree in zip(graphs, trees):
+        assert g.tree(0) is tree
+        assert [a.flags.writeable for a in tree] == [False] * len(tree)
+    fresh = Realization(build(r.mesh.faces.tolist()), r.z)
+    for a, b in zip(out, _field(fresh, second), strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert fresh.rotation_stencil is not cached["rotation_stencil"]
