@@ -17,8 +17,8 @@ report, writes it to ``-o`` and maps ``passed`` to the exit code.
 
 Exit codes: 0 success / verification passed; 1 input or usage error (one
 ``error [code]: ...`` line on stderr); 2 verification failure (a JSON defect
-report goes to stdout, unless it would hold a NaN: then ``error
-[non_finite]`` and exit code 1).
+report goes to stdout, unless it would hold a NaN or an infinity: then
+``error [non_finite]`` and exit code 1).
 """
 
 import argparse
@@ -398,7 +398,7 @@ def main(argv=None):
             with np.errstate(all="ignore"):  # a NaN or inf fails every verdict instead
                 report, passed = args.func(args, *_read_inputs(args))
         except VerificationError as exc:
-            # dump_json raises NonFinite for a NaN detail: an error, exit code 1
+            # dump_json raises NonFinite for a NaN or infinite detail: exit code 1
             failure = {"verdict": "fail", "error": exc.code, "message": str(exc), **exc.details}
             sys.stdout.write(fileio.dump_json({"schema": SCHEMA, **failure}))
             return 2

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import laplace
-from .errors import IncompatibleRates, IntegrationDefect
+from .errors import IntegrationDefect
 from .mesh import Defect, integrate, magnitude, product, reduce_rows
 from .realization import Realization
 
@@ -108,13 +108,6 @@ def check_triangle_compat(r: Realization, rates: EdgeRates, tol=1e-10):
     return TriangleCompatReport(
         ok, defect, omega_face, omega_spread, sigma_face, sigma_spread, rr_err, closed
     )
-
-
-def require_triangle_compat(r: Realization, rates: EdgeRates, tol=1e-10):
-    report = check_triangle_compat(r, rates, tol)
-    message = "edge rates do not close on face {face} (defect {defect:.3e})"
-    report.closure.require(tol, IncompatibleRates, message, defect=report.defect)
-    return report
 
 
 def conformal_deformation(r: Realization, u, anchor_vertex=0, anchor_face=0):

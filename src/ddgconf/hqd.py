@@ -153,8 +153,9 @@ def harmonic_from_qdiff(r: Realization, q, anchor_vertex=0, anchor_face=0, tol=1
     mesh.require_disk()
 
     dual = integrate(mesh, q / r.interior_dz, anchor_face, dual=True)
-    message = "dual form q/dz fails to close across edge {edge} (defect {defect:.3e}); "
-    dual.defect.require(tol, ClosureDefect, message + "the weighted vertex sums do not vanish")
+    message = "dual form q/dz fails to close across edge {edge} (defect {defect:.3e}, scale "
+    message += "{scale:.3e}); the weighted vertex sums do not vanish"
+    dual.defect.require(tol, ClosureDefect, message)
     h = dual.potential
 
     # omega(e_ij) = <2 conj(h_face), dz(e_ij)> = Re(2 h_face dz(e_ij)), the same

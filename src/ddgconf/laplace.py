@@ -47,12 +47,8 @@ def check_harmonic(r: Realization, h, rtol=HARMONIC_RTOL):
 
 
 def require_harmonic(r: Realization, h):
-    harmonic, defect, _ = check_harmonic(r, h)
-    if not harmonic:
-        residual, bound = float(np.max(defect.value, initial=0.0)), HARMONIC_RTOL * defect.scale
-        raise NotHarmonic(
-            f"Laplacian residual {residual:.3e} exceeds {HARMONIC_RTOL:.1e} * |dh| = {bound:.3e}"
-        )
+    message = "Laplacian residual {defect:.3e} at vertex {vertex} exceeds %g * |dh|" % HARMONIC_RTOL
+    check_harmonic(r, h)[1].require(HARMONIC_RTOL, NotHarmonic, message + " ({scale:.3e})")
 
 
 def solve_dirichlet(r: Realization, boundary):

@@ -338,9 +338,9 @@ class Defect(NamedTuple):
 
     def require(self, tol, error, message, **fields):
         """Raise ``error`` for the first element whose relative defect is not
-        ``<= tol``.  Its details, which ``message`` may name, are its location
-        keyed by ``kind``, its value as ``defect`` and its entry of each
-        per-element array in ``fields`` (which may replace ``defect``)."""
+        ``<= tol``.  Its details, which ``message`` may name, are its
+        :meth:`element` and its entry of each per-element array in ``fields``
+        (which may replace ``defect``)."""
         bad = np.flatnonzero(~(self.relative <= tol))
         if len(bad):
             k = bad[0]
@@ -349,16 +349,16 @@ class Defect(NamedTuple):
             raise error(message.format(**details), **details)
 
     def element(self, k=None):
-        """Element ``k`` as details: its location keyed by ``kind`` (an edge as ``(i, j)``)
-        and ``defect``; by default the worst (the first NaN) with ``scale``, None if empty."""
+        """Element ``k`` (by default the worst, or the first NaN; None if there
+        is none) as details: its location keyed by ``kind`` (an edge as
+        ``(i, j)``), its value as ``defect`` and its ``scale``."""
         if k is None:
             if not len(self.value):
                 return None
-            k = int(np.argmax(self.relative))
-            scale = np.broadcast_to(self.scale, self.value.shape)[k].item()
-            return {**self.element(k), "scale": scale}
+            k = np.argmax(self.relative)
         where = tuple(map(int, self.where[k])) if self.kind == "edge" else int(self.where[k])
-        return {self.kind: where, "defect": self.value[k].item()}
+        scale = np.broadcast_to(self.scale, self.value.shape)[k].item()
+        return {self.kind: where, "defect": self.value[k].item(), "scale": scale}
 
 
 class Integral(NamedTuple):

@@ -153,6 +153,44 @@ def test_deform_build_nonharmonic_is_verification_failure(files, capsys):
     assert data["error"] == "not_harmonic"
 
 
+@pytest.mark.parametrize("command", [("deform", "build"), ("hqd", "from-harmonic")])
+def test_not_harmonic_names_its_vertex_and_scale(files, capsys, command):
+    """A spike on the hub fails the harmonicity that both commands require:
+    the report names the hub and shows the defect beside its scale."""
+    code, out, err = run(capsys, *command, files["wheel"], files["spike"])
+    assert (code, err) == (2, "")
+    data = json.loads(out)
+    assert data["error"] == "not_harmonic" and data["vertex"] == 0
+    assert data["defect"] / data["scale"] > laplace.HARMONIC_RTOL
+    assert "at vertex 0 " in data["message"]
+
+
+def test_failure_against_an_infinite_scale_is_a_coded_error(files, capsys, tmp_path):
+    """``u = +-1e308`` is finite, but its differences overflow: the failing
+    vertex's scale is infinite, so the report would hold a non-finite number."""
+    path = tmp_path / "uhuge.json"
+    path.write_text(fileio.dump_json({"values": [(-1) ** v * 1e308 for v in range(7)]}))
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, "deform", "build", files["wheel"], str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error [non_finite]: ") and err.count("\n") == 1
+
+
+def test_tiny_q_failure_shows_its_scale(files, capsys, tmp_path):
+    """A ``q`` of size 1e-19 whose weighted sums fail: its co-tree defect
+    reads far below ``--tol``, but the report shows the scale it fails against."""
+    qbad = json.loads(Path(files["qbad"]).read_text(encoding="utf-8"))["q"]
+    path = tmp_path / "qtiny.json"
+    path.write_text(fileio.dump_json({"q": {key: 1e-19 * v for key, v in qbad.items()}}))
+    code, out, err = run(capsys, "hqd", "to-harmonic", files["wheel"], str(path), "--tol", "1e-9")
+    assert (code, err) == (2, "")
+    data = json.loads(out)
+    assert data["error"] == "closure_defect"
+    assert data["defect"] < 1e-9 < data["defect"] / data["scale"]
+    assert data["edge"] in build(WHEEL6_FACES).edge_ends.tolist()
+    assert f"scale {data['scale']:.3e}" in data["message"]
+
+
 def test_deform_check_arbitrary_motion(files, capsys):
     """Rates induced by any genuine vertex motion close on every face, even a
     non-conformal one, but a motion that changes a length cross ratio is not
@@ -246,6 +284,40 @@ def test_hqd_moebius_battery(files, capsys):
     data = json.loads(out)
     assert data["holomorphic"] is True
     assert data["maps"] == 50
+
+
+def test_hqd_moebius_battery_skips_degenerate_maps(files, capsys, monkeypatch):
+    """The battery skips a drawn map whose determinant nearly vanishes and a
+    map with its pole on a vertex of the normalised disk, and still checks
+    50 maps."""
+    mesh, z = fileio.read_obj_planar(files["wheel"])
+    dz = z - z.mean()
+    w = (dz / np.abs(dz).max())[np.argmax(np.abs(dz))]  # |w| = 1 in the normalised disk
+    pole = [0.5, 0.0, 0.0, 0.0, 0.5, 0.0, -0.5 * w.real, -0.5 * w.imag]  # c w + d = 0
+    drawn = [np.full(8, 0.5), np.array(pole)]  # ad - bc = 0, then the pole
+    default_rng = np.random.default_rng
+
+    class Battery:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def uniform(self, *args):
+            return drawn.pop(0) if drawn else self.rng.uniform(*args)
+
+    checked = []
+    check = hqd.qdiff_moebius_pushforward_check
+
+    def counted(r, q, phi, tol):
+        checked.append(phi)
+        return check(r, q, phi, tol)
+
+    monkeypatch.setattr(np.random, "default_rng", Battery)
+    monkeypatch.setattr(hqd, "qdiff_moebius_pushforward_check", counted)
+    code, out, err = run(capsys, "hqd", "moebius-test", files["wheel"], files["q"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["holomorphic"] is True
+    assert drawn == [] and len(checked) == 50
+    assert all(abs(phi.a * phi.d - phi.b * phi.c) >= 1e-2 for phi in checked)
 
 
 @pytest.fixture(scope="module")

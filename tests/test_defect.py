@@ -85,7 +85,7 @@ def test_require_names_the_first_failing_element():
     with pytest.raises(ClosureDefect) as info:
         d.require(2.0, ClosureDefect, "edge {edge}: {defect:.3e}")
     assert str(info.value) == "edge (2, 5): 5.000e+00"
-    assert info.value.details == {"edge": (2, 5), "defect": 5.0}
+    assert info.value.details == {"edge": (2, 5), "defect": 5.0, "scale": 2.0}
     assert type(info.value.details["defect"]) is float
     with pytest.raises(ClosureDefect) as info:
         d.require(10.0, ClosureDefect, "edge {edge}")
@@ -100,7 +100,26 @@ def test_require_fields_join_the_message_and_details():
         message = "face {face} ({defect:.1e}, {other})"
         d.require(1.0, IncompatibleRates, message, defect=rel, other=d.value)
     assert str(info.value) == "face 6 (1.5e+00-2.0e+00j, 3.0)"
-    assert info.value.details == {"face": 6, "defect": 1.5 - 2j, "other": 3.0}
+    assert info.value.details == {"face": 6, "defect": 1.5 - 2j, "scale": 1.0, "other": 3.0}
+
+
+@pytest.mark.parametrize(
+    "value, scale, worst",
+    [([4.0, 3.0, 1.0], [8.0, 1.0, 1.0], 1), ([1.0, np.nan, 9.0, np.nan], 2.0, 1), ([0.0, 0.0], 0.0, 0)],
+)
+@pytest.mark.parametrize("kind", ["vertex", "edge"])
+def test_element_has_one_shape(value, scale, worst, kind):
+    """Every element reads as its location, ``defect`` and ``scale``; the
+    default element is the one of largest relative defect (the first NaN),
+    not the one of largest value."""
+    value = np.array(value)
+    where = np.arange(len(value)) + 7 if kind == "vertex" else np.array([[0, 3], [2, 5], [1, 4], [4, 6]])
+    d = Defect(value, np.array(scale), where[: len(value)], kind)
+    elements = [d.element(k) for k in range(len(value))]
+    assert [list(e) for e in elements] == [[kind, "defect", "scale"]] * len(value)
+    assert [e["scale"] for e in elements] == np.broadcast_to(scale, value.shape).tolist()
+    assert all(type(e["defect"]) is float and type(e["scale"]) is float for e in elements)
+    assert repr(d.element()) == repr(elements[worst])
 
 
 # -- every routed check: a NaN in one element fails, and is named ------------------------
@@ -184,7 +203,9 @@ def test_constant_function_stays_harmonic(disk):
 def test_triangle_closure_defect(disk):
     r, _, zdot, _ = disk
     rates = deform.edge_rates(r, zdot)
-    rep = deform.require_triangle_compat(r, rates)
+    rep = deform.check_triangle_compat(r, rates)
+    message = "edge rates do not close on face {face} (defect {defect:.3e})"
+    rep.closure.require(1e-10, IncompatibleRates, message, defect=rep.defect)
     assert rep.ok.all() and rep.closure.where.tolist() == list(range(len(r.mesh.faces)))
     assert_nan_fails(rep.closure)
     # a NaN rate fails the faces on its edge; the first of them is named
@@ -194,7 +215,7 @@ def test_triangle_closure_defect(disk):
     faces = sorted(r.mesh.edge_faces[e].tolist())
     assert np.flatnonzero(~rep.ok).tolist() == faces
     with pytest.raises(IncompatibleRates) as info:
-        deform.require_triangle_compat(r, rates)
+        rep.closure.require(1e-10, IncompatibleRates, message, defect=rep.defect)
     assert info.value.details["face"] == faces[0]
     assert str(info.value) == f"edge rates do not close on face {faces[0]} (defect nan+nanj)"
 

@@ -62,7 +62,7 @@ def test_incompatible_rates_rejected(wheel6_irregular):
     rep = deform.check_triangle_compat(r, rates)
     assert not rep.ok.all()
     with pytest.raises(IncompatibleRates):
-        deform.require_triangle_compat(r, rates)
+        rep.closure.require(1e-10, IncompatibleRates, "face {face}")
 
 
 def test_conformal_deformation_scale_rates():

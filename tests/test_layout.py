@@ -24,7 +24,10 @@ by one bulk parse with the line loop as its fallback, and every tree
 integration goes through ``mesh.integrate``.  ``solve_dirichlet`` makes the
 one ``splu`` call, with literal settings.  Every import
 sits at module level, every file is opened with an explicit encoding, and
-every report is written by ``fileio.dump_json``."""
+every report is written by ``fileio.dump_json``.  An element-wise verdict
+is raised only through ``Defect.require``, which names the failing element
+beside its defect and scale; ``NotHolomorphic`` and ``NotMinimal`` are the
+two verdicts on a whole check that a module raises by name."""
 
 import argparse
 import ast
@@ -36,7 +39,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddgconf import Realization, TriMesh, build, deform, fileio, hqd, laplace, realization, weierstrass
+from ddgconf import Realization, TriMesh, build, deform, errors, fileio, hqd, laplace, realization, weierstrass
 from ddgconf import mesh as mesh_module
 from ddgconf.cli import COMMANDS, build_parser
 from ddgconf.mesh import _Graph
@@ -86,6 +89,38 @@ def test_deleted_realization_and_graph_members(wheel6):
     r = wheel6
     assert [name for name in ("tri", "circumradius", "cot_at") if hasattr(r, name)] == []
     assert not hasattr(r.mesh._primal_graph, "d") and not hasattr(_Graph, "d")
+    assert not hasattr(deform, "require_triangle_compat")
+
+
+ELEMENTWISE = {"IntegrationDefect", "ClosureDefect", "NotRealizable", "NotHarmonic", "IncompatibleRates"}
+WHOLE_CHECK = {"NotHolomorphic", "NotMinimal"}
+
+
+def test_elementwise_verdicts_raise_only_through_require():
+    """Outside ``errors.py`` an element-wise verdict's error is named only as
+    the error argument of a ``.require(tol, error, message)`` call, so every
+    such failure names its element, defect and scale.  The verdicts on a
+    whole check are the only ones raised by name."""
+    verdicts = {
+        name for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.VerificationError)
+    } - {"VerificationError"}
+    assert verdicts == ELEMENTWISE | WHOLE_CHECK
+    named, raised = [], set()
+    for name, tree in _package_trees():
+        if name == "errors.py":
+            continue
+        nodes = list(ast.walk(tree))
+        requires = [n for n in nodes if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "require"]
+        allowed = {id(call.args[1]) for call in requires if len(call.args) > 1}
+        for node in nodes:
+            ident = getattr(node, "attr", getattr(node, "id", None))
+            if ident in ELEMENTWISE and id(node) not in allowed:
+                named.append(f"{name}:{node.lineno}: {ident}")
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                raised.add(getattr(node.exc.func, "attr", getattr(node.exc.func, "id", None)))
+    assert named == []
+    assert raised & verdicts == WHOLE_CHECK
 
 
 def test_deleted_orientation_check_and_gradient_field():

@@ -595,7 +595,7 @@ def test_integrate_reports_the_first_failing_cotree_edge(mesh):
         defect.require(1e-3, InvalidInput, "edge {edge}: {defect:.3e}")
     edge = tuple(mesh.edge_ends[result.cotree[first]].tolist())
     assert str(info.value) == f"edge {edge}: {defect.value[first]:.3e}"
-    assert info.value.details == {"edge": edge, "defect": defect.value[first]}
+    assert info.value.details == {"edge": edge, "defect": defect.value[first], "scale": defect.scale}
     defect.require(1.0 + defect.worst, InvalidInput, "never")
 
 
