@@ -57,9 +57,9 @@ def solve_dirichlet(r: Realization, boundary):
     ``boundary`` is a dict mapping each boundary vertex to its value (other
     keys are ignored); a missing vertex raises ``MissingBoundaryData`` and a
     non-finite value ``InvalidInput``.  The realization's interior system
-    (``r.dirichlet_system``) is solved by sparse LU (a symmetric
-    minimum-degree ordering, factored in single-column panels) with up to
-    three steps of iterative refinement;
+    (``r.dirichlet_system``, already in its symmetric minimum-degree order)
+    is solved by sparse LU (in that order, factored in single-column panels)
+    with up to three steps of iterative refinement;
     the result satisfies ``|Lh|_inf <= 1e-10 * |h|_inf`` or
     ``SingularSystem`` is raised.
     """
@@ -79,17 +79,19 @@ def solve_dirichlet(r: Realization, boundary):
     if not mesh.interior_vertices:
         return g
 
-    A, B = r.dirichlet_system
+    A, B, rows = r.dirichlet_system
     b = B @ g
-    # A is symmetric: a minimum-degree ordering of A + A^T with diagonal
-    # pivots roughly halves the fill of the default COLAMD ordering; the
-    # threshold still pivots where a diagonal nearly vanishes.  Single-column
-    # panels keep the fill and the ordering and only reschedule the column
-    # updates, which is cheaper on these narrow supernodes
+    # A is symmetric and stored in the minimum-degree (MMD) order of A + A^T,
+    # which with diagonal pivots roughly halves the fill of the default COLAMD
+    # ordering; factoring it in its own order gives the fill and the pivots of
+    # an MMD factor without deriving the ordering again.  The threshold still
+    # pivots where a diagonal nearly vanishes.  Single-column panels keep the
+    # fill and the ordering and only reschedule the column updates, which is
+    # cheaper on these narrow supernodes
     try:
         lu = spla.splu(
             A,
-            permc_spec="MMD_AT_PLUS_A",
+            permc_spec="NATURAL",
             diag_pivot_thresh=0.1,
             panel_size=1,
             options={"SymmetricMode": True},
@@ -116,7 +118,7 @@ def solve_dirichlet(r: Realization, boundary):
             )
 
     h = g.copy()
-    h[~mesh.is_boundary_vertex] = x
+    h[rows] = x
     return h
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ddgconf import Realization, build
 from ddgconf import deform, laplace
@@ -158,6 +159,8 @@ def test_refinement_that_misses_the_contract_raises(monkeypatch):
     """A factor whose solves are off by a factor of 2 leaves a residual of
     1/16 after three refinement steps: ``SingularSystem``, not a result."""
     r = delaunay_disk(200, seed=1)
+    # the ordering's carrier is factored with the true splu, before the patch
+    r.dirichlet_system
     splu = laplace.spla.splu
 
     class Halved:
@@ -184,9 +187,10 @@ def test_second_solve_reuses_the_cached_system():
     system = r.dirichlet_system
     h = laplace.solve_dirichlet(r, second)
     assert r.dirichlet_system is system
-    for m in system:
+    A, B, rows = system
+    for m in (A.data, B.data, rows):
         with pytest.raises(ValueError):
-            m.data[0] = 0.0
+            m[0] = 0
     fresh = Realization(r.mesh, r.z)
     assert h.tobytes() == laplace.solve_dirichlet(fresh, second).tobytes()
     assert fresh.dirichlet_system is not system
@@ -211,12 +215,28 @@ SCHEDULE_MESHES = {
 }
 
 
+def refined_solve(lu, A, b, g):
+    """``lu.solve(b)`` refined as ``solve_dirichlet`` refines it, for
+    boundary values ``g``."""
+    x = lu.solve(b)
+    h_scale = max(float(np.abs(g).max()), float(np.abs(x).max()), 1e-300)
+    for _ in range(3):
+        res = A @ x - b
+        if float(np.abs(res).max()) <= 1e-12 * h_scale:
+            break
+        x = x - lu.solve(res)
+    return x
+
+
 @pytest.mark.parametrize("kind", list(SCHEDULE_MESHES))
 def test_single_column_panels_change_only_the_schedule(kind, monkeypatch):
-    """``solve_dirichlet`` factors in single-column panels.  Against a factor
-    with scipy's default panel size, the orderings, the pivots and the fill
-    are the same, and the solve agrees to 1e-14 of ``max|h|`` and meets the
-    1e-10 residual contract: only the order of the column updates moved."""
+    """``solve_dirichlet`` factors the system in the order the carrier's
+    factor took, with ``NATURAL`` and in single-column panels.  Against an
+    MMD factor of ``A`` in ``interior_vertices`` order, the ordering, the
+    pivots and the fill are the same.  Against a factor with scipy's default
+    panel size, they are the same too: only the order of the column updates
+    moved.  The solves agree to 1e-14 of ``max|h|``, and the result meets
+    the 1e-10 residual contract."""
     r = SCHEDULE_MESHES[kind]()
     assert len(r.mesh.interior_vertices) > 100
     splu, factors = laplace.spla.splu, []
@@ -232,17 +252,47 @@ def test_single_column_panels_change_only_the_schedule(kind, monkeypatch):
     # the same call without the panel size, so with scipy's default
     monkeypatch.setattr(laplace.spla, "splu", lambda *a, panel_size, **k: record(splu(*a, **k)))
     default = laplace.solve_dirichlet(r, bnd)
+    carrier, single, wide = factors
 
-    single, wide = factors
+    A, B, rows = r.dirichlet_system
+    interior = np.asarray(r.mesh.interior_vertices)
+    g = h.copy()
+    g[interior] = 0.0
+    # the system in interior_vertices order, factored with an MMD ordering of its own
+    q = carrier.perm_c
+    A_int = sp.csc_matrix(A[q][:, q])
+    A_int.sort_indices()
+    mmd = splu(A_int, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, panel_size=1, options={"SymmetricMode": True})
+    p = np.argsort(mmd.perm_c)
+    assert carrier.perm_c.tolist() == mmd.perm_c.tolist()
+    assert rows.tolist() == interior[p].tolist()
+    assert single.perm_c.tolist() == list(range(len(rows)))
+    assert single.nnz == mmd.nnz
+    assert single.perm_r.tolist() == mmd.perm_r[p].tolist()
+    by_mmd = g.copy()
+    by_mmd[interior] = refined_solve(mmd, A_int, (B @ g)[q], g)
+    assert np.abs(h - by_mmd).max() <= 1e-14 * np.abs(h).max()
+
     assert single.perm_c.tolist() == wide.perm_c.tolist()
     assert single.perm_r.tolist() == wide.perm_r.tolist()
     assert single.nnz == wide.nnz
     assert np.abs(h - default).max() <= 1e-14 * np.abs(h).max()
-    A, B = r.dirichlet_system
-    interior = r.mesh.interior_vertices
-    g = h.copy()
-    g[interior] = 0.0
-    assert np.abs(A @ h[interior] - B @ g).max() <= 1e-10 * np.abs(h).max()
+    assert np.abs(A @ h[rows] - B @ g).max() <= 1e-10 * np.abs(h).max()
+
+
+def test_ordering_is_taken_once_per_realization(monkeypatch):
+    """A fresh realization's first solve factors the ordering's carrier and
+    then the system; every later solve factors the system alone."""
+    r = delaunay_disk(300, seed=5)
+    splu, calls = laplace.spla.splu, []
+    monkeypatch.setattr(laplace.spla, "splu", lambda *a, **k: calls.append(k["permc_spec"]) or splu(*a, **k))
+    rng = np.random.default_rng(7)
+    per_solve = []
+    for _ in range(3):
+        laplace.solve_dirichlet(r, {v: rng.standard_normal() for v in r.mesh.boundary_vertices.tolist()})
+        per_solve.append(calls[:])
+        calls.clear()
+    assert per_solve == [["MMD_AT_PLUS_A", "NATURAL"], ["NATURAL"], ["NATURAL"]]
 
 
 def test_nan_is_not_harmonic(wheel6):

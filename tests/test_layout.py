@@ -21,10 +21,11 @@ spanning tree from ``_Graph.tree`` instead of gathering it per call.  No module
 imports a name it does not read or keeps a private function nothing
 references.  An OBJ is read
 by one bulk parse with the line loop as its fallback, and every tree
-integration goes through ``mesh.integrate``.  ``solve_dirichlet`` makes the
-one ``splu`` call, with literal settings.  Every import
-sits at module level, every file is opened with an explicit encoding, and
-every report is written by ``fileio.dump_json``.  An element-wise verdict
+integration goes through ``mesh.integrate``.  The package makes two
+``splu`` calls, each with literal settings: the ordering's carrier in
+``Realization.dirichlet_system`` and the factor in ``solve_dirichlet``.
+Every import sits at module level, every file is opened with an explicit
+encoding, and every report is written by ``fileio.dump_json``.  An element-wise verdict
 is raised only through ``Defect.require``, which names the failing element
 beside its defect and scale; ``NotHolomorphic`` and ``NotMinimal`` are the
 two verdicts on a whole check that a module raises by name."""
@@ -334,27 +335,32 @@ def test_no_unused_import_or_private_function():
 
 
 def test_one_factor_call_with_literal_settings():
-    """``laplace.solve_dirichlet`` makes the one ``splu`` call of the package.
-    Every keyword of it is a literal (the panel size too), and no parameter
-    of ``solve_dirichlet`` reaches it: the factor has no option."""
+    """The package makes two ``splu`` calls: ``Realization.dirichlet_system``
+    factors the carrier of its ordering once, and ``laplace.solve_dirichlet``
+    factors the system in that order.  Every keyword of either is a literal
+    (the panel size too), and no parameter of ``solve_dirichlet`` reaches
+    either: the factor has no option."""
     calls = [
         (name, fn, node)
         for name, tree in _package_trees()
         for fn, node in _functions(tree)
         if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "splu"
     ]
-    assert [(name, fn) for name, fn, _ in calls] == [("laplace.py", "solve_dirichlet")]
-    call = calls[0][2]
-    settings = {k.arg: ast.literal_eval(k.value) for k in call.keywords}
-    assert settings == {
-        "permc_spec": "MMD_AT_PLUS_A",
-        "diag_pivot_thresh": 0.1,
-        "panel_size": 1,
-        "options": {"SymmetricMode": True},
-    }
+    assert [(name, fn) for name, fn, _ in calls] == [
+        ("laplace.py", "solve_dirichlet"),
+        ("realization.py", "dirichlet_system"),
+    ]
+    factor, carrier = (call for _, _, call in calls)
+    settings = [{k.arg: ast.literal_eval(k.value) for k in call.keywords} for call in (carrier, factor)]
+    assert settings == [
+        {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0, "panel_size": 1, "options": {"SymmetricMode": True}},
+        {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.1, "panel_size": 1, "options": {"SymmetricMode": True}},
+    ]
     parameters = list(inspect.signature(laplace.solve_dirichlet).parameters)
     assert parameters == ["r", "boundary"]
-    assert {node.id for node in ast.walk(call) if isinstance(node, ast.Name)} & set(parameters) == set()
+    assert list(inspect.signature(Realization.dirichlet_system.func).parameters) == ["self"]
+    for call in (carrier, factor):
+        assert {node.id for node in ast.walk(call) if isinstance(node, ast.Name)} & set(parameters) == set()
 
 
 def test_trimesh_keeps_no_per_element_tables():

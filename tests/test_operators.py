@@ -181,8 +181,12 @@ def uncached_cross_ratios(r):
 
 
 def reference_solve_dirichlet(r, boundary, default_ordering=False):
-    """The interior system assembled entry by entry, factored with the
-    program's ``splu`` call (or scipy's default COLAMD ordering)."""
+    """The interior system assembled entry by entry and factored as the
+    program factors it: a carrier (the upper triangle of the pattern, 1 on
+    the diagonal and 0 above it) gives the minimum-degree order, and the
+    system, assembled again in that order, is factored with ``NATURAL``.
+    With ``default_ordering``, the system in ``interior_vertices`` order
+    is factored with scipy's default COLAMD ordering instead."""
     mesh = r.mesh
     ni = len(mesh.interior_vertices)
     g = np.zeros(mesh.vertex_count)
@@ -208,13 +212,28 @@ def reference_solve_dirichlet(r, boundary, default_ordering=False):
     rows.extend(range(ni))
     cols.extend(range(ni))
     vals.extend(diag)
-    A = sp.csc_matrix((vals, (rows, cols)), shape=(ni, ni))
     if default_ordering:
+        order = np.arange(ni)
+        A = sp.csc_matrix((vals, (rows, cols)), shape=(ni, ni))
         lu = spla.splu(A)
     else:
+        upper = [(a, c, 0.0 if a < c else 1.0) for a, c in zip(rows, cols) if a <= c]
+        ua, uc, uv = zip(*upper)
+        carrier = sp.csc_matrix((uv, (ua, uc)), shape=(ni, ni))
+        perm_c = spla.splu(
+            carrier,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            panel_size=1,
+            options={"SymmetricMode": True},
+        ).perm_c
+        # interior position j becomes row perm_c[j]
+        order = np.argsort(perm_c)
+        A = sp.csc_matrix((vals, (perm_c[rows], perm_c[cols])), shape=(ni, ni))
+        b = b[order]
         lu = spla.splu(
             A,
-            permc_spec="MMD_AT_PLUS_A",
+            permc_spec="NATURAL",
             diag_pivot_thresh=0.1,
             panel_size=1,
             options={"SymmetricMode": True},
@@ -227,7 +246,7 @@ def reference_solve_dirichlet(r, boundary, default_ordering=False):
             break
         x = x - lu.solve(res)
     h = g.copy()
-    h[mesh.interior_vertices] = x
+    h[np.asarray(mesh.interior_vertices)[order]] = x
     return h
 
 
