@@ -257,8 +257,9 @@ def moebius_eta(args, r, data):
     return report, closed.closed
 
 
-def _alpha_tag(alpha):
-    return ("%g" % alpha).replace("-", "m")
+def _surface_path(prefix, alpha):
+    """The file of the surface at ``alpha``, tagged with ``alpha`` to 6 significant digits."""
+    return f"{prefix}_a{('%g' % alpha).replace('-', 'm')}.obj"
 
 
 def minimal_build(args, r, data):
@@ -270,7 +271,7 @@ def minimal_build(args, r, data):
     per_alpha, defects = [], []
     for alpha in args.alpha:
         surf = ms.at_phase(alpha)
-        path = f"{args.out_prefix}_a{_alpha_tag(alpha)}.obj"
+        path = _surface_path(args.out_prefix, alpha)
         fileio.write_obj(path, *weierstrass.dual_mesh(r, surf.f))
         written.append(path)
         rep = weierstrass.verify_minimal(r.mesh, n, surf.f, args.tol)
@@ -381,12 +382,18 @@ def build_parser():
 
 
 def _check_flags(args):
-    """``--tol`` must be finite and positive, every ``--alpha`` finite."""
+    """``--tol`` must be finite and positive, every ``--alpha`` finite and
+    with a file of its own."""
     if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):
         raise InvalidInput(f"--tol must be a finite number > 0, got {args.tol!r}")
+    paths = {}
     for alpha in getattr(args, "alpha", ()):
         if not math.isfinite(alpha):
             raise InvalidInput(f"--alpha must be finite, got {alpha!r}")
+        path = _surface_path(args.out_prefix, alpha)
+        if path in paths:
+            raise InvalidInput(f"--alpha values {paths[path]!r} and {alpha!r} would both write {path}")
+        paths[path] = alpha
 
 
 def main(argv=None):

@@ -42,8 +42,16 @@ class TriMesh:
     ``edge_corners[e]`` holds the corners of ``i -> j`` and ``j -> i`` and
     ``edge_faces[e]`` their faces, the left and right face of ``e`` (-1
     where it has none); ``vertex_stars`` lists the corners by vertex,
-    counterclockwise around each.  Element sets are read-only int64 arrays,
+    counterclockwise around each, ``star_counts[v]`` of them for vertex ``v``
+    from ``star_starts[v]`` on.  Element sets are read-only int64 arrays,
     but ``interior_vertices`` is a list: ``bench/`` compares it with one.
+
+    Tables that depend on the mesh alone are built once, on first use, and
+    kept read-only: ``least_corners`` (each vertex's first corner in face
+    order), the dual cycles ``vertex_cycles`` with their faces and the
+    ones-valued copy ``unsigned_cycles`` that :meth:`cycle_sum` reads, the
+    slot schedule of the cycle products (``slot_schedule``,
+    ``slot_counts``) and the spanning trees of :func:`integrate`.
     """
 
     def __init__(self, faces, vertex_count=None):
@@ -90,13 +98,14 @@ class TriMesh:
 
         self._check_connected(tail, head)
         twin = self.edge_corners[corner_edge, 1 - side]
-        self.vertex_stars = _vertex_stars(tail, head, twin, vertex_count)
+        self.vertex_stars, self.star_counts, self.star_starts = _vertex_stars(tail, head, twin, vertex_count)
 
         self.is_boundary_vertex = np.zeros(vertex_count, dtype=bool)
         self.is_boundary_vertex[self.edge_ends[self.boundary_edges]] = True
         self.boundary_vertices = np.flatnonzero(self.is_boundary_vertex)
         self.interior_vertices = np.flatnonzero(~self.is_boundary_vertex).tolist()
-        sets = (self.edge_corners, self.interior_edges, self.boundary_edges, self.boundary_vertices)
+        sets = (self.edge_corners, self.interior_edges, self.boundary_edges, self.boundary_vertices,
+                self.star_counts, self.star_starts)
         for a in sets:
             a.flags.writeable = False
 
@@ -175,12 +184,17 @@ class TriMesh:
         return _Graph(right, left, len(self.faces), self.interior_edges, self.interior_ends, "face")
 
     @cached_property
+    def least_corners(self):
+        """Each vertex's least corner, its first in face order, read-only."""
+        return _read_only(np.minimum.reduceat(self.vertex_stars, self.star_starts))
+
+    @cached_property
     def vertex_cycles(self):
         """The dual cycles as a read-only ``(V_int, E_int)`` CSR operator: row
         ``r`` holds the star ``ring`` of ``v = interior_vertices[r]`` slot by
         slot, counterclockwise; slot ``m`` is +1 (``v < ring[m]``) or -1 in the
         column of edge ``{v, ring[m]}``.  Read-only, so no sort can reorder it."""
-        valence = np.bincount(self.faces.ravel())
+        valence = self.star_counts
         corners = self.vertex_stars[np.repeat(~self.is_boundary_vertex, valence)]  # slot order
         e = self.face_edges.ravel()[corners]
         sign = np.where(self.edge_corners[e, 0] == corners, 1.0, -1.0)  # +1 where v < j
@@ -195,18 +209,42 @@ class TriMesh:
         c = self.vertex_cycles
         return _read_only(self.interior_faces[c.indices, (c.data < 0).astype(np.int64)])
 
+    @cached_property
+    def unsigned_cycles(self):
+        """:attr:`vertex_cycles` with every entry 1, read-only, on its index
+        arrays: ``abs()`` would sort each row."""
+        c = self.vertex_cycles
+        return _read_only(sp.csr_array((np.ones(c.nnz), c.indices, c.indptr), c.shape))
+
+    @cached_property
+    def slot_schedule(self):
+        """``(2, V_int)`` read-only: where each row of :attr:`vertex_cycles`
+        starts in its ``indices``, the rows by descending valence (ties in row
+        order), and each row's place in that order."""
+        c = self.vertex_cycles
+        rows = np.argsort(-np.diff(c.indptr), kind="stable")
+        rank = np.empty_like(rows)
+        rank[rows] = np.arange(len(rows))
+        return _read_only(np.stack([c.indptr[rows], rank]))
+
+    @cached_property
+    def slot_counts(self):
+        """How many rows of :attr:`vertex_cycles` have a slot ``m``, per
+        ``m``, read-only: by descending valence they are a prefix."""
+        valence = np.diff(self.vertex_cycles.indptr)
+        return _read_only(np.cumsum(np.bincount(valence)[::-1])[-2::-1])
+
     def cycle_sum(self, values, signed=False):
         """Sum of per-interior-edge ``values`` (trailing axes allowed) around
         each interior vertex: one product with :attr:`vertex_cycles`, or with
-        a ones-valued copy of it unless ``signed``.  CSR sums each row from 0
-        in stored order, slot by slot; complex values enter as (re, im) pairs,
-        so that each term is exactly +-1 times a real number."""
+        its ones-valued copy :attr:`unsigned_cycles` unless ``signed``.  CSR
+        sums each row from 0 in stored order, slot by slot; complex values
+        enter as (re, im) pairs, so that each term is exactly +-1 times a
+        real number."""
         values = np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
         trailing = values.shape[1:]
         flat = np.ascontiguousarray(values).reshape(len(values), math.prod(trailing))
-        c = self.vertex_cycles
-        if not signed:  # the same index arrays: abs() would sort each row
-            c = sp.csr_array((np.ones(c.nnz), c.indices, c.indptr), c.shape)
+        c = self.vertex_cycles if signed else self.unsigned_cycles
         return (c @ flat.view(float)).view(values.dtype).reshape((-1,) + trailing)
 
     def dual_cycles(self):
@@ -457,7 +495,8 @@ def _face_array(faces):
 
 
 def _vertex_stars(tail, head, twin, n):
-    """The corners, read-only, by ascending vertex and counterclockwise in each star.
+    """The corners by ascending vertex and counterclockwise in each star, with
+    each vertex's corner count and the start of its star.
 
     Corner ``(v, j, k)`` is followed by corner ``(v, k, .)``, which holds the
     twin of the corner's ``k -> v``.  An open fan starts at its one corner
@@ -485,9 +524,10 @@ def _vertex_stars(tail, head, twin, n):
     bad = jump != jump[first[tail]]
     if bad.any():
         raise NonManifold(f"vertex star of {tail[bad].min()} is not a single fan")
+    start = np.cumsum(valence) - valence
     stars = np.empty_like(corner)  # a star's rank r corner has valence - 1 - r steps to go
-    stars[(np.cumsum(valence) - 1)[tail] - steps] = corner
-    return _read_only(stars)
+    stars[(start + valence - 1)[tail] - steps] = corner
+    return _read_only(stars), valence, start
 
 
 def build(faces, vertex_count=None):

@@ -3,6 +3,7 @@ sl(2,C)-valued dual 1-form determined by per-edge cross-ratio rates, its
 Pauli-basis coordinates, and transition matrices between two realizations."""
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -60,10 +61,16 @@ def lift(z):
 
 
 def sl2_from_pauli(vec):
-    """Traceless matrix with Pauli coordinates ``vec``; batched over leading
-    axes."""
-    v = np.asarray(vec)[..., None, None]
-    return v[..., 0, :, :] * PAULI[0] + v[..., 1, :, :] * PAULI[1] + v[..., 2, :, :] * PAULI[2]
+    """Traceless matrix ``[[v2, v0 + i v1], [v0 - i v1, -v2]]`` with Pauli
+    coordinates ``vec``; batched over leading axes.  Built entry by entry, each
+    the sum of ``vec``'s products with that entry of the three ``PAULI``
+    matrices: the products with their zeros keep the signed zeros and NaNs of
+    the matrix sum, which the bare formula would not."""
+    v = np.moveaxis(np.asarray(vec), -1, 0)
+    m = np.empty(v.shape[1:] + (2, 2), dtype=complex)
+    for i, j in np.ndindex(2, 2):
+        m[..., i, j] = v[0] * PAULI[0][i, j] + v[1] * PAULI[1][i, j] + v[2] * PAULI[2][i, j]
+    return m
 
 
 def pauli_from_sl2(m):
@@ -213,11 +220,14 @@ def transition_matrices(a: Realization, b: Realization) -> TransitionReport:
     G_norm = _max_abs(G)
     # before the eigen residuals, so that their temporaries and the slot gathers never coexist
     cycle = Defect(*_cycle_products(mesh, G, G_norm), mesh.interior_vertices, "vertex")
-    # G applied to the lifts (z, 1) of ends i, j: G psi_i = psi_i / lam, G psi_j = lam psi_j
+    # G applied to the lifts (z, 1) of ends i, j: G psi_i = psi_i / lam, G psi_j = lam psi_j.
+    # lam, the second component of G psi_j, keeps its product with 1 for its signed zeros; its
+    # own residual, lam - lam, is left out: a non-finite lam fails the second entry
     zi, zj = a.z[mesh.interior_ends.T]
-    w = _mul(G, (zi, zj, 1.0, 1.0))
-    lam = w[3]  # second lift component is 1
-    res = _max_abs((w[0] - zi / lam, w[1] - lam * zj, w[2] - 1.0 / lam, w[3] - lam * 1.0))
+    g00, g01, g10, g11 = G
+    lam = g10 * zj + g11 * 1.0
+    gaps = (g00 * zi + g01 - zi / lam, g00 * zj + g01 - lam * zj, g10 * zi + g11 - 1.0 / lam)
+    res = reduce(np.maximum, map(np.abs, gaps))
     scale = G_norm * np.maximum(np.maximum(magnitude(zi), magnitude(zj)), 1.0)
     eig_res = Defect(res, scale, mesh.interior_ends, "edge").worst
     cra = cross_ratios(a)
@@ -232,17 +242,14 @@ def _cycle_products(mesh, G, G_norm):
     canonical orientation) around each interior vertex, and its rounding scale
     ``max_m |P_{m-1}| |G_m|``; slot by slot, each a prefix of the products."""
     c = mesh.vertex_cycles
-    valence = np.diff(c.indptr)
-    # by descending valence, the rows that have a slot m (valence > m) are a prefix, count[m] long
-    rows = np.argsort(-valence, kind="stable")
-    start, count = c.indptr[rows], np.cumsum(np.bincount(valence)[::-1])[-2::-1]
+    # by descending valence, the rows that have a slot m are a prefix, slot_counts[m] long
+    start, rank = mesh.slot_schedule
     pick = c.indices + len(G_norm) * (c.data < 0)
     both = [np.concatenate(pair) for pair in zip(G, _adjugate(G))]
-    p, p_scale = [np.full(len(rows), v, dtype=complex) for v in (1, 0, 0, 1)], np.zeros(len(rows))
-    for m, n in enumerate(count.tolist()):
+    p, p_scale = [np.full(len(start), v, dtype=complex) for v in (1, 0, 0, 1)], np.zeros(len(start))
+    for m, n in enumerate(mesh.slot_counts.tolist()):
         e, prev = start[:n] + m, [x[:n] for x in p]
         p_scale[:n] = np.maximum(p_scale[:n], _max_abs(prev) * G_norm[c.indices[e]])
         for x, y in zip(p, _mul(prev, [x[pick[e]] for x in both])):
             x[:n] = y
-    rank = np.argsort(rows)
     return _max_abs((p[0] - 1.0, p[1], p[2], p[3] - 1.0))[rank], p_scale[rank]

@@ -218,13 +218,12 @@ def _per_vertex_from_edges(mesh: TriMesh, edge_value, reduce_mod_tau=False):
     # corner m of face f lies between face edges m - 1 and m, opposite m + 1
     s = np.asarray(edge_value)[mesh.face_edges]
     vals = (s[:, [2, 0, 1]] + s - s[:, [1, 2, 0]]).ravel()
-    # each vertex's corners from ``start`` on; its first triangle in face order has the least corner
-    count = np.bincount(mesh.faces.ravel(), minlength=mesh.vertex_count)
-    start = np.cumsum(count) - count
-    base = vals[np.minimum.reduceat(mesh.vertex_stars, start)]
+    # each vertex's corners in vertex_stars; its first triangle in face order has the least corner
+    start = mesh.star_starts
+    base = vals[mesh.least_corners]
     vals = vals[mesh.vertex_stars]
     if reduce_mod_tau:
-        diff = np.angle(np.exp(1j * (vals - np.repeat(base, count))))
+        diff = np.angle(np.exp(1j * (vals - np.repeat(base, mesh.star_counts))))
         return base % TAU, float(np.abs(diff).max())
     spread = np.maximum.reduceat(vals, start) - np.minimum.reduceat(vals, start)
     return base, float(spread.max())

@@ -1,0 +1,141 @@
+"""Byte digests of every ``ddg`` command's outputs, to compare two versions.
+
+Runs every ``ddg`` command in process through ``ddgconf.cli.main``, once
+plain and once with ``--report`` where the command takes it, on four disks
+of ``conftest.py``: the fixture disk ``delaunay_disk(300, 5)``, the
+seed-1055 sliver ``delaunay_disk(1000, 1055)``, the jittered grid
+``jittered_grid(14, 0.45, 3)`` and a Moebius image of the fixture disk.
+Each disk goes through the commands in the order a user runs them, each
+reading the files the ones before it wrote (``deform check`` and ``moebius
+mu`` read ``deform build``'s ``zdot`` as ``{"values": ...}``, and 0 where
+that field fails its check).  The pair commands compare the disk with
+itself, with a Moebius image of it and with a copy moved a small step along
+its ``zdot``; ``moebius mu`` and ``eta`` also run on the zero field.  One
+line per run: the disk, the command, its exit code, and the sha256 of its
+standard output, of its standard error and of each file it wrote or
+changed.  Paths are relative to a scratch directory, so the listing depends
+only on the ``ddgconf`` imported::
+
+    PYTHONPATH=<checkout>/src python tests/output_digests.py > digests.txt
+
+Run it on two checkouts and ``diff`` the listings; the first differing line
+is where the outputs part, since later commands read earlier outputs.
+``--wheel`` runs the 6-face wheel alone.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from ddgconf import Realization, build, fileio
+from ddgconf.cli import COMMANDS, main
+
+from conftest import WHEEL6_FACES, delaunay_disk, jittered_grid, random_moebius
+
+
+def wheel():
+    z = np.concatenate([[0.05 + 0.02j], np.exp(2j * np.pi * np.arange(6) / 6.0)])
+    return Realization(build(WHEEL6_FACES), z)
+
+
+def disks(wheel_only=False):
+    """``(name, realization)`` of each disk the listing covers."""
+    if wheel_only:
+        return [("wheel", wheel())]
+    fixture = delaunay_disk(300, 5)
+    phi = random_moebius(fixture, np.random.default_rng(29))
+    return [
+        ("fixture", fixture),
+        ("sliver", delaunay_disk(1000, 1055)),
+        ("grid", jittered_grid(14, 0.45, 3)),
+        ("image", Realization(fixture.mesh, phi.apply(fixture.z))),
+    ]
+
+
+def _digest(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _files():
+    return {p.name: _digest(p.read_bytes()) for p in sorted(Path().iterdir())}
+
+
+def run(name, argv):
+    """Run ``ddg argv`` (twice, the second with ``--report``, where the
+    command takes it) in the current directory; one listing line per run."""
+    takes_report = "report" in COMMANDS[" ".join(argv[:2])][3].split()
+    lines = []
+    for extra in ([], ["--report"]) if takes_report else ([],):
+        before, out, err = _files(), io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + extra)
+        written = [f"{f} {h}" for f, h in _files().items() if before.get(f) != h]
+        fields = [name, " ".join(argv + extra), f"exit {code}",
+                  f"stdout {_digest(out.getvalue().encode())}", f"stderr {_digest(err.getvalue().encode())}"]
+        lines.append(" | ".join(fields + written))
+    return lines
+
+
+def write_values(path, values):
+    Path(path).write_text(fileio.dump_json({"values": values}), encoding="utf-8")
+
+
+def listing(name, r):
+    """The listing lines of one disk, run in the current directory."""
+    rng = np.random.default_rng(30)
+    mesh, n = r.mesh, r.mesh.vertex_count
+    fileio.write_obj_planar("disk.obj", mesh, r.z)
+    fileio.write_obj_planar("image.obj", mesh, random_moebius(r, rng).apply(r.z))
+    boundary = {str(v): float(rng.standard_normal()) for v in mesh.boundary_vertices}
+    Path("bnd.json").write_text(fileio.dump_json({"boundary": boundary}), encoding="utf-8")
+    write_values("zero.json", np.zeros(n, dtype=complex))
+    lines = run(name, ["mesh", "info", "disk.obj"])
+    lines += run(name, ["harmonic", "solve", "disk.obj", "bnd.json", "-o", "u.json"])
+    lines += run(name, ["harmonic", "check", "disk.obj", "u.json"])
+    lines += run(name, ["deform", "build", "disk.obj", "u.json", "-o", "deform.json"])
+    # a field that fails its closure check writes no report: zdot is then 0
+    built = Path("deform.json").exists()
+    zdot = fileio.load_json("deform.json")["zdot"] if built else np.zeros(n, dtype=complex)
+    write_values("zdot.json", zdot)
+    zdot = fileio.vertex_field_from_json(fileio.load_json("zdot.json"), n, real=False)
+    step = 1e-3 * np.abs(r.z - r.z.mean()).max() / max(np.abs(zdot).max(), 1.0)
+    fileio.write_obj_planar("moved.obj", mesh, r.z + step * zdot)
+    lines += run(name, ["deform", "check", "disk.obj", "zdot.json"])
+    lines += run(name, ["hqd", "from-harmonic", "disk.obj", "u.json", "-o", "q.json"])
+    lines += run(name, ["hqd", "check", "disk.obj", "q.json"])
+    lines += run(name, ["hqd", "to-harmonic", "disk.obj", "q.json"])
+    lines += run(name, ["hqd", "moebius-test", "disk.obj", "q.json"])
+    # the zero field's rates and the identity transitions are made of signed zeros
+    for field, mu in (("zdot.json", "mu.json"), ("zero.json", "mu0.json")):
+        lines += run(name, ["moebius", "mu", "disk.obj", field, "-o", mu])
+        lines += run(name, ["moebius", "eta", "disk.obj", mu])
+    for other in ("moved.obj", "image.obj", "disk.obj"):
+        lines += run(name, ["moebius", "transitions", "disk.obj", other])
+    lines += run(name, ["check", "conformal", "disk.obj", "image.obj"])
+    lines += run(name, ["check", "pattern", "disk.obj", "image.obj"])
+    lines += run(name, ["minimal", "build", "disk.obj", "q.json", "-o", "surf"])
+    lines += run(name, ["minimal", "verify", "surf_gauss.obj", "surf_a0.obj"])
+    return lines
+
+
+def digests(wheel_only=False):
+    """Every listing line, each disk run in a scratch directory of its own."""
+    lines, cwd = [], os.getcwd()
+    for name, r in disks(wheel_only):
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                lines += listing(name, r)
+            finally:
+                os.chdir(cwd)
+    return lines
+
+
+if __name__ == "__main__":
+    print("\n".join(digests("--wheel" in sys.argv[1:])))

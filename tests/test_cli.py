@@ -7,8 +7,9 @@ import pytest
 
 from ddgconf import Realization, build, fileio, hqd, laplace, moebius, weierstrass
 from ddgconf import deform as deform_mod
-from ddgconf.cli import DEFAULT_ALPHAS, main
+from ddgconf.cli import COMMANDS, DEFAULT_ALPHAS, main
 
+import output_digests
 from conftest import WHEEL6_FACES, delaunay_disk, deformed_grid_pair, jittered_grid
 
 
@@ -656,3 +657,16 @@ def test_hqd_check_without_elements_has_no_worst(tmp_path, capsys):
         "schema": 1, "command": "hqd check", "tol": 1e-9, "holomorphic": True,
         "max_defect": 0.0, "max_real_part": 0.0, "worst": None,
     }
+
+
+def test_output_digests_list_every_command():
+    """``tests/output_digests.py --wheel`` runs all 16 commands on the 6-face
+    wheel, each with and without ``--report`` where it takes it, and two runs
+    list the same digests: the listing names no scratch path."""
+    lines = output_digests.digests(wheel_only=True)
+    runs = [line.split(" | ")[1].split() for line in lines]
+    assert {" ".join(argv[:2]) for argv in runs} == set(COMMANDS)
+    reported = {" ".join(argv[:2]) for argv in runs if argv[-1] == "--report"}
+    assert reported == {name for name, spec in COMMANDS.items() if "report" in spec[3].split()}
+    assert all(" | exit 0 | " in line for line in lines)
+    assert output_digests.digests(wheel_only=True) == lines

@@ -189,6 +189,26 @@ def test_bad_flag(wheel, capsys, argv):
     assert sorted(wheel.iterdir()) == before  # nothing written
 
 
+@pytest.mark.parametrize(
+    "alphas, first, second, tag",
+    [
+        ("0.1,0.1000001", 0.1, 0.1000001, "0.1"),
+        ("1,1", 1.0, 1.0, "1"),
+        ("0,-2e-7,3,-2.0000001e-7", -2e-7, -2.0000001e-7, "m2em07"),
+    ],
+)
+def test_alphas_that_share_a_file(wheel, capsys, alphas, first, second, tag):
+    """A surface's file is tagged with its alpha to 6 significant digits
+    (``%g``): a list in which two tags repeat is refused before any file is
+    written, where the second surface used to overwrite the first."""
+    before = sorted(wheel.iterdir())
+    err = assert_input_error(
+        capsys, "minimal", "build", wheel / "wheel.obj", wheel / "q.json", "-o", wheel / "surf", "--alpha", alphas
+    )
+    assert f"{first!r} and {second!r}" in err and err.rstrip().endswith(f"surf_a{tag}.obj")
+    assert sorted(wheel.iterdir()) == before
+
+
 def test_coincident_gauss_points(wheel, capsys):
     """Gauss points 0 and 1 coincide on the interior edge 0-1."""
     n = np.zeros((7, 3))

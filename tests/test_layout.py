@@ -17,7 +17,10 @@ order of the corners around a vertex, and ``Realization.face_dz`` the one
 gather of positions by face (the Moebius face maps excepted).  The interior
 rows of ``edge_dz`` and their squared lengths are ``Realization`` caches
 that no other module rebuilds, and ``integrate`` reads the co-tree of a
-spanning tree from ``_Graph.tree`` instead of gathering it per call.  No module
+spanning tree from ``_Graph.tree`` instead of gathering it per call.  The
+star and slot schedules and the ones-valued copy of ``vertex_cycles`` are
+built once per mesh: the per-vertex reconstruction, the cycle products and
+``cycle_sum`` count, sort and build nothing per call.  No module
 imports a name it does not read or keeps a private function nothing
 references.  An OBJ is read
 by one bulk parse with the line loop as its fallback, and every tree
@@ -39,8 +42,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from ddgconf import Realization, TriMesh, build, deform, errors, fileio, hqd, laplace, realization, weierstrass
+from ddgconf import Realization, TriMesh, build, deform, errors, fileio, hqd, laplace, moebius, realization, weierstrass
 from ddgconf import mesh as mesh_module
 from ddgconf.cli import COMMANDS, build_parser
 from ddgconf.mesh import _Graph
@@ -241,6 +245,42 @@ def test_one_star_order():
         source = ast.parse(textwrap.dedent(inspect.getsource(fn)))
         names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(source)}
         assert "vertex_stars" in names and "argsort" not in names, fn.__name__
+
+
+SCHEDULES = ("star_counts", "star_starts", "least_corners", "unsigned_cycles", "slot_schedule", "slot_counts")
+
+
+def test_mesh_tables_are_not_rebuilt_per_call(wheel6):
+    """``_per_vertex_from_edges`` and ``_cycle_products`` count, sort and
+    difference nothing: they read the star and slot schedules ``TriMesh``
+    keeps.  ``cycle_sum`` builds no sparse operator: it reads
+    ``vertex_cycles`` or its ones-valued copy ``unsigned_cycles``.  A second
+    call on one mesh reads the same read-only arrays as the first."""
+    for fn in (realization._per_vertex_from_edges, moebius._cycle_products, TriMesh.cycle_sum):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        calls = {getattr(n.func, "attr", getattr(n.func, "id", None)) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        assert calls.isdisjoint({"bincount", "argsort", "cumsum", "diff"}), fn.__name__
+        assert [name for name in calls if name.endswith(("_array", "_matrix")) and hasattr(sp, name)] == [], fn.__name__
+    mesh = wheel6.mesh
+    n = len(mesh.interior_edges)
+    G = [np.full(n, v, dtype=complex) for v in (1, 0, 0, 1)]
+    calls = (
+        lambda: realization._per_vertex_from_edges(mesh, np.zeros(mesh.edge_count)),
+        lambda: moebius._cycle_products(mesh, G, np.ones(n)),
+        lambda: mesh.cycle_sum(np.zeros(n)),
+    )
+    for call in calls:
+        call()
+    kept = dict(vars(mesh))
+    for call in calls:
+        call()
+    assert [name for name, value in vars(mesh).items() if kept.get(name) is not value] == []
+    for name in SCHEDULES:
+        value = kept[name]
+        arrays = (value.data, value.indices, value.indptr) if sp.issparse(value) else (value,)
+        assert [a.flags.writeable for a in arrays] == [False] * len(arrays), name
+    assert np.shares_memory(mesh.unsigned_cycles.indices, mesh.vertex_cycles.indices)
+    assert mesh.unsigned_cycles.indptr is mesh.vertex_cycles.indptr
 
 
 def _functions(tree):

@@ -57,6 +57,51 @@ def test_pauli_roundtrip():
     assert np.abs(back - vec).max() < 1e-14
 
 
+def broadcast_sl2_from_pauli(vec):
+    """The sum of the three broadcast products with the Pauli matrices."""
+    v = np.asarray(vec)[..., None, None]
+    return v[..., 0, :, :] * moebius.PAULI[0] + v[..., 1, :, :] * moebius.PAULI[1] + v[..., 2, :, :] * moebius.PAULI[2]
+
+
+def test_sl2_from_pauli_is_the_broadcast_sum_bit_for_bit():
+    """Entry by entry, with +-0, +-inf and NaN in a third of the real and
+    imaginary parts: the same bits as the broadcast sum, which the bare
+    ``[[v2, v0 + i v1], [v0 - i v1, -v2]]`` does not give."""
+    rng = np.random.default_rng(61)
+    parts = rng.standard_normal((2000, 3, 2))
+    special = rng.random(parts.shape) < 1 / 3
+    parts[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], special.sum())
+    vec = parts.view(complex)[..., 0]
+    with np.errstate(invalid="ignore"):
+        for v in (vec, vec.reshape(40, 50, 3), vec[7]):
+            got, want = moebius.sl2_from_pauli(v), broadcast_sl2_from_pauli(v)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        v0, v1, v2 = vec.T
+        bare = np.stack([v2, v0 + 1j * v1, v0 - 1j * v1, -v2], axis=1).reshape(-1, 2, 2)
+    assert bare.tobytes() != got.tobytes()
+    finite = rng.standard_normal((500, 3)) + 1j * rng.standard_normal((500, 3))
+    assert moebius.sl2_from_pauli(finite).tobytes() == broadcast_sl2_from_pauli(finite).tobytes()
+
+
+def test_an_overflowing_eigenvalue_fails_the_eigen_residual(wheel6, monkeypatch):
+    """The eigen residual leaves out ``lambda - lambda``, which is NaN where
+    ``lambda`` is not finite.  A pair whose face maps overflow, and one
+    whose ``G`` and residual scale are finite but whose ``lambda = G10 z_j +
+    G11 = 1e308 + 1e308`` overflows, still read a non-finite residual that
+    fails every tolerance."""
+    far = Realization(wheel6.mesh, wheel6.z * 1e110)
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(moebius.transition_matrices(far, wheel6).max_eigen_residual)
+    # the left face of the edge 0 -> 1 (z_1 = 1) maps by [[1, 0], [1e308, 1e308]], every other face by I
+    maps = [np.ones(6, complex), np.zeros(6, complex), np.zeros(6, complex), np.ones(6, complex)]
+    maps[2][0] = maps[3][0] = 1e308
+    monkeypatch.setattr(moebius, "_face_maps", lambda a, b: maps)
+    with np.errstate(all="ignore"):
+        rep = moebius.transition_matrices(wheel6, wheel6)
+    assert np.isfinite(rep.transitions).all() and np.isinf(rep.eigenvalues[0])
+    assert not np.isfinite(rep.max_eigen_residual) and not rep.max_eigen_residual <= 1e-10
+
+
 def test_moebius_flows_have_zero_rates(wheel6_irregular):
     """Infinitesimal Moebius motions a z^2 + b z + c do not change any cross
     ratio, so all edge rates vanish."""

@@ -894,6 +894,33 @@ def test_transitions_match_broadcast_formulation(fields):
             assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
 
 
+def test_transitions_keep_the_signed_zeros_of_the_broadcast_formulation(monkeypatch):
+    """Affine face maps, their lower left entries +0 or -0 and their diagonal
+    entries real with imaginary parts +0 or -0, fed to both formulations:
+    each ``lambda`` has a zero imaginary part, and every output is still
+    equal bit for bit, though the eigen residual leaves out the lift's
+    products with its constant 1 (but in ``lambda``, whose signed zeros the
+    product sets)."""
+    r = jittered_grid(6, 0.3, seed=4)
+    rng = np.random.default_rng(18)
+    parts = rng.standard_normal((len(r.mesh.faces), 4, 2))
+    signed_zeros = np.where(rng.random(parts.shape) < 0.5, 0.0, -0.0)
+    parts[:, 2] = signed_zeros[:, 2]
+    parts[:, [0, 3], 1] = signed_zeros[:, [0, 3], 1]
+    maps = parts.view(complex)[..., 0]
+    monkeypatch.setattr(moebius, "_face_maps", lambda a, b: list(maps.T))
+    monkeypatch.setitem(globals(), "broadcast_face_maps", lambda a, b: maps.reshape(-1, 2, 2))
+    rep = moebius.transition_matrices(r, r)
+    got = (
+        rep.face_maps, rep.transitions, rep.eigenvalues, rep.max_eigen_residual,
+        rep.max_cr_residual, rep.max_cycle_residual, rep.cycle.value, rep.cycle.scale,
+    )
+    for x, y in zip(got, broadcast_transitions(r, r), strict=True):
+        x, y = np.asarray(x), np.asarray(y)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+    assert (rep.eigenvalues.imag == 0).all() and np.isfinite(rep.max_eigen_residual)
+
+
 def test_transitions_match_reference(fields):
     r, _, _, zdot, *_ = fields
     b = Realization(r.mesh, r.z + 1e-3 * zdot / np.abs(zdot).max())
