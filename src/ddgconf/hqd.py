@@ -17,7 +17,7 @@ import numpy as np
 from . import laplace
 from .deform import cross_ratio_rate
 from .errors import ClosureDefect, NotRealizable
-from .mesh import Defect, _floor, integrate, magnitude
+from .mesh import Defect, _floor, _read_only, integrate, magnitude
 from .realization import Realization, cross_ratios, intersection_angles
 
 
@@ -121,9 +121,21 @@ class QDiffReport:
 def verify_qdiff(r: Realization, q, tol=1e-9) -> QDiffReport:
     """Check that ``q`` is purely imaginary and that both vertex sums vanish.
 
-    Defects are normalized by the sup norm of the respective summands.
+    Defects are normalized by the sup norm of the respective summands.  A
+    field checked again on the same realization is checked once: ``r`` keeps
+    the last field's defects and sums, read-only
+    (:meth:`Realization.checked`), and only the verdict is taken again,
+    against ``tol``.
     """
     q = _as_complex(q)
+    defects, worst, real_part, s0, s1 = r.checked("verify_qdiff", q, lambda: _qdiff_defects(r, q))
+    v = r.mesh.interior_vertices
+    return QDiffReport(worst <= tol, real_part, VertexSums(v, s0), VertexSums(v, s1), worst, defects)
+
+
+def _qdiff_defects(r: Realization, q):
+    """The three ``Defect``s of :func:`verify_qdiff`, the worst of them and
+    of the first, and the two vertex sums."""
     mesh = r.mesh
     q_scale = np.abs(q).max(initial=0.0)
     # tau is stored for the canonical orientation (i < j); around v the term
@@ -132,13 +144,12 @@ def verify_qdiff(r: Realization, q, tol=1e-9) -> QDiffReport:
 
     s0, s1, v = mesh.cycle_sum(q), mesh.cycle_sum(tau, signed=True), mesh.interior_vertices
     defects = (
-        Defect(np.abs(q.real), q_scale, mesh.interior_ends, "edge"),
-        Defect(magnitude(s0), q_scale, v, "vertex"),
-        Defect(magnitude(s1), np.abs(tau).max(initial=0.0), v, "vertex"),
+        Defect(_read_only(np.abs(q.real)), q_scale, mesh.interior_ends, "edge"),
+        Defect(_read_only(magnitude(s0)), q_scale, v, "vertex"),
+        Defect(_read_only(magnitude(s1)), np.abs(tau).max(initial=0.0), v, "vertex"),
     )
     worst = float(np.max([d.worst for d in defects]))
-    sums = VertexSums(v, s0), VertexSums(v, s1)
-    return QDiffReport(worst <= tol, defects[0].worst, *sums, worst, defects)
+    return defects, worst, defects[0].worst, _read_only(s0), _read_only(s1)
 
 
 def harmonic_from_qdiff(r: Realization, q, anchor_vertex=0, anchor_face=0, tol=1e-9):

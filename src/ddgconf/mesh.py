@@ -51,7 +51,8 @@ class TriMesh:
     order), the dual cycles ``vertex_cycles`` with their faces and the
     ones-valued copy ``unsigned_cycles`` that :meth:`cycle_sum` reads, the
     slot schedule of the cycle products (``slot_schedule``,
-    ``slot_counts``) and the spanning trees of :func:`integrate`.
+    ``slot_counts``, ``slot_picks``) and the spanning trees of
+    :func:`integrate`.
     """
 
     def __init__(self, faces, vertex_count=None):
@@ -226,6 +227,14 @@ class TriMesh:
         rank = np.empty_like(rows)
         rank[rows] = np.arange(len(rows))
         return _read_only(np.stack([c.indptr[rows], rank]))
+
+    @cached_property
+    def slot_picks(self):
+        """Per slot of :attr:`vertex_cycles`, read-only: its column, plus
+        ``E_int`` where the slot is -1, the row of the slot's matrix among
+        the interior edges' ``G`` followed by their adjugates."""
+        c = self.vertex_cycles
+        return _read_only(c.indices + len(self.interior_edges) * (c.data < 0))
 
     @cached_property
     def slot_counts(self):

@@ -224,11 +224,12 @@ def transition_matrices(a: Realization, b: Realization) -> TransitionReport:
     # lam, the second component of G psi_j, keeps its product with 1 for its signed zeros; its
     # own residual, lam - lam, is left out: a non-finite lam fails the second entry
     zi, zj = a.z[mesh.interior_ends.T]
+    mod_i, mod_j = magnitude(a.z)[mesh.interior_ends.T]  # once per vertex
     g00, g01, g10, g11 = G
     lam = g10 * zj + g11 * 1.0
     gaps = (g00 * zi + g01 - zi / lam, g00 * zj + g01 - lam * zj, g10 * zi + g11 - 1.0 / lam)
     res = reduce(np.maximum, map(np.abs, gaps))
-    scale = G_norm * np.maximum(np.maximum(magnitude(zi), magnitude(zj)), 1.0)
+    scale = G_norm * np.maximum(np.maximum(mod_i, mod_j), 1.0)
     eig_res = Defect(res, scale, mesh.interior_ends, "edge").worst
     cra = cross_ratios(a)
     cr_gap = np.abs(cross_ratios(b) - cra / lam**2)
@@ -241,10 +242,9 @@ def _cycle_products(mesh, G, G_norm):
     """``|P - I|`` of the product ``P`` of ``G`` (``adj(G) = G^{-1}`` against the
     canonical orientation) around each interior vertex, and its rounding scale
     ``max_m |P_{m-1}| |G_m|``; slot by slot, each a prefix of the products."""
-    c = mesh.vertex_cycles
+    c, pick = mesh.vertex_cycles, mesh.slot_picks
     # by descending valence, the rows that have a slot m are a prefix, slot_counts[m] long
     start, rank = mesh.slot_schedule
-    pick = c.indices + len(G_norm) * (c.data < 0)
     both = [np.concatenate(pair) for pair in zip(G, _adjugate(G))]
     p, p_scale = [np.full(len(start), v, dtype=complex) for v in (1, 0, 0, 1)], np.zeros(len(start))
     for m, n in enumerate(mesh.slot_counts.tolist()):

@@ -27,8 +27,11 @@ class Realization:
     builds on first use, read-only, the per-corner cotangents, the edge
     vectors, their interior rows and squared lengths, the cotan weights, the
     cross ratios, the interior Dirichlet system (with its minimum-degree
-    elimination order) and the rotation stencil: a second field on the same
-    realization builds none of them again.
+    elimination order), the rotation stencil and the null vectors: a second
+    field on the same realization builds none of them again.  A small memo
+    keeps, per field check (``verify_qdiff``, ``check_harmonic``), the last
+    field checked and its results, so that a field checked again on this
+    realization is checked once (see :meth:`checked`).
     Faces may be negatively oriented; areas and corner angles then carry a
     negative sign.  ``z`` is a read-only copy of the positions, so that no
     cached value can go stale.
@@ -46,6 +49,7 @@ class Realization:
         z.flags.writeable = False
         self.mesh = mesh
         self.z = z
+        self._checks = {}  # check name -> (read-only copy of the field, results)
 
         tri = mesh.faces
         p = z[tri.T.ravel()].reshape(3, -1)  # one C-order gather: row m at the corners m
@@ -158,11 +162,31 @@ class Realization:
 
     def null_vectors(self):
         """``(1 - z_i z_j, i (1 + z_i z_j), z_i + z_j)`` per interior edge
-        ``i < j``: up to a factor per edge, the Pauli coordinates of the
-        sl(2,C) form and the Weierstrass integrand."""
+        ``i < j``, built once and read-only: up to a factor per edge, the
+        Pauli coordinates of the sl(2,C) form and the Weierstrass integrand."""
+        return self._null_vectors
+
+    @cached_property
+    def _null_vectors(self):
         i, j = self.mesh.interior_ends.T
         zi, zj = self.z[i], self.z[j]
-        return np.stack([1.0 - zi * zj, 1j * (1.0 + zi * zj), zi + zj], axis=1)
+        return _read_only(np.stack([1.0 - zi * zj, 1j * (1.0 + zi * zj), zi + zj], axis=1))
+
+    def checked(self, name, field, check):
+        """The results of the field check ``name`` on ``field``: ``check()``,
+        or the results it gave for the last field that check ran on, if that
+        field has ``field``'s dtype, shape and bytes.  The memo keeps one
+        field per name, as a read-only copy compared bit for bit, so that a
+        NaN, a signed zero or an in-place edit never passes for another
+        field; ``check`` returns only results that do not depend on a
+        tolerance, with every array read-only."""
+        entry = self._checks.get(name)
+        if entry is not None and _same_bits(entry[0], field):
+            return entry[1]
+        self._checks.pop(name, None)  # before the check, so that two never coexist
+        results = check()
+        self._checks[name] = _read_only(np.array(field)), results
+        return results
 
     def edge_scale(self):
         """Length of the longest edge."""
@@ -188,6 +212,15 @@ class Realization:
             edge = tuple(self.mesh.interior_ends[(den == 0) | (num == 0)][0].tolist())
             raise DegenerateFace(f"coincident vertices at interior edge {edge}")
         return _read_only(num / den)
+
+
+def _same_bits(a, b):
+    """Whether arrays ``a`` and ``b`` have one dtype, one shape and the same
+    bytes; arrays of references never match."""
+    if a.dtype != b.dtype or a.shape != b.shape or a.dtype.hasobject:
+        return False
+    word = np.uint64 if a.dtype.itemsize % 8 == 0 else np.uint8
+    return np.array_equal(*(np.ascontiguousarray(x).reshape(-1).view(word) for x in (a, b)))
 
 
 def cross_ratios(r: Realization):

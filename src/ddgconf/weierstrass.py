@@ -68,7 +68,7 @@ def weierstrass_integrate(r: Realization, q, anchor_face=0, tol=1e-8):
     """
     mesh = r.mesh
     mesh.require_disk()
-    # the report's per-vertex sums are freed before the integration
+    # a q its caller has just verified on r is not checked again
     worst = verify_qdiff(r, q, tol).max_defect
     if not worst <= tol:
         raise NotHolomorphic(f"quadratic differential fails verification (defect {worst:.3e})")

@@ -14,7 +14,16 @@ its ``zdot``; ``moebius mu`` and ``eta`` also run on the zero field.  One
 line per run: the disk, the command, its exit code, and the sha256 of its
 standard output, of its standard error and of each file it wrote or
 changed.  Paths are relative to a scratch directory, so the listing depends
-only on the ``ddgconf`` imported::
+only on the ``ddgconf`` imported.
+
+Every command builds a fresh ``Realization``, so a last section runs the
+library chain of the benchmark's ``fields-disk`` items (``solve_dirichlet``,
+``qdiff_from_harmonic``, ``verify_qdiff``, ``harmonic_from_qdiff``,
+``conformal_deformation``, ``weierstrass_integrate``) twice on one
+realization of the fixture disk and of the sliver, each time on new
+boundary data as the benchmark does, and lists the sha256 of each output of
+the second pass: its checks replace the fields the first pass left on the
+realization, and its later steps read the checks of its earlier ones::
 
     PYTHONPATH=<checkout>/src python tests/output_digests.py > digests.txt
 
@@ -33,8 +42,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ddgconf import Realization, build, fileio
+from ddgconf import Realization, build, deform, fileio, hqd, laplace, weierstrass
 from ddgconf.cli import COMMANDS, main
+from ddgconf.errors import DDGError
 
 from conftest import WHEEL6_FACES, delaunay_disk, jittered_grid, random_moebius
 
@@ -124,9 +134,59 @@ def listing(name, r):
     return lines
 
 
+CHAIN_DISKS = ("fixture", "sliver")
+
+
+def _bytes(*parts):
+    """The bytes of each array part and the ``repr`` of each other part, joined."""
+    return b"".join(p.tobytes() if isinstance(p, np.ndarray) else repr(p).encode() for p in parts)
+
+
+def chain_outputs(r, boundary):
+    """``(output, bytes)`` of each output of the ``fields-disk`` chain on one
+    boundary datum; a step that raises gives its error instead."""
+    u = laplace.solve_dirichlet(r, boundary)
+    q = hqd.qdiff_from_harmonic(r, u)
+    rep = hqd.verify_qdiff(r, q)
+    sums = [np.fromiter(m.values(), complex, len(m)) for m in (rep.vertex_sum, rep.weighted_sum)]
+    defects = [x for d in rep.defects for x in (d.value, float(d.scale))]
+    outputs = [
+        ("u", _bytes(u)),
+        ("q", _bytes(q.imag)),
+        ("report", _bytes(rep.holomorphic, rep.max_real_part, rep.max_defect, *defects)),
+        ("sums", _bytes(*sums)),
+    ]
+
+    def surface():
+        s = weierstrass.weierstrass_integrate(r, q)
+        return _bytes(s.potential, s.f, s.k, s.closure_defect)
+
+    steps = (
+        ("u2", lambda: _bytes(hqd.harmonic_from_qdiff(r, q))),
+        ("zdot", lambda: _bytes(deform.conformal_deformation(r, u))),
+        ("surface", surface),
+    )
+    for output, step in steps:
+        try:
+            outputs.append((output, step()))
+        except DDGError as exc:
+            outputs.append((output, f"{type(exc).__name__}: {exc}".encode()))
+    return outputs
+
+
+def chain(name, r):
+    """The chain lines of one disk: the second of two passes on ``r``."""
+    rng = np.random.default_rng(31)
+    for _ in range(2):
+        boundary = {v: float(rng.standard_normal()) for v in r.mesh.boundary_vertices.tolist()}
+        outputs = chain_outputs(r, boundary)
+    return [f"{name} | chain {output} | {_digest(data)}" for output, data in outputs]
+
+
 def digests(wheel_only=False):
-    """Every listing line, each disk run in a scratch directory of its own."""
-    lines, cwd = [], os.getcwd()
+    """Every listing line, each disk run in a scratch directory of its own,
+    then the chain lines."""
+    lines, chains, cwd = [], [], os.getcwd()
     for name, r in disks(wheel_only):
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
@@ -134,7 +194,9 @@ def digests(wheel_only=False):
                 lines += listing(name, r)
             finally:
                 os.chdir(cwd)
-    return lines
+        if name in CHAIN_DISKS:
+            chains += chain(name, r)
+    return lines + chains
 
 
 if __name__ == "__main__":

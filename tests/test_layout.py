@@ -20,7 +20,9 @@ that no other module rebuilds, and ``integrate`` reads the co-tree of a
 spanning tree from ``_Graph.tree`` instead of gathering it per call.  The
 star and slot schedules and the ones-valued copy of ``vertex_cycles`` are
 built once per mesh: the per-vertex reconstruction, the cycle products and
-``cycle_sum`` count, sort and build nothing per call.  No module
+``cycle_sum`` count, sort and build nothing per call.  A field is checked
+once per realization: the Laplacian of ``u`` and the vertex sums of ``q``
+are taken once for a chain of steps that each require them.  No module
 imports a name it does not read or keeps a private function nothing
 references.  An OBJ is read
 by one bulk parse with the line loop as its fallback, and every tree
@@ -247,7 +249,9 @@ def test_one_star_order():
         assert "vertex_stars" in names and "argsort" not in names, fn.__name__
 
 
-SCHEDULES = ("star_counts", "star_starts", "least_corners", "unsigned_cycles", "slot_schedule", "slot_counts")
+SCHEDULES = (
+    "star_counts", "star_starts", "least_corners", "unsigned_cycles", "slot_schedule", "slot_counts", "slot_picks"
+)
 
 
 def test_mesh_tables_are_not_rebuilt_per_call(wheel6):
@@ -281,6 +285,33 @@ def test_mesh_tables_are_not_rebuilt_per_call(wheel6):
         assert [a.flags.writeable for a in arrays] == [False] * len(arrays), name
     assert np.shares_memory(mesh.unsigned_cycles.indices, mesh.vertex_cycles.indices)
     assert mesh.unsigned_cycles.indptr is mesh.vertex_cycles.indptr
+
+
+def test_each_field_is_checked_once_per_realization(wheel6, monkeypatch):
+    """A check that a step's caller has just run on the same field and
+    realization is not run again: the harmonic check of ``u`` serves
+    ``qdiff_from_harmonic`` and ``conformal_deformation``, and ``verify_qdiff``
+    serves ``weierstrass_integrate``.  The memo keeps one field per check,
+    and the null vectors are built once, read-only."""
+    r = wheel6
+    u = laplace.solve_dirichlet(r, {v: float(v % 3) for v in r.mesh.boundary_vertices.tolist()})
+    calls = []
+    laplacian, cycle_sum = laplace.laplacian, TriMesh.cycle_sum
+    monkeypatch.setattr(laplace, "laplacian", lambda *a: calls.append("laplacian") or laplacian(*a))
+    monkeypatch.setattr(TriMesh, "cycle_sum", lambda *a, **k: calls.append("cycle_sum") or cycle_sum(*a, **k))
+    q = hqd.qdiff_from_harmonic(r, u)
+    deform.conformal_deformation(r, u)
+    assert calls == ["laplacian", "cycle_sum"]
+    calls.clear()
+    hqd.verify_qdiff(r, q)
+    weierstrass.weierstrass_integrate(r, q)
+    assert calls == ["cycle_sum", "cycle_sum"]
+    for k in range(3):
+        laplace.check_harmonic(r, u + k)
+        hqd.verify_qdiff(r, hqd.QuadDiff(q.imag * (k + 2)))
+    assert sorted(vars(r)["_checks"]) == ["check_harmonic", "verify_qdiff"]
+    null = r.null_vectors()
+    assert r.null_vectors() is null and not null.flags.writeable
 
 
 def _functions(tree):

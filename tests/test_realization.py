@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddgconf import Realization, build, deform, hqd, laplace, moebius, weierstrass
+from ddgconf import Realization, build, deform, errors, hqd, laplace, moebius, weierstrass
 from ddgconf.errors import DegenerateFace, MeshMismatch
 from ddgconf.realization import (
     check_conformal_equiv,
@@ -277,3 +277,107 @@ def test_second_field_reuses_the_cached_tables():
     for a, b in zip(out, _field(fresh, second), strict=True):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert fresh.rotation_stencil is not cached["rotation_stencil"]
+
+
+def _boundary(r, seed):
+    rng = np.random.default_rng(seed)
+    return {v: rng.standard_normal() for v in r.mesh.boundary_vertices}
+
+
+@pytest.mark.parametrize("seed", [5, 1055])
+def test_fields_on_one_realization_match_fresh_realizations(seed):
+    """The six calls of a field, run for three data (the first repeated) on
+    one realization, each on a new field or a field its checks last saw,
+    give the same bits as on fresh realizations.  The seed-1055 disk has a
+    sliver: its deformation and its surface raise, and do so every time."""
+    r = delaunay_disk(1000 if seed == 1055 else 300, seed)
+    data = [_boundary(r, 6), _boundary(r, 7)]
+    for boundary in data + data[:1]:
+        out, expected = (_field_or_error(s, boundary) for s in (r, Realization(r.mesh, r.z)))
+        assert [(a.dtype, a.tobytes()) for a in out] == [(b.dtype, b.tobytes()) for b in expected]
+
+
+def _field_or_error(r, boundary):
+    try:
+        return _field(r, boundary)
+    except errors.VerificationError as exc:
+        return [np.array(f"{type(exc).__name__}: {exc}")]
+
+
+def _harmonic_pair(r):
+    u = laplace.solve_dirichlet(r, _boundary(r, 6))
+    return u, hqd.qdiff_from_harmonic(r, u)
+
+
+def test_a_field_edited_in_place_is_checked_again():
+    """The memo keeps a copy of each field it checked: editing the caller's
+    array after a passing check fails the next check that reads it."""
+    r = delaunay_disk(300, seed=5)
+    u, q = _harmonic_pair(r)
+    assert hqd.verify_qdiff(r, q).holomorphic
+    q.imag[0] += 0.3
+    with pytest.raises(errors.NotHolomorphic):
+        weierstrass.weierstrass_integrate(r, q)
+    # a complex array is checked as passed, not as a fresh copy
+    values = hqd.qdiff_from_harmonic(r, u).values
+    assert hqd.verify_qdiff(r, values).holomorphic
+    values[0] += 0.3j
+    assert not hqd.verify_qdiff(r, values).holomorphic
+    u[r.mesh.interior_vertices[0]] += 0.3
+    with pytest.raises(errors.NotHarmonic):
+        deform.conformal_deformation(r, u)
+
+
+def test_a_nan_or_a_signed_zero_is_not_another_field():
+    r = delaunay_disk(300, seed=5)
+    u, q = _harmonic_pair(r)
+    bad_u, bad_q = u.copy(), q.values.copy()
+    bad_u[r.mesh.interior_vertices[0]] = np.nan
+    bad_q[0] = complex(np.nan, 0.0)
+    for _ in range(2):
+        assert not laplace.check_harmonic(r, bad_u)[0]
+        with pytest.raises(errors.NotHarmonic):
+            laplace.require_harmonic(r, bad_u)
+        assert not hqd.verify_qdiff(r, bad_q).holomorphic
+    zero = np.zeros(r.mesh.vertex_count)
+    laplace.check_harmonic(r, zero)
+    kept = r._checks["check_harmonic"]
+    laplace.check_harmonic(r, -zero)
+    assert r._checks["check_harmonic"] is not kept
+
+
+def test_the_verdict_follows_the_tolerance():
+    """A check repeated at another tolerance takes its verdict again and
+    keeps its defects."""
+    r = delaunay_disk(300, seed=5)
+    u, q = _harmonic_pair(r)
+    loose, tight = hqd.verify_qdiff(r, q, tol=1e-9), hqd.verify_qdiff(r, q, tol=1e-30)
+    assert loose.holomorphic and not tight.holomorphic
+    assert 0 < loose.max_defect == tight.max_defect and loose.defects is tight.defects
+    (ok, defect, _), (ok_tight, defect_tight, _) = (laplace.check_harmonic(r, u, t) for t in (1e-8, 1e-30))
+    assert ok and not ok_tight and defect is defect_tight and defect.worst > 0
+
+
+def test_the_memo_belongs_to_its_realization(monkeypatch):
+    r = delaunay_disk(300, seed=5)
+    u, q = _harmonic_pair(r)
+    rep = hqd.verify_qdiff(r, q)
+    other = Realization(r.mesh, r.z)
+    calls = []
+    laplacian = laplace.laplacian
+    monkeypatch.setattr(laplace, "laplacian", lambda *args: calls.append(1) or laplacian(*args))
+    assert laplace.check_harmonic(other, u)[1] is not laplace.check_harmonic(r, u)[1]
+    assert hqd.verify_qdiff(other, q).defects is not rep.defects
+    assert len(calls) == 1  # on ``other``; ``r`` had checked ``u``
+
+
+def test_memoised_arrays_are_read_only():
+    """The fields the memo keeps and every array it hands out (beside the
+    mesh's own element lists in ``Defect.where``) are read-only."""
+    r = delaunay_disk(300, seed=5)
+    hqd.verify_qdiff(r, _harmonic_pair(r)[1])
+    assert sorted(r._checks) == ["check_harmonic", "verify_qdiff"]
+    (u, (defect, res)), (q, (defects, _, _, *sums)) = r._checks["check_harmonic"], r._checks["verify_qdiff"]
+    arrays = [u, res, defect.value, q, *sums] + [d.value for d in defects]
+    assert all(isinstance(a, np.ndarray) for a in arrays)
+    assert [a.flags.writeable for a in arrays] == [False] * len(arrays)
