@@ -43,8 +43,9 @@ class TriMesh:
     ``edge_faces[e]`` their faces, the left and right face of ``e`` (-1
     where it has none); ``vertex_stars`` lists the corners by vertex,
     counterclockwise around each, ``star_counts[v]`` of them for vertex ``v``
-    from ``star_starts[v]`` on.  Element sets are read-only int64 arrays,
-    but ``interior_vertices`` is a list: ``bench/`` compares it with one.
+    from ``star_starts[v]`` on.  Every array ``__init__`` sets is read-only,
+    the element sets int64 ones; ``interior_vertices`` is a list: ``bench/``
+    compares it with one.
 
     Tables that depend on the mesh alone are built once, on first use, and
     kept read-only: ``least_corners`` (each vertex's first corner in face
@@ -105,8 +106,9 @@ class TriMesh:
         self.is_boundary_vertex[self.edge_ends[self.boundary_edges]] = True
         self.boundary_vertices = np.flatnonzero(self.is_boundary_vertex)
         self.interior_vertices = np.flatnonzero(~self.is_boundary_vertex).tolist()
-        sets = (self.edge_corners, self.interior_edges, self.boundary_edges, self.boundary_vertices,
-                self.star_counts, self.star_starts)
+        sets = (self.faces, self.edge_ends, self.face_edges, self.edge_corners, self.edge_faces,
+                self.interior_edges, self.boundary_edges, self.interior_ends, self.interior_faces,
+                self.is_boundary_vertex, self.boundary_vertices, self.star_counts, self.star_starts)
         for a in sets:
             a.flags.writeable = False
 
@@ -177,7 +179,7 @@ class TriMesh:
     @cached_property
     def _primal_graph(self):
         i, j = self.edge_ends.T
-        return _Graph(i, j, self.vertex_count, np.arange(len(i)), self.edge_ends, "vertex")
+        return _Graph(i, j, self.vertex_count, _read_only(np.arange(len(i))), self.edge_ends, "vertex")
 
     @cached_property
     def _dual_graph(self):

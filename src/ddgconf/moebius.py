@@ -3,14 +3,13 @@ sl(2,C)-valued dual 1-form determined by per-edge cross-ratio rates, its
 Pauli-basis coordinates, and transition matrices between two realizations."""
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .deform import cross_ratio_rate
-from .errors import DegenerateFace, MeshMismatch, VertexAtInfinity
-from .mesh import Defect, magnitude, reduce_rows
-from .realization import Realization, _check_same_mesh, cross_ratios
+from .errors import DegenerateFace, MeshMismatch, NonFinite, VertexAtInfinity
+from .mesh import Defect, magnitude
+from .realization import Realization, _check_same_mesh
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -116,31 +115,28 @@ def rates_from_deformation(r: Realization, zdot):
 class ClosednessReport:
     closed: bool
     max_defect: float  # worst normalized defect
-    equivalence_ok: bool  # matrix sum vanishes iff both scalar sums do
-    defects: tuple  # Defects of the matrix sum, the rate sum and the weighted sum
+    defects: tuple  # Defects of the rate sum and the weighted sum
 
 
 def check_sl2_form_closed(r: Realization, form: SlForm, tol=1e-10) -> ClosednessReport:
-    """Closedness of the matrix form at interior vertices, cross-checked
-    against the two scalar rate sums it is equivalent to."""
+    """Closedness of the matrix form at interior vertices.  Around ``v``, with
+    ``d = z_j - z_v``, the matrix sum is ``(sum mu / d) K1 + (sum mu) K2`` for
+    two fixed matrices ``K1``, ``K2`` of ``z_v``, so the form is closed exactly
+    where the rate sum and the weighted sum vanish: those two are checked."""
     mesh = r.mesh
     mu = form.rates
     # around v the weighted term is mu / (z_j - z_v), the canonical value
     # negated where v > j; its global scale keeps vertices where mu happens
     # to be locally tiny from registering rounding noise as a defect
     tau = mu / r.interior_dz
-    msum = reduce_rows(np.maximum, np.abs(mesh.cycle_sum(form.matrices, signed=True)))
     w_scale = magnitude(tau)[mesh.vertex_cycles.indices].max(initial=0.0)
     v = mesh.interior_vertices
     defects = (
-        Defect(msum, np.abs(form.matrices).max(initial=0.0), v, "vertex"),
         Defect(magnitude(mesh.cycle_sum(mu)), np.abs(mu).max(initial=0.0), v, "vertex"),
         Defect(magnitude(mesh.cycle_sum(tau, signed=True)), w_scale, v, "vertex"),
     )
     max_defect = float(np.max([d.worst for d in defects]))
-    mnorm, rate, weighted = (d.relative <= tol for d in defects)
-    equivalence_ok = bool(np.all(mnorm == (rate & weighted)))
-    return ClosednessReport(max_defect <= tol, max_defect, equivalence_ok, defects)
+    return ClosednessReport(max_defect <= tol, max_defect, defects)
 
 
 def _adjugate(m):
@@ -203,39 +199,44 @@ class TransitionReport:
     face_maps: np.ndarray  # (F, 2, 2) per-face SL(2,C) maps a -> b
     transitions: np.ndarray  # (n_int, 2, 2) G on canonical interior dual edges
     eigenvalues: np.ndarray  # lambda per interior edge
-    max_eigen_residual: float  # eigen-relation residual, relative
-    max_cr_residual: float  # |cr_b - cr_a / lambda^2| relative
     max_cycle_residual: float  # | prod G - I | around interior vertices, relative
     cycle: Defect  # | prod G - I | per interior vertex, against its rounding scale
 
 
 def transition_matrices(a: Realization, b: Realization) -> TransitionReport:
     """Per-face Moebius maps from ``a`` to ``b`` and the multiplicative dual
-    1-form ``G(e*_ij) = A_right^{-1} A_left`` with its eigenvalues."""
+    1-form ``G(e*_ij) = A_right^{-1} A_left`` with its eigenvalues.  ``G`` fixes
+    the lifts of both ends of its edge, ``G psi_i = psi_i / lambda`` and ``G psi_j
+    = lambda psi_j``, so for any two realizations of one mesh ``cr_b = cr_a /
+    lambda^2`` and the product of ``G`` around a vertex is ``+-I``; only
+    rounding can break these, and they are not re-checked here.  Raises
+    ``NonFinite`` for the first face whose map, or else the first edge whose
+    ``G`` or ``lambda``, is not finite."""
     _check_same_mesh(a, b)
     mesh = a.mesh
     face_maps = _fix_signs(_face_maps(a.z[mesh.faces.T], b.z[mesh.faces.T]))
     left, right = mesh.interior_faces.T
     G = _mul(_adjugate([x[right] for x in face_maps]), [x[left] for x in face_maps])
-    G_norm = _max_abs(G)
-    # before the eigen residuals, so that their temporaries and the slot gathers never coexist
-    cycle = Defect(*_cycle_products(mesh, G, G_norm), mesh.interior_vertices, "vertex")
-    # G applied to the lifts (z, 1) of ends i, j: G psi_i = psi_i / lam, G psi_j = lam psi_j.
-    # lam, the second component of G psi_j, keeps its product with 1 for its signed zeros; its
-    # own residual, lam - lam, is left out: a non-finite lam fails the second entry
-    zi, zj = a.z[mesh.interior_ends.T]
-    mod_i, mod_j = magnitude(a.z)[mesh.interior_ends.T]  # once per vertex
-    g00, g01, g10, g11 = G
-    lam = g10 * zj + g11 * 1.0
-    gaps = (g00 * zi + g01 - zi / lam, g00 * zj + g01 - lam * zj, g10 * zi + g11 - 1.0 / lam)
-    res = reduce(np.maximum, map(np.abs, gaps))
-    scale = G_norm * np.maximum(np.maximum(mod_i, mod_j), 1.0)
-    eig_res = Defect(res, scale, mesh.interior_ends, "edge").worst
-    cra = cross_ratios(a)
-    cr_gap = np.abs(cross_ratios(b) - cra / lam**2)
-    cr_res = Defect(cr_gap, np.abs(cra).max(initial=0.0), mesh.interior_ends, "edge").worst
+    # lam, the second component of G (z_j, 1), keeps its product with 1 for its signed zeros
+    lam = G[2] * a.z[mesh.interior_ends[:, 1]] + G[3] * 1.0
+    _require_finite(mesh, face_maps, G, lam)
+    # before the (N, 2, 2) copies, which would push the entry arrays of G out of the cache
+    cycle = Defect(*_cycle_products(mesh, G, _max_abs(G)), mesh.interior_vertices, "vertex")
     face_maps, G = (np.stack(m, axis=1).reshape(-1, 2, 2) for m in (face_maps, G))
-    return TransitionReport(face_maps, G, lam, eig_res, cr_res, cycle.worst, cycle)
+    return TransitionReport(face_maps, G, lam, cycle.worst, cycle)
+
+
+def _require_finite(mesh, face_maps, G, lam):
+    """Raise ``NonFinite`` for the first face whose map, or else the first
+    interior edge whose ``G`` or ``lambda``, is not finite (entry arrays)."""
+    if all(np.isfinite(x).all() for x in (*face_maps, *G, lam)):
+        return
+    bad = ~np.logical_and.reduce([np.isfinite(x) for x in face_maps])
+    if bad.any():
+        f = int(bad.argmax())
+        raise NonFinite(f"the Moebius map of face {f} {tuple(mesh.faces[f].tolist())} is not finite", face=f)
+    i, j = mesh.interior_ends[np.logical_and.reduce([np.isfinite(x) for x in (*G, lam)]).argmin()].tolist()
+    raise NonFinite(f"the transition or eigenvalue of edge ({i},{j}) is not finite")
 
 
 def _cycle_products(mesh, G, G_norm):

@@ -55,7 +55,7 @@ class Realization:
         p = z[tri.T.ravel()].reshape(3, -1)  # one C-order gather: row m at the corners m
         self.face_dz = _read_only(p[[1, 2, 0]] - p)  # (3, F), row m: z_{m+1} - z_m
         # signed doubled area = Im(conj(z_j - z_i) (z_k - z_i)), z_k - z_i = -(z_i - z_k)
-        self.area2 = -(np.conj(self.face_dz[0]) * self.face_dz[2]).imag
+        self.area2 = _read_only(-(np.conj(self.face_dz[0]) * self.face_dz[2]).imag)
 
         scale = np.abs(self.face_dz).max(axis=0)
         bad = np.abs(self.area2) <= COLLINEAR_TOL * scale**2
@@ -263,7 +263,7 @@ def _per_vertex_from_edges(mesh: TriMesh, edge_value, reduce_mod_tau=False):
 
 
 def _check_same_mesh(a: Realization, b: Realization):
-    if not np.array_equal(a.mesh.faces, b.mesh.faces):
+    if a.mesh is not b.mesh and not np.array_equal(a.mesh.faces, b.mesh.faces):
         raise MeshMismatch("realizations live on different meshes")
 
 

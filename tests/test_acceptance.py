@@ -20,6 +20,7 @@ from ddgconf.realization import (
     intersection_angles,
 )
 
+import theorems
 from conftest import (
     WHEEL6_FACES,
     delaunay_disk,
@@ -252,11 +253,10 @@ def test_criterion_09_sl2_layer(wheel6_irregular):
     pos_rep = moebius.check_sl2_form_closed(r, form, tol=1e-10)
     mu_bad = mu.copy()
     mu_bad[0] += 0.2 * np.abs(mu).max()
-    neg_rep = moebius.check_sl2_form_closed(
-        r, moebius.sl2_form_from_rates(r, mu_bad), tol=1e-10
-    )
-    closed_ok = pos_rep.closed and pos_rep.equivalence_ok
-    closed_ok = closed_ok and (not neg_rep.closed) and neg_rep.equivalence_ok
+    form_bad = moebius.sl2_form_from_rates(r, mu_bad)
+    neg_rep = moebius.check_sl2_form_closed(r, form_bad, tol=1e-10)
+    closed_ok = pos_rep.closed and theorems.sl2_equivalence_ok(r, form, tol=1e-10)
+    closed_ok = closed_ok and (not neg_rep.closed) and theorems.sl2_equivalence_ok(r, form_bad, tol=1e-10)
 
     rng = np.random.default_rng(121)
     rr = wheel6_irregular
@@ -269,14 +269,16 @@ def test_criterion_09_sl2_layer(wheel6_irregular):
     zdot = deform_mod.conformal_deformation(r, u)
     b_real = Realization(r.mesh, r.z + 0.02 * zdot)
     trep = moebius.transition_matrices(r, b_real)
-    trans_ok = trep.max_cr_residual <= 1e-10 and trep.max_cycle_residual <= 1e-9
+    cr_res = theorems.cross_ratio_residual(r, b_real, trep)
+    cycle_res = theorems.cycle_residual(r.mesh, trep.transitions)
+    trans_ok = cr_res <= 1e-10 and cycle_res <= 1e-9
 
     ok = eig_worst <= 1e-12 and closed_ok and mu_flow_worst <= 1e-12 and trans_ok
     assert _verdict(
         9,
         ok,
         f"eigen {eig_worst:.3e}, moebius-flow mu {mu_flow_worst:.3e}, "
-        f"cr {trep.max_cr_residual:.3e}, cycle {trep.max_cycle_residual:.3e}",
+        f"cr {cr_res:.3e}, cycle {cycle_res:.3e}",
     )
 
 

@@ -10,6 +10,7 @@ from ddgconf import deform as deform_mod
 from ddgconf.cli import COMMANDS, DEFAULT_ALPHAS, main
 
 import output_digests
+import theorems
 from conftest import WHEEL6_FACES, delaunay_disk, deformed_grid_pair, jittered_grid
 
 
@@ -370,19 +371,55 @@ def test_moebius_mu_eta_transitions(files, capsys):
 
     code, out, _ = run(capsys, "moebius", "transitions", files["wheel"], files["scaled"])
     assert code == 0
-    assert json.loads(out)["consistent"] is True
+    a, b = (Realization(*fileio.read_obj_planar(files[k])) for k in ("wheel", "scaled"))
+    assert theorems.transitions_consistent(a, b, moebius.transition_matrices(a, b))
+
+
+def _transitions_report(capsys, tmp_path, a, b):
+    """``ddg moebius transitions`` on ``a`` and ``b`` written to OBJ files:
+    its exit code 0, no stderr, its keys and its eigenvalues those of the
+    library."""
+    paths = [str(tmp_path / "a.obj"), str(tmp_path / "b.obj")]
+    for path, r in zip(paths, (a, b)):
+        fileio.write_obj_planar(path, r.mesh, r.z)
+    code, out, err = run(capsys, "moebius", "transitions", *paths)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert list(data) == ["schema", "command", "eigenvalues"]
+    rep = moebius.transition_matrices(a, b)
+    assert data["eigenvalues"] == json.loads(fileio.dump_json(fileio.edge_map_to_json(a.mesh, rep.eigenvalues)))
+    return rep
 
 
 def test_moebius_transitions_accepts_a_correct_pair_with_large_transitions(capsys, tmp_path):
     a, b = deformed_grid_pair()
+    rep = _transitions_report(capsys, tmp_path, a, b)
+    assert theorems.transitions_consistent(a, b, rep)
+    assert rep.max_cycle_residual < 1e-12
+
+
+@pytest.mark.parametrize("shift", [1e4, 1e5])
+def test_moebius_transitions_accepts_a_shifted_disk_against_itself(capsys, tmp_path, shift):
+    """Any two valid realizations of one mesh have transitions, so the
+    command exits 0 however far the mesh lies from the origin.  It once
+    checked the cross-ratio and cycle residuals against ``--tol`` 1e-10, and
+    this disk, shifted by 1e4 or 1e5, failed them by rounding alone (2.4e-10
+    and 5.2e-9) and exited 2."""
+    r = delaunay_disk(500, seed=5)
+    a = Realization(r.mesh, r.z + shift)
+    rep = _transitions_report(capsys, tmp_path, a, a)
+    assert np.abs(rep.eigenvalues - 1).max() < 1e-6
+
+
+def test_moebius_transitions_names_a_non_finite_map(capsys, tmp_path):
+    """A pair whose face maps overflow exits 1 with ``non_finite``."""
+    r = delaunay_disk(50, seed=1)
     paths = [str(tmp_path / "a.obj"), str(tmp_path / "b.obj")]
-    for path, r in zip(paths, (a, b)):
-        fileio.write_obj_planar(path, r.mesh, r.z)
-    code, out, _ = run(capsys, "moebius", "transitions", *paths)
-    assert code == 0
-    data = json.loads(out)
-    assert data["consistent"] is True
-    assert data["max_cycle_residual"] < 1e-12
+    for path, z in zip(paths, (1e110 * r.z, r.z)):
+        fileio.write_obj_planar(path, r.mesh, z)
+    code, out, err = run(capsys, "moebius", "transitions", *paths)
+    assert (code, out) == (1, "")
+    assert err.startswith("error [non_finite]: the Moebius map of face ") and err.count("\n") == 1
 
 
 def test_minimal_build_and_verify(files, capsys, tmp_path):
@@ -487,7 +524,7 @@ def test_moebius_eta_bounded_report(files, capsys, data):
     r = Realization(*fileio.read_obj_planar(files["wheel"]))
     form = moebius.sl2_form_from_rates(r, fileio.mu_from_json(fileio.load_json(files[data]), r.mesh))
     closed = moebius.check_sl2_form_closed(r, form, 1e-10)
-    checks = [{"check": c} for c in ("matrix_sum", "rate_sum", "weighted_sum")]
+    checks = [{"check": c} for c in ("rate_sum", "weighted_sum")]
     eta = {
         fileio.edge_key(i, j): {"matrix": m, "vector": v}
         for (i, j), m, v in zip(r.mesh.interior_ends.tolist(), form.matrices, form.vectors)

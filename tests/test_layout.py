@@ -1,8 +1,9 @@
 """One mesh format: the package reads edges, flaps and corners through the
 index arrays of ``TriMesh`` (``edge_ends``, ``face_edges``, ``flap_edges``,
 ...).  ``TriMesh`` builds no per-element tables, keeps its element sets as
-read-only int64 arrays, and outside ``mesh.py`` nothing calls its one
-per-element view, ``edge_flap``.  Every flag of the
+int64 arrays, and outside ``mesh.py`` nothing calls its one per-element
+view, ``edge_flap``; no array a ``TriMesh`` or ``Realization`` keeps, cached
+tables included, is writeable.  Every flag of the
 ``ddg`` command line is read by its handler, and ``main`` reads every
 positional file but the two of ``minimal verify``.  Library functions take
 one input form and no parameter that no caller sets.  One helper beside ``Defect``
@@ -51,7 +52,7 @@ from ddgconf import mesh as mesh_module
 from ddgconf.cli import COMMANDS, build_parser
 from ddgconf.mesh import _Graph
 
-from conftest import WHEEL6_FACES
+from conftest import WHEEL6_FACES, delaunay_disk
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ddgconf"
 
@@ -457,6 +458,59 @@ def test_trimesh_element_sets_are_read_only_arrays():
         values = getattr(mesh, name)
         assert values.dtype == np.int64 and not values.flags.writeable, name
     assert not hasattr(mesh, "edges")
+
+
+def _writeable(obj, path="", seen=None):
+    """The path of every writeable array reachable from ``obj`` through the
+    attributes of ``ddgconf`` objects, tuples, lists and dicts (for a sparse
+    array: its data, index and pointer arrays)."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [path] if obj.flags.writeable else []
+    if sp.issparse(obj):
+        parts = {"data": obj.data, "indices": obj.indices, "indptr": obj.indptr}
+        return [f"{path}.{k}" for k, a in parts.items() if a.flags.writeable]
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    elif type(obj).__module__.startswith("ddgconf"):
+        items = vars(obj).items()
+    else:
+        return []
+    return [p for k, v in items for p in _writeable(v, f"{path}.{k}", seen)]
+
+
+def test_no_array_a_mesh_or_realization_keeps_is_writeable():
+    """After the field chain, the Moebius layer and the minimal surface have
+    filled every cache, no array that a ``TriMesh`` or ``Realization`` keeps
+    is writeable, and so a report's ``where``, which is the mesh's own table,
+    cannot rewrite the mesh under later calls."""
+    r = delaunay_disk(50, seed=1)
+    u = laplace.solve_dirichlet(r, {v: float(v % 3) for v in r.mesh.boundary_vertices.tolist()})
+    q = hqd.qdiff_from_harmonic(r, u)
+    rep = hqd.verify_qdiff(r, q)
+    hqd.harmonic_from_qdiff(r, q)
+    zdot = deform.conformal_deformation(r, u)
+    weierstrass.weierstrass_integrate(r, q)
+    b = Realization(r.mesh, r.z + 1e-3 * zdot)
+    realization.check_conformal_equiv(r, b)
+    realization.check_pattern(r, b)
+    form = moebius.sl2_form_from_rates(b, moebius.rates_from_deformation(b, zdot))
+    moebius.check_sl2_form_closed(b, form)
+    moebius.transition_matrices(b, r)
+    for obj in (r.mesh, r, b):
+        for name, value in vars(type(obj)).items():
+            if isinstance(value, cached_property):
+                getattr(obj, name)
+    assert _writeable(r.mesh, "mesh") + _writeable(r, "r") + _writeable(b, "b") == []
+    with pytest.raises(ValueError):
+        rep.defects[0].where[0] = [7, 9]
+    with pytest.raises(ValueError):
+        r.area2[0] = 0.0
 
 
 def test_every_open_names_its_encoding():

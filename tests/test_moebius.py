@@ -3,8 +3,9 @@ import pytest
 
 from ddgconf import Realization
 from ddgconf import deform, hqd, moebius
-from ddgconf.errors import DegenerateFace, MeshMismatch, VertexAtInfinity
+from ddgconf.errors import DegenerateFace, MeshMismatch, NonFinite, VertexAtInfinity
 
+import theorems
 from conftest import delaunay_disk, deformed_grid_pair, random_harmonic, random_moebius
 
 
@@ -83,23 +84,20 @@ def test_sl2_from_pauli_is_the_broadcast_sum_bit_for_bit():
     assert moebius.sl2_from_pauli(finite).tobytes() == broadcast_sl2_from_pauli(finite).tobytes()
 
 
-def test_an_overflowing_eigenvalue_fails_the_eigen_residual(wheel6, monkeypatch):
-    """The eigen residual leaves out ``lambda - lambda``, which is NaN where
-    ``lambda`` is not finite.  A pair whose face maps overflow, and one
-    whose ``G`` and residual scale are finite but whose ``lambda = G10 z_j +
-    G11 = 1e308 + 1e308`` overflows, still read a non-finite residual that
-    fails every tolerance."""
+def test_an_overflowing_map_or_eigenvalue_raises_non_finite(wheel6, monkeypatch):
+    """A pair whose face maps overflow names its first face, and one whose
+    face maps and ``G`` are finite but whose ``lambda = G10 z_j + G11 = 1e308
+    + 1e308`` overflows names that edge: ``NonFinite``, never a report that
+    holds an infinity."""
     far = Realization(wheel6.mesh, wheel6.z * 1e110)
-    with np.errstate(all="ignore"):
-        assert not np.isfinite(moebius.transition_matrices(far, wheel6).max_eigen_residual)
+    with np.errstate(all="ignore"), pytest.raises(NonFinite, match="face 0 "):
+        moebius.transition_matrices(far, wheel6)
     # the left face of the edge 0 -> 1 (z_1 = 1) maps by [[1, 0], [1e308, 1e308]], every other face by I
     maps = [np.ones(6, complex), np.zeros(6, complex), np.zeros(6, complex), np.ones(6, complex)]
     maps[2][0] = maps[3][0] = 1e308
     monkeypatch.setattr(moebius, "_face_maps", lambda a, b: maps)
-    with np.errstate(all="ignore"):
-        rep = moebius.transition_matrices(wheel6, wheel6)
-    assert np.isfinite(rep.transitions).all() and np.isinf(rep.eigenvalues[0])
-    assert not np.isfinite(rep.max_eigen_residual) and not rep.max_eigen_residual <= 1e-10
+    with np.errstate(all="ignore"), pytest.raises(NonFinite, match=r"edge \(0,1\)"):
+        moebius.transition_matrices(wheel6, wheel6)
 
 
 def test_moebius_flows_have_zero_rates(wheel6_irregular):
@@ -148,9 +146,10 @@ def test_sl2_form_closed_for_holomorphic_rates():
     r = delaunay_disk(120, seed=55)
     u = random_harmonic(r, seed=56)
     mu = -0.5 * hqd.qdiff_from_harmonic(r, u).values
-    rep = moebius.check_sl2_form_closed(r, moebius.sl2_form_from_rates(r, mu))
+    form = moebius.sl2_form_from_rates(r, mu)
+    rep = moebius.check_sl2_form_closed(r, form)
     assert rep.closed
-    assert rep.equivalence_ok
+    assert theorems.sl2_equivalence_ok(r, form)
 
 
 def test_sl2_form_not_closed_when_perturbed(wheel6_irregular):
@@ -158,9 +157,10 @@ def test_sl2_form_not_closed_when_perturbed(wheel6_irregular):
     u = random_harmonic(r, seed=57)
     mu = -0.5 * hqd.qdiff_from_harmonic(r, u).values
     mu[0] += 0.1 * np.abs(mu).max()
-    rep = moebius.check_sl2_form_closed(r, moebius.sl2_form_from_rates(r, mu))
+    form = moebius.sl2_form_from_rates(r, mu)
+    rep = moebius.check_sl2_form_closed(r, form)
     assert not rep.closed
-    assert rep.equivalence_ok
+    assert theorems.sl2_equivalence_ok(r, form)
     assert rep.max_defect > 1e-3
 
 
@@ -198,8 +198,8 @@ def test_transitions_moebius_pair():
     rep = moebius.transition_matrices(r, b)
     assert np.abs(rep.transitions - np.eye(2)).max() < 1e-9
     assert np.abs(rep.eigenvalues - 1.0).max() < 1e-9
-    assert rep.max_eigen_residual < 1e-9
-    assert rep.max_cr_residual < 1e-9
+    assert theorems.eigen_residual(r, rep) < 1e-9
+    assert theorems.cross_ratio_residual(r, b, rep) < 1e-9
     assert rep.max_cycle_residual < 1e-9
 
 
@@ -212,8 +212,8 @@ def test_transitions_deformed_pair(wheel6_irregular):
     zdot = deform.conformal_deformation(r, u)
     b = Realization(r.mesh, r.z + 0.05 * zdot)
     rep = moebius.transition_matrices(r, b)
-    assert rep.max_eigen_residual < 1e-10
-    assert rep.max_cr_residual < 1e-10
+    assert theorems.eigen_residual(r, rep) < 1e-10
+    assert theorems.cross_ratio_residual(r, b, rep) < 1e-10
     assert rep.max_cycle_residual < 1e-10
     assert np.abs(rep.transitions - np.eye(2)).max() > 1e-4
 
@@ -225,7 +225,7 @@ def test_transition_cycle_residual_is_relative_to_the_products_scale():
     a, b = deformed_grid_pair()
     rep = moebius.transition_matrices(a, b)
     assert np.abs(rep.transitions).max() > 1e3
-    assert rep.max_cr_residual < 1e-12
+    assert theorems.cross_ratio_residual(a, b, rep) < 1e-12
     assert rep.max_cycle_residual < 1e-12
 
 

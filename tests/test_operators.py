@@ -19,6 +19,7 @@ from ddgconf.errors import InvalidInput
 from ddgconf.mesh import Defect, integrate, magnitude
 from ddgconf.realization import cross_ratios
 
+import theorems
 from conftest import (
     SQUARE2_FACES, WHEEL6_FACES, delaunay_disk, grid_disk, jittered_grid, random_moebius,
     reference_tables,
@@ -393,7 +394,7 @@ def broadcast_transitions(a, b):
     left, right = mesh.interior_faces.T
     G = broadcast_mul(reference_adjugate(face_maps[right]), face_maps[left])
     G_norm = np.abs(G).max(axis=(1, 2))
-    cycle = reference_cycle_products(mesh, G, G_norm)
+    cycle = theorems.cycle_products(mesh, G)
     psi = moebius.lift(a.z)[mesh.interior_ends].transpose(0, 2, 1)
     w = broadcast_mul(G, psi)
     lam = w[:, 1, 1]
@@ -404,6 +405,16 @@ def broadcast_transitions(a, b):
     cr_res = Defect(np.abs(cross_ratios(b) - cra / lam**2), np.abs(cra).max(initial=0.0), None, "edge").worst
     cycle_res = Defect(*cycle, None, "vertex").worst
     return face_maps, G, lam, eig_res, cr_res, cycle_res, *cycle
+
+
+def transition_outputs(a, b, rep):
+    """The report's face maps, ``G``, eigenvalues and cycle residual and
+    defects, with the eigen and cross-ratio residuals of ``theorems``, in
+    the order of :func:`broadcast_transitions`."""
+    return (
+        rep.face_maps, rep.transitions, rep.eigenvalues, theorems.eigen_residual(a, rep),
+        theorems.cross_ratio_residual(a, b, rep), rep.max_cycle_residual, rep.cycle.value, rep.cycle.scale,
+    )
 
 
 def reference_transitions(a, b):
@@ -436,25 +447,6 @@ def reference_transitions(a, b):
     cra = cross_ratios(a)
     cr_res = float(np.abs(cross_ratios(b) - cra / lam**2).max() / np.abs(cra).max())
     return face_maps, G, lam, eig_res, cr_res
-
-
-def reference_cycle_products(mesh, G, G_norm):
-    """``|P - I|`` and the rounding scale of the product ``P`` of ``G`` around
-    each interior vertex, one slot at a time over the rows that have it."""
-    c = mesh.vertex_cycles
-    start, valence = c.indptr[:-1], np.diff(c.indptr)
-    G_inv = reference_adjugate(G)
-    p = np.tile(np.eye(2, dtype=complex), (len(valence), 1, 1))
-    p_scale = np.zeros(len(valence))
-    for m in range(valence.max(initial=0)):
-        rows = np.flatnonzero(valence > m)
-        slot = start[rows] + m
-        k = c.indices[slot]
-        g = np.where((c.data[slot] > 0)[:, None, None], G[k], G_inv[k])
-        prev = p[rows]
-        p_scale[rows] = np.maximum(p_scale[rows], np.abs(prev).max(axis=(1, 2)) * G_norm[k])
-        p[rows] = prev[:, :, :1] * g[:, :1] + prev[:, :, 1:] * g[:, 1:]
-    return np.abs(p - np.eye(2)).max(axis=(1, 2)), p_scale
 
 
 def reference_verify_minimal(mesh, n, f):
@@ -791,7 +783,7 @@ def test_cycle_products_match_reference(kind):
     G = np.eye(2) + 0.05 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     G_norm = np.abs(G).max(axis=(1, 2))
     got = moebius._cycle_products(mesh, entries(G), G_norm)
-    for a, b in zip(got, reference_cycle_products(mesh, G, G_norm)):
+    for a, b in zip(got, theorems.cycle_products(mesh, G)):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
     assert got[0].shape == (len(mesh.interior_vertices),)
 
@@ -884,11 +876,7 @@ def test_transitions_match_broadcast_formulation(fields):
     formulation they replaced: every output bit for bit."""
     r, _, _, zdot, *_ = fields
     for a, b in moebius_pairs(r, zdot):
-        rep = moebius.transition_matrices(a, b)
-        got = (
-            rep.face_maps, rep.transitions, rep.eigenvalues, rep.max_eigen_residual,
-            rep.max_cr_residual, rep.max_cycle_residual, rep.cycle.value, rep.cycle.scale,
-        )
+        got = transition_outputs(a, b, moebius.transition_matrices(a, b))
         for x, y in zip(got, broadcast_transitions(a, b), strict=True):
             x, y = np.asarray(x), np.asarray(y)
             assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
@@ -911,14 +899,11 @@ def test_transitions_keep_the_signed_zeros_of_the_broadcast_formulation(monkeypa
     monkeypatch.setattr(moebius, "_face_maps", lambda a, b: list(maps.T))
     monkeypatch.setitem(globals(), "broadcast_face_maps", lambda a, b: maps.reshape(-1, 2, 2))
     rep = moebius.transition_matrices(r, r)
-    got = (
-        rep.face_maps, rep.transitions, rep.eigenvalues, rep.max_eigen_residual,
-        rep.max_cr_residual, rep.max_cycle_residual, rep.cycle.value, rep.cycle.scale,
-    )
+    got = transition_outputs(r, r, rep)
     for x, y in zip(got, broadcast_transitions(r, r), strict=True):
         x, y = np.asarray(x), np.asarray(y)
         assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
-    assert (rep.eigenvalues.imag == 0).all() and np.isfinite(rep.max_eigen_residual)
+    assert (rep.eigenvalues.imag == 0).all() and np.isfinite(got[3])
 
 
 def test_transitions_match_reference(fields):
@@ -929,8 +914,8 @@ def test_transitions_match_reference(fields):
     assert_close(rep.face_maps, face_maps)
     assert_close(rep.transitions, G)
     assert_close(rep.eigenvalues, lam)
-    assert_close(rep.max_eigen_residual, eig_res, scale=1.0)  # relative by construction
-    assert_close(rep.max_cr_residual, cr_res, scale=1.0)
+    assert_close(theorems.eigen_residual(r, rep), eig_res, scale=1.0)  # relative by construction
+    assert_close(theorems.cross_ratio_residual(r, b, rep), cr_res, scale=1.0)
 
 
 SIGN_CASES = [
