@@ -259,13 +259,14 @@ def minimal_build(args, r, data):
     n = weierstrass.gauss_map(r)
     written = [f"{args.out_prefix}_gauss.obj"]
     fileio.write_obj(written[0], n, r.mesh.faces.ravel(), [3] * len(r.mesh.faces))
+    paths = [_surface_path(args.out_prefix, alpha) for alpha in args.alpha]
+    # one dual mesh carries every surface of the family
+    points, ids, sizes = weierstrass.dual_mesh(r, [ms.at_phase(alpha).f for alpha in args.alpha])
+    fileio.write_objs(paths, points, ids, sizes)
+    written += paths
     per_alpha, defects = [], []
-    for alpha in args.alpha:
-        surf = ms.at_phase(alpha)
-        path = _surface_path(args.out_prefix, alpha)
-        fileio.write_obj(path, *weierstrass.dual_mesh(r, surf.f))
-        written.append(path)
-        rep = weierstrass.verify_minimal(r.mesh, n, surf.f, args.tol)
+    for alpha, path, f in zip(args.alpha, paths, points):
+        rep = weierstrass.verify_minimal(r.mesh, n, f, args.tol)
         per_alpha.append({"alpha": alpha, "file": path, "minimality_residual": rep.max_residual})
         defects.append(rep.defect)
     worst = _worst(["edge_parallelism"] * len(defects), defects, alpha=args.alpha)

@@ -5,6 +5,13 @@ edge-indexed data as JSON maps keyed ``"i-j"`` with ``i < j``.  This module
 alone fixes the number format: JSON writes each float as its shortest repr
 and OBJ as ``%.17g``, both of which read back bit for bit, so reports and
 meshes are byte-reproducible.
+
+An OBJ is read by one bulk parse.  Text in the layout :func:`write_obj`
+writes, ``v `` lines and then ``f `` lines, each ending in a newline (text
+mode reads CRLF as one), is cut into its two blocks at the first ``f`` line.
+Other text falls back twice: two regular-expression scans gather its ``v``
+and ``f`` lines for the same parse, and what that parse cannot vouch for
+goes to a line loop.
 """
 
 import cmath
@@ -74,18 +81,26 @@ _ODD_TAG = re.compile(r"\n(?![vf] )[^\S\n]*[vf]\s")
 def _parse_obj_block(text):
     """The bulk parse of :func:`_read_obj_arrays`, or None.  Tags become sentinels (NaN
     for ``v``, 0 for ``f``) before one ``np.fromstring`` per kind; three finite values
-    per vertex and every index in ``[1, n]`` leave each sentinel where a tag stood."""
+    per vertex and every index in ``[1, n]`` leave each sentinel where a tag stood.
+    The blocks are slices of the text in :func:`write_obj`'s layout, where
+    each block's newlines are as many as its tags, the first line is a ``v ``
+    line and the last ends in a newline; else two scans gather them."""
     text = f"\n{text}\n"
-    if _ODD_TAG.search(text):
-        return None
-    v, f = ("".join(re.findall(tag + "[^\n]*", text)) for tag in ("\nv ", "\nf "))
+    k = text.find("\nf ")
+    v, f = text[:k], text[k:-2]
+    nv, nf = v.count("\n"), f.count("\n")
+    if not (k > 0 and text.endswith("\n\n") and v.count("\nv ") == nv and f.count("\nf ") == nf):
+        if _ODD_TAG.search(text):
+            return None
+        v, f = ("".join(re.findall(tag + "[^\n]*", text)) for tag in ("\nv ", "\nf "))
+        nv, nf = v.count("\n"), f.count("\n")
     try:  # a token np.fromstring cannot read (an index it saturates fails the range check)
         values = np.fromstring(v.replace("\nv ", "\nnan "), sep=" ")
         ids = np.fromstring(f.replace("\nf ", "\n0 "), dtype=np.int64, sep=" ")
     except ValueError:
         return None
     starts = np.flatnonzero(tag := ids == 0)
-    if len(values) != 4 * v.count("\n") or len(starts) != f.count("\n"):
+    if len(values) != 4 * nv or len(starts) != nf:
         return None
     verts, ids = values.reshape(-1, 4)[:, 1:].copy(), ids[~tag] - 1
     if not np.isfinite(verts).all() or not ((ids >= 0) & (ids < len(verts))).all():
@@ -132,13 +147,23 @@ def _parse_obj_lines(path, lines):
 
 def write_obj(path, vertices, ids, sizes):
     """Write an OBJ; ``vertices`` is (n, 3), and the faces are the 0-based
-    vertex ids ``ids`` of all faces in one array, ``sizes[f]`` of them per face."""
-    vertices = np.asarray(vertices, dtype=float)
+    vertex ids ``ids`` of all faces in one array, ``sizes[f]`` of them per
+    face.  The one-file case of :func:`write_objs`."""
+    write_objs([path], [vertices], ids, sizes)
+
+
+def write_objs(paths, vertices, ids, sizes):
+    """Write OBJ files that share their faces: ``paths[k]`` gets a ``v x y z``
+    line per row of ``vertices[k]``, each coordinate as ``%.17g``, then an
+    ``f`` line per face (see :func:`write_obj`).  The face lines are
+    formatted once for all files."""
     sizes = np.asarray(sizes, dtype=np.int64).tolist()
     line = ["f " + " ".join(["%d"] * k) + "\n" for k in range(max(sizes, default=0) + 1)]
-    text = "v %.17g %.17g %.17g\n" * len(vertices) + "".join(map(line.__getitem__, sizes))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text % tuple(vertices.ravel().tolist() + (np.asarray(ids) + 1).tolist()))
+    faces = "".join(map(line.__getitem__, sizes)) % tuple((np.asarray(ids) + 1).tolist())
+    for path, verts in zip(paths, vertices, strict=True):
+        verts = np.asarray(verts, dtype=float)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("v %.17g %.17g %.17g\n" * len(verts) % tuple(verts.ravel().tolist()) + faces)
 
 
 def write_obj_planar(path, mesh: TriMesh, z):

@@ -6,9 +6,10 @@ vertex pair ``(i, j)`` with ``i < j``; the face containing the oriented edge
 face.  The dual edge of ``i -> j`` runs from the right face to the left face.
 """
 
+import functools
 import math
 from collections import namedtuple
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import chain, pairwise
 from typing import NamedTuple
 
@@ -31,6 +32,15 @@ class DualEdge(NamedTuple):
     edge: int  # row of TriMesh.edge_ends
 
 
+class cached_property(functools.cached_property):
+    """A table derived from its object: built once, on first use, and kept
+    read-only through :func:`_read_only`.  Every cached table of the package
+    is one."""
+
+    def __init__(self, build):
+        super().__init__(functools.wraps(build)(lambda obj: _read_only(build(obj))))
+
+
 class TriMesh:
     """An oriented triangle mesh as index arrays.
 
@@ -45,15 +55,17 @@ class TriMesh:
     counterclockwise around each, ``star_counts[v]`` of them for vertex ``v``
     from ``star_starts[v]`` on.  Every array ``__init__`` sets is read-only,
     the element sets int64 ones; ``interior_vertices`` is a list: ``bench/``
-    compares it with one.
+    compares it with one.  The connectivity check runs over the stars, the
+    CSR rows of the corner edges ``tail -> head``, after they are built, so
+    a star that is not a single fan is named before a disconnected mesh.
 
     Tables that depend on the mesh alone are built once, on first use, and
-    kept read-only: ``least_corners`` (each vertex's first corner in face
-    order), the dual cycles ``vertex_cycles`` with their faces and the
-    ones-valued copy ``unsigned_cycles`` that :meth:`cycle_sum` reads, the
-    slot schedule of the cycle products (``slot_schedule``,
-    ``slot_counts``, ``slot_picks``) and the spanning trees of
-    :func:`integrate`.
+    kept read-only by :class:`cached_property`: ``least_corners`` (each
+    vertex's first corner in face order), the dual cycles ``vertex_cycles``
+    with their faces and the ones-valued copy ``unsigned_cycles`` that
+    :meth:`cycle_sum` reads, the slot schedule of the cycle products
+    (``slot_schedule``, ``slot_counts``, ``slot_picks``) and the spanning
+    trees of :func:`integrate`.
     """
 
     def __init__(self, faces, vertex_count=None):
@@ -98,9 +110,9 @@ class TriMesh:
         self.interior_ends = self.edge_ends[interior]
         self.interior_faces = self.edge_faces[interior]
 
-        self._check_connected(tail, head)
         twin = self.edge_corners[corner_edge, 1 - side]
         self.vertex_stars, self.star_counts, self.star_starts = _vertex_stars(tail, head, twin, vertex_count)
+        self._check_connected(head)
 
         self.is_boundary_vertex = np.zeros(vertex_count, dtype=bool)
         self.is_boundary_vertex[self.edge_ends[self.boundary_edges]] = True
@@ -112,12 +124,14 @@ class TriMesh:
         for a in sets:
             a.flags.writeable = False
 
-    def _check_connected(self, tail, head):
+    def _check_connected(self, head):
         # each corner edge tail -> head lies on its face's directed 3-cycle, so
-        # a search along them from one vertex reaches all that connect to it
+        # a search along them from one vertex reaches all that connect to it;
+        # the stars list the corners by tail, so they are those edges' CSR rows
         n = self.vertex_count
         root = int(self.edge_ends[0, 0])
-        corners = sp.csr_array((np.ones(len(tail)), (tail, head)), (n, n))
+        indptr = np.append(self.star_starts, len(head))
+        corners = sp.csr_array((np.ones(len(head)), head[self.vertex_stars], indptr), (n, n))
         missing = np.ones(n, dtype=bool)
         missing[breadth_first_order(corners, root, return_predecessors=False)] = False
         missing = np.flatnonzero(missing)
@@ -153,9 +167,11 @@ class TriMesh:
 
     @staticmethod
     def next_corner(c, k=1):
-        """The corner ``k`` steps on from corner ``c`` (elementwise) in its
-        face: one step from the corner of ``i -> j`` is that of ``j -> k``."""
-        return c - c % 3 + (c + k) % 3
+        """The corner ``k`` (0, 1 or 2) steps on from corner ``c``
+        (elementwise) in its face: one step from the corner of ``i -> j`` is
+        that of ``j -> k``."""
+        # c % 3 + k < 6, so one wrap at most; one int64 // costs less than two %
+        return c + k - 3 * (c - 3 * (c // 3) + k >= 3)
 
     def flap_corners(self):
         """``(E_int, 2, 3)`` corners of each interior edge's flap ``(i, j, k,
@@ -169,17 +185,17 @@ class TriMesh:
         """``(E_int, 4)`` ids of the edges ``jk, ki, il, lj`` of each interior
         edge's flap ``(i, j, k, l)`` (see :meth:`edge_flap`)."""
         # the corners of j, k, i and l carry j -> k, k -> i, i -> l and l -> j
-        return _read_only(self.face_edges.ravel()[self.flap_corners()[:, :, 1:].reshape(-1, 4)])
+        return self.face_edges.ravel()[self.flap_corners()[:, :, 1:].reshape(-1, 4)]
 
     @cached_property
     def flap_apices(self):
         """``(E_int, 2)`` apices ``(k, l)`` of each interior edge's flap."""
-        return _read_only(self.faces.ravel()[self.flap_corners()[:, :, 2]])
+        return self.faces.ravel()[self.flap_corners()[:, :, 2]]
 
     @cached_property
     def _primal_graph(self):
         i, j = self.edge_ends.T
-        return _Graph(i, j, self.vertex_count, _read_only(np.arange(len(i))), self.edge_ends, "vertex")
+        return _Graph(i, j, self.vertex_count, np.arange(len(i)), self.edge_ends, "vertex")
 
     @cached_property
     def _dual_graph(self):
@@ -189,7 +205,7 @@ class TriMesh:
     @cached_property
     def least_corners(self):
         """Each vertex's least corner, its first in face order, read-only."""
-        return _read_only(np.minimum.reduceat(self.vertex_stars, self.star_starts))
+        return np.minimum.reduceat(self.vertex_stars, self.star_starts)
 
     @cached_property
     def vertex_cycles(self):
@@ -204,20 +220,20 @@ class TriMesh:
         pos = (np.cumsum((self.edge_faces >= 0).all(axis=1)) - 1)[e]
         indptr = np.r_[0, np.cumsum(valence[self.interior_vertices])]
         shape = (len(self.interior_vertices), len(self.interior_edges))
-        return _read_only(sp.csr_array((sign, pos, indptr), shape))
+        return sp.csr_array((sign, pos, indptr), shape)
 
     @cached_property
     def cycle_faces(self):
         """Left face of ``v -> ring[m]`` per slot of :attr:`vertex_cycles`."""
         c = self.vertex_cycles
-        return _read_only(self.interior_faces[c.indices, (c.data < 0).astype(np.int64)])
+        return self.interior_faces[c.indices, (c.data < 0).astype(np.int64)]
 
     @cached_property
     def unsigned_cycles(self):
         """:attr:`vertex_cycles` with every entry 1, read-only, on its index
         arrays: ``abs()`` would sort each row."""
         c = self.vertex_cycles
-        return _read_only(sp.csr_array((np.ones(c.nnz), c.indices, c.indptr), c.shape))
+        return sp.csr_array((np.ones(c.nnz), c.indices, c.indptr), c.shape)
 
     @cached_property
     def slot_schedule(self):
@@ -228,7 +244,7 @@ class TriMesh:
         rows = np.argsort(-np.diff(c.indptr), kind="stable")
         rank = np.empty_like(rows)
         rank[rows] = np.arange(len(rows))
-        return _read_only(np.stack([c.indptr[rows], rank]))
+        return np.stack([c.indptr[rows], rank])
 
     @cached_property
     def slot_picks(self):
@@ -236,14 +252,14 @@ class TriMesh:
         ``E_int`` where the slot is -1, the row of the slot's matrix among
         the interior edges' ``G`` followed by their adjugates."""
         c = self.vertex_cycles
-        return _read_only(c.indices + len(self.interior_edges) * (c.data < 0))
+        return c.indices + len(self.interior_edges) * (c.data < 0)
 
     @cached_property
     def slot_counts(self):
         """How many rows of :attr:`vertex_cycles` have a slot ``m``, per
         ``m``, read-only: by descending valence they are a prefix."""
         valence = np.diff(self.vertex_cycles.indptr)
-        return _read_only(np.cumsum(np.bincount(valence)[::-1])[-2::-1])
+        return np.cumsum(np.bincount(valence)[::-1])[-2::-1]
 
     def cycle_sum(self, values, signed=False):
         """Sum of per-interior-edge ``values`` (trailing axes allowed) around
@@ -346,7 +362,7 @@ class _Graph:
         signs = np.where(self.tail[entries] == parents, 1, -1)
         cotree = np.flatnonzero(cotree)
         co = (self.head[cotree], self.tail[cotree], self.edge_ids[cotree], self.ends[cotree])
-        return _Tree(*map(_read_only, (rank, up, np.array(levels), entries, signs, cotree, *co)))
+        return _read_only(_Tree(rank, up, np.array(levels), entries, signs, cotree, *co))
 
     def steps(self, root):
         """``(steps, cotree)`` as :meth:`TriMesh.dual_spanning_tree` lists them."""
@@ -472,9 +488,19 @@ def integrate(mesh, form, root=0, dual=False):
 
 
 def _read_only(a):
-    """``a``, an array or sparse (its data, index and pointer arrays), read-only."""
-    for arr in (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,):
-        arr.flags.writeable = False
+    """``a``, read-only: an array, a sparse array (its data, index and pointer
+    arrays), a tuple of them or a :class:`_Graph` (its tables)."""
+    if isinstance(a, tuple):
+        parts = a
+    elif isinstance(a, _Graph):
+        parts = a.tail, a.head, a.edge_ids, a.ends
+    elif sp.issparse(a):
+        parts = a.data, a.indices, a.indptr
+    else:
+        a.flags.writeable = False
+        return a
+    for part in parts:
+        _read_only(part)
     return a
 
 

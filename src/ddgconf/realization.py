@@ -6,14 +6,13 @@ All per-interior-edge arrays are aligned with ``mesh.interior_edges``.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DegenerateFace, InvalidInput, MeshMismatch
-from .mesh import Defect, TriMesh, _read_only, magnitude
+from .mesh import Defect, TriMesh, _read_only, cached_property, magnitude
 
 TAU = 2.0 * np.pi
 
@@ -69,13 +68,13 @@ class Realization:
         ``cot.ravel()[c]`` is that of corner ``c``."""
         # corner m lies between side m and side m - 1 reversed; reversing keeps cot
         w = np.conj(self.face_dz) * self.face_dz[[2, 0, 1]]
-        return _read_only(np.ascontiguousarray((w.real / w.imag).T))
+        return np.ascontiguousarray((w.real / w.imag).T)
 
     @cached_property
     def edge_dz(self):
         """``z_j - z_i`` per edge ``i < j`` of ``mesh.edge_ends``, read-only."""
         i, j = self.mesh.edge_ends.T
-        return _read_only(self.z[j] - self.z[i])
+        return self.z[j] - self.z[i]
 
     @cached_property
     def cotan_weights(self):
@@ -84,7 +83,7 @@ class Realization:
         # the corners at the apices k and l lie two on from those of i -> j and j -> i
         c = self.mesh.edge_corners[self.mesh.interior_edges]
         apex = self.cot.ravel()[self.mesh.next_corner(c, 2)]
-        return _read_only(apex[:, 0] + apex[:, 1])
+        return apex[:, 0] + apex[:, 1]
 
     @cached_property
     def dirichlet_system(self):
@@ -134,17 +133,17 @@ class Realization:
         A = sp.csc_matrix((np.r_[wa[inner], diag], (np.r_[a[inner], k], np.r_[c[inner], k])), shape=(ni, ni))
         # a row's neighbours ascend as its edges do, so B @ g sums in edge order
         B = sp.csr_matrix((-wa[outer], (a[outer], other[outer])), shape=(ni, mesh.vertex_count))
-        return _read_only(A), _read_only(B), _read_only(rows)
+        return A, B, rows
 
     @cached_property
     def interior_dz(self):
         """The interior rows of :attr:`edge_dz`, read-only."""
-        return _read_only(self.edge_dz[self.mesh.interior_edges])
+        return self.edge_dz[self.mesh.interior_edges]
 
     @cached_property
     def interior_dz2(self):
         """``magnitude(interior_dz) ** 2``, read-only."""
-        return _read_only(magnitude(self.interior_dz) ** 2)
+        return magnitude(self.interior_dz) ** 2
 
     @cached_property
     def rotation_stencil(self):
@@ -158,7 +157,7 @@ class Realization:
         # the apex corner lies two on from the edge's own corner in that face
         corner = np.where(on_left, *mesh.edge_corners.T)
         half = 0.5 * self.cot.ravel()[mesh.next_corner(corner, 2)]
-        return _read_only(face), _read_only(np.where(on_left, -half, half))
+        return face, np.where(on_left, -half, half)
 
     def null_vectors(self):
         """``(1 - z_i z_j, i (1 + z_i z_j), z_i + z_j)`` per interior edge
@@ -170,7 +169,7 @@ class Realization:
     def _null_vectors(self):
         i, j = self.mesh.interior_ends.T
         zi, zj = self.z[i], self.z[j]
-        return _read_only(np.stack([1.0 - zi * zj, 1j * (1.0 + zi * zj), zi + zj], axis=1))
+        return np.stack([1.0 - zi * zj, 1j * (1.0 + zi * zj), zi + zj], axis=1)
 
     def checked(self, name, field, check):
         """The results of the field check ``name`` on ``field``: ``check()``,
@@ -211,7 +210,7 @@ class Realization:
         if np.any(den == 0) or np.any(num == 0):
             edge = tuple(self.mesh.interior_ends[(den == 0) | (num == 0)][0].tolist())
             raise DegenerateFace(f"coincident vertices at interior edge {edge}")
-        return _read_only(num / den)
+        return num / den
 
 
 def _same_bits(a, b):

@@ -146,6 +146,8 @@ def qdiff_from_minimal(r: Realization, f, tol=1e-9) -> QuadDiff:
 def dual_mesh(r: Realization, face_points):
     """Polygonal dual mesh ``(points, ids, sizes)``: one vertex per face of the
     primal mesh, one face per interior primal vertex, its ``sizes[v]`` faces
-    along the counterclockwise star.  ``ids`` is ``mesh.cycle_faces`` itself."""
+    along the counterclockwise star.  ``ids`` is ``mesh.cycle_faces`` itself.
+    ``face_points`` is ``(F, 3)``, or ``(k, F, 3)`` for ``k`` surfaces on the
+    one dual mesh."""
     valences = np.diff(r.mesh.vertex_cycles.indptr)
     return np.asarray(face_points, dtype=float), r.mesh.cycle_faces, valences

@@ -472,6 +472,20 @@ def test_minimal_build_without_alphas(files, capsys, tmp_path):
     assert (data["worst"], data["surfaces"], data["files"]) == (None, [], [prefix + "_gauss.obj"])
 
 
+def test_minimal_build_formats_each_face_block_once(files, capsys, tmp_path, monkeypatch):
+    """``minimal build`` writes its files in two ``write_objs`` calls, one per
+    face block: the Gauss map's triangles, then the dual polygons, which every
+    surface of the family shares."""
+    calls, write_objs = [], fileio.write_objs
+    monkeypatch.setattr(fileio, "write_objs", lambda paths, *rest: calls.append(list(paths)) or write_objs(paths, *rest))
+    prefix = str(tmp_path / "w")
+    code, out, _ = run(capsys, "minimal", "build", files["wheel"], files["q"], "-o", prefix)
+    assert code == 0
+    written = json.loads(out)["files"]
+    assert len(written) == 1 + len(DEFAULT_ALPHAS)
+    assert calls == [written[:1], written[1:]]
+
+
 def test_nonholomorphic_minimal_build_fails(files, capsys, tmp_path):
     code, out, _ = run(
         capsys,

@@ -419,6 +419,26 @@ OBJ_CORPUS = [
     ("v 0 0 0 nan 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3\n", False),  # no vertex from a line's extra values
 ]
 
+QUAD = TRI + "v 1 1 0\n"
+
+# write_obj's layout, v lines and then f lines, each ending in "\n", with one
+# change each: the bulk parse does not cut these at the first f line
+NOT_SLICED = [
+    ("v 0 0 0\n# comment\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", True),
+    (QUAD + "f 1 2 3\n# comment\nf 2 4 3\n", True),
+    ("v 0 0 0\n\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", True),  # a blank line
+    (QUAD + "f 1 2 3\n\nf 2 4 3\n", True),
+    ("v 0 0 0\n0 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", True),  # an untagged line
+    (QUAD + "f 1 2 3\n1 2 3\nf 2 4 3\n", True),
+    (QUAD + "f 1 2 3\n0 1 2\nf 2 4 3\n", True),
+    (TRI + "f 1 2 3\nvn 0 0 1\n", True),
+    ("v 0 0 0\nv 1 0 0\nf 1 2 3\nv 0 1 0\n", True),  # a vertex after the first face
+    (QUAD + "f 1 2 3\nf 2 4 3", True),  # no final newline
+    (QUAD + "f 1 2 3\nf 2 4 3\n\n", True),  # a blank last line
+    ("f 1 2 3\n", False),  # faces only
+]
+OBJ_CORPUS += NOT_SLICED + [(QUAD.replace("\n", "\r\n") + "f 1 2 3\r\nf 2 4 3\r\n", True)]  # CRLF
+
 
 def _outcome(read, path):
     """What ``read(path)`` returns, as comparable bytes and lists, or the
@@ -442,6 +462,56 @@ def test_obj_array_parse_matches_line_loop(tmp_path, monkeypatch, text, fast, re
     got = _outcome(read, path)
     monkeypatch.setattr(fileio, "_parse_obj_block", lambda text: None)
     assert got == _outcome(read, path)
+
+
+def _findall_calls(monkeypatch):
+    """The argument tuples of every ``re.findall`` call from here on."""
+    calls, findall = [], re.findall
+    monkeypatch.setattr(re, "findall", lambda *args: calls.append(args) or findall(*args))
+    return calls
+
+
+@pytest.mark.parametrize("text, fast", NOT_SLICED)
+def test_obj_text_off_the_written_layout_is_scanned(tmp_path, monkeypatch, text, fast):
+    path = tmp_path / "in.obj"
+    path.write_bytes(text.encode())
+    calls = _findall_calls(monkeypatch)
+    assert (fileio._parse_obj_block(fileio._read_text(path)) is not None) == fast
+    assert len(calls) == 2
+
+
+def test_obj_written_by_write_obj_is_sliced(tmp_path, monkeypatch):
+    """What ``write_obj`` writes, triangles or polygons, is cut into its two
+    blocks without a regular-expression scan, and reads back bit for bit; so
+    is a CRLF copy, which text mode reads with bare newlines."""
+    r = delaunay_disk(300, seed=5)
+    fileio.write_obj_planar(tmp_path / "disk.obj", r.mesh, r.z)
+    verts = np.random.default_rng(4).standard_normal((5, 3))
+    fileio.write_obj(tmp_path / "poly.obj", verts, [0, 1, 2, 3, 2, 1, 4], [4, 3])
+    crlf = tmp_path / "poly_crlf.obj"
+    crlf.write_bytes((tmp_path / "poly.obj").read_bytes().replace(b"\n", b"\r\n"))
+    calls = _findall_calls(monkeypatch)
+    mesh, z = fileio.read_obj_planar(tmp_path / "disk.obj")
+    got = fileio.read_obj_polygons(tmp_path / "poly.obj")
+    for a, b in zip(fileio.read_obj_polygons(crlf), got):
+        assert a.tobytes() == b.tobytes()
+    assert calls == []
+    assert mesh.faces.tobytes() == r.mesh.faces.tobytes() and z.tobytes() == r.z.tobytes()
+    assert got[0].tobytes() == verts.tobytes()
+    assert got[1].tolist() == [0, 1, 2, 3, 2, 1, 4] and got[2].tolist() == [4, 3]
+
+
+def test_write_objs_shares_one_face_block(tmp_path):
+    """Each file ``write_objs`` writes is byte for byte the one ``write_obj``
+    writes with its vertices and the shared faces."""
+    rng = np.random.default_rng(5)
+    vertices = [rng.standard_normal((5, 3)) for _ in range(3)]
+    ids, sizes = [0, 1, 2, 3, 2, 1, 4], [4, 3]
+    paths = [tmp_path / f"{k}.obj" for k in range(3)]
+    fileio.write_objs(paths, vertices, ids, sizes)
+    for path, verts in zip(paths, vertices):
+        fileio.write_obj(tmp_path / "one.obj", verts, ids, sizes)
+        assert path.read_bytes() == (tmp_path / "one.obj").read_bytes()
 
 
 def test_block_parse_reads_floats_as_float_does():

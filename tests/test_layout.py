@@ -3,7 +3,8 @@ index arrays of ``TriMesh`` (``edge_ends``, ``face_edges``, ``flap_edges``,
 ...).  ``TriMesh`` builds no per-element tables, keeps its element sets as
 int64 arrays, and outside ``mesh.py`` nothing calls its one per-element
 view, ``edge_flap``; no array a ``TriMesh`` or ``Realization`` keeps, cached
-tables included, is writeable.  Every flag of the
+tables included, is writeable, and one decorator, ``mesh.cached_property``,
+keeps every cached table read-only.  Every flag of the
 ``ddg`` command line is read by its handler, and ``main`` reads every
 positional file but the two of ``minimal verify``.  Library functions take
 one input form and no parameter that no caller sets.  One helper beside ``Defect``
@@ -38,6 +39,7 @@ two verdicts on a whole check that a module raises by name."""
 
 import argparse
 import ast
+import importlib
 import inspect
 import textwrap
 from functools import cached_property
@@ -511,6 +513,25 @@ def test_no_array_a_mesh_or_realization_keeps_is_writeable():
         rep.defects[0].where[0] = [7, 9]
     with pytest.raises(ValueError):
         r.area2[0] = 0.0
+
+
+def test_one_owner_of_read_only_tables():
+    """``mesh.cached_property`` is the one owner of the rule that a derived
+    table is built once and kept read-only: every cached property of a class
+    in the package is one, and none calls ``_read_only`` itself."""
+    modules = [importlib.import_module(f"ddgconf.{path.stem}") for path in sorted(PACKAGE.glob("*.py"))]
+    classes = {obj for m in modules for obj in vars(m).values() if isinstance(obj, type) and obj.__module__ == m.__name__}
+    cached = {
+        f"{cls.__name__}.{name}": value
+        for cls in classes
+        for name, value in vars(cls).items()
+        if isinstance(value, cached_property)
+    }
+    assert {"TriMesh.vertex_cycles", "TriMesh._dual_graph", "Realization.dirichlet_system"} <= set(cached)
+    assert sorted(name for name, value in cached.items() if type(value) is not mesh_module.cached_property) == []
+    for name, value in cached.items():
+        tree = ast.parse(textwrap.dedent(inspect.getsource(value.func)))
+        assert "_read_only" not in {getattr(node, "id", None) for node in ast.walk(tree)}, name
 
 
 def test_every_open_names_its_encoding():

@@ -314,3 +314,23 @@ def test_cached_trees_match_fresh(dual):
     for a, b in zip(tree, fresh):
         assert not a.flags.writeable
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_a_disconnected_non_manifold_mesh_names_its_fan():
+    """The connectivity check runs over the vertex stars, so a mesh that is
+    both disconnected (a separate triangle) and non-manifold (a bowtie at
+    vertex 0) raises for the star, which is checked first."""
+    with pytest.raises(NonManifold) as info:
+        build([(0, 1, 2), (0, 3, 4), (5, 6, 7)])
+    assert str(info.value) == "vertex star of 0 is not a single fan"
+
+
+@pytest.mark.parametrize("kind", TABLE_MESHES)
+def test_next_corner_matches_the_remainder_formula(kind):
+    """``next_corner`` steps without ``%``: bit for bit ``c - c % 3 + (c + k)
+    % 3`` on every corner, for each ``k`` the package passes."""
+    mesh = TABLE_MESHES[kind]()
+    c = np.arange(3 * len(mesh.faces))
+    for k in (0, 1, 2, np.arange(3)):
+        cc = c[:, None] if isinstance(k, np.ndarray) else c
+        assert_bitwise(mesh.next_corner(cc, k), cc - cc % 3 + (cc + k) % 3)
