@@ -9,7 +9,7 @@ import numpy as np
 from . import laplace
 from .errors import IntegrationDefect
 from .mesh import Defect, integrate, magnitude, product, reduce_rows
-from .realization import Realization
+from .realization import Realization, _check_length
 
 
 @dataclass
@@ -27,6 +27,7 @@ class EdgeRates:
 
 
 def edge_rates(r: Realization, zdot) -> EdgeRates:
+    _check_length(r, zdot)
     zdot = np.asarray(zdot, dtype=complex)
     i, j = r.mesh.edge_ends.T
     rate = (zdot[j] - zdot[i]) / r.edge_dz

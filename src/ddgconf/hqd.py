@@ -18,7 +18,7 @@ from . import laplace
 from .deform import cross_ratio_rate
 from .errors import ClosureDefect, NotRealizable
 from .mesh import Defect, _floor, _read_only, integrate, magnitude
-from .realization import Realization, cross_ratios, intersection_angles
+from .realization import Realization, _check_length, cross_ratios, intersection_angles
 
 
 @dataclass
@@ -33,15 +33,17 @@ class QuadDiff:
         return 1j * self.imag
 
 
-def _as_complex(q):
-    if isinstance(q, QuadDiff):
-        return q.values
-    return np.asarray(q, dtype=complex)
+def _as_complex(r: Realization, q):
+    """``q`` as a complex array, one value per interior edge of ``r``."""
+    q = q.values if isinstance(q, QuadDiff) else np.asarray(q, dtype=complex)
+    _check_length(r, q, "interior edge")
+    return q
 
 
 def gradient(r: Realization, u):
     """Gradient of the piecewise-linear interpolant of ``u``, constant per
     face: ``i (u_i dz(e_jk) + u_j dz(e_ki) + u_k dz(e_ij)) / (2 A)``."""
+    _check_length(r, u)
     ui, uj, uk = np.asarray(u)[r.mesh.faces.T]
     dz_ij, dz_jk, dz_ki = r.face_dz
     return 1j * (ui * dz_jk + uj * dz_ki + uk * dz_ij) / r.area2
@@ -73,6 +75,7 @@ def qdiff_from_harmonic(r: Realization, u):
 def qdiff_cotan(r: Realization, u):
     """Independent cotangent-formula evaluation of the quadratic differential
     (used to cross-check :func:`qdiff_from_function`)."""
+    _check_length(r, u)
     u = np.asarray(u, dtype=float)
     i, j, k, l = r.flap_points()
     # the cotangents at i, j, k of the left face and at j, i, l of the right
@@ -127,7 +130,7 @@ def verify_qdiff(r: Realization, q, tol=1e-9) -> QDiffReport:
     (:meth:`Realization.checked`), and only the verdict is taken again,
     against ``tol``.
     """
-    q = _as_complex(q)
+    q = _as_complex(r, q)
     defects, worst, real_part, s0, s1 = r.checked("verify_qdiff", q, lambda: _qdiff_defects(r, q))
     v = r.mesh.interior_vertices
     return QDiffReport(worst <= tol, real_part, VertexSums(v, s0), VertexSums(v, s1), worst, defects)
@@ -136,20 +139,24 @@ def verify_qdiff(r: Realization, q, tol=1e-9) -> QDiffReport:
 def _qdiff_defects(r: Realization, q):
     """The three ``Defect``s of :func:`verify_qdiff`, the worst of them and
     of the first, and the two vertex sums."""
-    mesh = r.mesh
-    q_scale = np.abs(q).max(initial=0.0)
-    # tau is stored for the canonical orientation (i < j); around v the term
-    # is q_vj / (z_j - z_v)
-    tau = q / r.interior_dz
-
-    s0, s1, v = mesh.cycle_sum(q), mesh.cycle_sum(tau, signed=True), mesh.interior_vertices
-    defects = (
-        Defect(_read_only(np.abs(q.real)), q_scale, mesh.interior_ends, "edge"),
-        Defect(_read_only(magnitude(s0)), q_scale, v, "vertex"),
-        Defect(_read_only(magnitude(s1)), np.abs(tau).max(initial=0.0), v, "vertex"),
-    )
+    (s0, s1), (d0, d1) = _vertex_sums(r, q)
+    defects = Defect(_read_only(np.abs(q.real)), d0.scale, r.mesh.interior_ends, "edge"), d0, d1
     worst = float(np.max([d.worst for d in defects]))
-    return defects, worst, defects[0].worst, _read_only(s0), _read_only(s1)
+    return defects, worst, defects[0].worst, s0, s1
+
+
+def _vertex_sums(r: Realization, x):
+    """``sum x`` and ``sum x / (z_j - z_v)`` of the interior-edge function
+    ``x`` around each interior vertex ``v``, read-only, and their ``Defect``s
+    against ``max|x|`` and ``max|x / dz|``: the two sums that vanish for a
+    holomorphic ``q`` and for the rates of a closed sl(2,C) form."""
+    # tau is stored for the canonical orientation (i < j); around v the term
+    # is x_vj / (z_j - z_v)
+    tau = x / r.interior_dz
+    sums = _read_only(r.mesh.cycle_sum(x)), _read_only(r.mesh.cycle_sum(tau, signed=True))
+    scales = np.abs(x).max(initial=0.0), np.abs(tau).max(initial=0.0)
+    v = r.mesh.interior_vertices
+    return sums, tuple(Defect(_read_only(magnitude(s)), scale, v, "vertex") for s, scale in zip(sums, scales))
 
 
 def harmonic_from_qdiff(r: Realization, q, anchor_vertex=0, anchor_face=0, tol=1e-9):
@@ -159,7 +166,7 @@ def harmonic_from_qdiff(r: Realization, q, anchor_vertex=0, anchor_face=0, tol=1
     ``q / dz`` must be closed).  If ``q`` is fully holomorphic the result is
     harmonic and reproduces ``q``.  Anchored to 0 at ``anchor_vertex``.
     """
-    q = _as_complex(q)
+    q = _as_complex(r, q)
     mesh = r.mesh
     mesh.require_disk()
 
@@ -193,6 +200,7 @@ def _require_realizable(mesh, left, right, tol):
 
 def project_out_linear(r: Realization, u):
     """Remove the best Euclidean least-squares fit by ``span{1, Re z, Im z}``."""
+    _check_length(r, u)
     u = np.asarray(u, dtype=float)
     basis = np.stack([np.ones_like(u), r.z.real, r.z.imag], axis=1)
     coef, *_ = np.linalg.lstsq(basis, u, rcond=None)
@@ -226,6 +234,7 @@ def cross_ratio_rate_check(r: Realization, u, zdot) -> RateCheckReport:
     intersection angles change at rate ``Im q``.
     """
     mesh = r.mesh
+    _check_length(r, zdot)
     q = qdiff_from_function(r, u).values
     q_scale = np.abs(q).max(initial=0.0)
 

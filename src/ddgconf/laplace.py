@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import InvalidInput, MissingBoundaryData, NotHarmonic, SingularSystem
 from .mesh import Defect, _floor, _read_only, integrate, magnitude
-from .realization import Realization
+from .realization import Realization, _check_length
 
 # downstream operations accept h as harmonic when |Lh|_inf <= HARMONIC_RTOL * |dh|_inf
 HARMONIC_RTOL = 1e-8
@@ -26,6 +26,7 @@ def laplacian(r: Realization, h):
     """Weighted vertex sums ``sum_j w_ij (h_j - h_i)`` at interior vertices,
     aligned with ``mesh.interior_vertices``: one signed
     :meth:`TriMesh.cycle_sum`, which sums slot by slot around each vertex."""
+    _check_length(r, h)
     h = np.asarray(h)
     i, j = r.mesh.interior_ends.T
     return r.mesh.cycle_sum(cotan_weights(r) * (h[j] - h[i]), signed=True)
@@ -33,6 +34,7 @@ def laplacian(r: Realization, h):
 
 def gradient_scale(r: Realization, h):
     """``max |h_j - h_i|`` over edges; the natural scale of dh."""
+    _check_length(r, h)
     h = np.asarray(h)
     i, j = r.mesh.edge_ends.T
     return float(magnitude(h[j] - h[i]).max())
@@ -44,6 +46,7 @@ def check_harmonic(r: Realization, h, rtol=HARMONIC_RTOL):
     checked again on the same realization is checked once: ``r`` keeps the
     last field's defect and ``Lh``, read-only (:meth:`Realization.checked`),
     and only the verdict is taken again, against ``rtol``."""
+    _check_length(r, h)
     h = np.asarray(h)
 
     def check():

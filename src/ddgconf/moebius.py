@@ -7,9 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deform import cross_ratio_rate
-from .errors import DegenerateFace, MeshMismatch, NonFinite, VertexAtInfinity
-from .mesh import Defect, magnitude
-from .realization import Realization, _check_same_mesh
+from .errors import DegenerateFace, NonFinite, VertexAtInfinity
+from .hqd import _vertex_sums
+from .mesh import Defect
+from .realization import Realization, _check_length, _check_same_mesh
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -97,11 +98,9 @@ def sl2_form_from_rates(r: Realization, mu) -> SlForm:
     """Dual sl(2,C) 1-form with eigenvalues ``-mu`` / ``+mu`` on the lifts of
     the two edge endpoints:
     ``(mu / (z_j - z_i)) [[z_i + z_j, -2 z_i z_j], [2, -z_i - z_j]]``."""
+    _check_length(r, mu, "interior edge")
     mu = np.asarray(mu, dtype=complex)
-    n = len(r.mesh.interior_edges)
-    if mu.shape != (n,):
-        raise MeshMismatch(f"expected {n} edge rates, got {mu.shape}")
-    vecs = (mu / r.interior_dz)[:, None] * r.null_vectors()
+    vecs = (mu / r.interior_dz)[:, None] * r.null_vectors
     return SlForm(mu, sl2_from_pauli(vecs), vecs)
 
 
@@ -122,19 +121,9 @@ def check_sl2_form_closed(r: Realization, form: SlForm, tol=1e-10) -> Closedness
     """Closedness of the matrix form at interior vertices.  Around ``v``, with
     ``d = z_j - z_v``, the matrix sum is ``(sum mu / d) K1 + (sum mu) K2`` for
     two fixed matrices ``K1``, ``K2`` of ``z_v``, so the form is closed exactly
-    where the rate sum and the weighted sum vanish: those two are checked."""
-    mesh = r.mesh
-    mu = form.rates
-    # around v the weighted term is mu / (z_j - z_v), the canonical value
-    # negated where v > j; its global scale keeps vertices where mu happens
-    # to be locally tiny from registering rounding noise as a defect
-    tau = mu / r.interior_dz
-    w_scale = magnitude(tau)[mesh.vertex_cycles.indices].max(initial=0.0)
-    v = mesh.interior_vertices
-    defects = (
-        Defect(magnitude(mesh.cycle_sum(mu)), np.abs(mu).max(initial=0.0), v, "vertex"),
-        Defect(magnitude(mesh.cycle_sum(tau, signed=True)), w_scale, v, "vertex"),
-    )
+    where the rate sum and the weighted sum vanish: those two are checked, as
+    :func:`~ddgconf.hqd.verify_qdiff` checks them on ``q = -2 mu``."""
+    defects = _vertex_sums(r, form.rates)[1]
     max_defect = float(np.max([d.worst for d in defects]))
     return ClosednessReport(max_defect <= tol, max_defect, defects)
 

@@ -159,14 +159,11 @@ class Realization:
         half = 0.5 * self.cot.ravel()[mesh.next_corner(corner, 2)]
         return face, np.where(on_left, -half, half)
 
+    @cached_property
     def null_vectors(self):
         """``(1 - z_i z_j, i (1 + z_i z_j), z_i + z_j)`` per interior edge
-        ``i < j``, built once and read-only: up to a factor per edge, the
-        Pauli coordinates of the sl(2,C) form and the Weierstrass integrand."""
-        return self._null_vectors
-
-    @cached_property
-    def _null_vectors(self):
+        ``i < j``, read-only: up to a factor per edge, the Pauli coordinates
+        of the sl(2,C) form and the Weierstrass integrand."""
         i, j = self.mesh.interior_ends.T
         zi, zj = self.z[i], self.z[j]
         return np.stack([1.0 - zi * zj, 1j * (1.0 + zi * zj), zi + zj], axis=1)
@@ -264,6 +261,14 @@ def _per_vertex_from_edges(mesh: TriMesh, edge_value, reduce_mod_tau=False):
 def _check_same_mesh(a: Realization, b: Realization):
     if a.mesh is not b.mesh and not np.array_equal(a.mesh.faces, b.mesh.faces):
         raise MeshMismatch("realizations live on different meshes")
+
+
+def _check_length(r: Realization, x, per="vertex"):
+    """Raise ``MeshMismatch`` unless ``x`` holds one value per vertex of
+    ``r`` (``per="vertex"``) or per interior edge (``"interior edge"``)."""
+    n = r.mesh.vertex_count if per == "vertex" else len(r.mesh.interior_edges)
+    if np.shape(x) != (n,):
+        raise MeshMismatch(f"expected {n} values, one per {per}, got shape {np.shape(x)}")
 
 
 def check_conformal_equiv(a: Realization, b: Realization, tol=1e-9):

@@ -43,8 +43,8 @@ def reduce_phase(alpha):
 def integrand(r: Realization, q):
     """C^3-valued dual 1-form ``(q / (i dz)) (1 - z_i z_j, i(1 + z_i z_j),
     z_i + z_j)`` on canonical interior dual edges."""
-    q = _as_complex(q)
-    return (q / (1j * r.interior_dz))[:, None] * r.null_vectors()
+    q = _as_complex(r, q)
+    return (q / (1j * r.interior_dz))[:, None] * r.null_vectors
 
 
 @dataclass
@@ -72,7 +72,7 @@ def weierstrass_integrate(r: Realization, q, anchor_face=0, tol=1e-8):
     worst = verify_qdiff(r, q, tol).max_defect
     if not worst <= tol:
         raise NotHolomorphic(f"quadratic differential fails verification (defect {worst:.3e})")
-    q = _as_complex(q)
+    q = _as_complex(r, q)
 
     dual = integrate(mesh, integrand(r, q), anchor_face, dual=True)
     message = "Weierstrass form fails to close across edge {edge}"

@@ -29,15 +29,25 @@ realization, and its later steps read the checks of its earlier ones::
 
 Run it on two checkouts and ``diff`` the listings; the first differing line
 is where the outputs part, since later commands read earlier outputs.
-``--wheel`` runs the 6-face wheel alone.
+``--wheel`` runs the 6-face wheel alone.  ``--against REV`` does both runs
+itself: it extracts ``REV``'s ``src/`` with ``git archive``, lists the
+outputs of that ``ddgconf`` and of the working tree's, each in an
+interpreter of its own, and prints each differing line of the two as a
+``-`` and a ``+`` line; it exits 1 when a line differs, 0 when none does::
+
+    PYTHONPATH=src python tests/output_digests.py --against HEAD~1
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import os
+import subprocess
 import sys
+import tarfile
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -199,5 +209,42 @@ def digests(wheel_only=False):
     return lines + chains
 
 
+def differing(old, new):
+    """``- line`` of ``old`` and ``+ line`` of ``new`` for each place where
+    the two listings differ; a listing that ends first gives no line there."""
+    pairs = [(a, b) for a, b in zip_longest(old, new) if a != b]
+    return [f"{sign} {line}" for pair in pairs for sign, line in zip("-+", pair) if line is not None]
+
+
+def listing_of(src, wheel_only):
+    """The listing lines of the ``ddgconf`` in ``src``, in an interpreter of
+    its own."""
+    argv = [sys.executable, str(Path(__file__).resolve())] + ["--wheel"] * wheel_only
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(argv, env=env, stdout=subprocess.PIPE, text=True, check=True).stdout.splitlines()
+
+
+def against(rev, wheel_only=False):
+    """:func:`differing` lines of the listings of ``rev``'s ``src/`` and of
+    the working tree's."""
+    root = Path(__file__).resolve().parents[1]
+    archive = subprocess.run(["git", "-C", str(root), "archive", rev, "src"], stdout=subprocess.PIPE, check=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        old = listing_of(Path(tmp) / "src", wheel_only)
+    return differing(old, listing_of(root / "src", wheel_only))
+
+
 if __name__ == "__main__":
-    print("\n".join(digests("--wheel" in sys.argv[1:])))
+    parser = argparse.ArgumentParser(description="Byte digests of every ddg command's outputs.")
+    parser.add_argument("--wheel", action="store_true", help="run the 6-face wheel alone")
+    parser.add_argument("--against", metavar="REV", help="print the lines that differ from REV's src/")
+    args = parser.parse_args()
+    if args.against is None:
+        print("\n".join(digests(args.wheel)))
+    else:
+        lines = against(args.against, args.wheel)
+        if lines:
+            print("\n".join(lines))
+        sys.exit(1 if lines else 0)

@@ -721,3 +721,18 @@ def test_output_digests_list_every_command():
     assert reported == {name for name, spec in COMMANDS.items() if "report" in spec[3].split()}
     assert all(" | exit 0 | " in line for line in lines)
     assert output_digests.digests(wheel_only=True) == lines
+
+
+def test_output_digests_print_the_lines_that_differ():
+    """``--against`` compares two listings line by line: each place where
+    they differ gives the old line with ``-`` and the new with ``+``, and a
+    listing that ends first gives no line there."""
+    old = ["a | mesh info | exit 0", "a | hqd check | exit 0", "a | moebius eta | exit 0"]
+    new = ["a | mesh info | exit 0", "a | hqd check | exit 2", "a | moebius eta | exit 0", "b | mesh info | exit 0"]
+    assert output_digests.differing(old, old) == []
+    assert output_digests.differing(old, new) == [
+        "- a | hqd check | exit 0", "+ a | hqd check | exit 2", "+ b | mesh info | exit 0",
+    ]
+    assert output_digests.differing(new, old) == [
+        "- a | hqd check | exit 2", "+ a | hqd check | exit 0", "- b | mesh info | exit 0",
+    ]

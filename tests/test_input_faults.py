@@ -3,15 +3,16 @@ stderr, never with a traceback."""
 
 import json
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ddgconf import Realization, build, fileio, hqd, laplace
+from ddgconf import Realization, build, deform, fileio, hqd, laplace, moebius, weierstrass
 from ddgconf.cli import main
-from ddgconf.errors import InvalidInput, NonFinite
+from ddgconf.errors import InvalidInput, MeshMismatch, NonFinite
 
-from conftest import SQUARE2_FACES, WHEEL6_FACES
+from conftest import SQUARE2_FACES, WHEEL6_FACES, delaunay_disk, random_harmonic
 from test_fuzz import CASES, CODES, ERROR_LINE, _reject
 
 TRIANGLE = ["v 0 0 0", "v 1 0 0", "v 0 1 0", "f 1 2 3"]
@@ -342,3 +343,57 @@ def test_every_command_on_the_smallest_meshes(tmp_path, capsys, kind):
         except ValueError as exc:
             faults.append(f"{command}: exit {code} with stdout that is not finite JSON ({exc})")
     assert faults == []
+
+
+# (function, one value per "vertex" or per "interior edge", call on the field x)
+FIELD_TAKERS = {
+    "laplacian": ("vertex", lambda r, f, x: laplace.laplacian(r, x)),
+    "gradient_scale": ("vertex", lambda r, f, x: laplace.gradient_scale(r, x)),
+    "check_harmonic": ("vertex", lambda r, f, x: laplace.check_harmonic(r, x)),
+    "require_harmonic": ("vertex", lambda r, f, x: laplace.require_harmonic(r, x)),
+    "conjugate_harmonic": ("vertex", lambda r, f, x: laplace.conjugate_harmonic(r, x)),
+    "edge_rates": ("vertex", lambda r, f, x: deform.edge_rates(r, x)),
+    "cross_ratio_rate": ("vertex", lambda r, f, x: deform.cross_ratio_rate(r, x)),
+    "conformal_deformation": ("vertex", lambda r, f, x: deform.conformal_deformation(r, x)),
+    "pattern_deformation": ("vertex", lambda r, f, x: deform.pattern_deformation(r, x)),
+    "gradient": ("vertex", lambda r, f, x: hqd.gradient(r, x)),
+    "qdiff_from_function": ("vertex", lambda r, f, x: hqd.qdiff_from_function(r, x)),
+    "qdiff_from_harmonic": ("vertex", lambda r, f, x: hqd.qdiff_from_harmonic(r, x)),
+    "qdiff_cotan": ("vertex", lambda r, f, x: hqd.qdiff_cotan(r, x)),
+    "project_out_linear": ("vertex", lambda r, f, x: hqd.project_out_linear(r, x)),
+    "cross_ratio_rate_check(u)": ("vertex", lambda r, f, x: hqd.cross_ratio_rate_check(r, x, f.zdot)),
+    "cross_ratio_rate_check(zdot)": ("vertex", lambda r, f, x: hqd.cross_ratio_rate_check(r, f.u, x)),
+    "rates_from_deformation": ("vertex", lambda r, f, x: moebius.rates_from_deformation(r, x)),
+    "verify_qdiff": ("interior edge", lambda r, f, x: hqd.verify_qdiff(r, x)),
+    "verify_qdiff(QuadDiff)": ("interior edge", lambda r, f, x: hqd.verify_qdiff(r, hqd.QuadDiff(x.imag))),
+    "harmonic_from_qdiff": ("interior edge", lambda r, f, x: hqd.harmonic_from_qdiff(r, x)),
+    "qdiff_moebius_pushforward_check": (
+        "interior edge", lambda r, f, x: hqd.qdiff_moebius_pushforward_check(r, x, moebius.MoebiusMap.identity())
+    ),
+    "sl2_form_from_rates": ("interior edge", lambda r, f, x: moebius.sl2_form_from_rates(r, x)),
+    "integrand": ("interior edge", lambda r, f, x: weierstrass.integrand(r, x)),
+    "weierstrass_integrate": ("interior edge", lambda r, f, x: weierstrass.weierstrass_integrate(r, x)),
+}
+
+
+@pytest.fixture(scope="module")
+def disk60():
+    """``delaunay_disk(60, 1)`` with a harmonic ``u``, its ``q`` and its ``zdot``."""
+    r = delaunay_disk(60, seed=1)
+    u = random_harmonic(r, seed=2)
+    return r, SimpleNamespace(u=u, q=hqd.qdiff_from_harmonic(r, u).values, zdot=deform.conformal_deformation(r, u))
+
+
+@pytest.mark.parametrize("extra", [-1, 1, 5])
+@pytest.mark.parametrize("name", FIELD_TAKERS)
+def test_fields_of_the_wrong_length_raise_mesh_mismatch(disk60, name, extra):
+    """A per-vertex or per-interior-edge field one short, one long or five
+    long is named as a mesh mismatch, with the count each function expects,
+    before it is indexed: not a numpy broadcast or index error, and not a
+    result (a long vertex field once passed ``laplacian`` silently)."""
+    r, fields = disk60
+    per, call = FIELD_TAKERS[name]
+    n = r.mesh.vertex_count if per == "vertex" else len(r.mesh.interior_edges)
+    x = np.resize(fields.u if per == "vertex" else fields.q, n + extra)
+    with pytest.raises(MeshMismatch, match=rf"^expected {n} values, one per {per}, got shape \({n + extra},\)$"):
+        call(r, fields, x)

@@ -14,7 +14,11 @@ batched 2x2 matrices.  The corner layout is known to ``mesh.py`` alone, a
 one graph of its vertices and sorts its corner keys once.  Dual cycles
 and dual polygons share one layout, ``vertex_cycles``, and every sum around
 a vertex, the cotan Laplacian's too, is one ``TriMesh.cycle_sum``: no
-module forms a ``.T @`` product.  ``TriMesh.vertex_stars`` is the one
+module forms a ``.T @`` product.  The two vertex sums of an interior-edge
+function and their ``"vertex"`` ``Defect``s have one owner,
+``hqd._vertex_sums``, which ``verify_qdiff`` and ``check_sl2_form_closed``
+read; ``laplace.check_harmonic`` is the one other check that builds a
+``"vertex"`` ``Defect`` from a ``cycle_sum``.  ``TriMesh.vertex_stars`` is the one
 order of the corners around a vertex, and ``Realization.face_dz`` the one
 gather of positions by face (the Moebius face maps excepted).  The interior
 rows of ``edge_dz`` and their squared lengths are ``Realization`` caches
@@ -197,6 +201,38 @@ def test_one_vertex_sum_operator():
     assert transposed == []
 
 
+def test_one_owner_of_the_two_vertex_sums():
+    """``hqd._vertex_sums`` is the one function that builds a ``"vertex"``
+    ``Defect`` from a ``cycle_sum``, through any chain of package calls:
+    ``verify_qdiff`` and ``check_sl2_form_closed`` both read it, so their
+    verdicts on ``q`` and on the rates ``-q / 2`` cannot part.  The one
+    exception is ``laplace.check_harmonic``, whose contract is ``|Lh| <=
+    rtol |dh|_inf``, not a scale taken from the summed terms."""
+    calls, builders = {}, set()
+    for module, tree in _package_trees():
+        for fn, node in _functions(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+                calls.setdefault(fn, set()).add(callee)
+                args = [*node.args, *(k.value for k in node.keywords)]
+                if callee == "Defect" and "vertex" in {getattr(a, "value", None) for a in args}:
+                    builders.add((module[:-3], fn))
+
+    def sums_around_a_vertex(fn):
+        stack, seen = [fn], set()
+        while stack:
+            fn = stack.pop()
+            if fn == "cycle_sum":
+                return True
+            if fn not in seen:
+                seen.add(fn)
+                stack += calls.get(fn, ())
+        return False
+
+    owners = sorted(f"{module}.{fn}" for module, fn in builders if sums_around_a_vertex(fn))
+    assert owners == ["hqd._vertex_sums", "laplace.check_harmonic"]
+
+
 def test_cotangents_are_built_on_first_use(wheel6):
     r = Realization(wheel6.mesh, wheel6.z)
     assert "cot" not in vars(r)
@@ -313,8 +349,8 @@ def test_each_field_is_checked_once_per_realization(wheel6, monkeypatch):
         laplace.check_harmonic(r, u + k)
         hqd.verify_qdiff(r, hqd.QuadDiff(q.imag * (k + 2)))
     assert sorted(vars(r)["_checks"]) == ["check_harmonic", "verify_qdiff"]
-    null = r.null_vectors()
-    assert r.null_vectors() is null and not null.flags.writeable
+    null = r.null_vectors
+    assert r.null_vectors is null and not null.flags.writeable
 
 
 def _functions(tree):
