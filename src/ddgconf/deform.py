@@ -52,6 +52,8 @@ def holomorphic_defect(r: Realization, rates: EdgeRates):
     ``|c_jk| + |c_ki| + |c_il| + |c_lj|``.  The rates come from a holomorphic
     vector field, one whose deformation keeps every length cross ratio,
     where it vanishes."""
+    _check_length(r, rates.sigma, "edge")
+    _check_length(r, rates.omega, "edge")
     c, rate = _flap_rates(r, rates)
     scale = magnitude(c[:, 0]) + magnitude(c[:, 1]) + magnitude(c[:, 2]) + magnitude(c[:, 3])
     return Defect(np.abs(rate.real), scale, r.mesh.interior_ends, "edge")
@@ -78,6 +80,8 @@ def check_triangle_compat(r: Realization, rates: EdgeRates, tol=1e-10):
     average scaling is validated against the circumradius log-rate
     ``d/dt log R``, differentiated through the side lengths and the area.
     """
+    _check_length(r, rates.sigma, "edge")
+    _check_length(r, rates.omega, "edge")
     nf = len(r.mesh.faces)
     c = rates.complex_rate[r.mesh.face_edges]  # c12, c23, c31
     dz = r.face_dz.T  # z2 - z1, z3 - z2, z1 - z3

@@ -140,9 +140,15 @@ def _qdiff_defects(r: Realization, q):
     """The three ``Defect``s of :func:`verify_qdiff`, the worst of them and
     of the first, and the two vertex sums."""
     (s0, s1), (d0, d1) = _vertex_sums(r, q)
-    defects = Defect(_read_only(np.abs(q.real)), d0.scale, r.mesh.interior_ends, "edge"), d0, d1
+    defects = _real_part(r, q), d0, d1
     worst = float(np.max([d.worst for d in defects]))
     return defects, worst, defects[0].worst, s0, s1
+
+
+def _real_part(r: Realization, q):
+    """``|Re q|`` per interior edge against ``max|q|``, read-only: the one
+    test that ``q`` is purely imaginary."""
+    return Defect(_read_only(np.abs(q.real)), np.abs(q).max(initial=0.0), r.mesh.interior_ends, "edge")
 
 
 def _vertex_sums(r: Realization, x):
@@ -162,9 +168,10 @@ def _vertex_sums(r: Realization, x):
 def harmonic_from_qdiff(r: Realization, q, anchor_vertex=0, anchor_face=0, tol=1e-9):
     """Integrate a quadratic differential back to a vertex function.
 
-    Requires only the weighted vertex sums ``sum q / dz = 0`` (the dual form
-    ``q / dz`` must be closed).  If ``q`` is fully holomorphic the result is
-    harmonic and reproduces ``q``.  Anchored to 0 at ``anchor_vertex``.
+    Requires ``Re q = 0``, as :func:`verify_qdiff` judges it, and the weighted
+    vertex sums ``sum q / dz = 0`` (a closed dual form ``q / dz``).  If ``q``
+    is holomorphic the result is harmonic and reproduces ``q``.  Anchored to 0
+    at ``anchor_vertex``.
     """
     q = _as_complex(r, q)
     mesh = r.mesh
@@ -174,28 +181,16 @@ def harmonic_from_qdiff(r: Realization, q, anchor_vertex=0, anchor_face=0, tol=1
     message = "dual form q/dz fails to close across edge {edge} (defect {defect:.3e}, scale "
     message += "{scale:.3e}); the weighted vertex sums do not vanish"
     dual.defect.require(tol, ClosureDefect, message)
-    h = dual.potential
+    message = "q has a real part on edge {edge} (defect {defect:.3e}, scale {scale:.3e}); "
+    _real_part(r, q).require(tol, NotRealizable, message + "no vertex function realizes it")
 
-    # omega(e_ij) = <2 conj(h_face), dz(e_ij)> = Re(2 h_face dz(e_ij)), the same
-    # from either side iff Re q = 0
-    dz = r.edge_dz
-    side = 2.0 * h[mesh.edge_faces]  # a missing face (-1) is never read
-    left, right = (side.real * dz.real[:, None] - side.imag * dz.imag[:, None]).T
-    has_left, has_right = (mesh.edge_faces >= 0).T
-    _require_realizable(mesh, left[has_left & has_right], right[has_left & has_right], tol)
-
-    u = integrate(mesh, np.where(has_left, left, right), anchor_vertex)
+    # omega(e_ij) = Re(2 h_face dz(e_ij)) on the left face, or the right one on the
+    # boundary: with the dual form closed, the two faces differ by 2 Re q
+    face = np.where(mesh.edge_faces[:, 0] >= 0, *mesh.edge_faces.T)
+    side, dz = 2.0 * dual.potential[face], r.edge_dz
+    u = integrate(mesh, side.real * dz.real - side.imag * dz.imag, anchor_vertex)
     u.defect.require(tol, ClosureDefect, "primal form fails to close on edge {edge}")
     return u.potential
-
-
-def _require_realizable(mesh, left, right, tol):
-    """The two face-side evaluations ``left`` and ``right`` of each interior
-    edge (in ``interior_ends`` order) must agree."""
-    scale = np.maximum(np.maximum(np.abs(left), np.abs(right)), 1.0)
-    message = "edge {edge}: the two face-side evaluations disagree ({left:.6e} vs {right:.6e})"
-    defect = Defect(np.abs(left - right), scale, mesh.interior_ends, "edge")
-    defect.require(tol, NotRealizable, message + "; q has a real part", left=left, right=right)
 
 
 def project_out_linear(r: Realization, u):

@@ -401,16 +401,13 @@ class Defect(NamedTuple):
     def passes(self, tol):
         return self.worst <= tol
 
-    def require(self, tol, error, message, **fields):
+    def require(self, tol, error, message):
         """Raise ``error`` for the first element whose relative defect is not
         ``<= tol``.  Its details, which ``message`` may name, are its
-        :meth:`element` and its entry of each per-element array in ``fields``
-        (which may replace ``defect``)."""
+        :meth:`element`."""
         bad = np.flatnonzero(~(self.relative <= tol))
         if len(bad):
-            k = bad[0]
-            details = self.element(k)
-            details.update({name: values[k].item() for name, values in fields.items()})
+            details = self.element(bad[0])
             raise error(message.format(**details), **details)
 
     def element(self, k=None):

@@ -123,6 +123,7 @@ def check_sl2_form_closed(r: Realization, form: SlForm, tol=1e-10) -> Closedness
     two fixed matrices ``K1``, ``K2`` of ``z_v``, so the form is closed exactly
     where the rate sum and the weighted sum vanish: those two are checked, as
     :func:`~ddgconf.hqd.verify_qdiff` checks them on ``q = -2 mu``."""
+    _check_length(r, form.rates, "interior edge")
     defects = _vertex_sums(r, form.rates)[1]
     max_defect = float(np.max([d.worst for d in defects]))
     return ClosednessReport(max_defect <= tol, max_defect, defects)

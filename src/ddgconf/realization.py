@@ -265,8 +265,10 @@ def _check_same_mesh(a: Realization, b: Realization):
 
 def _check_length(r: Realization, x, per="vertex"):
     """Raise ``MeshMismatch`` unless ``x`` holds one value per vertex of
-    ``r`` (``per="vertex"``) or per interior edge (``"interior edge"``)."""
-    n = r.mesh.vertex_count if per == "vertex" else len(r.mesh.interior_edges)
+    ``r`` (``per="vertex"``), per edge (``"edge"``, a row of ``edge_ends``)
+    or per interior edge (``"interior edge"``)."""
+    mesh = r.mesh
+    n = {"vertex": mesh.vertex_count, "edge": len(mesh.edge_ends), "interior edge": len(mesh.interior_edges)}[per]
     if np.shape(x) != (n,):
         raise MeshMismatch(f"expected {n} values, one per {per}, got shape {np.shape(x)}")
 

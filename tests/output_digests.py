@@ -23,7 +23,13 @@ library chain of the benchmark's ``fields-disk`` items (``solve_dirichlet``,
 realization of the fixture disk and of the sliver, each time on new
 boundary data as the benchmark does, and lists the sha256 of each output of
 the second pass: its checks replace the fields the first pass left on the
-realization, and its later steps read the checks of its earlier ones::
+realization, and its later steps read the checks of its earlier ones.
+Then, on the same two disks, come the library verdicts on faulty input that
+no command reaches: ``harmonic_from_qdiff`` and ``verify_qdiff`` on the
+real field ``i s q`` (s = 1e3, 1, 1e-10) and on ``(1 + i) q``, and
+``check_harmonic`` of ``solve_dirichlet`` at boundary offsets 0 and 1e6;
+each line gives the error class and the sha256 of its message and details,
+or ``result`` and the sha256 of what the check returned::
 
     PYTHONPATH=<checkout>/src python tests/output_digests.py > digests.txt
 
@@ -193,10 +199,47 @@ def chain(name, r):
     return [f"{name} | chain {output} | {_digest(data)}" for output, data in outputs]
 
 
+def _verdict(check):
+    """``(class, sha256)`` of the error ``check()`` raises, its message and
+    details, or ``("result", sha256)`` of the bytes it returns."""
+    try:
+        return "result", _digest(check())
+    except DDGError as exc:
+        return type(exc).__name__, _digest(f"{exc} {exc.details!r}".encode())
+
+
+def verdicts(name, r):
+    """The library-verdict lines of one disk: ``harmonic_from_qdiff`` and
+    ``verify_qdiff`` on the real field ``i s q`` and on ``(1 + i) q``, for a
+    holomorphic ``q`` with ``max|q| = 1``, and ``check_harmonic`` of the
+    solve on boundary noise offset by 0 and by 1e6."""
+    rng = np.random.default_rng(1)
+    noise = {v: float(rng.standard_normal()) for v in r.mesh.boundary_vertices.tolist()}
+    q = hqd.qdiff_from_harmonic(r, laplace.solve_dirichlet(r, noise)).values
+    q = q / np.abs(q).max()
+
+    def report(x):
+        rep = hqd.verify_qdiff(r, x)
+        defects = [x for d in rep.defects for x in (d.value, float(d.scale))]
+        return _bytes(rep.holomorphic, rep.max_real_part, rep.max_defect, *defects)
+
+    def harmonic(offset):
+        u = laplace.solve_dirichlet(r, {v: offset + x for v, x in noise.items()})
+        ok, defect, res = laplace.check_harmonic(r, u)
+        return _bytes(ok, defect.value, float(defect.scale), res)
+
+    fields = [(f"1j*{s:g}*q", 1j * s * q) for s in (1e3, 1.0, 1e-10)] + [("(1+1j)*q", (1 + 1j) * q)]
+    checks = [(f"harmonic_from_qdiff({label})", lambda x=x: _bytes(hqd.harmonic_from_qdiff(r, x)))
+              for label, x in fields]
+    checks += [(f"verify_qdiff({label})", lambda x=x: report(x)) for label, x in fields]
+    checks += [(f"check_harmonic(offset {c:g})", lambda c=c: harmonic(c)) for c in (0.0, 1e6)]
+    return [f"{name} | verdict {label} | {' | '.join(_verdict(check))}" for label, check in checks]
+
+
 def digests(wheel_only=False):
     """Every listing line, each disk run in a scratch directory of its own,
-    then the chain lines."""
-    lines, chains, cwd = [], [], os.getcwd()
+    then the chain lines, then the library-verdict lines."""
+    lines, chains, checks, cwd = [], [], [], os.getcwd()
     for name, r in disks(wheel_only):
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
@@ -206,7 +249,8 @@ def digests(wheel_only=False):
                 os.chdir(cwd)
         if name in CHAIN_DISKS:
             chains += chain(name, r)
-    return lines + chains
+            checks += verdicts(name, r)
+    return lines + chains + checks
 
 
 def differing(old, new):

@@ -7,7 +7,7 @@ import pytest
 
 from ddgconf import deform, hqd, laplace, moebius, weierstrass
 from ddgconf.errors import (
-    ClosureDefect, DDGError, IncompatibleRates, NotHolomorphic, NotMinimal, NotRealizable
+    ClosureDefect, DDGError, IncompatibleRates, NotHolomorphic, NotMinimal, NotRealizable, VerificationError
 )
 from ddgconf.mesh import Defect, integrate
 
@@ -91,16 +91,6 @@ def test_require_names_the_first_failing_element():
         d.require(10.0, ClosureDefect, "edge {edge}")
     assert info.value.details["edge"] == (1, 4)
     assert np.isnan(info.value.details["defect"])
-
-
-def test_require_fields_join_the_message_and_details():
-    d = Defect(np.array([0.0, 3.0]), np.array([1.0, 1.0]), np.array([4, 6]), "face")
-    rel = np.array([0j, 1.5 - 2j])
-    with pytest.raises(IncompatibleRates) as info:
-        message = "face {face} ({defect:.1e}, {other})"
-        d.require(1.0, IncompatibleRates, message, defect=rel, other=d.value)
-    assert str(info.value) == "face 6 (1.5e+00-2.0e+00j, 3.0)"
-    assert info.value.details == {"face": 6, "defect": 1.5 - 2j, "scale": 1.0, "other": 3.0}
 
 
 @pytest.mark.parametrize(
@@ -205,7 +195,7 @@ def test_triangle_closure_defect(disk):
     rates = deform.edge_rates(r, zdot)
     rep = deform.check_triangle_compat(r, rates)
     message = "edge rates do not close on face {face} (defect {defect:.3e})"
-    rep.closure.require(1e-10, IncompatibleRates, message, defect=rep.defect)
+    rep.closure.require(1e-10, IncompatibleRates, message)
     assert rep.ok.all() and rep.closure.where.tolist() == list(range(len(r.mesh.faces)))
     assert_nan_fails(rep.closure)
     # a NaN rate fails the faces on its edge; the first of them is named
@@ -215,9 +205,9 @@ def test_triangle_closure_defect(disk):
     faces = sorted(r.mesh.edge_faces[e].tolist())
     assert np.flatnonzero(~rep.ok).tolist() == faces
     with pytest.raises(IncompatibleRates) as info:
-        rep.closure.require(1e-10, IncompatibleRates, message, defect=rep.defect)
-    assert info.value.details["face"] == faces[0]
-    assert str(info.value) == f"edge rates do not close on face {faces[0]} (defect nan+nanj)"
+        rep.closure.require(1e-10, IncompatibleRates, message)
+    assert info.value.details["face"] == faces[0] and np.isnan(info.value.details["defect"])
+    assert str(info.value) == f"edge rates do not close on face {faces[0]} (defect nan)"
 
 
 def test_nan_q_is_not_holomorphic(disk):
@@ -228,7 +218,7 @@ def test_nan_q_is_not_holomorphic(disk):
         weierstrass.weierstrass_integrate(r, bad)
 
 
-# -- the co-tree and realizability checks of harmonic_from_qdiff ------------------------
+# -- the co-tree and real-part checks of harmonic_from_qdiff ------------------------
 
 
 @pytest.mark.parametrize("points, seed", [(400, 1), (60, 2)])
@@ -243,17 +233,47 @@ def test_overflowing_q_raises_closure_defect(points, seed):
 
 
 def test_real_part_is_not_realizable(disk):
-    """``(1 + i) q`` has closed weighted sums but a real part."""
+    """``(1 + i) q`` has closed weighted sums but a real part, which fails
+    as :func:`verify_qdiff`'s real part fails, on the first edge past ``tol``."""
     r, _, _, q = disk
+    bad = (1 + 1j) * q.values
     with pytest.raises(NotRealizable) as info:
-        hqd.harmonic_from_qdiff(r, (1 + 1j) * q.values)
+        hqd.harmonic_from_qdiff(r, bad)
+    real_part = hqd.verify_qdiff(r, bad).defects[0]
+    first = np.flatnonzero(real_part.relative > 1e-9)[0]
+    assert info.value.details == real_part.element(first)
     edge = info.value.details["edge"]
-    assert str(info.value).startswith(f"edge {edge}: the two face-side evaluations disagree (")
+    assert str(info.value).startswith(f"q has a real part on edge {edge} (defect ")
 
 
-def test_realizability_fails_on_a_nan_face(monkeypatch, disk):
-    """A NaN face potential fails the realizability check on the first
-    interior edge of that face."""
+@pytest.fixture(scope="module")
+def unit_q():
+    """``delaunay_disk(300, 5)`` and a holomorphic ``q`` with ``max|q| = 1``."""
+    r = delaunay_disk(300, seed=5)
+    q = hqd.qdiff_from_harmonic(r, random_harmonic(r, seed=6)).values
+    return r, q / np.abs(q).max()
+
+
+def test_a_real_q_is_not_realizable_at_any_size(unit_q):
+    """The real field ``i s q`` (both vertex sums zero) fails as
+    ``NotRealizable`` on the same edge and by the same relative defect at
+    every size ``s``: the real part is measured against ``max|q|``, with no
+    fixed floor that a small ``q`` falls under."""
+    r, q = unit_q
+    verdicts = []
+    for s in (1e3, 1.0, 1e-3, 1e-9, 1e-10, 1e-12):
+        with pytest.raises(NotRealizable) as info:
+            hqd.harmonic_from_qdiff(r, 1j * s * q)
+        details = info.value.details
+        verdicts.append((details["edge"], details["defect"] / details["scale"]))
+    assert verdicts == [verdicts[0]] * len(verdicts)
+
+
+def test_a_nan_face_potential_never_yields_u(monkeypatch, disk):
+    """A NaN face potential reaches the primal form on an edge of that face
+    (each face is the left face of one of its edges), so the primal form
+    fails to close with a NaN relative defect (its scale ``max|form|`` is
+    NaN) rather than integrating to a ``u``."""
     r, _, _, q = disk
     integrate_ = hqd.integrate
 
@@ -264,9 +284,7 @@ def test_realizability_fails_on_a_nan_face(monkeypatch, disk):
         return result
 
     monkeypatch.setattr(hqd, "integrate", nan_on_face_9)
-    with pytest.raises(NotRealizable) as info:
+    with pytest.raises(VerificationError) as info:
         hqd.harmonic_from_qdiff(r, q)
-    interior = set(r.mesh.interior_edges.tolist())
-    first = min(tuple(r.mesh.edge_ends[e].tolist()) for e in r.mesh.face_edges[9] if e in interior)
-    assert info.value.details["edge"] == first
-    assert "(nan vs" in str(info.value) or "vs nan)" in str(info.value)
+    details = info.value.details
+    assert np.isnan(details["defect"] / details["scale"])

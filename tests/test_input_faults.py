@@ -397,3 +397,39 @@ def test_fields_of_the_wrong_length_raise_mesh_mismatch(disk60, name, extra):
     x = np.resize(fields.u if per == "vertex" else fields.q, n + extra)
     with pytest.raises(MeshMismatch, match=rf"^expected {n} values, one per {per}, got shape \({n + extra},\)$"):
         call(r, fields, x)
+
+
+def _rates(r, f, **part):
+    """The edge rates of ``f.zdot`` with ``sigma`` or ``omega`` replaced."""
+    return deform.EdgeRates(**{**vars(deform.edge_rates(r, f.zdot)), **part})
+
+
+def _form(r, f, mu):
+    """The sl(2,C) form of ``-q / 2``, built by hand with the rates ``mu``."""
+    form = moebius.sl2_form_from_rates(r, -0.5 * f.q)
+    return moebius.SlForm(mu, form.matrices, form.vectors)
+
+
+# (function, one value per "edge" or per "interior edge", call on the rates x)
+RATE_TAKERS = {
+    "check_triangle_compat(sigma)": ("edge", lambda r, f, x: deform.check_triangle_compat(r, _rates(r, f, sigma=x))),
+    "check_triangle_compat(omega)": ("edge", lambda r, f, x: deform.check_triangle_compat(r, _rates(r, f, omega=x))),
+    "holomorphic_defect(sigma)": ("edge", lambda r, f, x: deform.holomorphic_defect(r, _rates(r, f, sigma=x))),
+    "holomorphic_defect(omega)": ("edge", lambda r, f, x: deform.holomorphic_defect(r, _rates(r, f, omega=x))),
+    "check_sl2_form_closed": ("interior edge", lambda r, f, x: moebius.check_sl2_form_closed(r, _form(r, f, x))),
+}
+
+
+@pytest.mark.parametrize("extra", [-1, 1, 5])
+@pytest.mark.parametrize("name", RATE_TAKERS)
+def test_rates_of_the_wrong_length_raise_mesh_mismatch(disk60, name, extra):
+    """``EdgeRates``, one value per row of ``edge_ends``, and the rates of a
+    hand-built ``SlForm``, one per interior edge, one short, one long or five
+    long are a mesh mismatch: not an index or broadcast error, and not a
+    result (long ``EdgeRates`` once passed silently)."""
+    r, fields = disk60
+    per, call = RATE_TAKERS[name]
+    n = len(r.mesh.edge_ends) if per == "edge" else len(r.mesh.interior_edges)
+    x = np.resize(fields.u if per == "edge" else fields.q, n + extra)
+    with pytest.raises(MeshMismatch, match=rf"^expected {n} values, one per {per}, got shape \({n + extra},\)$"):
+        call(r, fields, x)

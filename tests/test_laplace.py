@@ -303,3 +303,22 @@ def test_nan_is_not_harmonic(wheel6):
     assert not laplace.check_harmonic(wheel6, h)[0]
     with pytest.raises(NotHarmonic):
         laplace.require_harmonic(wheel6, h)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: the scale |dh|_inf of check_harmonic leaves out the rounding of h's own "
+    "values, about eps |h|_inf each, so a solve on boundary data with a large offset fails its own check",
+)
+def test_a_constant_offset_keeps_a_solve_harmonic():
+    """A constant offset changes no ``q``, so the solve on ``c + a noise``
+    should pass ``check_harmonic`` as the solve on ``a noise`` does.  It reads
+    1.3e-8 at ``(c, a) = (1e3, 1e-3)``, 2.9e-8 at ``(1e6, 1)``, 2.7e-5 at
+    ``(1e6, 1e-3)`` and 2.3e-2 at ``(1e9, 1e-3)``, past the default 1e-8."""
+    r = delaunay_disk(300, 5)
+    worst = {}
+    for offset, noise in ((0.0, 1.0), (1e3, 1e-3), (1e6, 1.0), (1e6, 1e-3), (1e9, 1e-3)):
+        rng = np.random.default_rng(1)
+        boundary = {v: offset + noise * float(rng.standard_normal()) for v in r.mesh.boundary_vertices.tolist()}
+        worst[offset, noise] = laplace.check_harmonic(r, laplace.solve_dirichlet(r, boundary))[1].worst
+    assert {key: value for key, value in worst.items() if not value <= 1e-8} == {}

@@ -18,7 +18,9 @@ module forms a ``.T @`` product.  The two vertex sums of an interior-edge
 function and their ``"vertex"`` ``Defect``s have one owner,
 ``hqd._vertex_sums``, which ``verify_qdiff`` and ``check_sl2_form_closed``
 read; ``laplace.check_harmonic`` is the one other check that builds a
-``"vertex"`` ``Defect`` from a ``cycle_sum``.  ``TriMesh.vertex_stars`` is the one
+``"vertex"`` ``Defect`` from a ``cycle_sum``.  The real part of ``q`` has
+one rule, ``hqd._real_part``, which ``verify_qdiff`` and
+``harmonic_from_qdiff`` both read.  ``TriMesh.vertex_stars`` is the one
 order of the corners around a vertex, and ``Realization.face_dz`` the one
 gather of positions by face (the Moebius face maps excepted).  The interior
 rows of ``edge_dz`` and their squared lengths are ``Realization`` caches
@@ -231,6 +233,39 @@ def test_one_owner_of_the_two_vertex_sums():
 
     owners = sorted(f"{module}.{fn}" for module, fn in builders if sums_around_a_vertex(fn))
     assert owners == ["hqd._vertex_sums", "laplace.check_harmonic"]
+
+
+def test_one_owner_of_the_real_part():
+    """``hqd._real_part`` is the one function that builds a ``Defect`` from
+    ``q.real``, and ``verify_qdiff`` and ``harmonic_from_qdiff`` both read it,
+    so their verdicts on a real part cannot part.  The two-sided face
+    evaluation, ``_require_realizable``, is gone: ``harmonic_from_qdiff``
+    reads one face per edge and never gathers a face potential by the whole
+    ``(E, 2)`` ``edge_faces``."""
+    assert not hasattr(hqd, "_require_realizable")
+    calls, builders = {}, []
+    for module, tree in _package_trees():
+        for fn, node in _functions(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+                calls.setdefault(fn, set()).add(callee)
+                reals = {
+                    n.value.id
+                    for arg in node.args
+                    for n in ast.walk(arg)
+                    if getattr(n, "attr", None) == "real" and isinstance(n.value, ast.Name)
+                }
+                if callee == "Defect" and "q" in reals:
+                    builders.append(f"{module[:-3]}.{fn}")
+    assert builders == ["hqd._real_part"]
+    assert "_real_part" in calls["_qdiff_defects"] and "_real_part" in calls["harmonic_from_qdiff"]
+    source = ast.parse(textwrap.dedent(inspect.getsource(hqd.harmonic_from_qdiff)))
+    gathers = [
+        node.lineno
+        for node in ast.walk(source)
+        if isinstance(node, ast.Subscript) and getattr(node.slice, "attr", None) == "edge_faces"
+    ]
+    assert gathers == []
 
 
 def test_cotangents_are_built_on_first_use(wheel6):
