@@ -4,8 +4,7 @@ A quadratic differential assigns a purely imaginary number to each interior
 edge; holomorphicity means both weighted sums around every interior vertex
 vanish.  This module builds them from harmonic vertex functions (via the
 face-wise interpolation gradient), verifies them, integrates them back to a
-harmonic function, and checks the Moebius-invariance and cross-ratio-rate
-identities.
+harmonic function, and checks that holomorphicity survives a Moebius map.
 """
 
 from bisect import bisect_left
@@ -15,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import laplace
-from .deform import cross_ratio_rate
 from .errors import ClosureDefect, NotRealizable
-from .mesh import Defect, _floor, _read_only, integrate, magnitude
-from .realization import Realization, _check_length, cross_ratios, intersection_angles
+from .mesh import Defect, _read_only, integrate, magnitude
+from .realization import Realization, _check_length
 
 
 @dataclass
@@ -70,19 +68,6 @@ def qdiff_from_harmonic(r: Realization, u):
     """Holomorphic quadratic differential of a harmonic function."""
     laplace.require_harmonic(r, u)
     return qdiff_from_function(r, u)
-
-
-def qdiff_cotan(r: Realization, u):
-    """Independent cotangent-formula evaluation of the quadratic differential
-    (used to cross-check :func:`qdiff_from_function`)."""
-    _check_length(r, u)
-    u = np.asarray(u, dtype=float)
-    i, j, k, l = r.flap_points()
-    # the cotangents at i, j, k of the left face and at j, i, l of the right
-    (li, lj, _), (rj, ri, _) = r.cot.ravel()[r.mesh.flap_corners()].transpose(1, 2, 0)
-    return (-0.5j) * (
-        li * (u[k] - u[j]) + lj * (u[k] - u[i]) + rj * (u[l] - u[i]) + ri * (u[l] - u[j])
-    )
 
 
 class VertexSums(Mapping):
@@ -184,22 +169,13 @@ def harmonic_from_qdiff(r: Realization, q, anchor_vertex=0, anchor_face=0, tol=1
     message = "q has a real part on edge {edge} (defect {defect:.3e}, scale {scale:.3e}); "
     _real_part(r, q).require(tol, NotRealizable, message + "no vertex function realizes it")
 
-    # omega(e_ij) = Re(2 h_face dz(e_ij)) on the left face, or the right one on the
-    # boundary: with the dual form closed, the two faces differ by 2 Re q
-    face = np.where(mesh.edge_faces[:, 0] >= 0, *mesh.edge_faces.T)
-    side, dz = 2.0 * dual.potential[face], r.edge_dz
+    # omega(e_ij) = Re(2 h_face dz(e_ij)) on the face of r.rotation_stencil: the left
+    # one, or the right one on the boundary; with the dual form closed, the two faces
+    # differ by 2 Re q
+    side, dz = 2.0 * dual.potential[r.rotation_stencil[0]], r.edge_dz
     u = integrate(mesh, side.real * dz.real - side.imag * dz.imag, anchor_vertex)
     u.defect.require(tol, ClosureDefect, "primal form fails to close on edge {edge}")
     return u.potential
-
-
-def project_out_linear(r: Realization, u):
-    """Remove the best Euclidean least-squares fit by ``span{1, Re z, Im z}``."""
-    _check_length(r, u)
-    u = np.asarray(u, dtype=float)
-    basis = np.stack([np.ones_like(u), r.z.real, r.z.imag], axis=1)
-    coef, *_ = np.linalg.lstsq(basis, u, rcond=None)
-    return u - basis @ coef
 
 
 def qdiff_moebius_pushforward_check(r: Realization, q, phi, tol=1e-9):
@@ -208,44 +184,3 @@ def qdiff_moebius_pushforward_check(r: Realization, q, phi, tol=1e-9):
     :class:`~ddgconf.moebius.MoebiusMap`."""
     w = phi.apply(r.z)
     return verify_qdiff(Realization(r.mesh, w), q, tol)
-
-
-@dataclass
-class RateCheckReport:
-    ok: bool
-    max_fd_error: float  # q vs finite-difference log cross-ratio derivative
-    max_analytic_error: float  # q vs the rotation-rate combination
-    max_angle_error: float  # Im part vs intersection-angle derivative
-
-
-def cross_ratio_rate_check(r: Realization, u, zdot) -> RateCheckReport:
-    """Check ``q = du_z dz = d/dt log cr`` against a central finite
-    difference of the cross ratios under ``z + t zdot`` (to 1e-5), and against
-    the analytic rotation-rate combination from the edge rates of ``zdot``
-    (to 1e-10).
-
-    The log-derivative of the cross ratio of a conformal deformation is
-    purely imaginary and equals ``q`` edgewise; equivalently the circle
-    intersection angles change at rate ``Im q``.
-    """
-    mesh = r.mesh
-    _check_length(r, zdot)
-    q = qdiff_from_function(r, u).values
-    q_scale = np.abs(q).max(initial=0.0)
-
-    def worst(value, scale):
-        return Defect(value, scale, mesh.interior_ends, "edge").worst
-
-    zdot = np.asarray(zdot, dtype=complex)
-    t = 1e-6 * r.edge_scale() / _floor(np.abs(zdot).max())
-    plus, minus = Realization(mesh, r.z + t * zdot), Realization(mesh, r.z - t * zdot)
-    dlog_cr = (cross_ratios(plus) - cross_ratios(minus)) / (2.0 * t * cross_ratios(r))
-    fd_err = worst(np.abs(q - dlog_cr), q_scale)
-    ana_err = worst(magnitude(q - cross_ratio_rate(r, zdot)), q_scale)
-
-    # q = i phi_dot, so the expected angle rate is Im(q); both read the cached cross ratios
-    phip, phim = intersection_angles(plus), intersection_angles(minus)
-    dphi = np.angle(np.exp(1j * (phip - phim))) / (2.0 * t)
-    angle_err = worst(np.abs(dphi - q.imag), np.abs(dphi).max(initial=0.0))
-    ok = fd_err <= 1e-5 and ana_err <= 1e-10 and angle_err <= 1e-5
-    return RateCheckReport(ok, fd_err, ana_err, angle_err)

@@ -1,6 +1,6 @@
-"""CP^1 / sl(2,C) layer: fractional linear maps, lifts, the closed
-sl(2,C)-valued dual 1-form determined by per-edge cross-ratio rates, its
-Pauli-basis coordinates, and transition matrices between two realizations."""
+"""CP^1 / sl(2,C) layer: fractional linear maps, the closed sl(2,C)-valued
+dual 1-form determined by per-edge cross-ratio rates, its Pauli-basis
+coordinates, and transition matrices between two realizations."""
 
 from dataclasses import dataclass
 
@@ -28,13 +28,6 @@ class MoebiusMap:
     c: complex
     d: complex
 
-    def normalized(self):
-        det = self.a * self.d - self.b * self.c
-        if det == 0:
-            raise DegenerateFace("Moebius map has zero determinant")
-        s = np.sqrt(det)
-        return MoebiusMap(self.a / s, self.b / s, self.c / s, self.d / s)
-
     def apply(self, z):
         """Images of ``z``; raises for a zero determinant and for an image at
         or (numerically) near infinity, overflow included."""
@@ -48,16 +41,6 @@ class MoebiusMap:
         if np.any(np.abs(den) < 1e-12 * scale) or not np.isfinite(w).all():
             raise VertexAtInfinity("Moebius map sends a vertex (numerically) to infinity")
         return w
-
-    @classmethod
-    def identity(cls):
-        return cls(1, 0, 0, 1)
-
-
-def lift(z):
-    """CP^1 lift ``(z, 1)`` per vertex, shape (n, 2)."""
-    z = np.asarray(z, dtype=complex)
-    return np.stack([z, np.ones_like(z)], axis=1)
 
 
 def sl2_from_pauli(vec):

@@ -149,8 +149,9 @@ class Realization:
     def rotation_stencil(self):
         """``(face, half_cot)`` per edge, read-only: the face on which
         :func:`ddgconf.laplace.conjugate_harmonic` evaluates the edge's
-        rotation, its left face or on the boundary its right one, and half
-        the cotangent at that face's apex, negated on the left face."""
+        rotation and :func:`ddgconf.hqd.harmonic_from_qdiff` its primal form,
+        its left face or on the boundary its right one, and half the
+        cotangent at that face's apex, negated on the left face."""
         mesh = self.mesh
         on_left = mesh.edge_faces[:, 0] >= 0
         face = np.where(on_left, *mesh.edge_faces.T)

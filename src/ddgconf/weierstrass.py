@@ -8,10 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    CoincidentVertices, IntegrationDefect, MeshMismatch, NotHolomorphic, NotMinimal,
-    VertexAtInfinity,
-)
+from .errors import CoincidentVertices, IntegrationDefect, MeshMismatch, NotHolomorphic, NotMinimal
 from .hqd import QuadDiff, _as_complex, verify_qdiff
 from .mesh import Defect, integrate, magnitude
 from .realization import Realization
@@ -23,15 +20,6 @@ def gauss_map(r: Realization):
     s = np.abs(z) ** 2
     n = np.stack([2.0 * z.real, 2.0 * z.imag, s - 1.0], axis=1)
     return n / (s + 1.0)[:, None]
-
-
-def stereographic_to_plane(n):
-    """Inverse of :func:`gauss_map` on sphere points away from the north pole."""
-    n = np.asarray(n, dtype=float)
-    den = 1.0 - n[:, 2]
-    if np.any(np.abs(den) < 1e-12):
-        raise VertexAtInfinity("Gauss map touches the north pole")
-    return (n[:, 0] + 1j * n[:, 1]) / den
 
 
 def reduce_phase(alpha):

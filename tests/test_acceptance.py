@@ -240,7 +240,7 @@ def test_criterion_09_sl2_layer(wheel6_irregular):
     mu = -0.5 * hqd.qdiff_from_harmonic(r, u).values
     form = moebius.sl2_form_from_rates(r, mu)
 
-    psi = moebius.lift(r.z)
+    psi = theorems.lift(r.z)
     eig_worst = 0.0
     mscale = np.abs(form.matrices).max()
     for idx, e in enumerate(r.mesh.interior_edges):

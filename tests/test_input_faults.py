@@ -12,6 +12,7 @@ from ddgconf import Realization, build, deform, fileio, hqd, laplace, moebius, w
 from ddgconf.cli import main
 from ddgconf.errors import InvalidInput, MeshMismatch, NonFinite
 
+import theorems
 from conftest import SQUARE2_FACES, WHEEL6_FACES, delaunay_disk, random_harmonic
 from test_fuzz import CASES, CODES, ERROR_LINE, _reject
 
@@ -359,16 +360,16 @@ FIELD_TAKERS = {
     "gradient": ("vertex", lambda r, f, x: hqd.gradient(r, x)),
     "qdiff_from_function": ("vertex", lambda r, f, x: hqd.qdiff_from_function(r, x)),
     "qdiff_from_harmonic": ("vertex", lambda r, f, x: hqd.qdiff_from_harmonic(r, x)),
-    "qdiff_cotan": ("vertex", lambda r, f, x: hqd.qdiff_cotan(r, x)),
-    "project_out_linear": ("vertex", lambda r, f, x: hqd.project_out_linear(r, x)),
-    "cross_ratio_rate_check(u)": ("vertex", lambda r, f, x: hqd.cross_ratio_rate_check(r, x, f.zdot)),
-    "cross_ratio_rate_check(zdot)": ("vertex", lambda r, f, x: hqd.cross_ratio_rate_check(r, f.u, x)),
+    "qdiff_cotan": ("vertex", lambda r, f, x: theorems.qdiff_cotan(r, x)),
+    "project_out_linear": ("vertex", lambda r, f, x: theorems.project_out_linear(r, x)),
+    "cross_ratio_rate_check(u)": ("vertex", lambda r, f, x: theorems.cross_ratio_rate_check(r, x, f.zdot)),
+    "cross_ratio_rate_check(zdot)": ("vertex", lambda r, f, x: theorems.cross_ratio_rate_check(r, f.u, x)),
     "rates_from_deformation": ("vertex", lambda r, f, x: moebius.rates_from_deformation(r, x)),
     "verify_qdiff": ("interior edge", lambda r, f, x: hqd.verify_qdiff(r, x)),
     "verify_qdiff(QuadDiff)": ("interior edge", lambda r, f, x: hqd.verify_qdiff(r, hqd.QuadDiff(x.imag))),
     "harmonic_from_qdiff": ("interior edge", lambda r, f, x: hqd.harmonic_from_qdiff(r, x)),
     "qdiff_moebius_pushforward_check": (
-        "interior edge", lambda r, f, x: hqd.qdiff_moebius_pushforward_check(r, x, moebius.MoebiusMap.identity())
+        "interior edge", lambda r, f, x: hqd.qdiff_moebius_pushforward_check(r, x, moebius.MoebiusMap(1, 0, 0, 1))
     ),
     "sl2_form_from_rates": ("interior edge", lambda r, f, x: moebius.sl2_form_from_rates(r, x)),
     "integrand": ("interior edge", lambda r, f, x: weierstrass.integrand(r, x)),

@@ -41,12 +41,17 @@ Every import sits at module level, every file is opened with an explicit
 encoding, and every report is written by ``fileio.dump_json``.  An element-wise verdict
 is raised only through ``Defect.require``, which names the failing element
 beside its defect and scale; ``NotHolomorphic`` and ``NotMinimal`` are the
-two verdicts on a whole check that a module raises by name."""
+two verdicts on a whole check that a module raises by name.  Every public
+function, class and method is called by the package, documented in README
+or read by the benchmark; the references and oracles only tests read live
+in ``tests/theorems.py``.  One rule, ``Realization.rotation_stencil``,
+picks the face an edge is evaluated on."""
 
 import argparse
 import ast
 import importlib
 import inspect
+import re
 import textwrap
 from functools import cached_property
 from pathlib import Path
@@ -60,9 +65,11 @@ from ddgconf import mesh as mesh_module
 from ddgconf.cli import COMMANDS, build_parser
 from ddgconf.mesh import _Graph
 
+import theorems
 from conftest import WHEEL6_FACES, delaunay_disk
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ddgconf"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ddgconf"
 
 LOOKUPS = {"edge_index", "edge_left", "edge_right", "edge_flap", "opposite_vertex", "_face_of_oriented"}
 
@@ -266,6 +273,20 @@ def test_one_owner_of_the_real_part():
         if isinstance(node, ast.Subscript) and getattr(node.slice, "attr", None) == "edge_faces"
     ]
     assert gathers == []
+
+
+def test_one_face_per_edge():
+    """"The left face, or the right one on a boundary edge" has one owner,
+    ``Realization.rotation_stencil``: outside ``mesh.py`` no other function
+    reads ``edge_faces``."""
+    reads = [
+        f"{module}:{fn}"
+        for module, tree in _package_trees()
+        if module != "mesh.py"
+        for fn, node in _functions(tree)
+        if getattr(node, "attr", None) == "edge_faces"
+    ]
+    assert sorted(set(reads)) == ["realization.py:rotation_stencil"]
 
 
 def test_cotangents_are_built_on_first_use(wheel6):
@@ -676,7 +697,7 @@ def test_parameters_no_caller_sets_are_constants():
     """Every caller left these at their defaults, so they are constants."""
     signatures = {
         deform.check_triangle_compat: "fd_step",
-        hqd.cross_ratio_rate_check: "fd_tol analytic_tol",
+        theorems.cross_ratio_rate_check: "fd_tol analytic_tol",
         hqd.qdiff_from_harmonic: "rtol",
         laplace.require_harmonic: "rtol",
         laplace.conjugate_harmonic: "rtol",
@@ -696,3 +717,49 @@ def test_pushforward_takes_only_a_moebius_map(wheel6):
     q = hqd.QuadDiff(np.zeros(len(wheel6.mesh.interior_edges)))
     with pytest.raises(AttributeError):
         hqd.qdiff_moebius_pushforward_check(wheel6, q, (1.0, 0.5, 0.0, 1.0))
+
+
+# public names that only the benchmark reads; they stay until its next revision
+BENCH_READS = {
+    "build", "edge_flap", "dual_cycles", "dual_spanning_tree", "vertex_spanning_tree", "edge_scale",
+    "face_moebius", "pauli_from_sl2",
+}
+
+
+def _public_definitions():
+    """``(module, qualified name, node)`` of each public module-level
+    function or class and each public method."""
+    for module, tree in _package_trees():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield module, node.name, node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        yield module, f"{node.name}.{sub.name}", sub
+
+
+def test_every_public_name_has_a_caller():
+    """Every public function, class and method is referenced by a ``Name``
+    or ``Attribute`` in the package outside its own definition, named in
+    backticks in README (as ``name``, ``module.name`` or ``name(...)``), or
+    read by the benchmark (``BENCH_READS``).  What only tests read lives in
+    ``tests/theorems.py``."""
+    readme = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.S)
+    documented = {re.match(r"[\w.]*", span)[0].rsplit(".", 1)[-1] for span in re.findall(r"`([^`]+)`", readme)}
+    trees = [tree for _, tree in _package_trees()]
+    orphans = []
+    for module, qualname, definition in _public_definitions():
+        name = qualname.rsplit(".", 1)[-1]
+        inside = {id(node) for node in ast.walk(definition)}
+        called = any(
+            id(node) not in inside and getattr(node, "attr", getattr(node, "id", None)) == name
+            for tree in trees
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        )
+        if not (called or name in documented or name in BENCH_READS):
+            orphans.append(f"{module}: {qualname}")
+    assert orphans == []
+    bench = "\n".join(path.read_text(encoding="utf-8") for path in sorted((ROOT / "bench").glob("*.py")))
+    assert sorted(name for name in BENCH_READS if not re.search(rf"\b{name}\b", bench)) == []

@@ -395,7 +395,7 @@ def broadcast_transitions(a, b):
     G = broadcast_mul(reference_adjugate(face_maps[right]), face_maps[left])
     G_norm = np.abs(G).max(axis=(1, 2))
     cycle = theorems.cycle_products(mesh, G)
-    psi = moebius.lift(a.z)[mesh.interior_ends].transpose(0, 2, 1)
+    psi = theorems.lift(a.z)[mesh.interior_ends].transpose(0, 2, 1)
     w = broadcast_mul(G, psi)
     lam = w[:, 1, 1]
     res = np.abs(w - np.stack([psi[:, :, 0] / lam[:, None], lam[:, None] * psi[:, :, 1]], axis=2))
@@ -430,7 +430,7 @@ def reference_transitions(a, b):
     G = np.empty((n, 2, 2), dtype=complex)
     lam = np.empty(n, dtype=complex)
     eig_res = 0.0
-    psi = moebius.lift(a.z)
+    psi = theorems.lift(a.z)
     for idx, e in enumerate(mesh.interior_edges):
         i, j = mesh.edge_ends[e].tolist()
         al, ar = face_maps[ref.left[e]], face_maps[ref.right[e]]

@@ -5,6 +5,7 @@ from ddgconf import Realization
 from ddgconf import hqd, weierstrass
 from ddgconf.errors import MeshMismatch, NotHolomorphic, NotMinimal, VertexAtInfinity
 
+import theorems
 from conftest import delaunay_disk, random_harmonic
 
 
@@ -23,14 +24,14 @@ def test_gauss_map_frozen_points(square2):
 def test_stereographic_roundtrip():
     r = delaunay_disk(150, seed=61)
     n = weierstrass.gauss_map(r)
-    back = weierstrass.stereographic_to_plane(n)
+    back = theorems.stereographic_to_plane(n)
     assert np.abs(back - r.z).max() < 1e-12
 
 
 def test_north_pole_has_no_plane_point():
     n = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(VertexAtInfinity, match="^Gauss map touches the north pole$"):
-        weierstrass.stereographic_to_plane(n)
+        theorems.stereographic_to_plane(n)
 
 
 def test_zero_q_gives_constant_surface(wheel6):

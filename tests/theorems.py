@@ -17,15 +17,32 @@ tolerances the library once applied.
   ``(sum mu / d) K1 + (sum mu) K2`` (:func:`k1k2_residual`), and it vanishes
   exactly where the rate sum and the weighted sum that
   ``moebius.check_sl2_form_closed`` checks do (:func:`sl2_equivalence_ok`).
+
+The references and oracles that no part of the package calls live here too:
+
+- :func:`qdiff_cotan`, the cotangent formula for ``q``, an independent
+  evaluation of ``hqd.qdiff_from_function``;
+- :func:`cross_ratio_rate_check` with its :class:`RateCheckReport`: ``q =
+  du_z dz = d/dt log cr`` against finite differences of the cross ratios
+  and of the intersection angles, and against ``deform.cross_ratio_rate``;
+- :func:`project_out_linear`, which removes the kernel ``span{1, Re z, Im
+  z}`` of ``u -> q``;
+- :func:`stereographic_to_plane`, the inverse of ``weierstrass.gauss_map``;
+- :func:`lift`, the CP^1 lift ``(z, 1)`` that the sl(2,C) form and the
+  transitions act on.
 """
 
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from ddgconf import moebius
-from ddgconf.mesh import Defect, magnitude, reduce_rows
-from ddgconf.realization import cross_ratios
+from ddgconf.deform import cross_ratio_rate
+from ddgconf.errors import VertexAtInfinity
+from ddgconf.hqd import qdiff_from_function
+from ddgconf.mesh import Defect, _floor, magnitude, reduce_rows
+from ddgconf.realization import Realization, _check_length, cross_ratios, intersection_angles
 
 TRANSITION_TOL = 1e-10
 SL2_TOL = 1e-10
@@ -119,3 +136,81 @@ def k1k2_residual(r, form):
     rate = mesh.cycle_sum(mu)[:, None, None]
     gap = mesh.cycle_sum(form.matrices, signed=True) - (weighted * k1 + rate * k2)
     return float(np.abs(gap).max(initial=0.0) / np.abs(form.matrices).max())
+
+
+def qdiff_cotan(r: Realization, u):
+    """Independent cotangent-formula evaluation of the quadratic differential
+    (used to cross-check ``hqd.qdiff_from_function``)."""
+    _check_length(r, u)
+    u = np.asarray(u, dtype=float)
+    i, j, k, l = r.flap_points()
+    # the cotangents at i, j, k of the left face and at j, i, l of the right
+    (li, lj, _), (rj, ri, _) = r.cot.ravel()[r.mesh.flap_corners()].transpose(1, 2, 0)
+    return (-0.5j) * (
+        li * (u[k] - u[j]) + lj * (u[k] - u[i]) + rj * (u[l] - u[i]) + ri * (u[l] - u[j])
+    )
+
+
+def project_out_linear(r: Realization, u):
+    """Remove the best Euclidean least-squares fit by ``span{1, Re z, Im z}``."""
+    _check_length(r, u)
+    u = np.asarray(u, dtype=float)
+    basis = np.stack([np.ones_like(u), r.z.real, r.z.imag], axis=1)
+    coef, *_ = np.linalg.lstsq(basis, u, rcond=None)
+    return u - basis @ coef
+
+
+@dataclass
+class RateCheckReport:
+    ok: bool
+    max_fd_error: float  # q vs finite-difference log cross-ratio derivative
+    max_analytic_error: float  # q vs the rotation-rate combination
+    max_angle_error: float  # Im part vs intersection-angle derivative
+
+
+def cross_ratio_rate_check(r: Realization, u, zdot) -> RateCheckReport:
+    """Check ``q = du_z dz = d/dt log cr`` against a central finite
+    difference of the cross ratios under ``z + t zdot`` (to 1e-5), and against
+    the analytic rotation-rate combination from the edge rates of ``zdot``
+    (to 1e-10).
+
+    The log-derivative of the cross ratio of a conformal deformation is
+    purely imaginary and equals ``q`` edgewise; equivalently the circle
+    intersection angles change at rate ``Im q``.
+    """
+    mesh = r.mesh
+    _check_length(r, zdot)
+    q = qdiff_from_function(r, u).values
+    q_scale = np.abs(q).max(initial=0.0)
+
+    def worst(value, scale):
+        return Defect(value, scale, mesh.interior_ends, "edge").worst
+
+    zdot = np.asarray(zdot, dtype=complex)
+    t = 1e-6 * r.edge_scale() / _floor(np.abs(zdot).max())
+    plus, minus = Realization(mesh, r.z + t * zdot), Realization(mesh, r.z - t * zdot)
+    dlog_cr = (cross_ratios(plus) - cross_ratios(minus)) / (2.0 * t * cross_ratios(r))
+    fd_err = worst(np.abs(q - dlog_cr), q_scale)
+    ana_err = worst(magnitude(q - cross_ratio_rate(r, zdot)), q_scale)
+
+    # q = i phi_dot, so the expected angle rate is Im(q); both read the cached cross ratios
+    phip, phim = intersection_angles(plus), intersection_angles(minus)
+    dphi = np.angle(np.exp(1j * (phip - phim))) / (2.0 * t)
+    angle_err = worst(np.abs(dphi - q.imag), np.abs(dphi).max(initial=0.0))
+    ok = fd_err <= 1e-5 and ana_err <= 1e-10 and angle_err <= 1e-5
+    return RateCheckReport(ok, fd_err, ana_err, angle_err)
+
+
+def stereographic_to_plane(n):
+    """Inverse of ``weierstrass.gauss_map`` on sphere points away from the north pole."""
+    n = np.asarray(n, dtype=float)
+    den = 1.0 - n[:, 2]
+    if np.any(np.abs(den) < 1e-12):
+        raise VertexAtInfinity("Gauss map touches the north pole")
+    return (n[:, 0] + 1j * n[:, 1]) / den
+
+
+def lift(z):
+    """CP^1 lift ``(z, 1)`` per vertex, shape (n, 2)."""
+    z = np.asarray(z, dtype=complex)
+    return np.stack([z, np.ones_like(z)], axis=1)
