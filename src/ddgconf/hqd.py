@@ -169,10 +169,10 @@ def harmonic_from_qdiff(r: Realization, q, anchor_vertex=0, anchor_face=0, tol=1
     message = "q has a real part on edge {edge} (defect {defect:.3e}, scale {scale:.3e}); "
     _real_part(r, q).require(tol, NotRealizable, message + "no vertex function realizes it")
 
-    # omega(e_ij) = Re(2 h_face dz(e_ij)) on the face of r.rotation_stencil: the left
+    # omega(e_ij) = Re(2 h_face dz(e_ij)) on the face of mesh.face_stencil: the left
     # one, or the right one on the boundary; with the dual form closed, the two faces
     # differ by 2 Re q
-    side, dz = 2.0 * dual.potential[r.rotation_stencil[0]], r.edge_dz
+    side, dz = 2.0 * dual.potential[mesh.face_stencil[0]], r.edge_dz
     u = integrate(mesh, side.real * dz.real - side.imag * dz.imag, anchor_vertex)
     u.defect.require(tol, ClosureDefect, "primal form fails to close on edge {edge}")
     return u.potential

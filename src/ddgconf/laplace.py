@@ -137,7 +137,6 @@ def solve_dirichlet(r: Realization, boundary):
 class ConjugateHarmonic:
     face_potential: np.ndarray  # omega~ per face, anchored 0 on the anchor face
     edge_rotation: np.ndarray  # omega per edge (all edges)
-    closure_defect: float  # worst dual co-tree defect, relative
 
 
 def conjugate_harmonic(r: Realization, h, anchor_face=0):
@@ -158,11 +157,10 @@ def conjugate_harmonic(r: Realization, h, anchor_face=0):
 
     i, j = mesh.edge_ends.T
     dh = h[j] - h[i]
-    dual = integrate(mesh, 0.5 * cotan_weights(r) * dh[mesh.interior_edges], anchor_face, dual=True)
-    wt = dual.potential
+    wt = integrate(mesh, 0.5 * cotan_weights(r) * dh[mesh.interior_edges], anchor_face, dual=True).potential
 
     # evaluated on the left face of each edge, or on the right face on the
     # boundary, with the cotangent at that face's apex
     face, half_cot = r.rotation_stencil
     omega = wt.take(face) + half_cot * dh
-    return ConjugateHarmonic(wt, omega, dual.defect.worst)
+    return ConjugateHarmonic(wt, omega)

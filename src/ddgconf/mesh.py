@@ -61,11 +61,12 @@ class TriMesh:
 
     Tables that depend on the mesh alone are built once, on first use, and
     kept read-only by :class:`cached_property`: ``least_corners`` (each
-    vertex's first corner in face order), the dual cycles ``vertex_cycles``
-    with their faces and the ones-valued copy ``unsigned_cycles`` that
-    :meth:`cycle_sum` reads, the slot schedule of the cycle products
-    (``slot_schedule``, ``slot_counts``, ``slot_picks``) and the spanning
-    trees of :func:`integrate`.
+    vertex's first corner in face order), ``face_stencil`` (the face each
+    edge is evaluated on, with its apex corner), the dual cycles
+    ``vertex_cycles`` with their faces and the ones-valued copy
+    ``unsigned_cycles`` that :meth:`cycle_sum` reads, the slot schedule of
+    the cycle products (``slot_schedule``, ``slot_counts``, ``slot_picks``)
+    and the spanning trees of :func:`integrate`.
     """
 
     def __init__(self, faces, vertex_count=None):
@@ -191,6 +192,16 @@ class TriMesh:
     def flap_apices(self):
         """``(E_int, 2)`` apices ``(k, l)`` of each interior edge's flap."""
         return self.faces.ravel()[self.flap_corners()[:, :, 2]]
+
+    @cached_property
+    def face_stencil(self):
+        """``(3, E)``: per edge the one face it is evaluated on, its left
+        face or on a boundary edge its right one, the corner at that face's
+        apex, and 1 where it is the right face, else 0."""
+        left, right = self.edge_corners.T
+        on_right = left < 0
+        corner = np.where(on_right, right, left)
+        return np.stack([corner // 3, self.next_corner(corner, 2), on_right])
 
     @cached_property
     def _primal_graph(self):
@@ -426,10 +437,10 @@ class Defect(NamedTuple):
 class Integral(NamedTuple):
     """Potential of a 1-form integrated over a spanning tree, and the closure
     gaps ``|potential[head] - potential[tail] - form|`` on its co-tree edges
-    against ``max|form|``."""
+    against ``max|form|``; ``defect.where`` names each co-tree edge, in
+    ascending order of edge id."""
 
     potential: np.ndarray
-    cotree: np.ndarray  # mesh edge ids, ascending
     defect: Defect
 
 
@@ -481,7 +492,7 @@ def integrate(mesh, form, root=0, dual=False):
     gap = pot.take(t.head, axis=0) - pot.take(t.tail, axis=0) - form.take(t.cotree, axis=0)
     gap = reduce_rows(np.maximum, np.abs(gap)) if gap.ndim > 1 else magnitude(gap)
     defect = Defect(gap, np.abs(form).max(initial=0.0), t.ends, "edge")
-    return Integral(pot, t.edge_ids, defect)
+    return Integral(pot, defect)
 
 
 def _read_only(a):

@@ -147,18 +147,14 @@ class Realization:
 
     @cached_property
     def rotation_stencil(self):
-        """``(face, half_cot)`` per edge, read-only: the face on which
+        """``(face, half_cot)`` per edge, read-only: the face of
+        ``mesh.face_stencil``, on which
         :func:`ddgconf.laplace.conjugate_harmonic` evaluates the edge's
-        rotation and :func:`ddgconf.hqd.harmonic_from_qdiff` its primal form,
-        its left face or on the boundary its right one, and half the
-        cotangent at that face's apex, negated on the left face."""
-        mesh = self.mesh
-        on_left = mesh.edge_faces[:, 0] >= 0
-        face = np.where(on_left, *mesh.edge_faces.T)
-        # the apex corner lies two on from the edge's own corner in that face
-        corner = np.where(on_left, *mesh.edge_corners.T)
-        half = 0.5 * self.cot.ravel()[mesh.next_corner(corner, 2)]
-        return face, np.where(on_left, -half, half)
+        rotation, and half the cotangent at that face's apex, negated on the
+        left face."""
+        face, apex, right = self.mesh.face_stencil
+        half = 0.5 * self.cot.ravel()[apex]
+        return face, np.where(right, half, -half)
 
     @cached_property
     def null_vectors(self):

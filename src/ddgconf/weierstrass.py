@@ -37,7 +37,6 @@ def integrand(r: Realization, q):
 
 @dataclass
 class MinimalSurface:
-    mesh: object
     potential: np.ndarray  # complex null-curve potential per face, (F, 3)
     f: np.ndarray  # real face positions Re(e^{i alpha} potential), (F, 3), at alpha = 0
     k: np.ndarray  # real edge curvature factor -i q / |dz|^2
@@ -68,16 +67,14 @@ def weierstrass_integrate(r: Realization, q, anchor_face=0, tol=1e-8):
     pot = dual.potential
 
     k = (-1j * q / r.interior_dz2).real
-    return MinimalSurface(mesh, pot, None, k, dual.defect.worst).at_phase(0.0)
+    return MinimalSurface(pot, None, k, dual.defect.worst).at_phase(0.0)
 
 
 @dataclass
 class MinimalityReport:
     minimal: bool
     max_residual: float  # worst normalized cross-product residual
-    residual: np.ndarray  # per interior edge
     k: np.ndarray  # least-squares edge factor from the parallelism relation
-    orthogonal_part: np.ndarray  # norm of df orthogonal to (n_j - n_i)
     defect: Defect  # |(n_j - n_i) x df| per interior edge, against |n_j - n_i| max|df|
 
 
@@ -110,9 +107,8 @@ def verify_minimal(mesh, n, f, tol=1e-9) -> MinimalityReport:
     defect = Defect(cross, dn_norm * df_scale, mesh.interior_ends, "edge")
     # df = k * (1 + |z_i|^2)(1 + |z_j|^2)/2 * dn; the raw projection onto dn
     k = np.einsum("ij,ij->i", dn, df) / dn_norm**2
-    ortho = np.linalg.norm(df - k[:, None] * dn, axis=1)
     worst = defect.worst
-    return MinimalityReport(worst <= tol, worst, defect.relative, k, ortho, defect)
+    return MinimalityReport(worst <= tol, worst, k, defect)
 
 
 def qdiff_from_minimal(r: Realization, f, tol=1e-9) -> QuadDiff:

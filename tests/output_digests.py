@@ -23,7 +23,12 @@ library chain of the benchmark's ``fields-disk`` items (``solve_dirichlet``,
 realization of the fixture disk and of the sliver, each time on new
 boundary data as the benchmark does, and lists the sha256 of each output of
 the second pass: its checks replace the fields the first pass left on the
-realization, and its later steps read the checks of its earlier ones.
+realization, and its later steps read the checks of its earlier ones.  The
+chain ends with two library checks whose results commands print in part:
+``check_triangle_compat`` on the ``edge_rates`` of the deformation (its
+verdicts, defects, face rates and closure ``Defect``) and ``verify_minimal``
+on each member of the surface's associate family at ``cli.DEFAULT_ALPHAS``
+(its verdict, worst residual, ``k`` and ``Defect``).
 Then, on the same two disks, come the library verdicts on faulty input that
 no command reaches: ``harmonic_from_qdiff`` and ``verify_qdiff`` on the
 real field ``i s q`` (s = 1e3, 1, 1e-10) and on ``(1 + i) q``, and
@@ -59,7 +64,7 @@ from pathlib import Path
 import numpy as np
 
 from ddgconf import Realization, build, deform, fileio, hqd, laplace, weierstrass
-from ddgconf.cli import COMMANDS, main
+from ddgconf.cli import COMMANDS, DEFAULT_ALPHAS, main
 from ddgconf.errors import DDGError
 
 from conftest import WHEEL6_FACES, delaunay_disk, jittered_grid, random_moebius
@@ -177,10 +182,21 @@ def chain_outputs(r, boundary):
         s = weierstrass.weierstrass_integrate(r, q)
         return _bytes(s.potential, s.f, s.k, s.closure_defect)
 
+    def compat():
+        rep = deform.check_triangle_compat(r, deform.edge_rates(r, deform.conformal_deformation(r, u)))
+        return _bytes(rep.ok, rep.defect, rep.omega_face, rep.sigma_face, rep.closure.value, rep.closure.scale)
+
+    def minimal():
+        s, n = weierstrass.weierstrass_integrate(r, q), weierstrass.gauss_map(r)
+        reports = [weierstrass.verify_minimal(r.mesh, n, s.at_phase(alpha).f) for alpha in DEFAULT_ALPHAS]
+        return _bytes(*(x for m in reports for x in (m.minimal, m.max_residual, m.k, m.defect.value, m.defect.scale)))
+
     steps = (
         ("u2", lambda: _bytes(hqd.harmonic_from_qdiff(r, q))),
         ("zdot", lambda: _bytes(deform.conformal_deformation(r, u))),
         ("surface", surface),
+        ("compat", compat),
+        ("minimal", minimal),
     )
     for output, step in steps:
         try:

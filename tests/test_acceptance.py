@@ -120,9 +120,9 @@ def test_criterion_04_deformation_equivalence():
         edge_worst = max(edge_worst, float(np.abs(sigma - mid).max() / uscale))
         rot_worst = max(rot_worst, float(np.abs(omega_rot - mid).max() / uscale))
 
-        rep = deform_mod.check_triangle_compat(r, deform_mod.edge_rates(r, zdot))
-        closure_ok = closure_ok and bool(rep.ok.all())
-        radius_worst = max(radius_worst, float(np.nanmax(rep.radius_rate_error)))
+        rates = deform_mod.edge_rates(r, zdot)
+        closure_ok = closure_ok and bool(deform_mod.check_triangle_compat(r, rates).ok.all())
+        radius_worst = max(radius_worst, float(np.nanmax(theorems.radius_rate_error(r, rates))))
     ok = edge_worst <= 1e-10 and rot_worst <= 1e-10 and closure_ok and radius_worst <= 1e-5
     assert _verdict(
         4,

@@ -119,8 +119,9 @@ def test_integral_cotree_defect(disk):
     r = disk[0]
     for dual, n in ((False, len(r.mesh.edge_ends)), (True, len(r.mesh.interior_edges))):
         result = integrate(r.mesh, np.random.default_rng(3).standard_normal(n), dual=dual)
+        cotree = (r.mesh.dual_spanning_tree if dual else r.mesh.vertex_spanning_tree)()[1]
         assert [tuple(w) for w in result.defect.where.tolist()] == [
-            tuple(r.mesh.edge_ends[e].tolist()) for e in result.cotree
+            tuple(r.mesh.edge_ends[e].tolist()) for e in cotree
         ]
         assert_nan_fails(result.defect)
 
@@ -166,7 +167,7 @@ def test_minimality_defect(disk):
     surf = weierstrass.weierstrass_integrate(r, q)
     n = weierstrass.gauss_map(r)
     rep = weierstrass.verify_minimal(r.mesh, n, surf.f)
-    assert rep.minimal and rep.residual.tobytes() == rep.defect.relative.tobytes()
+    assert rep.minimal
     assert_nan_fails(rep.defect)
     f = surf.f.copy()
     f[4] = np.nan

@@ -6,6 +6,7 @@ from ddgconf import Realization
 from ddgconf import deform, laplace
 from ddgconf.errors import IncompatibleRates, NotHarmonic
 
+import theorems
 from conftest import delaunay_disk, jittered_grid, random_harmonic
 
 
@@ -26,10 +27,11 @@ def test_rotation_flow_rates(wheel6_irregular):
 
 def test_genuine_deformation_compatible(wheel6_irregular):
     r = wheel6_irregular
-    rep = deform.check_triangle_compat(r, deform.edge_rates(r, r.z**3))
-    assert rep.ok.all()
-    assert np.nanmax(rep.omega_spread) < 1e-12
-    assert np.nanmax(rep.sigma_spread) < 1e-12
+    rates = deform.edge_rates(r, r.z**3)
+    assert deform.check_triangle_compat(r, rates).ok.all()
+    omega_spread, sigma_spread = theorems.cotangent_spreads(r, rates)
+    assert np.nanmax(omega_spread) < 1e-12
+    assert np.nanmax(sigma_spread) < 1e-12
 
 
 def test_face_scaling_matches_circumradius_rate():
@@ -38,9 +40,9 @@ def test_face_scaling_matches_circumradius_rate():
     zdot = rng.standard_normal(r.mesh.vertex_count) + 1j * rng.standard_normal(
         r.mesh.vertex_count
     )
-    rep = deform.check_triangle_compat(r, deform.edge_rates(r, zdot))
-    assert rep.ok.all()
-    assert np.nanmax(rep.radius_rate_error) < 1e-5
+    rates = deform.edge_rates(r, zdot)
+    assert deform.check_triangle_compat(r, rates).ok.all()
+    assert np.nanmax(theorems.radius_rate_error(r, rates)) < 1e-5
 
 
 def test_radius_rate_is_exact_on_a_sliver():
@@ -50,9 +52,9 @@ def test_radius_rate_is_exact_on_a_sliver():
     r = delaunay_disk(60, seed=26)
     rng = np.random.default_rng(27)
     zdot = rng.standard_normal(r.mesh.vertex_count) + 1j * rng.standard_normal(r.mesh.vertex_count)
-    rep = deform.check_triangle_compat(r, deform.edge_rates(r, zdot))
-    assert rep.ok.all()
-    assert np.nanmax(rep.radius_rate_error) < 1e-12
+    rates = deform.edge_rates(r, zdot)
+    assert deform.check_triangle_compat(r, rates).ok.all()
+    assert np.nanmax(theorems.radius_rate_error(r, rates)) < 1e-12
 
 
 def test_incompatible_rates_rejected(wheel6_irregular):
@@ -156,7 +158,8 @@ def test_radius_rate_stays_finite_under_scaling(s):
     finite-difference step once collapsed the faces at 1e6 and drowned in
     rounding at 1e-6)."""
     r = delaunay_disk(300, seed=5)
-    rep = deform.check_triangle_compat(r, deform.edge_rates(r, s * r.z))
-    assert rep.ok.any()
-    err = rep.radius_rate_error[rep.ok]
+    rates = deform.edge_rates(r, s * r.z)
+    ok = deform.check_triangle_compat(r, rates).ok
+    assert ok.any()
+    err = theorems.radius_rate_error(r, rates)[ok]
     assert np.isfinite(err).all() and err.max() <= 1e-5

@@ -6,6 +6,7 @@ from ddgconf import Realization, build
 from ddgconf import deform, laplace
 from ddgconf.errors import InvalidInput, MissingBoundaryData, NotHarmonic, SingularSystem
 
+import theorems
 from conftest import (
     SQUARE2_FACES, cot_at, delaunay_disk, grid_disk, jittered_grid, random_harmonic, reference_tables
 )
@@ -113,7 +114,7 @@ def test_conjugate_harmonic_consistency(wheel6_irregular):
     mesh = r.mesh
     w = laplace.cotan_weights(r)
     ref = reference_tables(mesh)
-    assert conj.closure_defect < 1e-12
+    assert theorems.conjugate_closure(r, h) < 1e-12
     for idx, e in enumerate(mesh.interior_edges):
         i, j = mesh.edge_ends[e].tolist()
         fl, fr = ref.left[e], ref.right[e]

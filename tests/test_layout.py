@@ -44,8 +44,9 @@ beside its defect and scale; ``NotHolomorphic`` and ``NotMinimal`` are the
 two verdicts on a whole check that a module raises by name.  Every public
 function, class and method is called by the package, documented in README
 or read by the benchmark; the references and oracles only tests read live
-in ``tests/theorems.py``.  One rule, ``Realization.rotation_stencil``,
-picks the face an edge is evaluated on."""
+in ``tests/theorems.py``.  Every field of a result type is read by the
+package, the benchmark or README.  One cached table,
+``TriMesh.face_stencil``, picks the face an edge is evaluated on."""
 
 import argparse
 import ast
@@ -275,18 +276,27 @@ def test_one_owner_of_the_real_part():
     assert gathers == []
 
 
-def test_one_face_per_edge():
+def test_one_face_per_edge(wheel6):
     """"The left face, or the right one on a boundary edge" has one owner,
-    ``Realization.rotation_stencil``: outside ``mesh.py`` no other function
-    reads ``edge_faces``."""
-    reads = [
-        f"{module}:{fn}"
-        for module, tree in _package_trees()
-        if module != "mesh.py"
-        for fn, node in _functions(tree)
-        if getattr(node, "attr", None) == "edge_faces"
-    ]
-    assert sorted(set(reads)) == ["realization.py:rotation_stencil"]
+    the mesh table ``TriMesh.face_stencil``: outside ``mesh.py`` no function
+    reads ``edge_faces``, and ``Realization.rotation_stencil`` and
+    ``harmonic_from_qdiff`` read the table, so that ``harmonic_from_qdiff``
+    on a fresh realization builds no cotangents."""
+
+    def reads(attr):
+        return sorted({
+            f"{module}:{fn}"
+            for module, tree in _package_trees()
+            if module != "mesh.py"
+            for fn, node in _functions(tree)
+            if getattr(node, "attr", None) == attr
+        })
+
+    assert reads("edge_faces") == []
+    assert reads("face_stencil") == ["hqd.py:harmonic_from_qdiff", "realization.py:rotation_stencil"]
+    r = Realization(wheel6.mesh, wheel6.z)
+    hqd.harmonic_from_qdiff(r, hqd.QuadDiff(np.zeros(len(r.mesh.interior_edges))))
+    assert "cot" not in vars(r) and "rotation_stencil" not in vars(r)
 
 
 def test_cotangents_are_built_on_first_use(wheel6):
@@ -726,6 +736,12 @@ BENCH_READS = {
 }
 
 
+def _readme_spans():
+    """The backtick spans of README, outside its code blocks."""
+    readme = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.S)
+    return re.findall(r"`([^`]+)`", readme)
+
+
 def _public_definitions():
     """``(module, qualified name, node)`` of each public module-level
     function or class and each public method."""
@@ -745,8 +761,7 @@ def test_every_public_name_has_a_caller():
     backticks in README (as ``name``, ``module.name`` or ``name(...)``), or
     read by the benchmark (``BENCH_READS``).  What only tests read lives in
     ``tests/theorems.py``."""
-    readme = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.S)
-    documented = {re.match(r"[\w.]*", span)[0].rsplit(".", 1)[-1] for span in re.findall(r"`([^`]+)`", readme)}
+    documented = {re.match(r"[\w.]*", span)[0].rsplit(".", 1)[-1] for span in _readme_spans()}
     trees = [tree for _, tree in _package_trees()]
     orphans = []
     for module, qualname, definition in _public_definitions():
@@ -763,3 +778,46 @@ def test_every_public_name_has_a_caller():
     assert orphans == []
     bench = "\n".join(path.read_text(encoding="utf-8") for path in sorted((ROOT / "bench").glob("*.py")))
     assert sorted(name for name in BENCH_READS if not re.search(rf"\b{name}\b", bench)) == []
+
+
+# the result type that only the benchmark reaches (ROADMAP item 1)
+BENCH_RESULTS = {"DualEdge"}
+
+
+def _result_fields():
+    """``(module, class, field)`` of each field of a dataclass or NamedTuple
+    that the package defines."""
+    for module, tree in _package_trees():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef) or node.name in BENCH_RESULTS:
+                continue
+            dataclass = any(getattr(d, "id", None) == "dataclass" for d in node.decorator_list)
+            named_tuple = any(getattr(b, "id", None) == "NamedTuple" for b in node.bases)
+            if dataclass or named_tuple:
+                for sub in node.body:
+                    if isinstance(sub, ast.AnnAssign):
+                        yield module, node.name, sub.target.id
+
+
+def test_every_result_field_has_a_reader():
+    """Every field of a dataclass or NamedTuple of the package is read as an
+    attribute in the package (a declaration reads nothing) or in
+    ``bench/*.py``, or named in README as a backtick span of its own
+    (``field`` or ``Class.field``).  The test goes by name, so a field that
+    shares its name with one that is read passes with it: it could not have
+    caught ``ConjugateHarmonic.closure_defect`` (beside
+    ``MinimalSurface.closure_defect``), ``MinimalSurface.mesh`` (beside every
+    ``r.mesh``) or ``Integral.cotree`` (beside the spanning tree's
+    ``cotree``), which went with the five it does catch.  ``DualEdge`` is
+    exempt: only the benchmark reaches it."""
+    documented = {span.rsplit(".", 1)[-1] for span in _readme_spans() if re.fullmatch(r"[\w.]+", span)}
+    sources = [tree for _, tree in _package_trees()]
+    sources += [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((ROOT / "bench").glob("*.py"))]
+    reads = {
+        node.attr
+        for tree in sources
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [f"{module}: {cls}.{field}" for module, cls, field in _result_fields() if field not in reads | documented]
+    assert unread == []

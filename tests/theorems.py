@@ -17,6 +17,19 @@ tolerances the library once applied.
   ``(sum mu / d) K1 + (sum mu) K2`` (:func:`k1k2_residual`), and it vanishes
   exactly where the rate sum and the weighted sum that
   ``moebius.check_sl2_form_closed`` checks do (:func:`sl2_equivalence_ok`).
+- On a face whose edge rates close, the three cotangent expressions of the
+  average rotation speed agree, and so do those of the average scaling
+  (:func:`cotangent_spreads`; ``deform.check_triangle_compat`` reports the
+  first); the average scaling is the circumradius log-rate ``d/dt log R``
+  (:func:`radius_rate_error`), differentiated through the side lengths and
+  the doubled area, so no finite-difference step has to suit a sliver.
+  There is no per-face circumradius in the package.
+- The dual edges ``df`` of a discrete minimal surface are parallel to the
+  Gauss-map edges ``dn`` (:func:`orthogonal_part`, the part of ``df``
+  that ``k dn`` leaves, with ``k`` of ``weierstrass.verify_minimal``).
+- The dual form ``(w_ij / 2)(h_j - h_i)`` of a harmonic ``h`` closes
+  (:func:`conjugate_closure`, its worst co-tree gap), so the face potential
+  of ``laplace.conjugate_harmonic`` is one function.
 
 The references and oracles that no part of the package calls live here too:
 
@@ -38,11 +51,13 @@ from functools import reduce
 import numpy as np
 
 from ddgconf import moebius
-from ddgconf.deform import cross_ratio_rate
+from ddgconf.deform import check_triangle_compat, cross_ratio_rate
 from ddgconf.errors import VertexAtInfinity
 from ddgconf.hqd import qdiff_from_function
-from ddgconf.mesh import Defect, _floor, magnitude, reduce_rows
+from ddgconf.laplace import cotan_weights
+from ddgconf.mesh import Defect, _floor, integrate, magnitude, product, reduce_rows
 from ddgconf.realization import Realization, _check_length, cross_ratios, intersection_angles
+from ddgconf.weierstrass import verify_minimal
 
 TRANSITION_TOL = 1e-10
 SL2_TOL = 1e-10
@@ -136,6 +151,68 @@ def k1k2_residual(r, form):
     rate = mesh.cycle_sum(mu)[:, None, None]
     gap = mesh.cycle_sum(form.matrices, signed=True) - (weighted * k1 + rate * k2)
     return float(np.abs(gap).max(initial=0.0) / np.abs(form.matrices).max())
+
+
+def cotangent_spreads(r, rates, tol=1e-10):
+    """``(omega_spread, sigma_spread)`` per face: max minus min of the three
+    cotangent expressions of the average rotation and scaling speeds on each
+    face that ``check_triangle_compat`` finds closed within ``tol``, NaN on
+    the others."""
+    nf = len(r.mesh.faces)
+    c = rates.complex_rate[r.mesh.face_edges]  # c12, c23, c31
+    ok = check_triangle_compat(r, rates, tol).ok
+    omega_spread, sigma_spread = np.full((2, nf), np.nan)
+    cot, s, w = r.cot[ok], c[ok].real, c[ok].imag
+    # expression m pairs the corner cotangent m with the opposite edge m + 1
+    omegas = np.roll(w, -1, axis=1) + cot * (np.roll(s, -2, axis=1) - s)
+    sigmas = np.roll(s, -1, axis=1) - cot * (np.roll(w, -2, axis=1) - w)
+    omega_spread[ok] = reduce_rows(np.maximum, omegas) - reduce_rows(np.minimum, omegas)
+    sigma_spread[ok] = reduce_rows(np.maximum, sigmas) - reduce_rows(np.minimum, sigmas)
+    return omega_spread, sigma_spread
+
+
+def radius_rate_error(r, rates, tol=1e-10):
+    """``|sigma_face - d/dt log R|`` per face that ``check_triangle_compat``
+    finds closed within ``tol``, against the larger of the two (floored at
+    1e-12), NaN on the others."""
+    rep = check_triangle_compat(r, rates, tol)
+    ok, sigma_face = rep.ok, rep.sigma_face
+    c = rates.complex_rate[r.mesh.face_edges]  # c12, c23, c31
+    dz = r.face_dz.T  # z2 - z1, z3 - z2, z1 - z3
+    s = c[ok].real
+    rr_err = np.full(len(ok), np.nan)
+    # d/dt log R of R = L12 L23 L31 / 2|area2|: each side adds its sigma, the
+    # doubled area Im w, w = conj(z2 - z1)(z3 - z1), moves by Im((conj(c12) + c31) w)
+    w = product(np.conj(dz[ok, 0]), -dz[ok, 2])
+    area_rate = product(np.conj(c[ok, 0]) + c[ok, 2], w).imag / r.area2[ok]
+    rr = s[:, 0] + s[:, 1] + s[:, 2] - area_rate
+    denom = np.maximum(np.maximum(np.abs(sigma_face[ok]), np.abs(rr)), 1e-12)
+    rr_err[ok] = np.abs(sigma_face[ok] - rr) / denom
+    return rr_err
+
+
+def orthogonal_part(mesh, n, f):
+    """``|df - k dn|`` per interior edge: the norm of the dual edge ``df =
+    f_left - f_right`` orthogonal to the Gauss-map edge ``dn = n_j - n_i``,
+    with ``k`` of ``verify_minimal``."""
+    n = np.asarray(n, dtype=float)
+    f = np.asarray(f, dtype=float)
+    i, j = mesh.interior_ends.T
+    dn = n[j] - n[i]
+    left, right = mesh.interior_faces.T
+    df = f[left] - f[right]
+    k = verify_minimal(mesh, n, f, tol=np.inf).k
+    return np.linalg.norm(df - k[:, None] * dn, axis=1)
+
+
+def conjugate_closure(r, h, anchor_face=0):
+    """Worst relative co-tree gap of the dual form ``(w_ij / 2)(h_j - h_i)``
+    that ``laplace.conjugate_harmonic`` integrates from ``anchor_face``."""
+    mesh = r.mesh
+    h = np.asarray(h, dtype=float)
+    i, j = mesh.edge_ends.T
+    dh = h[j] - h[i]
+    return integrate(mesh, 0.5 * cotan_weights(r) * dh[mesh.interior_edges], anchor_face, dual=True).defect.worst
 
 
 def qdiff_cotan(r: Realization, u):
